@@ -13,8 +13,8 @@ vectors, and the checkers here simply run it on basis tuples.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 from .errors import ShapeError
 from .linalg import (apply_bilinear, apply_coproduct, basis_vector, bullet,
@@ -384,8 +384,7 @@ def merge_verdicts(parts) -> Verdict:
 def check_hom_algebra(a: HomAlgebra, witness_cap=DEFAULT_WITNESS_CAP) -> Verdict:
     """Multiplicativity and twisted associativity (plus the unit law when
     a unit is declared)."""
-    tests = _algebra_tests(a.mu, a.alpha, a.unit)
-    return run_suite(a.dim, a.field, tests, witness_cap)
+    return run_check("hom-algebra", a, witness_cap=witness_cap)
 
 
 def check_hom_coalgebra(c: HomCoalgebra, counit_mode="eq7",
@@ -396,94 +395,64 @@ def check_hom_coalgebra(c: HomCoalgebra, counit_mode="eq7",
     coproduct against the squared twist, ``eq8`` against the twist
     itself with identity legs.
     """
-    tests = _coalgebra_tests(c.delta, c.counit, c.alpha, counit_mode)
-    return run_suite(c.dim, c.field, tests, witness_cap)
+    return run_check("hom-coalgebra", c, counit_mode, witness_cap=witness_cap)
 
 
 def check_bialgebra_compat(b: HomBialgebra,
                            witness_cap=DEFAULT_WITNESS_CAP) -> Verdict:
     """The four compatibility identities making the coproduct and counit
     morphisms of twisted algebras."""
-    tests = _compat_tests(b.mu, b.delta, b.counit, b.alpha)
-    return run_suite(b.dim, b.field, tests, witness_cap)
+    return run_check("bialgebra-compat", b, witness_cap=witness_cap)
 
 
 def check_hom_bialgebra(b: HomBialgebra, counit_mode="eq7",
                         witness_cap=DEFAULT_WITNESS_CAP) -> Verdict:
     """Full unital bialgebra suite: algebra + coalgebra + compatibility."""
-    tests = (_algebra_tests(b.mu, b.alpha, b.unit)
-             + _coassoc_tests(b.delta, b.alpha)[1:]  # coassociativity
-             + _counit_tests(b.delta, b.counit, b.alpha, counit_mode)
-             + _compat_tests(b.mu, b.delta, b.counit, b.alpha))
-    return run_suite(b.dim, b.field, tests, witness_cap)
+    return run_check("hom-bialgebra", b, counit_mode, witness_cap=witness_cap)
 
 
 def check_infinitesimal(b: HomBialgebra, counit_mode="eq7",
                         witness_cap=DEFAULT_WITNESS_CAP) -> Verdict:
     """The twisted infinitesimal relation, with the underlying algebra and
     coalgebra axioms reported alongside as prerequisites."""
-    tests = (_algebra_tests(b.mu, b.alpha, b.unit)
-             + _coalgebra_tests(b.delta, b.counit, b.alpha, counit_mode)
-             + _infinitesimal_test(b.mu, b.delta, b.alpha))
-    return run_suite(b.dim, b.field, tests, witness_cap)
+    return run_check("infinitesimal", b, counit_mode, witness_cap=witness_cap)
 
 
 def check_dialgebra(d: HomDialgebra, strict_assoc=False,
                     witness_cap=DEFAULT_WITNESS_CAP) -> Verdict:
     """Both products twisted-associative and multiplicative, plus the three
     bar-side axioms. ``strict_assoc`` demands plain associativity instead."""
-    tests = []
-    for name, p in (("left", d.left), ("right", d.right)):
-        if strict_assoc:
-            def strict(x, y, z, _p=p):
-                return apply_bilinear(_p, x, apply_bilinear(_p, y, z)), \
-                    apply_bilinear(_p, apply_bilinear(_p, x, y), z)
-            tests.append(AxiomTest("associativity", 3, strict, name))
-            tests.append(_algebra_tests(p, d.alpha, None, name)[0])
-        else:
-            tests.extend(_algebra_tests(p, d.alpha, None, name))
-    tests.extend(_dialgebra_axiom_tests(d.left, d.right, d.alpha))
-    return run_suite(d.dim, d.field, tests, witness_cap)
+    return run_check("hom-dialgebra", d, strict_assoc=strict_assoc,
+                     witness_cap=witness_cap)
 
 
 def check_differential(dh: DifferentialHomAlgebra,
                        witness_cap=DEFAULT_WITNESS_CAP) -> Verdict:
     """Derivation rule, square-zero, and twist commutation over a passing
     twisted-associative algebra."""
-    return run_suite(dh.dim, dh.field, _differential_tests(dh), witness_cap)
+    return run_check("differential", dh, witness_cap=witness_cap)
 
 
 def check_hom_leibniz(l: HomLeibniz, witness_cap=DEFAULT_WITNESS_CAP) -> Verdict:
     """The twisted Leibniz identity. Bracket multiplicativity under the
     twist and vanishing of self-brackets are reported as non-fatal info."""
-    tests = _leibniz_test(l.bracket, l.alpha)
-    mult = _algebra_tests(l.bracket, l.alpha, None)[0]
-    tests.append(AxiomTest("bracket-multiplicativity", 2, mult.evaluate,
-                           fatal=False))
-
-    def self_zero(x):
-        return apply_bilinear(l.bracket, x, x), zero_vector(l.field, l.dim)
-
-    tests.append(AxiomTest("self-bracket-zero", 1, self_zero, fatal=False))
-    return run_suite(l.dim, l.field, tests, witness_cap)
+    return run_check("hom-leibniz", l, witness_cap=witness_cap)
 
 
 def check_hom_prelie(p: HomPreLie, witness_cap=DEFAULT_WITNESS_CAP) -> Verdict:
     """Left symmetry of twisted associators."""
-    return run_suite(p.dim, p.field, _prelie_test(p.product, p.alpha),
-                     witness_cap)
+    return run_check("hom-prelie", p, witness_cap=witness_cap)
 
 
 def check_hlsda(s: HLSDA, witness_cap=DEFAULT_WITNESS_CAP) -> Verdict:
     """The four left-disymmetry identities."""
-    return run_suite(s.dim, s.field, _hlsda_tests(s.left, s.right, s.alpha),
-                     witness_cap)
+    return run_check("hlsda", s, witness_cap=witness_cap)
 
 
 def check_affine(a: AffineStructure, witness_cap=DEFAULT_WITNESS_CAP) -> Verdict:
     """Bracket compatibility and the four affine identities, with the
     underlying Leibniz check as a prerequisite."""
-    return run_suite(a.dim, a.field, _affine_tests(a), witness_cap)
+    return run_check("affine", a, witness_cap=witness_cap)
 
 
 def check_morphism(f, src, dst, witness_cap=DEFAULT_WITNESS_CAP) -> Verdict:
@@ -539,172 +508,201 @@ def classify_two_hom(s: TwoHomStructure) -> str:
 def check_composite(kind: str, s, counit_mode="eq7",
                     witness_cap=DEFAULT_WITNESS_CAP) -> Verdict:
     """Aggregate the constituent checks a composite kind demands."""
-    if isinstance(s, HomBialgebra) and kind == "2-hom-bialgebra":
-        s = TwoHomStructure("2-hom-bialgebra", s.mu, s.mu, s.alpha, s.unit,
-                            s.delta, s.delta, s.counit, s.counit)
-    if not isinstance(s, TwoHomStructure):
-        raise ShapeError(f"composite check needs a two-product structure, "
-                         f"got {type(s).__name__}")
-    if kind != s.variant:
-        raise ShapeError(f"kind mismatch: structure is {s.variant}, "
-                         f"check asked for {kind}")
-    parts = []
-    if kind == "2-hom-assoc-algebra":
-        for name, mu in (("mu1", s.mu1), ("mu2", s.mu2)):
-            v = run_suite(s.dim, s.field,
-                          _algebra_tests(mu, s.alpha, s.unit), witness_cap)
-            parts.append((name, v))
-    elif kind == "2-hom-assoc-bialgebra":
-        parts.append(("mu1+delta",
-                      check_hom_bialgebra(s.view(1, 1), counit_mode, witness_cap)))
-        parts.append(("mu2+delta",
-                      check_infinitesimal(s.view(2, 1), counit_mode, witness_cap)))
-    elif kind == "2-hom-bialgebra":
-        for i in (1, 2):
-            for j in (1, 2):
-                parts.append((f"mu{i}+delta{j}",
-                              check_hom_bialgebra(s.view(i, j), counit_mode,
-                                                  witness_cap)))
-    elif kind == "2-2-hom-bialgebra":
-        parts.append(("mu1+delta1",
-                      check_hom_bialgebra(s.view(1, 1), counit_mode, witness_cap)))
-        parts.append(("mu2+delta2",
-                      check_hom_bialgebra(s.view(2, 2), counit_mode, witness_cap)))
-        parts.append(("mu1+delta2",
-                      check_infinitesimal(s.view(1, 2), counit_mode, witness_cap)))
-        parts.append(("mu2+delta1",
-                      check_infinitesimal(s.view(2, 1), counit_mode, witness_cap)))
-    else:
-        raise ShapeError(f"unknown composite kind {kind!r}")
-    merged = merge_verdicts(parts)
-    if kind in ("2-hom-bialgebra", "2-2-hom-bialgebra"):
-        note = InfoNote(f"type {classify_two_hom(s)}", True)
-        merged = Verdict(merged.witnesses, merged.checked,
-                         merged.info + (note,), merged.truncated)
-    return merged
+    return run_check(kind, s, counit_mode, witness_cap=witness_cap)
 
 
 # ---------------------------------------------------------------------------
-# registry: check id -> (structure predicate, runner, suite builder)
+# the check table: every check id resolves here
+
+def _hom_bialgebra_suite(s, counit_mode, strict_assoc):
+    return (_algebra_tests(s.mu, s.alpha, s.unit)
+            + _coassoc_tests(s.delta, s.alpha)[1:]  # coassociativity
+            + _counit_tests(s.delta, s.counit, s.alpha, counit_mode)
+            + _compat_tests(s.mu, s.delta, s.counit, s.alpha))
+
+
+def _infinitesimal_suite(s, counit_mode, strict_assoc):
+    return (_algebra_tests(s.mu, s.alpha, s.unit)
+            + _coalgebra_tests(s.delta, s.counit, s.alpha, counit_mode)
+            + _infinitesimal_test(s.mu, s.delta, s.alpha))
+
+
+def _dialgebra_suite(s, counit_mode, strict_assoc):
+    tests = []
+    for name, p in (("left", s.left), ("right", s.right)):
+        if strict_assoc:
+            def strict(x, y, z, _p=p):
+                return apply_bilinear(_p, x, apply_bilinear(_p, y, z)), \
+                    apply_bilinear(_p, apply_bilinear(_p, x, y), z)
+            tests.append(AxiomTest("associativity", 3, strict, name))
+            tests.append(_algebra_tests(p, s.alpha, None, name)[0])
+        else:
+            tests.extend(_algebra_tests(p, s.alpha, None, name))
+    return tests + _dialgebra_axiom_tests(s.left, s.right, s.alpha)
+
+
+def _leibniz_suite(s, counit_mode, strict_assoc):
+    mult = _algebra_tests(s.bracket, s.alpha, None)[0]
+
+    def self_zero(x):
+        return apply_bilinear(s.bracket, x, x), zero_vector(s.field, s.dim)
+
+    return _leibniz_test(s.bracket, s.alpha) + [
+        AxiomTest("bracket-multiplicativity", 2, mult.evaluate, fatal=False),
+        AxiomTest("self-bracket-zero", 1, self_zero, fatal=False)]
+
+
+def _constituent(s: TwoHomStructure, which_mu, which_delta):
+    """The bialgebra view (mu_i, delta_j), or with no delta index the
+    hom-algebra on mu_i alone."""
+    if which_delta is None:
+        return HomAlgebra(s.mu1 if which_mu == 1 else s.mu2, s.alpha, s.unit)
+    return s.view(which_mu, which_delta)
+
+
+@dataclass(frozen=True)
+class Check:
+    """How one check id reads a structure and what it evaluates.
+
+    ``types`` lists the structure types the check accepts, canonical type
+    first, and ``coerce`` reads any other accepted type as the canonical
+    one. A plain check builds its tests with ``suite(s, counit_mode,
+    strict_assoc)``. A composite check lists its ``parts`` instead, each
+    ``(label, constituent check id, mu index, delta index or None)``; every
+    part runs under its own witness cap and the labelled verdicts are
+    merged. ``type_note`` adds the (i-j) type of the pair as info.
+    """
+
+    types: tuple
+    suite: Optional[Callable] = None
+    parts: tuple = ()
+    coerce: Optional[Callable] = None
+    type_note: bool = False
+
+
+CHECKS = {
+    "hom-algebra": Check(
+        (HomAlgebra, HomBialgebra, DifferentialHomAlgebra),
+        lambda s, mode, strict: _algebra_tests(s.mu, s.alpha, s.unit),
+        coerce=lambda s: HomAlgebra(s.mu, s.alpha, s.unit)),
+    "hom-coalgebra": Check(
+        (HomCoalgebra, HomBialgebra),
+        lambda s, mode, strict: _coalgebra_tests(s.delta, s.counit, s.alpha,
+                                                 mode),
+        coerce=HomBialgebra.coalgebra),
+    "bialgebra-compat": Check(
+        (HomBialgebra,),
+        lambda s, mode, strict: _compat_tests(s.mu, s.delta, s.counit,
+                                              s.alpha)),
+    "hom-bialgebra": Check((HomBialgebra,), _hom_bialgebra_suite),
+    "infinitesimal": Check((HomBialgebra,), _infinitesimal_suite),
+    "hom-dialgebra": Check(
+        (HomDialgebra, HLSDA), _dialgebra_suite,
+        coerce=lambda d: HomDialgebra(d.left, d.right, d.alpha)),
+    "differential": Check(
+        (DifferentialHomAlgebra,),
+        lambda s, mode, strict: _differential_tests(s)),
+    "hom-leibniz": Check((HomLeibniz,), _leibniz_suite),
+    "hom-prelie": Check(
+        (HomPreLie, HomAlgebra),
+        lambda s, mode, strict: _prelie_test(s.product, s.alpha),
+        coerce=lambda a: HomPreLie(a.mu, a.alpha)),
+    "hlsda": Check(
+        (HLSDA, HomDialgebra),
+        lambda s, mode, strict: _hlsda_tests(s.left, s.right, s.alpha),
+        coerce=lambda d: HLSDA(d.left, d.right, d.alpha)),
+    "affine": Check(
+        (AffineStructure,), lambda s, mode, strict: _affine_tests(s)),
+    "2-hom-assoc-algebra": Check(
+        (TwoHomStructure,),
+        parts=(("mu1", "hom-algebra", 1, None),
+               ("mu2", "hom-algebra", 2, None))),
+    "2-hom-assoc-bialgebra": Check(
+        (TwoHomStructure,),
+        parts=(("mu1+delta", "hom-bialgebra", 1, 1),
+               ("mu2+delta", "infinitesimal", 2, 1))),
+    "2-hom-bialgebra": Check(
+        (TwoHomStructure, HomBialgebra),
+        parts=tuple((f"mu{i}+delta{j}", "hom-bialgebra", i, j)
+                    for i in (1, 2) for j in (1, 2)),
+        coerce=lambda b: TwoHomStructure("2-hom-bialgebra", b.mu, b.mu,
+                                         b.alpha, b.unit, b.delta, b.delta,
+                                         b.counit, b.counit),
+        type_note=True),
+    "2-2-hom-bialgebra": Check(
+        (TwoHomStructure,),
+        parts=(("mu1+delta1", "hom-bialgebra", 1, 1),
+               ("mu2+delta2", "hom-bialgebra", 2, 2),
+               ("mu1+delta2", "infinitesimal", 1, 2),
+               ("mu2+delta1", "infinitesimal", 2, 1)),
+        type_note=True),
+}
+
+CHECK_IDS = tuple(CHECKS)
+
+
+def coerce_for_check(check_id: str, s):
+    """``s`` read as the structure type ``check_id`` runs on (an algebra as
+    its own pre-Lie structure, a dialgebra as a left-disymmetric pair, a
+    bialgebra as a (1-1) two-product pair, ...).
+
+    Raises ``ValueError`` for an unknown id and ``ShapeError`` when the
+    check cannot run on ``s``.
+    """
+    try:
+        check = CHECKS[check_id]
+    except KeyError:
+        raise ValueError(f"unknown check id {check_id!r}") from None
+    if not isinstance(s, check.types):
+        raise ShapeError(f"check {check_id!r} cannot run on a {s.kind} "
+                         f"structure")
+    if not isinstance(s, check.types[0]):
+        s = check.coerce(s)
+    if check.parts and s.variant != check_id:
+        raise ShapeError(f"kind mismatch: structure is {s.variant}, "
+                         f"check asked for {check_id}")
+    return s
+
+
+def _suite(check: Check, s, counit_mode, strict_assoc):
+    if check.suite is not None:
+        return check.suite(s, counit_mode, strict_assoc)
+    return [replace(t, where=f"{label}/{t.where}" if t.where else label)
+            for label, part, i, j in check.parts
+            for t in _suite(CHECKS[part], _constituent(s, i, j),
+                            counit_mode, strict_assoc)]
+
+
+def _verdict(check: Check, s, counit_mode, strict_assoc, witness_cap):
+    if check.suite is not None:
+        tests = check.suite(s, counit_mode, strict_assoc)
+        return run_suite(s.dim, s.field, tests, witness_cap)
+    merged = merge_verdicts(
+        (label, _verdict(CHECKS[part], _constituent(s, i, j), counit_mode,
+                         strict_assoc, witness_cap))
+        for label, part, i, j in check.parts)
+    if not check.type_note:
+        return merged
+    note = InfoNote(f"type {classify_two_hom(s)}", True)
+    return Verdict(merged.witnesses, merged.checked, merged.info + (note,),
+                   merged.truncated)
+
 
 def suite_for(check_id: str, s, counit_mode="eq7", strict_assoc=False):
     """The flat list of axiom tests a check would run on ``s``.
 
     Used by the random-vector oracle so that cross-checks exercise the
-    same identities the basis checker evaluated.
+    same identities the basis checker evaluated. Composite suites are the
+    constituents' suites with their labels prefixed.
     """
-    if check_id == "hom-algebra":
-        return _algebra_tests(s.mu, s.alpha, s.unit)
-    if check_id == "hom-coalgebra":
-        return _coalgebra_tests(s.delta, s.counit, s.alpha, counit_mode)
-    if check_id == "bialgebra-compat":
-        return _compat_tests(s.mu, s.delta, s.counit, s.alpha)
-    if check_id == "hom-bialgebra":
-        return (_algebra_tests(s.mu, s.alpha, s.unit)
-                + _coassoc_tests(s.delta, s.alpha)[1:]
-                + _counit_tests(s.delta, s.counit, s.alpha, counit_mode)
-                + _compat_tests(s.mu, s.delta, s.counit, s.alpha))
-    if check_id == "infinitesimal":
-        return (_algebra_tests(s.mu, s.alpha, s.unit)
-                + _coalgebra_tests(s.delta, s.counit, s.alpha, counit_mode)
-                + _infinitesimal_test(s.mu, s.delta, s.alpha))
-    if check_id == "hom-dialgebra":
-        tests = []
-        for name, p in (("left", s.left), ("right", s.right)):
-            if strict_assoc:
-                def strict(x, y, z, _p=p):
-                    return apply_bilinear(_p, x, apply_bilinear(_p, y, z)), \
-                        apply_bilinear(_p, apply_bilinear(_p, x, y), z)
-                tests.append(AxiomTest("associativity", 3, strict, name))
-                tests.append(_algebra_tests(p, s.alpha, None, name)[0])
-            else:
-                tests.extend(_algebra_tests(p, s.alpha, None, name))
-        return tests + _dialgebra_axiom_tests(s.left, s.right, s.alpha)
-    if check_id == "differential":
-        return _differential_tests(s)
-    if check_id == "hom-leibniz":
-        return _leibniz_test(s.bracket, s.alpha)
-    if check_id == "hom-prelie":
-        return _prelie_test(s.product, s.alpha)
-    if check_id == "hlsda":
-        return _hlsda_tests(s.left, s.right, s.alpha)
-    if check_id == "affine":
-        return _affine_tests(s)
-    if check_id in ("2-hom-assoc-algebra", "2-hom-assoc-bialgebra",
-                    "2-hom-bialgebra", "2-2-hom-bialgebra"):
-        return _composite_suite(check_id, s, counit_mode)
-    raise ValueError(f"unknown check id {check_id!r}")
-
-
-def _composite_suite(kind, s, counit_mode):
-    def relabel(tests, label):
-        return [AxiomTest(t.axiom, t.arity, t.evaluate,
-                          f"{label}/{t.where}" if t.where else label, t.fatal)
-                for t in tests]
-
-    out = []
-    if kind == "2-hom-assoc-algebra":
-        out += relabel(_algebra_tests(s.mu1, s.alpha, s.unit), "mu1")
-        out += relabel(_algebra_tests(s.mu2, s.alpha, s.unit), "mu2")
-        return out
-    if kind == "2-hom-assoc-bialgebra":
-        out += relabel(suite_for("hom-bialgebra", s.view(1, 1), counit_mode),
-                       "mu1+delta")
-        out += relabel(suite_for("infinitesimal", s.view(2, 1), counit_mode),
-                       "mu2+delta")
-        return out
-    if kind == "2-hom-bialgebra":
-        for i in (1, 2):
-            for j in (1, 2):
-                out += relabel(suite_for("hom-bialgebra", s.view(i, j),
-                                         counit_mode), f"mu{i}+delta{j}")
-        return out
-    out += relabel(suite_for("hom-bialgebra", s.view(1, 1), counit_mode),
-                   "mu1+delta1")
-    out += relabel(suite_for("hom-bialgebra", s.view(2, 2), counit_mode),
-                   "mu2+delta2")
-    out += relabel(suite_for("infinitesimal", s.view(1, 2), counit_mode),
-                   "mu1+delta2")
-    out += relabel(suite_for("infinitesimal", s.view(2, 1), counit_mode),
-                   "mu2+delta1")
-    return out
+    s = coerce_for_check(check_id, s)
+    return _suite(CHECKS[check_id], s, counit_mode, strict_assoc)
 
 
 def run_check(check_id: str, s, counit_mode="eq7", strict_assoc=False,
               witness_cap=DEFAULT_WITNESS_CAP) -> Verdict:
-    """Run a check selected by id (the CLI entry point into this module)."""
-    if check_id == "hom-algebra":
-        return check_hom_algebra(s, witness_cap)
-    if check_id == "hom-coalgebra":
-        return check_hom_coalgebra(s, counit_mode, witness_cap)
-    if check_id == "bialgebra-compat":
-        return check_bialgebra_compat(s, witness_cap)
-    if check_id == "hom-bialgebra":
-        return check_hom_bialgebra(s, counit_mode, witness_cap)
-    if check_id == "infinitesimal":
-        return check_infinitesimal(s, counit_mode, witness_cap)
-    if check_id == "hom-dialgebra":
-        return check_dialgebra(s, strict_assoc, witness_cap)
-    if check_id == "differential":
-        return check_differential(s, witness_cap)
-    if check_id == "hom-leibniz":
-        return check_hom_leibniz(s, witness_cap)
-    if check_id == "hom-prelie":
-        return check_hom_prelie(s, witness_cap)
-    if check_id == "hlsda":
-        return check_hlsda(s, witness_cap)
-    if check_id == "affine":
-        return check_affine(s, witness_cap)
-    if check_id in ("2-hom-assoc-algebra", "2-hom-assoc-bialgebra",
-                    "2-hom-bialgebra", "2-2-hom-bialgebra"):
-        return check_composite(check_id, s, counit_mode, witness_cap)
-    raise ValueError(f"unknown check id {check_id!r}")
-
-
-CHECK_IDS = (
-    "hom-algebra", "hom-coalgebra", "bialgebra-compat", "hom-bialgebra",
-    "infinitesimal", "hom-dialgebra", "differential", "hom-leibniz",
-    "hom-prelie", "hlsda", "affine",
-    "2-hom-assoc-algebra", "2-hom-assoc-bialgebra", "2-hom-bialgebra",
-    "2-2-hom-bialgebra",
-)
+    """Run a check selected by id on ``s``, read through
+    :func:`coerce_for_check`."""
+    s = coerce_for_check(check_id, s)
+    return _verdict(CHECKS[check_id], s, counit_mode, strict_assoc,
+                    witness_cap)

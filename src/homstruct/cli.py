@@ -17,18 +17,16 @@ import sys
 
 from . import __version__, constructions
 from ._kernels import available as available_kernels
-from .axioms import run_check
+from .axioms import coerce_for_check, run_check
 from .corpus import corpus_run, render_summary
 from .documents import (document_to_morphism, document_to_structure, dumps,
                         load_path, save_path, structure_to_document)
 from .errors import (BudgetExceededError, ConstructionError, DocumentError,
-                     HomstructError, NotEligibleError)
+                     HomstructError, NotEligibleError, ShapeError)
 from .oracle import oracle_crosscheck
 from .reports import Report, check_row
 from .search import SearchSpec, enumerate_structures
-from .structures import (AffineStructure, DifferentialHomAlgebra, HLSDA,
-                         HomAlgebra, HomBialgebra, HomCoalgebra, HomDialgebra,
-                         HomLeibniz, HomPreLie, TwoHomStructure, validate)
+from .structures import HomAlgebra, HomBialgebra, HomCoalgebra, validate
 
 DEFAULT_CHECKS = {
     "hom-algebra": ("hom-algebra",),
@@ -45,49 +43,6 @@ DEFAULT_CHECKS = {
     "hlsda": ("hlsda",),
     "affine-hom-leibniz": ("affine",),
 }
-
-_CHECK_TYPES = {
-    "hom-algebra": (HomAlgebra,),
-    "hom-coalgebra": (HomCoalgebra,),
-    "bialgebra-compat": (HomBialgebra,),
-    "hom-bialgebra": (HomBialgebra,),
-    "infinitesimal": (HomBialgebra,),
-    "hom-dialgebra": (HomDialgebra,),
-    "differential": (DifferentialHomAlgebra,),
-    "hom-leibniz": (HomLeibniz,),
-    "hom-prelie": (HomPreLie, HomAlgebra),
-    "hlsda": (HLSDA, HomDialgebra),
-    "affine": (AffineStructure,),
-    "2-hom-assoc-algebra": (TwoHomStructure,),
-    "2-hom-assoc-bialgebra": (TwoHomStructure,),
-    "2-hom-bialgebra": (TwoHomStructure, HomBialgebra),
-    "2-2-hom-bialgebra": (TwoHomStructure,),
-}
-
-
-def _coerce_for_check(s, check_id):
-    """View a structure as the type a check expects, when that reading is
-    canonical (an algebra as its own pre-Lie structure, a dialgebra as a
-    left-disymmetric pair, ...)."""
-    types = _CHECK_TYPES.get(check_id)
-    if types is None:
-        raise DocumentError(f"unknown check {check_id!r}")
-    if isinstance(s, types[0]):
-        return s
-    if check_id == "hom-prelie" and isinstance(s, HomAlgebra):
-        return HomPreLie(s.mu, s.alpha)
-    if check_id == "hlsda" and isinstance(s, HomDialgebra):
-        return HLSDA(s.left, s.right, s.alpha)
-    if check_id == "hom-dialgebra" and isinstance(s, HLSDA):
-        return HomDialgebra(s.left, s.right, s.alpha)
-    if check_id == "2-hom-bialgebra" and isinstance(s, HomBialgebra):
-        return TwoHomStructure("2-hom-bialgebra", s.mu, s.mu, s.alpha, s.unit,
-                               s.delta, s.delta, s.counit, s.counit)
-    if isinstance(s, tuple(types)):
-        return s
-    raise DocumentError(f"check {check_id!r} cannot run on a {s.kind} "
-                        f"structure")
-
 
 def _load_structure(path):
     try:
@@ -120,30 +75,30 @@ def cmd_check(args) -> int:
         return 2
     check_ids = ((args.kind,) if args.kind
                  else DEFAULT_CHECKS.get(structure.kind, (structure.kind,)))
-    basis = doc.get("basis") or [f"e{i + 1}" for i in range(structure.dim)]
-    all_pass = True
     try:
-        for check_id in check_ids:
-            target = _coerce_for_check(structure, check_id)
-            verdict = run_check(check_id, target, counit_mode=args.counit_mode,
-                                strict_assoc=args.strict_assoc,
-                                witness_cap=args.witness_cap)
-            oracle = None
-            if not args.no_oracle:
-                oracle = oracle_crosscheck(target, check_id,
-                                           samples=args.oracle_samples,
-                                           seed=args.seed,
-                                           counit_mode=args.counit_mode,
-                                           strict_assoc=args.strict_assoc,
-                                           verdict=verdict)
-                if not oracle.agreed:
-                    all_pass = False
-            report.checks.append(check_row(check_id, verdict, structure.field,
-                                           basis, oracle))
-            all_pass = all_pass and verdict.passed
-    except DocumentError as exc:
+        targets = [(c, coerce_for_check(c, structure)) for c in check_ids]
+    except (ValueError, ShapeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
+    basis = doc.get("basis") or [f"e{i + 1}" for i in range(structure.dim)]
+    all_pass = True
+    for check_id, target in targets:
+        verdict = run_check(check_id, target, counit_mode=args.counit_mode,
+                            strict_assoc=args.strict_assoc,
+                            witness_cap=args.witness_cap)
+        oracle = None
+        if not args.no_oracle:
+            oracle = oracle_crosscheck(target, check_id,
+                                       samples=args.oracle_samples,
+                                       seed=args.seed,
+                                       counit_mode=args.counit_mode,
+                                       strict_assoc=args.strict_assoc,
+                                       verdict=verdict)
+            if not oracle.agreed:
+                all_pass = False
+        report.checks.append(check_row(check_id, verdict, structure.field,
+                                       basis, oracle))
+        all_pass = all_pass and verdict.passed
     for f in findings:
         if f.severity == "warning":
             report.annotations.append(f"warning {f.code}: {f.message}")

@@ -368,7 +368,7 @@ def bracket_from_dialgebra(d: HomDialgebra, variant: str = "loday") -> HomLeibni
     if variant == "aligned":
         verdict = check_dialgebra(d)
     else:
-        verdict = check_hlsda(HLSDA(d.left, d.right, d.alpha))
+        verdict = check_hlsda(d)
     if not verdict.passed:
         raise ConstructionError(f"prerequisite check for the {variant} "
                                 f"bracket fails", verdict)

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import constructions
-from .axioms import check_morphism, run_check
+from .axioms import check_morphism, coerce_for_check, run_check
 from .documents import document_to_morphism, document_to_structure, load_path
 from .errors import DocumentError
 from .oracle import oracle_crosscheck
-from .structures import HLSDA, HomPreLie, TwoHomStructure, validate
+from .structures import TwoHomStructure, validate
 
 DATA_DIR = Path(__file__).parent / "corpus_data"
 
@@ -64,11 +64,9 @@ def _derive(spec, resolved):
             return out[spec.get("select", 0)]
         return out
     if op == "as-hlsda":
-        d = resolved[spec["input"]]
-        return HLSDA(d.left, d.right, d.alpha)
+        return coerce_for_check("hlsda", resolved[spec["input"]])
     if op == "as-prelie":
-        a = resolved[spec["input"]]
-        return HomPreLie(a.mu, a.alpha)
+        return coerce_for_check("hom-prelie", resolved[spec["input"]])
     if op == "algebra-of":
         return resolved[spec["input"]].algebra
     if op == "promote-two-hom":

@@ -83,25 +83,34 @@ def _flat_template(spec: SearchSpec):
                     pin(off + (0 * n + j) * n + k, 1 if j == k else 0)
                     pin(off + (j * n + 0) * n + k, 1 if j == k else 0)
     user = spec.fixed or {}
+    if not isinstance(user, dict):
+        raise ShapeError("pinned entries must map section names to arrays")
     names = _sections(spec.kind)
     for section, array in user.items():
         if section not in names:
             raise ShapeError(f"unknown section {section!r} for kind {spec.kind}")
         if section == "alpha":
-            for i in range(n):
-                for j in range(n):
-                    val = array[i][j]
-                    if val is not None:
-                        pin(alpha_off + i * n + j, val)
+            off, depth = alpha_off, 2
         else:
-            off = offs[0] if section == "mu" else offs[1]
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        val = array[i][j][k]
-                        if val is not None:
-                            pin(off + (i * n + j) * n + k, val)
+            off, depth = offs[names.index(section)], 3
+        error = (f"pinned section {section!r} must be a "
+                 f"{'x'.join([str(n)] * depth)} nested list")
+        for pos, val in enumerate(_row_major(array, n, depth, error)):
+            if val is not None:
+                pin(off + pos, val)
     return fixed, offs, alpha_off
+
+
+def _row_major(array, n, depth, error):
+    """The entries of a nested list of shape n x ... x n (``depth`` levels)
+    in row-major order; raises ``ShapeError(error)`` on any other shape."""
+    if depth == 0:
+        if isinstance(array, (list, tuple)):
+            raise ShapeError(error)
+        return [array]
+    if not isinstance(array, (list, tuple)) or len(array) != n:
+        raise ShapeError(error)
+    return [x for sub in array for x in _row_major(sub, n, depth - 1, error)]
 
 
 def _budget_or_raise(fixed, p):
@@ -150,6 +159,8 @@ def enumerate_structures(spec: SearchSpec, kernel: str = "auto") -> SearchResult
     if spec.kind not in SEARCH_KINDS:
         raise ValueError(f"unknown search kind {spec.kind!r}; "
                          f"choose from {SEARCH_KINDS}")
+    if spec.dim < 1:
+        raise ValueError(f"dimension must be >= 1, got {spec.dim}")
     fixed, _, _ = _flat_template(spec)
     _budget_or_raise(fixed, spec.prime)
     kern = _kernels.get_kernel(kernel)

@@ -12,6 +12,8 @@ as warnings rather than defects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Optional
 
 from .errors import MissingMapError
@@ -27,61 +29,71 @@ TWO_HOM_VARIANTS = (
 )
 
 
+class Record:
+    """Base of the structure records.
+
+    A record names the attributes holding its products, coproducts and
+    counits; ``dim``, ``field`` and the three section accessors are derived
+    from those names (``dim`` and ``field`` from the first product, or the
+    first coproduct when there is none). A name in ``OPTIONAL`` is left out
+    of its accessor while it holds None. Records are immutable, so each
+    derived value is computed once and the accessors return read-only
+    mappings.
+    """
+
+    PRODUCTS = COPRODUCTS = COUNITS = OPTIONAL = ()
+
+    @cached_property
+    def dim(self):
+        return getattr(self, (self.PRODUCTS + self.COPRODUCTS)[0]).dim
+
+    @cached_property
+    def field(self):
+        return getattr(self, (self.PRODUCTS + self.COPRODUCTS)[0]).field
+
+    @cached_property
+    def _sections(self):
+        def present(names):
+            return MappingProxyType({
+                name: getattr(self, name) for name in names
+                if name not in self.OPTIONAL or getattr(self, name) is not None})
+        return (present(self.PRODUCTS), present(self.COPRODUCTS),
+                present(self.COUNITS))
+
+    def products(self):
+        return self._sections[0]
+
+    def coproducts(self):
+        return self._sections[1]
+
+    def counits(self):
+        return self._sections[2]
+
+
 @dataclass(frozen=True)
-class HomAlgebra:
+class HomAlgebra(Record):
     mu: ProductTensor
     alpha: LinearMap
     unit: Optional[Vector] = None
 
     kind = "hom-algebra"
-
-    @property
-    def dim(self):
-        return self.mu.dim
-
-    @property
-    def field(self):
-        return self.mu.field
-
-    def products(self):
-        return {"mu": self.mu}
-
-    def coproducts(self):
-        return {}
-
-    def counits(self):
-        return {}
+    PRODUCTS = ("mu",)
 
 
 @dataclass(frozen=True)
-class HomCoalgebra:
+class HomCoalgebra(Record):
     delta: CoproductTensor
     alpha: LinearMap
     counit: Optional[LinearMap] = None
 
     kind = "hom-coalgebra"
     unit = None
-
-    @property
-    def dim(self):
-        return self.delta.dim
-
-    @property
-    def field(self):
-        return self.delta.field
-
-    def products(self):
-        return {}
-
-    def coproducts(self):
-        return {"delta": self.delta}
-
-    def counits(self):
-        return {"counit": self.counit} if self.counit is not None else {}
+    COPRODUCTS = ("delta",)
+    COUNITS = OPTIONAL = ("counit",)
 
 
 @dataclass(frozen=True)
-class HomBialgebra:
+class HomBialgebra(Record):
     mu: ProductTensor
     unit: Vector
     delta: CoproductTensor
@@ -89,23 +101,9 @@ class HomBialgebra:
     alpha: LinearMap
 
     kind = "hom-bialgebra"
-
-    @property
-    def dim(self):
-        return self.mu.dim
-
-    @property
-    def field(self):
-        return self.mu.field
-
-    def products(self):
-        return {"mu": self.mu}
-
-    def coproducts(self):
-        return {"delta": self.delta}
-
-    def counits(self):
-        return {"counit": self.counit}
+    PRODUCTS = ("mu",)
+    COPRODUCTS = ("delta",)
+    COUNITS = ("counit",)
 
     def algebra(self) -> HomAlgebra:
         return HomAlgebra(self.mu, self.alpha, self.unit)
@@ -115,7 +113,7 @@ class HomBialgebra:
 
 
 @dataclass(frozen=True)
-class TwoHomStructure:
+class TwoHomStructure(Record):
     """One space carrying two products (and possibly two coproducts).
 
     The four variants share the product pair and the twist; which
@@ -134,36 +132,14 @@ class TwoHomStructure:
     counit1: Optional[LinearMap] = None
     counit2: Optional[LinearMap] = None
 
+    PRODUCTS = ("mu1", "mu2")
+    COPRODUCTS = ("delta1", "delta2")
+    COUNITS = ("counit1", "counit2")
+    OPTIONAL = COPRODUCTS + COUNITS
+
     @property
     def kind(self):
         return self.variant
-
-    @property
-    def dim(self):
-        return self.mu1.dim
-
-    @property
-    def field(self):
-        return self.mu1.field
-
-    def products(self):
-        return {"mu1": self.mu1, "mu2": self.mu2}
-
-    def coproducts(self):
-        out = {}
-        if self.delta1 is not None:
-            out["delta1"] = self.delta1
-        if self.delta2 is not None:
-            out["delta2"] = self.delta2
-        return out
-
-    def counits(self):
-        out = {}
-        if self.counit1 is not None:
-            out["counit1"] = self.counit1
-        if self.counit2 is not None:
-            out["counit2"] = self.counit2
-        return out
 
     def view(self, which_mu: int, which_delta: int) -> HomBialgebra:
         """The bialgebra view (mu_i, delta_j, counit_j)."""
@@ -178,38 +154,23 @@ class TwoHomStructure:
 
 
 @dataclass(frozen=True)
-class HomDialgebra:
+class HomDialgebra(Record):
     left: ProductTensor
     right: ProductTensor
     alpha: LinearMap
 
     kind = "hom-dialgebra"
     unit = None
-
-    @property
-    def dim(self):
-        return self.left.dim
-
-    @property
-    def field(self):
-        return self.left.field
-
-    def products(self):
-        return {"left": self.left, "right": self.right}
-
-    def coproducts(self):
-        return {}
-
-    def counits(self):
-        return {}
+    PRODUCTS = ("left", "right")
 
 
 @dataclass(frozen=True)
-class DifferentialHomAlgebra:
+class DifferentialHomAlgebra(Record):
     algebra: HomAlgebra
     d: LinearMap
 
     kind = "differential-hom-algebra"
+    PRODUCTS = ("mu",)
 
     @property
     def mu(self):
@@ -223,78 +184,29 @@ class DifferentialHomAlgebra:
     def unit(self):
         return self.algebra.unit
 
-    @property
-    def dim(self):
-        return self.algebra.dim
-
-    @property
-    def field(self):
-        return self.algebra.field
-
-    def products(self):
-        return {"mu": self.mu}
-
-    def coproducts(self):
-        return {}
-
-    def counits(self):
-        return {}
-
 
 @dataclass(frozen=True)
-class HomLeibniz:
+class HomLeibniz(Record):
     bracket: ProductTensor
     alpha: LinearMap
 
     kind = "hom-leibniz"
     unit = None
-
-    @property
-    def dim(self):
-        return self.bracket.dim
-
-    @property
-    def field(self):
-        return self.bracket.field
-
-    def products(self):
-        return {"bracket": self.bracket}
-
-    def coproducts(self):
-        return {}
-
-    def counits(self):
-        return {}
+    PRODUCTS = ("bracket",)
 
 
 @dataclass(frozen=True)
-class HomPreLie:
+class HomPreLie(Record):
     product: ProductTensor
     alpha: LinearMap
 
     kind = "hom-prelie"
     unit = None
-
-    @property
-    def dim(self):
-        return self.product.dim
-
-    @property
-    def field(self):
-        return self.product.field
-
-    def products(self):
-        return {"product": self.product}
-
-    def coproducts(self):
-        return {}
-
-    def counits(self):
-        return {}
+    PRODUCTS = ("product",)
 
 
 @dataclass(frozen=True)
-class HLSDA:
+class HLSDA(Record):
     """Hom-left-symmetric dialgebra: two products, four twisted identities."""
 
     left: ProductTensor
@@ -303,27 +215,11 @@ class HLSDA:
 
     kind = "hlsda"
     unit = None
-
-    @property
-    def dim(self):
-        return self.left.dim
-
-    @property
-    def field(self):
-        return self.left.field
-
-    def products(self):
-        return {"left": self.left, "right": self.right}
-
-    def coproducts(self):
-        return {}
-
-    def counits(self):
-        return {}
+    PRODUCTS = ("left", "right")
 
 
 @dataclass(frozen=True)
-class AffineStructure:
+class AffineStructure(Record):
     """A pair of bilinear maps compatible with a hom-Leibniz bracket."""
 
     nabla1: ProductTensor
@@ -332,28 +228,15 @@ class AffineStructure:
 
     kind = "affine-hom-leibniz"
     unit = None
+    PRODUCTS = ("nabla1", "nabla2", "bracket")
 
     @property
     def alpha(self):
         return self.leibniz.alpha
 
     @property
-    def dim(self):
-        return self.nabla1.dim
-
-    @property
-    def field(self):
-        return self.nabla1.field
-
-    def products(self):
-        return {"nabla1": self.nabla1, "nabla2": self.nabla2,
-                "bracket": self.leibniz.bracket}
-
-    def coproducts(self):
-        return {}
-
-    def counits(self):
-        return {}
+    def bracket(self):
+        return self.leibniz.bracket
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 import pytest
 
 import homstruct as hs
-from homstruct.axioms import suite_for
+from homstruct import corpus
+from homstruct.axioms import (CHECK_IDS, coerce_for_check, merge_verdicts,
+                              run_suite, suite_for)
 from homstruct.constructions import (bracket_from_dialgebra,
                                      dialgebra_from_differential,
                                      leibniz_from_differential,
                                      trivial_dialgebra)
-from homstruct.errors import ShapeError
+from homstruct.errors import HomstructError, ShapeError
 from homstruct.linalg import tensors_equal
 
 from conftest import F, coproduct, lmap, product, vec
@@ -281,6 +283,80 @@ class TestComposite:
     def test_kind_mismatch_raises(self, twohom2dim):
         with pytest.raises(ShapeError):
             hs.check_composite("2-hom-bialgebra", twohom2dim)
+
+
+@pytest.fixture(scope="module")
+def corpus_rows():
+    """Every structure row of the bundled corpus, by name."""
+    rows = {}
+    for entry in corpus.load_expected()["entries"]:
+        rows[entry["name"]] = (corpus.load_fixture(entry["fixture"])
+                               if "fixture" in entry
+                               else corpus._derive(entry["derive"], rows))
+    return rows
+
+
+def _key(where, axiom):
+    return f"{where}/{axiom}" if where else axiom
+
+
+class TestCheckTable:
+    def test_checked_keys_are_the_suite_keys(self, corpus_rows):
+        ran = 0
+        for name, s in corpus_rows.items():
+            for check_id in CHECK_IDS:
+                try:
+                    coerce_for_check(check_id, s)
+                except ShapeError:
+                    continue
+                keys = []
+                for t in suite_for(check_id, s):
+                    if _key(t.where, t.axiom) not in keys:
+                        keys.append(_key(t.where, t.axiom))
+                v = hs.run_check(check_id, s, witness_cap=10 ** 6)
+                assert list(v.checked) == keys, (name, check_id)
+                ran += 1
+        assert ran > len(corpus_rows)
+
+    def test_composites_cap_each_constituent(self, corpus_rows):
+        ex2 = corpus_rows["ex2"]
+        v = hs.run_check("2-hom-assoc-bialgebra", ex2)
+        assert v == merge_verdicts([
+            ("mu1+delta", hs.check_hom_bialgebra(ex2.view(1, 1))),
+            ("mu2+delta", hs.check_infinitesimal(ex2.view(2, 1)))])
+        assert len(v.witnesses) == 18
+
+        pair = corpus_rows["ex2-as-2-hom-bialgebra"]
+        v = hs.run_check("2-hom-bialgebra", pair)
+        parts = merge_verdicts(
+            (f"mu{i}+delta{j}", hs.check_hom_bialgebra(pair.view(i, j)))
+            for i in (1, 2) for j in (1, 2))
+        assert (v.witnesses, v.checked) == (parts.witnesses, parts.checked)
+        assert len(v.witnesses) == 32
+        # one shared cap over the concatenated suite would cut it short
+        shared = run_suite(pair.dim, pair.field,
+                           suite_for("2-hom-bialgebra", pair))
+        assert len(shared.witnesses) == 16
+
+    def test_every_refusal_is_a_domain_error(self, corpus_rows):
+        refused = 0
+        for s in corpus_rows.values():
+            for check_id in CHECK_IDS:
+                try:
+                    hs.run_check(check_id, s)
+                except HomstructError:
+                    refused += 1
+        assert refused > 0
+
+    def test_canonical_readings(self, corpus_rows):
+        hom3 = corpus_rows["hom3dim_ab"]
+        assert hs.run_check("hom-prelie", hom3) == \
+            hs.check_hom_prelie(hs.HomPreLie(hom3.mu, hom3.alpha))
+        ex1 = corpus_rows["ex1"]
+        assert hs.run_check("hom-algebra", ex1) == \
+            hs.check_hom_algebra(ex1.algebra())
+        assert hs.run_check("hom-coalgebra", ex1) == \
+            hs.check_hom_coalgebra(ex1.coalgebra())
 
 
 class TestVerdictMechanics:

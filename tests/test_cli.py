@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from homstruct import documents
 from homstruct.cli import main
 from homstruct.corpus import DATA_DIR
@@ -39,8 +41,10 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "infinitesimal" in out
 
-    def test_incompatible_kind_exits_two(self):
+    def test_incompatible_kind_exits_two(self, capsys):
         assert main(["check", HOM3, "--kind", "hom-bialgebra"]) == 2
+        assert ("invalid input: check 'hom-bialgebra' cannot run on a "
+                "hom-algebra structure") in capsys.readouterr().err
 
     def test_machine_format_is_json(self, capsys):
         assert main(["check", HOM3, "--format", "machine",
@@ -210,6 +214,19 @@ class TestSearch:
         assert main(["search", "--kind", "hom-dialgebra", "--dim", "3",
                      "--prime", "5"]) == 1
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [
+        ["--dim", "1", "--fixed", '{"mu": [[1]]}'],  # too shallow
+        ["--dim", "2", "--fixed", '{"alpha": [[1, 0], [0]]}'],  # short row
+        ["--dim", "2", "--fixed", '{"mu": 5}'],  # not a list
+        ["--dim", "1", "--fixed", '[1]'],  # not a section map
+        ["--dim", "0"],
+        ["--dim", "-1"],
+    ])
+    def test_malformed_spec_exits_two(self, spec, capsys):
+        assert main(["search", "--kind", "hom-algebra", "--prime", "2",
+                     *spec]) == 2
+        assert "invalid search spec" in capsys.readouterr().err
 
     def test_bad_prime_exits_two(self, capsys):
         assert main(["search", "--kind", "hom-algebra", "--dim", "1",
