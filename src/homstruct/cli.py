@@ -109,102 +109,54 @@ def cmd_check(args) -> int:
     return 0 if all_pass else 1
 
 
-_CONSTRUCT_POST = {
-    "twist": {"algebra": ("hom-algebra",),
-              "2-assoc-algebra": ("2-hom-assoc-algebra",),
-              "dialgebra": ("hom-dialgebra",),
-              "leibniz": ("hom-leibniz",),
-              "hlsda": ("hlsda",)},
-    "k1": ("hom-bialgebra", "infinitesimal"),
-    "k2": ("hom-bialgebra", "infinitesimal"),
-    "assemble": None,  # post suite depends on the assembly kind
-    "tensor": ("hom-algebra",),
-    "op": None,
-    "cop": None,
-    "dialg-from-diff": ("hom-dialgebra",),
-    "leibniz-from-diff": ("hom-leibniz",),
-    "bracket": ("hom-leibniz",),
-    "hlsda-from-affine": ("hlsda",),
-    "trivial-dialg": ("hom-dialgebra",),
-}
+CONSTRUCT_VERBS = ("assemble", "bracket", "cop", "dialg-from-diff",
+                   "hlsda-from-affine", "k1", "k2", "leibniz-from-diff", "op",
+                   "tensor", "trivial-dialg", "twist")
 
 
 def _construct(args):
     verb = args.verb
+    inputs = 2 if verb in ("assemble", "tensor") else 1
+    if len(args.inputs) != inputs:
+        raise DocumentError(f"{verb} takes {inputs} input document"
+                            f"{'s' * (inputs > 1)}, got {len(args.inputs)}")
+    if verb == "twist" and not args.alpha:
+        raise DocumentError("twist needs --alpha MATRIXFILE")
+    s, *rest = [_load_structure(path)[0] for path in args.inputs]
     if verb == "twist":
-        if not args.alpha:
-            raise DocumentError("twist needs --alpha MATRIXFILE")
-        if args.kind not in _CONSTRUCT_POST["twist"]:
-            raise ConstructionError(f"unknown twist kind {args.kind!r}")
-        s, _ = _load_structure(args.inputs[0])
         alpha, _, _ = document_to_morphism(load_path(args.alpha))
-        return constructions.yau_twist(args.kind, s, alpha), \
-            _CONSTRUCT_POST["twist"][args.kind]
+        return constructions.yau_twist(args.kind, s, alpha)
     if verb in ("k1", "k2"):
-        s, _ = _load_structure(args.inputs[0])
         fn = (constructions.kaplansky_k1 if verb == "k1"
               else constructions.kaplansky_k2)
-        return fn(s, allow_ineligible=args.allow_ineligible), \
-            _CONSTRUCT_POST[verb]
+        return fn(s, allow_ineligible=args.allow_ineligible)
     if verb == "assemble":
-        a, _ = _load_structure(args.inputs[0])
-        b, _ = _load_structure(args.inputs[1])
-        out = constructions.assemble_two(args.kind, a, b,
-                                         args.allow_ineligible)
-        if isinstance(out, tuple):
-            return out, ("2-hom-bialgebra",)
-        post = {"2-assoc-bialgebra-B1": ("2-hom-assoc-bialgebra",),
-                "2-2-bialgebra": ("2-2-hom-bialgebra",)}[args.kind]
-        return out, post
+        return constructions.assemble_two(args.kind, s, *rest,
+                                          args.allow_ineligible)
     if verb == "tensor":
-        a, _ = _load_structure(args.inputs[0])
-        b, _ = _load_structure(args.inputs[1])
-        return constructions.tensor_product(a, b), _CONSTRUCT_POST["tensor"]
-    if verb in ("op", "cop"):
-        s, doc = _load_structure(args.inputs[0])
-        if verb == "op":
-            if not isinstance(s, (HomAlgebra, HomBialgebra)):
-                raise ConstructionError("op needs a product-carrying kind")
-            if isinstance(s, HomAlgebra):
-                out = HomAlgebra(constructions.opposite(s.mu), s.alpha, s.unit)
-            else:
-                out = HomBialgebra(constructions.opposite(s.mu), s.unit,
-                                   s.delta, s.counit, s.alpha)
-        else:
-            if isinstance(s, HomCoalgebra):
-                out = HomCoalgebra(constructions.coopposite(s.delta), s.alpha,
-                                   s.counit)
-            elif isinstance(s, HomBialgebra):
-                out = HomBialgebra(s.mu, s.unit,
-                                   constructions.coopposite(s.delta),
-                                   s.counit, s.alpha)
-            else:
-                raise ConstructionError("cop needs a coproduct-carrying kind")
-        return out, DEFAULT_CHECKS.get(out.kind)
-    if verb == "dialg-from-diff":
-        s, _ = _load_structure(args.inputs[0])
-        return constructions.dialgebra_from_differential(s), \
-            _CONSTRUCT_POST[verb]
-    if verb == "leibniz-from-diff":
-        s, _ = _load_structure(args.inputs[0])
-        return constructions.leibniz_from_differential(s), \
-            _CONSTRUCT_POST[verb]
+        return constructions.tensor_product(s, *rest)
     if verb == "bracket":
-        s, _ = _load_structure(args.inputs[0])
-        return constructions.bracket_from_dialgebra(s, args.variant), \
-            _CONSTRUCT_POST[verb]
-    if verb == "hlsda-from-affine":
-        s, _ = _load_structure(args.inputs[0])
-        return constructions.hlsda_from_affine(s), _CONSTRUCT_POST[verb]
-    if verb == "trivial-dialg":
-        s, _ = _load_structure(args.inputs[0])
-        return constructions.trivial_dialgebra(s), _CONSTRUCT_POST[verb]
-    raise ConstructionError(f"unknown construct verb {verb!r}")
+        return constructions.bracket_from_dialgebra(s, args.variant)
+    if verb in ("op", "cop"):
+        section, flip, carrying, what = (
+            ("mu", constructions.opposite, (HomAlgebra, HomBialgebra),
+             "product") if verb == "op" else
+            ("delta", constructions.coopposite, (HomCoalgebra, HomBialgebra),
+             "coproduct"))
+        if not isinstance(s, carrying):
+            raise ConstructionError(f"{verb} needs a {what}-carrying kind")
+        values = s.section_values()
+        values[section] = flip(values[section])
+        return s.from_sections(s.kind, values)
+    return {"dialg-from-diff": constructions.dialgebra_from_differential,
+            "leibniz-from-diff": constructions.leibniz_from_differential,
+            "hlsda-from-affine": constructions.hlsda_from_affine,
+            "trivial-dialg": constructions.trivial_dialgebra}[verb](s)
 
 
 def cmd_construct(args) -> int:
     try:
-        out, post = _construct(args)
+        out = _construct(args)
     except (DocumentError, FileNotFoundError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
@@ -234,7 +186,10 @@ def cmd_construct(args) -> int:
             lines.append(f"wrote {s.kind} (dim {s.dim}) to {paths[idx]}")
         else:
             lines.append(dumps(doc).rstrip())
-        for check_id in (post or ()):
+        # the unit-adjoining extensions also run the infinitesimal check
+        post = (("hom-bialgebra", "infinitesimal") if args.verb in ("k1", "k2")
+                else DEFAULT_CHECKS[s.kind])
+        for check_id in post:
             verdict = run_check(check_id, s, counit_mode=args.counit_mode)
             detail = ""
             if not verdict.passed:
@@ -323,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("construct", help="run a construction")
-    p.add_argument("verb", choices=sorted(_CONSTRUCT_POST))
+    p.add_argument("verb", choices=CONSTRUCT_VERBS)
     p.add_argument("inputs", nargs="+")
     p.add_argument("--kind", default="algebra",
                    help="twist kind or assembly kind")

@@ -9,26 +9,33 @@ Identical inputs always yield identical outputs.
 
 from __future__ import annotations
 
-import dataclasses
-
 from .axioms import (check_affine, check_dialgebra, check_differential,
-                     check_hlsda, check_hom_algebra, check_morphism)
+                     check_hlsda, check_hom_algebra, check_morphism,
+                     coerce_for_check)
 from .errors import (ConstructionError, InvalidStructureError,
                      MissingMapError, NotEligibleError, ShapeError)
 from .fields import require_same_field
 from .linalg import (CoproductTensor, LinearMap, ProductTensor, Vector,
                      apply_bilinear, basis_vector, kron,
                      product_from_basis_values, tensors_equal)
-from .structures import (AffineStructure, HLSDA, HomAlgebra, HomBialgebra,
-                         HomDialgebra, DifferentialHomAlgebra, HomLeibniz,
-                         TwoHomStructure, is_unit_extension_eligible,
-                         unit_basis_index, validate)
+from .structures import (SECTION_TYPES, AffineStructure, HLSDA, HomAlgebra,
+                         HomBialgebra, HomDialgebra, DifferentialHomAlgebra,
+                         HomLeibniz, TwoHomStructure,
+                         is_unit_extension_eligible, unit_basis_index,
+                         validate)
 
 BRACKET_VARIANTS = ("aligned", "loday")
 
 ASSEMBLY_KINDS = ("2-assoc-bialgebra-B1", "2-bialgebras-B1B2", "2-2-bialgebra")
 
-TWIST_KINDS = ("algebra", "2-assoc-algebra", "dialgebra", "leibniz", "hlsda")
+# twist kind -> kind of the structure it takes and returns
+TWIST_KINDS = {
+    "algebra": "hom-algebra",
+    "2-assoc-algebra": "2-hom-assoc-algebra",
+    "dialgebra": "hom-dialgebra",
+    "leibniz": "hom-leibniz",
+    "hlsda": "hlsda",
+}
 
 
 def _require_valid(s, what="input"):
@@ -49,52 +56,48 @@ def yau_twist(kind: str, s, alpha: LinearMap):
     """Twist an untwisted structure by composing each product with an
     endomorphism ``alpha``; the output carries ``alpha`` as its twist map.
 
-    The input must have the identity twist, and ``alpha`` must commute
-    with every product (checked; a witness-carrying verdict is attached
-    to the error on failure). A declared unit survives only for the
-    trivial identity twist, since composing with ``alpha`` destroys the
-    strict unit law otherwise.
+    The input is read as the ``TWIST_KINDS[kind]`` structure (see
+    :func:`homstruct.axioms.coerce_for_check`; ``ShapeError`` when it
+    cannot be). It must have the identity twist, and ``alpha`` must
+    commute with every product (checked; a witness-carrying verdict is
+    attached to the error on failure). A declared unit survives only for
+    the trivial identity twist, since composing with ``alpha`` destroys
+    the strict unit law otherwise.
     """
     if kind not in TWIST_KINDS:
         raise ConstructionError(f"unknown twist kind {kind!r}")
     _require_valid(s)
+    out_kind = TWIST_KINDS[kind]
+    s = coerce_for_check(out_kind, s)
     if not s.alpha.is_identity():
         raise ConstructionError("input must be untwisted (identity twist)")
     if alpha.source_dim != s.dim or alpha.target_dim != s.dim:
         raise ShapeError("twist map must be an endomorphism of the space")
-    bare = s
-    if getattr(s, "unit", None) is not None:
-        bare = dataclasses.replace(s, unit=None) if not isinstance(s, HomAlgebra) \
-            else HomAlgebra(s.mu, s.alpha)
+    values = s.section_values()
+    bare = s.from_sections(out_kind, {**values, "unit": None})
     verdict = check_morphism(alpha, bare, bare)
     if not verdict.passed:
         raise ConstructionError("twist map is not an endomorphism", verdict)
 
-    keep_unit = getattr(s, "unit", None) is not None and alpha.is_identity()
-    if kind == "algebra":
-        return HomAlgebra(_twist_tensor(s.mu, alpha), alpha,
-                          s.unit if keep_unit else None)
-    if kind == "2-assoc-algebra":
-        return TwoHomStructure("2-hom-assoc-algebra",
-                               _twist_tensor(s.mu1, alpha),
-                               _twist_tensor(s.mu2, alpha), alpha,
-                               s.unit if keep_unit else None)
-    if kind == "dialgebra":
-        return HomDialgebra(_twist_tensor(s.left, alpha),
-                            _twist_tensor(s.right, alpha), alpha)
-    if kind == "leibniz":
-        return HomLeibniz(_twist_tensor(s.bracket, alpha), alpha)
-    return HLSDA(_twist_tensor(s.left, alpha),
-                 _twist_tensor(s.right, alpha), alpha)
+    twisted = {section: _twist_tensor(value, alpha)
+               for section, value in values.items()
+               if SECTION_TYPES[section] == "product"}
+    twisted["alpha"] = alpha
+    if alpha.is_identity():
+        twisted["unit"] = values.get("unit")
+    return s.from_sections(out_kind, twisted)
 
 
 # ---------------------------------------------------------------------------
 # unit-adjoining bialgebra extensions
 
 def _check_extension_input(a: HomAlgebra, allow_ineligible, need_basis_unit):
+    """The input read as a hom-algebra, whether its twist fixes the unit,
+    and the unit's basis index (or None)."""
     _require_valid(a)
     if a.unit is None:
         raise MissingMapError("unit-adjoining construction needs a unital input")
+    a = coerce_for_check("hom-algebra", a)
     eligible = is_unit_extension_eligible(a)
     if not eligible and not allow_ineligible:
         raise NotEligibleError(
@@ -108,7 +111,7 @@ def _check_extension_input(a: HomAlgebra, allow_ineligible, need_basis_unit):
     if not eligible and basis_unit is None:
         raise NotEligibleError("extending a twist that moves the unit needs "
                                "the unit to be a basis vector")
-    return eligible, basis_unit
+    return a, eligible, basis_unit
 
 
 def _extended_product(a: HomAlgebra) -> ProductTensor:
@@ -160,8 +163,8 @@ def kaplansky_k1(a: HomAlgebra, allow_ineligible: bool = False) -> HomBialgebra:
     both units by definition) is used instead, and the checkers decide
     what the output satisfies.
     """
-    eligible, _ = _check_extension_input(a, allow_ineligible,
-                                         need_basis_unit=False)
+    a, eligible, _ = _check_extension_input(a, allow_ineligible,
+                                            need_basis_unit=False)
     f, n = a.field, a.dim
     m = n + 1
     z, one = f.zero, f.one
@@ -195,8 +198,8 @@ def kaplansky_k2(a: HomAlgebra, allow_ineligible: bool = False) -> HomBialgebra:
     The case split is only linear when the old unit is itself a basis
     vector, so other inputs are rejected.
     """
-    eligible, t = _check_extension_input(a, allow_ineligible,
-                                         need_basis_unit=True)
+    a, eligible, t = _check_extension_input(a, allow_ineligible,
+                                            need_basis_unit=True)
     f, n = a.field, a.dim
     m = n + 1
     z, one = f.zero, f.one
@@ -274,6 +277,7 @@ def tensor_product(a: HomAlgebra, b: HomAlgebra) -> HomAlgebra:
     tensor space; the unit is the tensor of units when both exist."""
     _require_valid(a, "first input")
     _require_valid(b, "second input")
+    a, b = coerce_for_check("hom-algebra", a), coerce_for_check("hom-algebra", b)
     f = require_same_field(a.field, b.field)
     n, m = a.dim, b.dim
     nm = n * m
@@ -372,6 +376,12 @@ def bracket_from_dialgebra(d: HomDialgebra, variant: str = "loday") -> HomLeibni
     if not verdict.passed:
         raise ConstructionError(f"prerequisite check for the {variant} "
                                 f"bracket fails", verdict)
+    return _derived_bracket(d, variant)
+
+
+def _derived_bracket(d, variant) -> HomLeibniz:
+    """The ``variant`` bracket of the products ``d.left``, ``d.right``,
+    unchecked."""
     f, n = d.field, d.dim
 
     def at(i, j):
@@ -399,9 +409,7 @@ def affine_from_hlsda(s: HLSDA) -> AffineStructure:
     verdict = check_hlsda(s)
     if not verdict.passed:
         raise ConstructionError("left-disymmetry axioms fail", verdict)
-    bracket = bracket_from_dialgebra(
-        HomDialgebra(s.left, s.right, s.alpha), "loday")
-    return AffineStructure(s.right, s.left, bracket)
+    return AffineStructure(s.right, s.left, _derived_bracket(s, "loday"))
 
 
 def trivial_dialgebra(a: HomAlgebra) -> HomDialgebra:

@@ -6,10 +6,8 @@ fraction string ("3", "-1/2"); floats are rejected on input so no
 inexact value can enter. ``serialize(parse(doc)) == doc`` bit-exactly
 for canonical documents.
 
-Section names are generic: ``mu``/``mu2`` hold whichever products the
-kind carries (the two bar products of a dialgebra, a Leibniz bracket,
-...), ``delta``/``delta2`` the comultiplications, ``nabla1``/``nabla2``
-the affine maps. The kind tag fixes the interpretation.
+Section names are generic (see :class:`homstruct.structures.Record`); the
+kind tag fixes the interpretation through ``structures.KINDS``.
 """
 
 from __future__ import annotations
@@ -19,37 +17,9 @@ import json
 from .errors import DocumentError, ScalarParseError
 from .fields import parse_field
 from .linalg import CoproductTensor, LinearMap, ProductTensor, Vector
-from .structures import (AffineStructure, DifferentialHomAlgebra, HLSDA,
-                         HomAlgebra, HomBialgebra, HomCoalgebra, HomDialgebra,
-                         HomLeibniz, HomPreLie, TwoHomStructure)
+from .structures import KINDS, SECTION_TYPES
 
 FORMAT_VERSION = 1
-
-# kind -> (required sections, optional sections), in canonical write order
-SECTIONS = {
-    "hom-algebra": (("mu", "alpha"), ("unit",)),
-    "hom-coalgebra": (("delta", "alpha"), ("counit",)),
-    "hom-bialgebra": (("mu", "unit", "delta", "counit", "alpha"), ()),
-    "2-hom-assoc-algebra": (("mu", "mu2", "alpha"), ("unit",)),
-    "2-hom-assoc-bialgebra": (("mu", "mu2", "unit", "delta", "counit",
-                               "alpha"), ()),
-    "2-hom-bialgebra": (("mu", "mu2", "unit", "delta", "delta2", "counit",
-                         "counit2", "alpha"), ()),
-    "2-2-hom-bialgebra": (("mu", "mu2", "unit", "delta", "delta2", "counit",
-                           "counit2", "alpha"), ()),
-    "hom-dialgebra": (("mu", "mu2", "alpha"), ()),
-    "differential-hom-algebra": (("mu", "alpha", "d"), ("unit",)),
-    "hom-leibniz": (("mu", "alpha"), ()),
-    "hom-prelie": (("mu", "alpha"), ()),
-    "hlsda": (("mu", "mu2", "alpha"), ()),
-    "affine-hom-leibniz": (("nabla1", "nabla2", "mu", "alpha"), ()),
-}
-
-_PRODUCT_SECTIONS = {"mu", "mu2", "nabla1", "nabla2"}
-_COPRODUCT_SECTIONS = {"delta", "delta2"}
-_FUNCTIONAL_SECTIONS = {"counit", "counit2"}
-_MATRIX_SECTIONS = {"alpha", "d"}
-_VECTOR_SECTIONS = {"unit"}
 
 
 def _coerce(field, value):
@@ -114,7 +84,7 @@ def document_to_structure(doc: dict):
         raise DocumentError(f"unsupported format-version "
                             f"{doc.get('format-version')!r}")
     kind = doc.get("kind")
-    if kind not in SECTIONS:
+    if kind not in KINDS:
         raise DocumentError(f"unknown kind {kind!r}")
     n = doc.get("dimension")
     if not isinstance(n, int) or n < 1:
@@ -129,7 +99,7 @@ def document_to_structure(doc: dict):
     maps = doc.get("maps")
     if not isinstance(maps, dict):
         raise DocumentError("document has no maps object")
-    required, optional = SECTIONS[kind]
+    record, required, optional = KINDS[kind]
     for name in required:
         if name not in maps:
             raise DocumentError(f"kind {kind} requires section {name!r}")
@@ -137,53 +107,9 @@ def document_to_structure(doc: dict):
         if name not in required and name not in optional:
             raise DocumentError(f"section {name!r} not allowed for kind {kind}")
 
-    parsed = {}
-    for name, arr in maps.items():
-        if name in _PRODUCT_SECTIONS:
-            parsed[name] = _parse_product(field, n, arr)
-        elif name in _COPRODUCT_SECTIONS:
-            parsed[name] = _parse_coproduct(field, n, arr)
-        elif name in _FUNCTIONAL_SECTIONS:
-            parsed[name] = _parse_matrix(field, 1, n, arr)
-        elif name in _MATRIX_SECTIONS:
-            parsed[name] = _parse_matrix(field, n, n, arr)
-        elif name in _VECTOR_SECTIONS:
-            parsed[name] = _parse_vector(field, n, arr)
-
-    alpha = parsed.get("alpha")
-    if kind == "hom-algebra":
-        return HomAlgebra(parsed["mu"], alpha, parsed.get("unit"))
-    if kind == "hom-coalgebra":
-        return HomCoalgebra(parsed["delta"], alpha, parsed.get("counit"))
-    if kind == "hom-bialgebra":
-        return HomBialgebra(parsed["mu"], parsed["unit"], parsed["delta"],
-                            parsed["counit"], alpha)
-    if kind == "2-hom-assoc-algebra":
-        return TwoHomStructure(kind, parsed["mu"], parsed["mu2"], alpha,
-                               parsed.get("unit"))
-    if kind == "2-hom-assoc-bialgebra":
-        return TwoHomStructure(kind, parsed["mu"], parsed["mu2"], alpha,
-                               parsed["unit"], delta1=parsed["delta"],
-                               counit1=parsed["counit"])
-    if kind in ("2-hom-bialgebra", "2-2-hom-bialgebra"):
-        return TwoHomStructure(kind, parsed["mu"], parsed["mu2"], alpha,
-                               parsed["unit"], delta1=parsed["delta"],
-                               delta2=parsed["delta2"],
-                               counit1=parsed["counit"],
-                               counit2=parsed["counit2"])
-    if kind == "hom-dialgebra":
-        return HomDialgebra(parsed["mu"], parsed["mu2"], alpha)
-    if kind == "differential-hom-algebra":
-        return DifferentialHomAlgebra(
-            HomAlgebra(parsed["mu"], alpha, parsed.get("unit")), parsed["d"])
-    if kind == "hom-leibniz":
-        return HomLeibniz(parsed["mu"], alpha)
-    if kind == "hom-prelie":
-        return HomPreLie(parsed["mu"], alpha)
-    if kind == "hlsda":
-        return HLSDA(parsed["mu"], parsed["mu2"], alpha)
-    return AffineStructure(parsed["nabla1"], parsed["nabla2"],
-                           HomLeibniz(parsed["mu"], alpha))
+    parsed = {name: _PARSERS[SECTION_TYPES[name]](field, n, arr)
+              for name, arr in maps.items()}
+    return record.from_sections(kind, parsed)
 
 
 def _format_product(field, p: ProductTensor):
@@ -206,30 +132,42 @@ def _format_vector(field, v: Vector):
     return [field.format(x) for x in v.coords]
 
 
+# section type -> reader (field, n, array) and writer (field, value)
+_PARSERS = {
+    "product": _parse_product,
+    "coproduct": _parse_coproduct,
+    "counit": lambda field, n, arr: _parse_matrix(field, 1, n, arr),
+    "matrix": lambda field, n, arr: _parse_matrix(field, n, n, arr),
+    "vector": _parse_vector,
+}
+_FORMATTERS = {
+    "product": _format_product,
+    "coproduct": _format_coproduct,
+    "counit": _format_matrix,
+    "matrix": _format_matrix,
+    "vector": _format_vector,
+}
+
+
 def structure_to_document(s, name=None, metadata=None) -> dict:
     """Serialize a structure (with optional metadata) into a document dict."""
     kind = s.kind
-    if kind not in SECTIONS:
+    if kind not in KINDS:
         raise DocumentError(f"cannot serialize kind {kind!r}")
+    record, required, optional = KINDS[kind]
+    if not isinstance(s, record):
+        raise DocumentError(f"cannot serialize {type(s).__name__}")
     field = s.field
     n = s.dim
     maps = {}
-    values = _section_values(s)
-    required, optional = SECTIONS[kind]
+    values = s.section_values()
     for section in required + optional:
         value = values.get(section)
         if value is None:
             if section in required:
                 raise DocumentError(f"structure is missing section {section!r}")
             continue
-        if section in _PRODUCT_SECTIONS:
-            maps[section] = _format_product(field, value)
-        elif section in _COPRODUCT_SECTIONS:
-            maps[section] = _format_coproduct(field, value)
-        elif section in _FUNCTIONAL_SECTIONS or section in _MATRIX_SECTIONS:
-            maps[section] = _format_matrix(field, value)
-        else:
-            maps[section] = _format_vector(field, value)
+        maps[section] = _FORMATTERS[SECTION_TYPES[section]](field, value)
     doc = {
         "format-version": FORMAT_VERSION,
         "kind": kind,
@@ -244,34 +182,6 @@ def structure_to_document(s, name=None, metadata=None) -> dict:
     if meta:
         doc["metadata"] = meta
     return doc
-
-
-def _section_values(s) -> dict:
-    if isinstance(s, HomAlgebra):
-        return {"mu": s.mu, "alpha": s.alpha, "unit": s.unit}
-    if isinstance(s, HomCoalgebra):
-        return {"delta": s.delta, "alpha": s.alpha, "counit": s.counit}
-    if isinstance(s, HomBialgebra):
-        return {"mu": s.mu, "unit": s.unit, "delta": s.delta,
-                "counit": s.counit, "alpha": s.alpha}
-    if isinstance(s, TwoHomStructure):
-        return {"mu": s.mu1, "mu2": s.mu2, "unit": s.unit, "delta": s.delta1,
-                "delta2": s.delta2, "counit": s.counit1,
-                "counit2": s.counit2, "alpha": s.alpha}
-    if isinstance(s, HomDialgebra):
-        return {"mu": s.left, "mu2": s.right, "alpha": s.alpha}
-    if isinstance(s, DifferentialHomAlgebra):
-        return {"mu": s.mu, "alpha": s.alpha, "d": s.d, "unit": s.unit}
-    if isinstance(s, (HomLeibniz,)):
-        return {"mu": s.bracket, "alpha": s.alpha}
-    if isinstance(s, HomPreLie):
-        return {"mu": s.product, "alpha": s.alpha}
-    if isinstance(s, HLSDA):
-        return {"mu": s.left, "mu2": s.right, "alpha": s.alpha}
-    if isinstance(s, AffineStructure):
-        return {"nabla1": s.nabla1, "nabla2": s.nabla2,
-                "mu": s.leibniz.bracket, "alpha": s.alpha}
-    raise DocumentError(f"cannot serialize {type(s).__name__}")
 
 
 def morphism_to_document(f: LinearMap, source: str, target: str,

@@ -19,8 +19,7 @@ from .axioms import check_morphism
 from .errors import BudgetExceededError, FieldMismatchError, ShapeError
 from .fields import PrimeField, require_same_field
 from .linalg import LinearMap, ProductTensor, basis_vector
-from .structures import (HLSDA, HomAlgebra, HomDialgebra, HomLeibniz,
-                         HomPreLie, Morphism)
+from .structures import KINDS, Morphism
 
 RAW_CANDIDATE_BUDGET = 2 ** 32
 
@@ -58,11 +57,6 @@ class AuditResult:
     kernel: str
 
 
-def _sections(kind):
-    names = ["mu"] if pykern.KINDS[kind] == 1 else ["mu", "mu2"]
-    return names + ["alpha"]
-
-
 def _flat_template(spec: SearchSpec):
     """Merge unit prefill and user-pinned entries into the flat pattern."""
     n, p = spec.dim, spec.prime
@@ -85,7 +79,7 @@ def _flat_template(spec: SearchSpec):
     user = spec.fixed or {}
     if not isinstance(user, dict):
         raise ShapeError("pinned entries must map section names to arrays")
-    names = _sections(spec.kind)
+    names = KINDS[spec.kind][1]  # the product sections, then alpha
     for section, array in user.items():
         if section not in names:
             raise ShapeError(f"unknown section {section!r} for kind {spec.kind}")
@@ -113,6 +107,15 @@ def _row_major(array, n, depth, error):
     return [x for sub in array for x in _row_major(sub, n, depth - 1, error)]
 
 
+def _require_search_space(dim, *kinds):
+    for kind in kinds:
+        if kind not in SEARCH_KINDS:
+            raise ValueError(f"unknown search kind {kind!r}; "
+                             f"choose from {SEARCH_KINDS}")
+    if dim < 1:
+        raise ValueError(f"dimension must be >= 1, got {dim}")
+
+
 def _budget_or_raise(fixed, p):
     free = sum(1 for x in fixed if x < 0)
     raw = p ** free
@@ -133,21 +136,14 @@ def structure_from_flat(kind, flat, n, p, with_unit=False):
                   for j in range(n))
             for i in range(n)))
 
-    alpha = LinearMap(gf, tuple(
+    record, names, _ = KINDS[kind]
+    values = dict(zip(names, [tensor(off) for off in offs]))
+    values["alpha"] = LinearMap(gf, tuple(
         tuple(flat[alpha_off + i * n + j] for j in range(n))
         for i in range(n)))
-    unit = basis_vector(gf, n, 0) if with_unit else None
-    if kind == "hom-algebra":
-        return HomAlgebra(tensor(offs[0]), alpha, unit)
-    if kind == "hom-leibniz":
-        return HomLeibniz(tensor(offs[0]), alpha)
-    if kind == "hom-prelie":
-        return HomPreLie(tensor(offs[0]), alpha)
-    if kind == "hom-dialgebra":
-        return HomDialgebra(tensor(offs[0]), tensor(offs[1]), alpha)
-    if kind == "hlsda":
-        return HLSDA(tensor(offs[0]), tensor(offs[1]), alpha)
-    raise ValueError(f"unknown search kind {kind!r}")
+    if with_unit:
+        values["unit"] = basis_vector(gf, n, 0)
+    return record.from_sections(kind, values)
 
 
 def enumerate_structures(spec: SearchSpec, kernel: str = "auto") -> SearchResult:
@@ -156,11 +152,7 @@ def enumerate_structures(spec: SearchSpec, kernel: str = "auto") -> SearchResult
     Returns the exact count and the first ``spec.cap`` structures in
     lexicographic order of their flattened constants.
     """
-    if spec.kind not in SEARCH_KINDS:
-        raise ValueError(f"unknown search kind {spec.kind!r}; "
-                         f"choose from {SEARCH_KINDS}")
-    if spec.dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {spec.dim}")
+    _require_search_space(spec.dim, spec.kind)
     fixed, _, _ = _flat_template(spec)
     _budget_or_raise(fixed, spec.prime)
     kern = _kernels.get_kernel(kernel)
@@ -177,7 +169,8 @@ def audit_inclusion(kind_a: str, kind_b: str, dim: int, prime: int,
     """Sweep the common candidate space of two axiom systems, counting
     candidates that pass ``kind_a`` and, among them, those failing
     ``kind_b``; materializes the first violation."""
-    if pykern.KINDS.get(kind_a) != pykern.KINDS.get(kind_b):
+    _require_search_space(dim, kind_a, kind_b)
+    if pykern.KINDS[kind_a] != pykern.KINDS[kind_b]:
         raise ValueError("audit kinds must share one candidate layout")
     total, _, _ = pykern.layout(kind_a, dim)
     fixed = [-1] * total

@@ -21,44 +21,72 @@ from .fields import require_same_field
 from .linalg import (CoproductTensor, LinearMap, ProductTensor, Vector,
                      apply_bilinear, basis_vector, tensors_equal)
 
-TWO_HOM_VARIANTS = (
-    "2-hom-assoc-algebra",
-    "2-hom-assoc-bialgebra",
-    "2-hom-bialgebra",
-    "2-2-hom-bialgebra",
-)
+# What each generic document section holds. The product, coproduct and
+# counit sections are what ``products()``, ``coproducts()`` and ``counits()``
+# return.
+SECTION_TYPES = {
+    "mu": "product", "mu2": "product", "nabla1": "product",
+    "nabla2": "product",
+    "delta": "coproduct", "delta2": "coproduct",
+    "counit": "counit", "counit2": "counit",
+    "alpha": "matrix", "d": "matrix",
+    "unit": "vector",
+}
 
 
 class Record:
     """Base of the structure records.
 
-    A record names the attributes holding its products, coproducts and
-    counits; ``dim``, ``field`` and the three section accessors are derived
-    from those names (``dim`` and ``field`` from the first product, or the
-    first coproduct when there is none). A name in ``OPTIONAL`` is left out
-    of its accessor while it holds None. Records are immutable, so each
-    derived value is computed once and the accessors return read-only
-    mappings.
+    ``SECTIONS`` maps each generic document section a record carries to
+    the attribute holding it, in canonical write order: ``mu``/``mu2``
+    hold whichever products the kind carries (the two bar products of a
+    dialgebra, a Leibniz bracket, ...), ``delta``/``delta2`` the
+    comultiplications, ``nabla1``/``nabla2`` the affine maps. ``dim``,
+    ``field`` and the three section accessors are derived from it (``dim``
+    and ``field`` from the first product, or the first coproduct when
+    there is none). The accessors are keyed by attribute name and leave
+    out sections holding None. Records are immutable, so each derived
+    value is computed once and the accessors return read-only mappings.
     """
 
-    PRODUCTS = COPRODUCTS = COUNITS = OPTIONAL = ()
+    SECTIONS = {}
+
+    @classmethod
+    def from_sections(cls, kind, values):
+        """The ``kind`` record holding ``values`` (generic section name ->
+        value; a section left out is None)."""
+        return cls(**cls._attributes(values))
+
+    @classmethod
+    def _attributes(cls, values):
+        return {attr: values.get(section)
+                for section, attr in cls.SECTIONS.items()}
+
+    def section_values(self) -> dict:
+        """Generic section name -> value, None where a section is absent."""
+        return {section: getattr(self, attr)
+                for section, attr in self.SECTIONS.items()}
 
     @cached_property
     def dim(self):
-        return getattr(self, (self.PRODUCTS + self.COPRODUCTS)[0]).dim
+        return self._first_tensor.dim
 
     @cached_property
     def field(self):
-        return getattr(self, (self.PRODUCTS + self.COPRODUCTS)[0]).field
+        return self._first_tensor.field
+
+    @property
+    def _first_tensor(self):
+        return (*self.products().values(), *self.coproducts().values())[0]
 
     @cached_property
     def _sections(self):
-        def present(names):
-            return MappingProxyType({
-                name: getattr(self, name) for name in names
-                if name not in self.OPTIONAL or getattr(self, name) is not None})
-        return (present(self.PRODUCTS), present(self.COPRODUCTS),
-                present(self.COUNITS))
+        held = {"product": {}, "coproduct": {}, "counit": {}}
+        for section, attr in self.SECTIONS.items():
+            value = getattr(self, attr)
+            if SECTION_TYPES[section] in held and value is not None:
+                held[SECTION_TYPES[section]][attr] = value
+        return tuple(MappingProxyType(m) for m in held.values())
 
     def products(self):
         return self._sections[0]
@@ -77,7 +105,7 @@ class HomAlgebra(Record):
     unit: Optional[Vector] = None
 
     kind = "hom-algebra"
-    PRODUCTS = ("mu",)
+    SECTIONS = {"mu": "mu", "alpha": "alpha", "unit": "unit"}
 
 
 @dataclass(frozen=True)
@@ -88,8 +116,7 @@ class HomCoalgebra(Record):
 
     kind = "hom-coalgebra"
     unit = None
-    COPRODUCTS = ("delta",)
-    COUNITS = OPTIONAL = ("counit",)
+    SECTIONS = {"delta": "delta", "alpha": "alpha", "counit": "counit"}
 
 
 @dataclass(frozen=True)
@@ -101,9 +128,8 @@ class HomBialgebra(Record):
     alpha: LinearMap
 
     kind = "hom-bialgebra"
-    PRODUCTS = ("mu",)
-    COPRODUCTS = ("delta",)
-    COUNITS = ("counit",)
+    SECTIONS = {"mu": "mu", "unit": "unit", "delta": "delta",
+                "counit": "counit", "alpha": "alpha"}
 
     def algebra(self) -> HomAlgebra:
         return HomAlgebra(self.mu, self.alpha, self.unit)
@@ -132,14 +158,17 @@ class TwoHomStructure(Record):
     counit1: Optional[LinearMap] = None
     counit2: Optional[LinearMap] = None
 
-    PRODUCTS = ("mu1", "mu2")
-    COPRODUCTS = ("delta1", "delta2")
-    COUNITS = ("counit1", "counit2")
-    OPTIONAL = COPRODUCTS + COUNITS
+    SECTIONS = {"mu": "mu1", "mu2": "mu2", "unit": "unit",
+                "delta": "delta1", "delta2": "delta2", "counit": "counit1",
+                "counit2": "counit2", "alpha": "alpha"}
 
     @property
     def kind(self):
         return self.variant
+
+    @classmethod
+    def from_sections(cls, kind, values):
+        return cls(kind, **cls._attributes(values))
 
     def view(self, which_mu: int, which_delta: int) -> HomBialgebra:
         """The bialgebra view (mu_i, delta_j, counit_j)."""
@@ -161,7 +190,7 @@ class HomDialgebra(Record):
 
     kind = "hom-dialgebra"
     unit = None
-    PRODUCTS = ("left", "right")
+    SECTIONS = {"mu": "left", "mu2": "right", "alpha": "alpha"}
 
 
 @dataclass(frozen=True)
@@ -170,7 +199,12 @@ class DifferentialHomAlgebra(Record):
     d: LinearMap
 
     kind = "differential-hom-algebra"
-    PRODUCTS = ("mu",)
+    SECTIONS = {"mu": "mu", "alpha": "alpha", "d": "d", "unit": "unit"}
+
+    @classmethod
+    def from_sections(cls, kind, values):
+        return cls(HomAlgebra.from_sections("hom-algebra", values),
+                   values.get("d"))
 
     @property
     def mu(self):
@@ -192,7 +226,7 @@ class HomLeibniz(Record):
 
     kind = "hom-leibniz"
     unit = None
-    PRODUCTS = ("bracket",)
+    SECTIONS = {"mu": "bracket", "alpha": "alpha"}
 
 
 @dataclass(frozen=True)
@@ -202,7 +236,7 @@ class HomPreLie(Record):
 
     kind = "hom-prelie"
     unit = None
-    PRODUCTS = ("product",)
+    SECTIONS = {"mu": "product", "alpha": "alpha"}
 
 
 @dataclass(frozen=True)
@@ -215,7 +249,7 @@ class HLSDA(Record):
 
     kind = "hlsda"
     unit = None
-    PRODUCTS = ("left", "right")
+    SECTIONS = {"mu": "left", "mu2": "right", "alpha": "alpha"}
 
 
 @dataclass(frozen=True)
@@ -228,7 +262,13 @@ class AffineStructure(Record):
 
     kind = "affine-hom-leibniz"
     unit = None
-    PRODUCTS = ("nabla1", "nabla2", "bracket")
+    SECTIONS = {"nabla1": "nabla1", "nabla2": "nabla2", "mu": "bracket",
+                "alpha": "alpha"}
+
+    @classmethod
+    def from_sections(cls, kind, values):
+        return cls(values.get("nabla1"), values.get("nabla2"),
+                   HomLeibniz.from_sections("hom-leibniz", values))
 
     @property
     def alpha(self):
@@ -237,6 +277,39 @@ class AffineStructure(Record):
     @property
     def bracket(self):
         return self.leibniz.bracket
+
+
+# kind -> (record, required sections, optional sections), sections in
+# canonical write order. A new structure kind is declared here and by its
+# record's SECTIONS.
+KINDS = {
+    "hom-algebra": (HomAlgebra, ("mu", "alpha"), ("unit",)),
+    "hom-coalgebra": (HomCoalgebra, ("delta", "alpha"), ("counit",)),
+    "hom-bialgebra": (HomBialgebra,
+                      ("mu", "unit", "delta", "counit", "alpha"), ()),
+    "2-hom-assoc-algebra": (TwoHomStructure, ("mu", "mu2", "alpha"),
+                            ("unit",)),
+    "2-hom-assoc-bialgebra": (TwoHomStructure,
+                              ("mu", "mu2", "unit", "delta", "counit",
+                               "alpha"), ()),
+    "2-hom-bialgebra": (TwoHomStructure,
+                        ("mu", "mu2", "unit", "delta", "delta2", "counit",
+                         "counit2", "alpha"), ()),
+    "2-2-hom-bialgebra": (TwoHomStructure,
+                          ("mu", "mu2", "unit", "delta", "delta2", "counit",
+                           "counit2", "alpha"), ()),
+    "hom-dialgebra": (HomDialgebra, ("mu", "mu2", "alpha"), ()),
+    "differential-hom-algebra": (DifferentialHomAlgebra,
+                                 ("mu", "alpha", "d"), ("unit",)),
+    "hom-leibniz": (HomLeibniz, ("mu", "alpha"), ()),
+    "hom-prelie": (HomPreLie, ("mu", "alpha"), ()),
+    "hlsda": (HLSDA, ("mu", "mu2", "alpha"), ()),
+    "affine-hom-leibniz": (AffineStructure,
+                           ("nabla1", "nabla2", "mu", "alpha"), ()),
+}
+
+TWO_HOM_VARIANTS = tuple(kind for kind, (record, _, _) in KINDS.items()
+                         if record is TwoHomStructure)
 
 
 @dataclass(frozen=True)
@@ -321,21 +394,12 @@ def validate(s) -> list:
 
 
 def _validate_variant(s: TwoHomStructure):
-    out = []
     if s.variant not in TWO_HOM_VARIANTS:
-        out.append(Finding("variant", "defect", f"unknown variant {s.variant!r}"))
-        return out
-    need = {
-        "2-hom-assoc-algebra": (),
-        "2-hom-assoc-bialgebra": ("unit", "delta1", "counit1"),
-        "2-hom-bialgebra": ("unit", "delta1", "delta2", "counit1", "counit2"),
-        "2-2-hom-bialgebra": ("unit", "delta1", "delta2", "counit1", "counit2"),
-    }[s.variant]
-    for field_name in need:
-        if getattr(s, field_name) is None:
-            out.append(Finding("missing-map", "defect",
-                               f"variant {s.variant} requires {field_name}"))
-    return out
+        return [Finding("variant", "defect", f"unknown variant {s.variant!r}")]
+    values = s.section_values()
+    return [Finding("missing-map", "defect",
+                    f"variant {s.variant} requires {s.SECTIONS[section]}")
+            for section in KINDS[s.variant][1] if values[section] is None]
 
 
 def _validate_unit(s, unit: Vector):

@@ -12,6 +12,8 @@ EX1 = str(DATA_DIR / "ex1.json")
 KX3 = str(DATA_DIR / "kx3.json")
 UT2 = str(DATA_DIR / "ut2.json")
 UNITAL2 = str(DATA_DIR / "unital2dim.json")
+Z2GROUP = str(DATA_DIR / "z2group.json")
+Z2_SIGN = str(DATA_DIR / "morphisms" / "z2_sign.json")
 
 
 class TestCheck:
@@ -174,6 +176,20 @@ class TestConstruct:
     def test_construct_bad_input_exits_two(self, tmp_path):
         assert main(["construct", "k1", "/nonexistent.json",
                      "--out", str(tmp_path / "x.json")]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        *(["twist", Z2GROUP, "--kind", kind, "--alpha", Z2_SIGN]
+          for kind in ("leibniz", "dialgebra", "hlsda", "2-assoc-algebra")),
+        ["tensor", Z2GROUP, str(DATA_DIR / "leibniz2dim.json")],
+        ["assemble", Z2GROUP],
+        ["k1", str(DATA_DIR / "ex2.json"), "--allow-ineligible"],
+    ], ids=["twist-leibniz", "twist-dialgebra", "twist-hlsda",
+            "twist-2-assoc-algebra", "tensor-leibniz", "assemble-one-input",
+            "k1-two-hom"])
+    def test_mismatched_construct_input_exits_two(self, argv, capsys):
+        assert main(["construct", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err and "Traceback" not in err
 
 
 class TestSearch:

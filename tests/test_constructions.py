@@ -8,7 +8,7 @@ from homstruct.constructions import (affine_from_hlsda, assemble_two,
                                      kaplansky_k2, leibniz_from_differential,
                                      opposite, tensor_product,
                                      trivial_dialgebra, yau_twist)
-from homstruct.errors import ConstructionError, NotEligibleError
+from homstruct.errors import ConstructionError, NotEligibleError, ShapeError
 from homstruct.linalg import tensors_equal
 
 from conftest import F, lmap, vec
@@ -66,6 +66,21 @@ class TestYauTwist:
         s = hs.HLSDA(d.left, d.right, d.alpha)
         twisted_s = yau_twist("hlsda", s, alpha)
         assert hs.check_hlsda(twisted_s).passed
+        # each two-product record is read as the other kind's record
+        assert isinstance(yau_twist("hlsda", d, alpha), hs.HLSDA)
+        assert yau_twist("dialgebra", s, alpha) == twisted
+
+    def test_mismatched_kind_raises_shape_error(self, z2group, bool2dim,
+                                                dual2dim, leibniz2dim):
+        sign = lmap([[1, 0], [0, -1]])
+        with pytest.raises(ShapeError):
+            yau_twist("leibniz", z2group, sign)
+        with pytest.raises(ShapeError):
+            yau_twist("algebra", leibniz2dim, hs.identity_map(F, 2))
+        # a 2-hom pair of another variant is no 2-hom-associative algebra
+        pair = assemble_two("2-2-bialgebra", bool2dim, dual2dim)
+        with pytest.raises(ShapeError):
+            yau_twist("2-assoc-algebra", pair, hs.identity_map(F, 3))
 
     def test_two_product_twist(self, bool2dim, dual2dim):
         pair = hs.TwoHomStructure("2-hom-assoc-algebra", bool2dim.mu,
@@ -294,6 +309,23 @@ class TestDerivedStructures:
         assert tensors_equal(back.left, s.left)
         assert tensors_equal(back.right, s.right)
         assert tensors_equal(back.alpha, s.alpha)
+
+    def test_affine_reading_checks_left_disymmetry_once(self, ut2,
+                                                        monkeypatch):
+        from homstruct import axioms
+        d = dialgebra_from_differential(ut2)
+        s = hs.HLSDA(d.left, d.right, d.alpha)
+        expected = affine_from_hlsda(s)
+        calls = []
+        real = axioms.run_check
+
+        def spy(check_id, *args, **kwargs):
+            calls.append(check_id)
+            return real(check_id, *args, **kwargs)
+
+        monkeypatch.setattr(axioms, "run_check", spy)
+        assert affine_from_hlsda(s) == expected
+        assert calls.count("hlsda") == 1
 
     def test_perturbed_affine_is_refused(self, ut2):
         d = dialgebra_from_differential(ut2)

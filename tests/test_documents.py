@@ -9,6 +9,7 @@ from homstruct.documents import (document_to_morphism, document_to_structure,
                                  structure_to_document)
 from homstruct.errors import DocumentError
 from homstruct.linalg import tensors_equal
+from homstruct.structures import KINDS
 
 from conftest import F
 
@@ -41,7 +42,12 @@ def test_serialize_then_parse_identity(hom3dim, ut2, leibniz2dim, bool2dim,
     cases = (hom3dim, ut2, leibniz2dim, ex2, dialg, hlsda,
              hs.HomPreLie(hom3dim.mu, hom3dim.alpha),
              affine_from_hlsda(hlsda),
-             assemble_two("2-bialgebras-B1B2", bool2dim, dual2dim)[0])
+             assemble_two("2-bialgebras-B1B2", bool2dim, dual2dim)[0],
+             assemble_two("2-2-bialgebra", bool2dim, dual2dim),
+             assemble_two("2-assoc-bialgebra-B1", bool2dim, dual2dim))
+    fixture_kinds = {json.loads(p.read_text(encoding="utf-8")).get("kind")
+                     for p in FIXTURE_FILES}
+    assert fixture_kinds | {s.kind for s in cases} >= set(KINDS)
     for s in cases:
         doc = structure_to_document(s)
         back = document_to_structure(json.loads(json.dumps(doc)))

@@ -157,6 +157,16 @@ class TestAudit:
         with pytest.raises(ValueError):
             audit_inclusion("hom-algebra", "hom-dialgebra", 2, 2)
 
+    @pytest.mark.parametrize("kinds, dim", [
+        (("hom-dialgebra", "hlsda"), 0),
+        (("hom-dialgebra", "hlsda"), -1),
+        (("foo", "bar"), 2),
+        (("hlsda", "bar"), 2),
+    ])
+    def test_bad_space_rejected(self, kinds, dim):
+        with pytest.raises(ValueError):
+            audit_inclusion(*kinds, dim, 2)
+
     @needs_compiled
     def test_kernels_agree_on_audit(self):
         fixed = [-1] * pykern.layout("hlsda", 2)[0]
