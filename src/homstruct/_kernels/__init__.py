@@ -27,3 +27,24 @@ def get_kernel(name: str = "auto"):
                                "C compiler or use kernel='python'")
         return _ckern
     raise ValueError(f"unknown kernel {name!r}")
+
+
+def compiled_is_exact(dim: int, prime: int) -> bool:
+    """Whether the compiled kernel's fixed-width arithmetic is exact at
+    ``dim`` over GF(``prime``). It holds residues in a C ``int`` and sums
+    up to three contractions of ``dim**2`` products of three residues in
+    a 64-bit C ``long`` before reducing mod p."""
+    return prime < 2 ** 31 and 3 * dim * dim * (prime - 1) ** 3 < 2 ** 63
+
+
+def kernel_for(name: str, dim: int, prime: int):
+    """The kernel ``name`` selects for a sweep at ``dim`` over
+    GF(``prime``): ``auto`` falls back to the Python kernel where the
+    compiled one could overflow, and ``compiled`` refuses such a space."""
+    kern = get_kernel(name)
+    if kern is _ckern and not compiled_is_exact(dim, prime):
+        if name == "compiled":
+            raise ValueError(f"the compiled kernel can overflow at dimension "
+                             f"{dim} over GF({prime}); use kernel='python'")
+        return pykern
+    return kern

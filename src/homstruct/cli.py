@@ -144,7 +144,7 @@ def _construct(args):
             ("delta", constructions.coopposite, (HomCoalgebra, HomBialgebra),
              "coproduct"))
         if not isinstance(s, carrying):
-            raise ConstructionError(f"{verb} needs a {what}-carrying kind")
+            raise ShapeError(f"{verb} needs a {what}-carrying kind")
         values = s.section_values()
         values[section] = flip(values[section])
         return s.from_sections(s.kind, values)

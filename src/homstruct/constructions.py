@@ -58,14 +58,14 @@ def yau_twist(kind: str, s, alpha: LinearMap):
 
     The input is read as the ``TWIST_KINDS[kind]`` structure (see
     :func:`homstruct.axioms.coerce_for_check`; ``ShapeError`` when it
-    cannot be). It must have the identity twist, and ``alpha`` must
-    commute with every product (checked; a witness-carrying verdict is
-    attached to the error on failure). A declared unit survives only for
-    the trivial identity twist, since composing with ``alpha`` destroys
-    the strict unit law otherwise.
+    cannot be, or when ``kind`` is unknown). It must have the identity
+    twist, and ``alpha`` must commute with every product (checked; a
+    witness-carrying verdict is attached to the error on failure). A
+    declared unit survives only for the trivial identity twist, since
+    composing with ``alpha`` destroys the strict unit law otherwise.
     """
     if kind not in TWIST_KINDS:
-        raise ConstructionError(f"unknown twist kind {kind!r}")
+        raise ShapeError(f"unknown twist kind {kind!r}")
     _require_valid(s)
     out_kind = TWIST_KINDS[kind]
     s = coerce_for_check(out_kind, s)
@@ -239,7 +239,7 @@ def assemble_two(kind: str, a: HomAlgebra, b: HomAlgebra,
     member with the co-opposite first coproduct), and ``2-2-bialgebra``.
     """
     if kind not in ASSEMBLY_KINDS:
-        raise ConstructionError(f"unknown assembly kind {kind!r}")
+        raise ShapeError(f"unknown assembly kind {kind!r}")
     _require_valid(a, "first input")
     _require_valid(b, "second input")
     if a.dim != b.dim:

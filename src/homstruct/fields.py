@@ -15,24 +15,48 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import mul
 
 from .errors import FieldError, FieldMismatchError, ScalarParseError
 
 _RATIONAL_LITERAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
+# Miller-Rabin with the first 13 primes as bases is exact for every
+# n < 3,317,044,064,679,887,385,961,981 (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MODULUS_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Exact primality for ``n < MODULUS_LIMIT``: trial division by the
+    small primes decides every n < 43^2 (the moduli the search and the
+    classifier use), deterministic Miller-Rabin the rest."""
     if n < 2:
         return False
-    if n < 4:
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    if n < 43 * 43:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= MODULUS_LIMIT:
+        raise FieldError(f"modulus {n} is beyond the exact primality bound "
+                         f"{MODULUS_LIMIT}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -50,13 +74,9 @@ class RationalField:
     def __repr__(self):
         return "RationalField()"
 
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    # shared constants: Fraction is immutable
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def coerce(self, value):
         """Turn an int, Fraction or exact literal string into a scalar."""
@@ -89,6 +109,18 @@ class RationalField:
     def neg(self, a):
         return -a
 
+    def reduce(self, a):
+        """The canonical scalar of a sum or product of scalars."""
+        return a
+
+    def dot(self, xs, ys):
+        """sum_i xs[i] * ys[i], skipping zero factors."""
+        acc = self.zero
+        for a, b in zip(xs, ys):
+            if a and b:
+                acc += a * b
+        return acc
+
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -119,13 +151,8 @@ class PrimeField:
     def __repr__(self):
         return f"PrimeField({self.p})"
 
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
+    zero = 0
+    one = 1
 
     def coerce(self, value):
         if isinstance(value, bool):
@@ -157,6 +184,14 @@ class PrimeField:
 
     def neg(self, a):
         return (-a) % self.p
+
+    def reduce(self, a):
+        """The residue of an unreduced sum or product of residues."""
+        return a % self.p
+
+    def dot(self, xs, ys):
+        """sum_i xs[i] * ys[i] mod p, reduced once."""
+        return sum(map(mul, xs, ys)) % self.p
 
     def inv(self, a):
         if a % self.p == 0:
@@ -190,6 +225,6 @@ def require_same_field(*fields):
     """Raise FieldMismatchError unless all arguments are one field."""
     first = fields[0]
     for f in fields[1:]:
-        if f != first:
+        if f is not first and f != first:
             raise FieldMismatchError(f"mixed field modes: {first.name} vs {f.name}")
     return first

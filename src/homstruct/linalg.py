@@ -13,11 +13,18 @@ Conventions fixed here and shared by the whole package:
 
 All values are immutable after construction and every operation is a
 pure function, so everything here is safe to share across threads.
+
+Scalar loops use the native ``+`` and ``*`` of the field's scalars
+(``Fraction`` or int), skip zero factors, and call the field's
+``reduce`` once per output entry: over GF(p) sums and products of
+residues are reduced mod p only at the end, which gives the same residue
+because Python ints do not overflow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 
 from .errors import ShapeError
 from .fields import require_same_field
@@ -38,19 +45,19 @@ class Vector:
     def add(self, other: "Vector") -> "Vector":
         _same_dim(self, other)
         f = require_same_field(self.field, other.field)
-        return Vector(f, tuple(f.add(a, b) for a, b in zip(self.coords, other.coords)))
+        return Vector(f, tuple(map(f.reduce, map(add, self.coords, other.coords))))
 
     def sub(self, other: "Vector") -> "Vector":
         _same_dim(self, other)
         f = require_same_field(self.field, other.field)
-        return Vector(f, tuple(f.sub(a, b) for a, b in zip(self.coords, other.coords)))
+        return Vector(f, tuple(map(f.reduce, map(sub, self.coords, other.coords))))
 
     def scale(self, c) -> "Vector":
         f = self.field
-        return Vector(f, tuple(f.mul(c, a) for a in self.coords))
+        return Vector(f, tuple([f.reduce(c * a) for a in self.coords]))
 
     def is_zero(self) -> bool:
-        return all(a == self.field.zero for a in self.coords)
+        return not any(self.coords)
 
 
 def zero_vector(field, n: int) -> Vector:
@@ -91,13 +98,8 @@ class LinearMap:
         if v.dim != self.source_dim:
             raise ShapeError(f"map expects dimension {self.source_dim}, got {v.dim}")
         f = require_same_field(self.field, v.field)
-        out = []
-        for row in self.rows:
-            acc = f.zero
-            for a, x in zip(row, v.coords):
-                acc = f.add(acc, f.mul(a, x))
-            out.append(acc)
-        return Vector(f, tuple(out))
+        dot, x = f.dot, v.coords
+        return Vector(f, tuple([dot(row, x) for row in self.rows]))
 
     def column(self, j: int) -> Vector:
         return Vector(self.field, tuple(row[j] for row in self.rows))
@@ -133,32 +135,21 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
         raise ShapeError(f"cannot compose {f.target_dim}x{f.source_dim} "
                          f"with {g.target_dim}x{g.source_dim}")
     k = require_same_field(f.field, g.field)
-    rows = []
-    for i in range(f.target_dim):
-        row = []
-        for j in range(g.source_dim):
-            acc = k.zero
-            for m in range(f.source_dim):
-                acc = k.add(acc, k.mul(f.rows[i][m], g.rows[m][j]))
-            row.append(acc)
-        rows.append(tuple(row))
-    return LinearMap(k, tuple(rows))
+    dot = k.dot
+    cols = list(zip(*g.rows))
+    return LinearMap(k, tuple(tuple([dot(row, col) for col in cols])
+                              for row in f.rows))
 
 
 def kron(f: LinearMap, g: LinearMap) -> LinearMap:
-    """Kronecker product acting on the lexicographically ordered tensor basis."""
+    """Kronecker product acting on the lexicographically ordered tensor basis.
+
+    Each entry is a single product with nothing to accumulate, so the
+    field's own ``mul`` already reduces once per entry."""
     k = require_same_field(f.field, g.field)
-    mf, nf = f.target_dim, f.source_dim
-    mg, ng = g.target_dim, g.source_dim
-    rows = []
-    for i1 in range(mf):
-        for i2 in range(mg):
-            row = []
-            for j1 in range(nf):
-                for j2 in range(ng):
-                    row.append(k.mul(f.rows[i1][j1], g.rows[i2][j2]))
-            rows.append(tuple(row))
-    return LinearMap(k, tuple(rows))
+    mul = k.mul
+    return LinearMap(k, tuple(tuple([mul(a, b) for a in frow for b in grow])
+                              for frow in f.rows for grow in g.rows))
 
 
 @dataclass(frozen=True)
@@ -225,13 +216,15 @@ class Tensor2:
     def add(self, other: "Tensor2") -> "Tensor2":
         _same_shape(self, other)
         f = require_same_field(self.field, other.field)
-        return Tensor2(f, tuple(tuple(f.add(a, b) for a, b in zip(ra, rb))
+        red = f.reduce
+        return Tensor2(f, tuple(tuple(map(red, map(add, ra, rb)))
                                 for ra, rb in zip(self.entries, other.entries)))
 
     def sub(self, other: "Tensor2") -> "Tensor2":
         _same_shape(self, other)
         f = require_same_field(self.field, other.field)
-        return Tensor2(f, tuple(tuple(f.sub(a, b) for a, b in zip(ra, rb))
+        red = f.reduce
+        return Tensor2(f, tuple(tuple(map(red, map(sub, ra, rb)))
                                 for ra, rb in zip(self.entries, other.entries)))
 
     def map_left(self, g: LinearMap) -> "Tensor2":
@@ -240,16 +233,10 @@ class Tensor2:
         if g.source_dim != n:
             raise ShapeError("left leg dimension mismatch")
         f = require_same_field(self.field, g.field)
-        out = []
-        for a in range(g.target_dim):
-            row = []
-            for j in range(m):
-                acc = f.zero
-                for i in range(n):
-                    acc = f.add(acc, f.mul(g.rows[a][i], self.entries[i][j]))
-                row.append(acc)
-            out.append(tuple(row))
-        return Tensor2(f, tuple(out))
+        dot = f.dot
+        cols = list(zip(*self.entries))
+        return Tensor2(f, tuple(tuple([dot(grow, col) for col in cols])
+                                for grow in g.rows))
 
     def map_right(self, g: LinearMap) -> "Tensor2":
         """Apply g to the right tensor leg."""
@@ -257,16 +244,9 @@ class Tensor2:
         if g.source_dim != m:
             raise ShapeError("right leg dimension mismatch")
         f = require_same_field(self.field, g.field)
-        out = []
-        for i in range(n):
-            row = []
-            for b in range(g.target_dim):
-                acc = f.zero
-                for j in range(m):
-                    acc = f.add(acc, f.mul(g.rows[b][j], self.entries[i][j]))
-                row.append(acc)
-            out.append(tuple(row))
-        return Tensor2(f, tuple(out))
+        dot = f.dot
+        return Tensor2(f, tuple(tuple([dot(grow, row) for grow in g.rows])
+                                for row in self.entries))
 
     def contract_left(self, functional: LinearMap) -> Vector:
         """Contract the left leg with a 1-by-n functional, leaving a vector."""
@@ -274,22 +254,19 @@ class Tensor2:
         if functional.target_dim != 1 or functional.source_dim != n:
             raise ShapeError("functional must be 1 x left-dim")
         f = require_same_field(self.field, functional.field)
-        row = functional.rows[0]
-        return Vector(f, tuple(
-            _dot(f, row, tuple(self.entries[i][j] for i in range(n)))
-            for j in range(m)))
+        dot, row = f.dot, functional.rows[0]
+        return Vector(f, tuple([dot(row, col) for col in zip(*self.entries)]))
 
     def contract_right(self, functional: LinearMap) -> Vector:
         n, m = self.shape
         if functional.target_dim != 1 or functional.source_dim != m:
             raise ShapeError("functional must be 1 x right-dim")
         f = require_same_field(self.field, functional.field)
-        row = functional.rows[0]
-        return Vector(f, tuple(_dot(f, row, self.entries[i]) for i in range(n)))
+        dot, row = f.dot, functional.rows[0]
+        return Vector(f, tuple([dot(row, erow) for erow in self.entries]))
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(e == z for row in self.entries for e in row)
+        return not any(map(any, self.entries))
 
 
 @dataclass(frozen=True)
@@ -305,40 +282,37 @@ class Tensor3:
 
     def add(self, other: "Tensor3") -> "Tensor3":
         f = require_same_field(self.field, other.field)
+        red = f.reduce
         return Tensor3(f, tuple(
-            tuple(tuple(f.add(a, b) for a, b in zip(ra, rb))
-                  for ra, rb in zip(pa, pb))
+            tuple(tuple(map(red, map(add, ra, rb))) for ra, rb in zip(pa, pb))
             for pa, pb in zip(self.entries, other.entries)))
 
     def sub(self, other: "Tensor3") -> "Tensor3":
         f = require_same_field(self.field, other.field)
+        red = f.reduce
         return Tensor3(f, tuple(
-            tuple(tuple(f.sub(a, b) for a, b in zip(ra, rb))
-                  for ra, rb in zip(pa, pb))
+            tuple(tuple(map(red, map(sub, ra, rb))) for ra, rb in zip(pa, pb))
             for pa, pb in zip(self.entries, other.entries)))
 
 
 def outer(x: Vector, y: Vector) -> Tensor2:
     f = require_same_field(x.field, y.field)
-    return Tensor2(f, tuple(tuple(f.mul(a, b) for b in y.coords) for a in x.coords))
+    return Tensor2(f, _outer_rows(f, x.coords, y.coords))
 
 
 def outer3_vt(x: Vector, t: Tensor2) -> Tensor3:
     """x (x) t as an element of V (x) V (x) V."""
     f = require_same_field(x.field, t.field)
+    red = f.reduce
     return Tensor3(f, tuple(
-        tuple(tuple(f.mul(a, t.entries[i][j]) for j in range(t.shape[1]))
-              for i in range(t.shape[0]))
+        tuple(tuple([red(a * e) for e in row]) for row in t.entries)
         for a in x.coords))
 
 
 def outer3_tv(t: Tensor2, z: Vector) -> Tensor3:
     """t (x) z as an element of V (x) V (x) V."""
     f = require_same_field(t.field, z.field)
-    return Tensor3(f, tuple(
-        tuple(tuple(f.mul(t.entries[i][j], c) for c in z.coords)
-              for j in range(t.shape[1]))
-        for i in range(t.shape[0])))
+    return Tensor3(f, tuple(_outer_rows(f, row, z.coords) for row in t.entries))
 
 
 def apply_bilinear(p: ProductTensor, x: Vector, y: Vector) -> Vector:
@@ -347,22 +321,19 @@ def apply_bilinear(p: ProductTensor, x: Vector, y: Vector) -> Vector:
         raise ShapeError(f"product dimension {p.dim} does not match vectors "
                          f"{x.dim}, {y.dim}")
     f = require_same_field(p.field, x.field, y.field)
-    n = p.dim
-    out = [f.zero] * n
-    for i in range(n):
-        a = x.coords[i]
-        if a == f.zero:
+    out = [f.zero] * p.dim
+    ys = y.coords
+    for a, plane in zip(x.coords, p.c):
+        if not a:
             continue
-        for j in range(n):
-            b = y.coords[j]
-            if b == f.zero:
+        for b, row in zip(ys, plane):
+            if not b:
                 continue
-            ab = f.mul(a, b)
-            row = p.c[i][j]
-            for k in range(n):
-                if row[k] != f.zero:
-                    out[k] = f.add(out[k], f.mul(ab, row[k]))
-    return Vector(f, tuple(out))
+            ab = a * b
+            for k, c in enumerate(row):
+                if c:
+                    out[k] += ab * c
+    return Vector(f, tuple(map(f.reduce, out)))
 
 
 def apply_coproduct(q: CoproductTensor, x: Vector) -> Tensor2:
@@ -371,17 +342,11 @@ def apply_coproduct(q: CoproductTensor, x: Vector) -> Tensor2:
         raise ShapeError(f"coproduct dimension {q.dim} does not match vector {x.dim}")
     f = require_same_field(q.field, x.field)
     n = q.dim
-    acc = [[f.zero] * n for _ in range(n)]
-    for k in range(n):
-        c = x.coords[k]
-        if c == f.zero:
-            continue
-        plane = q.d[k]
-        for i in range(n):
-            for j in range(n):
-                if plane[i][j] != f.zero:
-                    acc[i][j] = f.add(acc[i][j], f.mul(c, plane[i][j]))
-    return Tensor2(f, tuple(tuple(row) for row in acc))
+    acc = _zeros2(f, n)
+    for c, plane in zip(x.coords, q.d):
+        if c:
+            _add_scaled_plane(acc, c, plane)
+    return Tensor2(f, _reduced(f, acc))
 
 
 def bullet(p: ProductTensor, a: Tensor2, b: Tensor2) -> Tensor2:
@@ -391,30 +356,28 @@ def bullet(p: ProductTensor, a: Tensor2, b: Tensor2) -> Tensor2:
     if a.shape != (n, n) or b.shape != (n, n):
         raise ShapeError("bullet operands must match the product dimension")
     f = require_same_field(p.field, a.field, b.field)
-    out = [[f.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            u = a.entries[i][j]
-            if u == f.zero:
+    out = _zeros2(f, n)
+    c = p.c
+    right = [(i2, j2, v) for i2, row in enumerate(b.entries)
+             for j2, v in enumerate(row) if v]
+    for i, arow in enumerate(a.entries):
+        plane_l = c[i]
+        for j, u in enumerate(arow):
+            if not u:
                 continue
-            for i2 in range(n):
-                for j2 in range(n):
-                    v = b.entries[i2][j2]
-                    if v == f.zero:
+            plane_r = c[j]
+            for i2, j2, v in right:
+                uv = u * v
+                row_r = plane_r[j2]
+                for k, cl in enumerate(plane_l[i2]):
+                    if not cl:
                         continue
-                    uv = f.mul(u, v)
-                    row_l = p.c[i][i2]
-                    row_r = p.c[j][j2]
-                    for k in range(n):
-                        cl = row_l[k]
-                        if cl == f.zero:
-                            continue
-                        for m in range(n):
-                            cr = row_r[m]
-                            if cr != f.zero:
-                                out[k][m] = f.add(out[k][m],
-                                                  f.mul(uv, f.mul(cl, cr)))
-    return Tensor2(f, tuple(tuple(row) for row in out))
+                    ucl = uv * cl
+                    orow = out[k]
+                    for m, cr in enumerate(row_r):
+                        if cr:
+                            orow[m] += ucl * cr
+    return Tensor2(f, _reduced(f, out))
 
 
 def product_on_legs(t: Tensor3, p: ProductTensor, legs) -> Tensor2:
@@ -423,56 +386,50 @@ def product_on_legs(t: Tensor3, p: ProductTensor, legs) -> Tensor2:
     ``legs=(0, 1)`` turns sum T_ijk e_i(x)e_j(x)e_k into
     sum T_ijk mu(e_i,e_j)(x)e_k; ``legs=(1, 2)`` acts on the right pair.
     """
+    if legs not in ((0, 1), (1, 2)):
+        raise ShapeError(f"legs must be (0, 1) or (1, 2), got {legs}")
     f = require_same_field(t.field, p.field)
-    n = p.dim
-    out = [[f.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                v = t.entries[i][j][k]
-                if v == f.zero:
-                    continue
-                if legs == (0, 1):
-                    row = p.c[i][j]
-                    for m in range(n):
-                        if row[m] != f.zero:
-                            out[m][k] = f.add(out[m][k], f.mul(v, row[m]))
-                elif legs == (1, 2):
-                    row = p.c[j][k]
-                    for m in range(n):
-                        if row[m] != f.zero:
-                            out[i][m] = f.add(out[i][m], f.mul(v, row[m]))
-                else:
-                    raise ShapeError(f"legs must be (0, 1) or (1, 2), got {legs}")
-    return Tensor2(f, tuple(tuple(row) for row in out))
+    out = _zeros2(f, p.dim)
+    c = p.c
+    for i, plane in enumerate(t.entries):
+        if legs == (0, 1):
+            for j, row in enumerate(plane):
+                cij = c[i][j]
+                for k, v in enumerate(row):
+                    if v:
+                        for m, cm in enumerate(cij):
+                            if cm:
+                                out[m][k] += v * cm
+        else:
+            orow = out[i]
+            for j, row in enumerate(plane):
+                cj = c[j]
+                for k, v in enumerate(row):
+                    if v:
+                        for m, cm in enumerate(cj[k]):
+                            if cm:
+                                orow[m] += v * cm
+    return Tensor2(f, _reduced(f, out))
 
 
 def map_on_leg3(t: Tensor3, g: LinearMap, leg: int) -> Tensor3:
     """Apply a linear map to one leg of a cube."""
     f = require_same_field(t.field, g.field)
-    n = g.source_dim
-    m = g.target_dim
-    e = t.entries
+    dot, e = f.dot, t.entries
     if leg == 0:
+        # fibers[j][k] = (e[0][j][k], e[1][j][k], ...)
+        fibers = [list(zip(*planes)) for planes in zip(*e)]
         return Tensor3(f, tuple(
-            tuple(tuple(_dot(f, tuple(g.rows[a][i] for i in range(n)),
-                             tuple(e[i][j][k] for i in range(n)))
-                        for k in range(len(e[0][0])))
-                  for j in range(len(e[0])))
-            for a in range(m)))
+            tuple(tuple([dot(grow, fib) for fib in row]) for row in fibers)
+            for grow in g.rows))
     if leg == 1:
         return Tensor3(f, tuple(
-            tuple(tuple(_dot(f, tuple(g.rows[b][j] for j in range(n)),
-                             tuple(e[i][j][k] for j in range(n)))
-                        for k in range(len(e[0][0])))
-                  for b in range(m))
-            for i in range(len(e))))
+            tuple(tuple([dot(grow, col) for col in cols]) for grow in g.rows)
+            for cols in (list(zip(*plane)) for plane in e)))
     if leg == 2:
         return Tensor3(f, tuple(
-            tuple(tuple(_dot(f, g.rows[c2], e[i][j])
-                        for c2 in range(m))
-                  for j in range(len(e[0])))
-            for i in range(len(e))))
+            tuple(tuple([dot(grow, row) for grow in g.rows]) for row in plane)
+            for plane in e))
     raise ShapeError(f"leg must be 0, 1 or 2, got {leg}")
 
 
@@ -480,36 +437,29 @@ def coproduct_on_left(t: Tensor2, q: CoproductTensor) -> Tensor3:
     """(delta (x) id) applied to an element of V (x) V."""
     f = require_same_field(t.field, q.field)
     n = q.dim
-    out = [[[f.zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            v = t.entries[i][k]
-            if v == f.zero:
+    out = [_zeros2(f, n) for _ in range(n)]
+    for trow, plane in zip(t.entries, q.d):
+        for k, v in enumerate(trow):
+            if not v:
                 continue
-            plane = q.d[i]
-            for a in range(n):
-                for b in range(n):
-                    if plane[a][b] != f.zero:
-                        out[a][b][k] = f.add(out[a][b][k], f.mul(v, plane[a][b]))
-    return Tensor3(f, tuple(tuple(tuple(r) for r in pl) for pl in out))
+            for a, prow in enumerate(plane):
+                oplane = out[a]
+                for b, w in enumerate(prow):
+                    if w:
+                        oplane[b][k] += v * w
+    return Tensor3(f, tuple(_reduced(f, plane) for plane in out))
 
 
 def coproduct_on_right(t: Tensor2, q: CoproductTensor) -> Tensor3:
     """(id (x) delta) applied to an element of V (x) V."""
     f = require_same_field(t.field, q.field)
     n = q.dim
-    out = [[[f.zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            v = t.entries[i][k]
-            if v == f.zero:
-                continue
-            plane = q.d[k]
-            for a in range(n):
-                for b in range(n):
-                    if plane[a][b] != f.zero:
-                        out[i][a][b] = f.add(out[i][a][b], f.mul(v, plane[a][b]))
-    return Tensor3(f, tuple(tuple(tuple(r) for r in pl) for pl in out))
+    out = [_zeros2(f, n) for _ in range(n)]
+    for trow, oplane in zip(t.entries, out):
+        for v, plane in zip(trow, q.d):
+            if v:
+                _add_scaled_plane(oplane, v, plane)
+    return Tensor3(f, tuple(_reduced(f, plane) for plane in out))
 
 
 def tensors_equal(a, b) -> bool:
@@ -567,11 +517,26 @@ def coproduct_from_basis_values(field, n: int, value_at) -> CoproductTensor:
     return CoproductTensor(field, tuple(d))
 
 
-def _dot(f, xs, ys):
-    acc = f.zero
-    for a, b in zip(xs, ys):
-        acc = f.add(acc, f.mul(a, b))
-    return acc
+def _outer_rows(f, xs, ys):
+    red = f.reduce
+    return tuple(tuple([red(a * b) for b in ys]) for a in xs)
+
+
+def _zeros2(f, n):
+    return [[f.zero] * n for _ in range(n)]
+
+
+def _add_scaled_plane(acc, c, plane):
+    """acc += c * plane entrywise, skipping zero entries, unreduced."""
+    for arow, prow in zip(acc, plane):
+        for j, v in enumerate(prow):
+            if v:
+                arow[j] += c * v
+
+
+def _reduced(f, acc):
+    red = f.reduce
+    return tuple(tuple(map(red, row)) for row in acc)
 
 
 def _same_dim(a: Vector, b: Vector):

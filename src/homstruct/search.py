@@ -58,14 +58,35 @@ class AuditResult:
 
 
 def _flat_template(spec: SearchSpec):
-    """Merge unit prefill and user-pinned entries into the flat pattern."""
+    """Merge unit prefill and user-pinned entries into the flat pattern;
+    ``BudgetExceededError`` when its free slots span too many candidates."""
     n, p = spec.dim, spec.prime
-    gf = PrimeField(p)  # validates primality
+    gf = PrimeField(p)
     total, offs, alpha_off = pykern.layout(spec.kind, n)
+    user = spec.fixed or {}
+    if not isinstance(user, dict):
+        raise ShapeError("pinned entries must map section names to arrays")
+    names = KINDS[spec.kind][1]  # the product sections, then alpha
+    user_pins = []
+    for section, array in user.items():
+        if section not in names:
+            raise ShapeError(f"unknown section {section!r} for kind {spec.kind}")
+        if section == "alpha":
+            off, depth = alpha_off, 2
+        else:
+            off, depth = offs[names.index(section)], 3
+        error = (f"pinned section {section!r} must be a "
+                 f"{'x'.join([str(n)] * depth)} nested list")
+        user_pins += [(off + pos, gf.coerce(val)) for pos, val in
+                      enumerate(_row_major(array, n, depth, error))
+                      if val is not None]
+    unit_pins = 2 * len(offs) * n * n if spec.require_unit else 0
+    # each pin fixes at most one slot: refuse a space over the budget
+    # before building a template of ``total`` slots
+    _budget_or_raise(total - len(user_pins) - unit_pins, p)
     fixed = [-1] * total
 
     def pin(pos, value):
-        value = gf.coerce(value)
         if fixed[pos] >= 0 and fixed[pos] != value:
             raise ShapeError("conflicting pinned values for one slot")
         fixed[pos] = value
@@ -76,22 +97,9 @@ def _flat_template(spec: SearchSpec):
                 for k in range(n):
                     pin(off + (0 * n + j) * n + k, 1 if j == k else 0)
                     pin(off + (j * n + 0) * n + k, 1 if j == k else 0)
-    user = spec.fixed or {}
-    if not isinstance(user, dict):
-        raise ShapeError("pinned entries must map section names to arrays")
-    names = KINDS[spec.kind][1]  # the product sections, then alpha
-    for section, array in user.items():
-        if section not in names:
-            raise ShapeError(f"unknown section {section!r} for kind {spec.kind}")
-        if section == "alpha":
-            off, depth = alpha_off, 2
-        else:
-            off, depth = offs[names.index(section)], 3
-        error = (f"pinned section {section!r} must be a "
-                 f"{'x'.join([str(n)] * depth)} nested list")
-        for pos, val in enumerate(_row_major(array, n, depth, error)):
-            if val is not None:
-                pin(off + pos, val)
+    for pos, value in user_pins:
+        pin(pos, value)
+    _budget_or_raise(fixed.count(-1), p)
     return fixed, offs, alpha_off
 
 
@@ -107,7 +115,8 @@ def _row_major(array, n, depth, error):
     return [x for sub in array for x in _row_major(sub, n, depth - 1, error)]
 
 
-def _require_search_space(dim, *kinds):
+def _require_search_space(dim, prime, *kinds):
+    PrimeField(prime)  # validates primality
     for kind in kinds:
         if kind not in SEARCH_KINDS:
             raise ValueError(f"unknown search kind {kind!r}; "
@@ -116,13 +125,15 @@ def _require_search_space(dim, *kinds):
         raise ValueError(f"dimension must be >= 1, got {dim}")
 
 
-def _budget_or_raise(fixed, p):
-    free = sum(1 for x in fixed if x < 0)
-    raw = p ** free
-    if raw > RAW_CANDIDATE_BUDGET:
+def _budget_or_raise(free, p):
+    """Raise unless p ** free candidates fit the budget; past
+    ``RAW_CANDIDATE_BUDGET.bit_length()`` free slots they cannot, and
+    the power is not built."""
+    if (free > RAW_CANDIDATE_BUDGET.bit_length()
+            or p ** free > RAW_CANDIDATE_BUDGET):
         raise BudgetExceededError(
-            f"{raw} raw candidates exceed the budget of {RAW_CANDIDATE_BUDGET}")
-    return raw
+            f"{p}^{free} raw candidates exceed the budget of "
+            f"{RAW_CANDIDATE_BUDGET}")
 
 
 def structure_from_flat(kind, flat, n, p, with_unit=False):
@@ -152,10 +163,9 @@ def enumerate_structures(spec: SearchSpec, kernel: str = "auto") -> SearchResult
     Returns the exact count and the first ``spec.cap`` structures in
     lexicographic order of their flattened constants.
     """
-    _require_search_space(spec.dim, spec.kind)
+    _require_search_space(spec.dim, spec.prime, spec.kind)
     fixed, _, _ = _flat_template(spec)
-    _budget_or_raise(fixed, spec.prime)
-    kern = _kernels.get_kernel(kernel)
+    kern = _kernels.kernel_for(kernel, spec.dim, spec.prime)
     count, samples = kern.sweep(spec.kind, spec.dim, spec.prime, fixed, spec.cap)
     structures = tuple(
         structure_from_flat(spec.kind, s, spec.dim, spec.prime,
@@ -169,13 +179,13 @@ def audit_inclusion(kind_a: str, kind_b: str, dim: int, prime: int,
     """Sweep the common candidate space of two axiom systems, counting
     candidates that pass ``kind_a`` and, among them, those failing
     ``kind_b``; materializes the first violation."""
-    _require_search_space(dim, kind_a, kind_b)
+    _require_search_space(dim, prime, kind_a, kind_b)
     if pykern.KINDS[kind_a] != pykern.KINDS[kind_b]:
         raise ValueError("audit kinds must share one candidate layout")
     total, _, _ = pykern.layout(kind_a, dim)
+    _budget_or_raise(total, prime)
     fixed = [-1] * total
-    _budget_or_raise(fixed, prime)
-    kern = _kernels.get_kernel(kernel)
+    kern = _kernels.kernel_for(kernel, dim, prime)
     count, violations, example = kern.audit(kind_a, kind_b, dim, prime, fixed)
     structure = None
     if example is not None:

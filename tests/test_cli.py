@@ -1,11 +1,16 @@
+import io
 import json
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from homstruct import documents
+from homstruct import documents, fields
 from homstruct.cli import main
 from homstruct.corpus import DATA_DIR
+from homstruct.search import SEARCH_KINDS
 
 HOM3 = str(DATA_DIR / "hom3dim_ab.json")
 EX1 = str(DATA_DIR / "ex1.json")
@@ -183,13 +188,48 @@ class TestConstruct:
         ["tensor", Z2GROUP, str(DATA_DIR / "leibniz2dim.json")],
         ["assemble", Z2GROUP],
         ["k1", str(DATA_DIR / "ex2.json"), "--allow-ineligible"],
+        ["twist", Z2GROUP, "--kind", "nope", "--alpha", Z2_SIGN],
+        ["assemble", UNITAL2, UNITAL2, "--kind", "nope"],
+        ["op", str(DATA_DIR / "coalg2dim.json")],
     ], ids=["twist-leibniz", "twist-dialgebra", "twist-hlsda",
             "twist-2-assoc-algebra", "tensor-leibniz", "assemble-one-input",
-            "k1-two-hom"])
+            "k1-two-hom", "twist-unknown-kind", "assemble-unknown-kind",
+            "op-coalgebra"])
     def test_mismatched_construct_input_exits_two(self, argv, capsys):
         assert main(["construct", *argv]) == 2
         err = capsys.readouterr().err
         assert err and "Traceback" not in err
+
+
+# Search specs that start no large sweep: dimension 1 sweeps at most
+# 7^3 candidates; a larger dimension over GF(2) has over 2^32 candidates
+# unless a whole section is pinned, which needs more than the 8 leaves a
+# pin may have; the large primes exceed the budget with one free slot;
+# every other modulus is composite, below 2, or not a number.
+def _not_an_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+_NOT_INTS = st.text(max_size=4).filter(_not_an_int)
+_SEARCH_DIMS = st.one_of(st.integers(-2, 1), st.integers(3, 10 ** 12)
+                         ).map(str) | _NOT_INTS
+_SEARCH_PRIMES = st.one_of(
+    st.sampled_from([2, 3, 5, 7, 2 ** 61 - 1, 10 ** 18 + 3]),
+    st.integers(-3, 10 ** 15).map(lambda k: k * k if k > 1 else k)
+).map(str) | _NOT_INTS
+_PIN_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-3, 10 ** 20),
+                        st.text(max_size=3),
+                        st.floats(allow_nan=False, allow_infinity=False))
+_SEARCH_PINS = st.one_of(
+    st.none(), st.text(max_size=12),
+    st.recursive(_PIN_LEAVES, lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["mu", "mu2", "alpha", "x"]), inner,
+                        max_size=3)), max_leaves=8).map(json.dumps))
 
 
 class TestSearch:
@@ -247,6 +287,39 @@ class TestSearch:
     def test_bad_prime_exits_two(self, capsys):
         assert main(["search", "--kind", "hom-algebra", "--dim", "1",
                      "--prime", "4"]) == 2
+
+    def test_large_prime_decided_quickly(self, capsys):
+        # trial division up to 10**9 used to hang here; the primality
+        # decision itself takes microseconds, the command well under 1 s
+        start = time.perf_counter()
+        assert fields._is_prime(10 ** 18 + 3)
+        assert time.perf_counter() - start < 1
+        start = time.perf_counter()
+        assert main(["search", "--kind", "hom-algebra", "--dim", "1",
+                     "--prime", "1000000000000000003"]) == 1
+        assert time.perf_counter() - start < 10
+        assert "budget" in capsys.readouterr().err
+
+    def test_modulus_beyond_primality_bound_exits_two(self, capsys):
+        assert main(["search", "--kind", "hom-algebra", "--dim", "1",
+                     "--prime", str(10 ** 30 + 57)]) == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(SEARCH_KINDS + ("nope",)),
+           dim=_SEARCH_DIMS, prime=_SEARCH_PRIMES, fixed=_SEARCH_PINS)
+    def test_any_spec_keeps_the_exit_contract(self, kind, dim, prime, fixed):
+        argv = ["search", "--kind", kind, "--dim", dim, "--prime", prime,
+                "--cap", "1"]
+        if fixed is not None:
+            argv += ["--fixed", fixed]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the argv
+                code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestCorpus:

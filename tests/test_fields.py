@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from homstruct import fields
 from homstruct.errors import FieldError, FieldMismatchError, ScalarParseError
 from homstruct.fields import (PrimeField, QQ, RationalField, parse_field,
                               require_same_field)
@@ -58,6 +60,31 @@ class TestPrimeField:
             assert gf.mul(a, gf.inv(a)) == 1
         with pytest.raises(ZeroDivisionError):
             gf.inv(0)
+
+    def test_primality_agrees_with_trial_division(self):
+        def reference(n):
+            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        for n in (*range(-2, 20000), *range(2 ** 31 - 2000, 2 ** 31)):
+            assert fields._is_prime(n) == reference(n), n
+
+    @pytest.mark.parametrize("n, prime", [
+        (2 ** 31 - 1, True),
+        (2 ** 61 - 1, True),
+        (10 ** 18 + 3, True),
+        # strong pseudoprimes to the prime bases up to 23 and up to 37
+        (149491 * 747451 * 34233211, False),
+        (399165290221 * 798330580441, False),
+    ])
+    def test_large_moduli_decided_exactly(self, n, prime):
+        assert fields._is_prime(n) is prime
+
+    def test_moduli_beyond_the_exact_bound_refused(self):
+        # the least strong pseudoprime to all 13 bases is the bound itself
+        assert fields.MODULUS_LIMIT == 1287836182261 * 2575672364521
+        for n in (fields.MODULUS_LIMIT, 10 ** 30 + 57):
+            with pytest.raises(FieldError):
+                PrimeField(n)
 
     def test_coerce_reduces_and_parses(self):
         gf = PrimeField(3)

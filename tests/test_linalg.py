@@ -8,7 +8,10 @@ import homstruct as hs
 from homstruct.errors import ShapeError
 from homstruct.fields import PrimeField
 from homstruct.linalg import (apply_bilinear, apply_coproduct, bullet,
-                              compose, kron, outer, tensors_equal)
+                              compose, coproduct_on_left, coproduct_on_right,
+                              kron, map_on_leg3, outer, outer3_tv, outer3_vt,
+                              product_on_legs, tensors_equal)
+from homstruct.oracle import RATIONAL_POOL
 
 from conftest import F, lmap, vec
 
@@ -142,7 +145,6 @@ class TestTensorsEqual:
 
 
 def test_map_on_leg_matches_elementary_tensors(half):
-    from homstruct.linalg import map_on_leg3, outer3_vt, outer
     g = lmap([[0, 1], [1, half]])
     x, y, z = vec([1, 2]), vec([3, 0]), vec([0, 5])
     cube = outer3_vt(x, outer(y, z))
@@ -162,3 +164,203 @@ def test_bullet_matches_componentwise_products(z2group):
     expected = outer(apply_bilinear(mu, vec([1, 1]), vec([0, 1])),
                      apply_bilinear(mu, vec([1, 0]), vec([1, 1])))
     assert tensors_equal(got, expected)
+
+
+# ---------------------------------------------------------------------------
+# the native-operator primitives against references built from the field
+# methods alone
+
+PRIMES = (PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(2 ** 31 - 1))
+FIELDS = (F,) + PRIMES
+
+
+def _fsum(f, products):
+    """sum of products of scalars, with f.add and f.mul only."""
+    acc = f.zero
+    for factors in products:
+        term = f.one
+        for x in factors:
+            term = f.mul(term, x)
+        acc = f.add(acc, term)
+    return acc
+
+
+def _canonical(f, value):
+    """Every scalar in a nested tuple is a Fraction over QQ and a residue
+    in [0, p) over GF(p)."""
+    if isinstance(value, tuple):
+        return all(_canonical(f, x) for x in value)
+    if isinstance(f, PrimeField):
+        return type(value) is int and 0 <= value < f.p
+    return type(value) is Fraction
+
+
+def _array(data, f, *shape):
+    """A nested tuple of scalars: all zero one time in five, else drawn
+    from the oracle's pool over QQ or from GF(p) with extra zeros."""
+    if data.draw(st.integers(0, 4)) == 0:
+        scalar = st.just(f.zero)
+    elif isinstance(f, PrimeField):
+        scalar = st.one_of(st.just(0), st.integers(0, f.p - 1))
+    else:
+        scalar = st.sampled_from(RATIONAL_POOL)
+
+    def build(dims):
+        if not dims:
+            return data.draw(scalar)
+        return tuple(build(dims[1:]) for _ in range(dims[0]))
+
+    return build(shape)
+
+
+def _same(f, got, expected):
+    assert got == expected
+    assert _canonical(f, got)
+
+
+field_and_dim = given(st.sampled_from(FIELDS), st.integers(1, 4), st.data())
+
+
+class TestNativeScalarLoops:
+    @settings(max_examples=60, deadline=None)
+    @field_and_dim
+    def test_vector_ops(self, f, n, data):
+        x, y = (hs.Vector(f, _array(data, f, n)) for _ in range(2))
+        c = _array(data, f)
+        R = range(n)
+        _same(f, x.add(y).coords,
+              tuple(f.add(x.coords[i], y.coords[i]) for i in R))
+        _same(f, x.sub(y).coords,
+              tuple(f.sub(x.coords[i], y.coords[i]) for i in R))
+        _same(f, x.scale(c).coords, tuple(f.mul(c, a) for a in x.coords))
+        assert x.is_zero() == all(a == f.zero for a in x.coords)
+        assert _canonical(f, (f.dot(x.coords, y.coords),))
+
+    @settings(max_examples=60, deadline=None)
+    @field_and_dim
+    def test_maps(self, f, n, data):
+        m = data.draw(st.integers(1, 4))
+        g = hs.LinearMap(f, _array(data, f, m, n))
+        h = hs.LinearMap(f, _array(data, f, n, m))
+        x = hs.Vector(f, _array(data, f, n))
+        _same(f, g.apply(x).coords,
+              tuple(_fsum(f, ((g.rows[a][i], x.coords[i]) for i in range(n)))
+                    for a in range(m)))
+        _same(f, compose(g, h).rows,
+              tuple(tuple(_fsum(f, ((g.rows[a][i], h.rows[i][b])
+                                    for i in range(n)))
+                          for b in range(m)) for a in range(m)))
+        _same(f, kron(g, h).rows,
+              tuple(tuple(f.mul(g.rows[a][i], h.rows[c][j])
+                          for i in range(n) for j in range(m))
+                    for a in range(m) for c in range(n)))
+
+    @settings(max_examples=60, deadline=None)
+    @field_and_dim
+    def test_tensor_squares(self, f, n, data):
+        m = data.draw(st.integers(1, 4))
+        s, t = (hs.Tensor2(f, _array(data, f, n, m)) for _ in range(2))
+        g = hs.LinearMap(f, _array(data, f, m, n))
+        h = hs.LinearMap(f, _array(data, f, n, m))
+        left = hs.LinearMap(f, _array(data, f, 1, n))
+        right = hs.LinearMap(f, _array(data, f, 1, m))
+        e, R, C = s.entries, range(n), range(m)
+        _same(f, s.add(t).entries,
+              tuple(tuple(f.add(e[i][j], t.entries[i][j]) for j in C)
+                    for i in R))
+        _same(f, s.sub(t).entries,
+              tuple(tuple(f.sub(e[i][j], t.entries[i][j]) for j in C)
+                    for i in R))
+        _same(f, s.map_left(g).entries,
+              tuple(tuple(_fsum(f, ((g.rows[a][i], e[i][j]) for i in R))
+                          for j in C) for a in C))
+        _same(f, s.map_right(h).entries,
+              tuple(tuple(_fsum(f, ((h.rows[b][j], e[i][j]) for j in C))
+                          for b in R) for i in R))
+        _same(f, s.contract_left(left).coords,
+              tuple(_fsum(f, ((left.rows[0][i], e[i][j]) for i in R))
+                    for j in C))
+        _same(f, s.contract_right(right).coords,
+              tuple(_fsum(f, ((right.rows[0][j], e[i][j]) for j in C))
+                    for i in R))
+        assert s.is_zero() == all(x == f.zero for row in e for x in row)
+
+    @settings(max_examples=60, deadline=None)
+    @field_and_dim
+    def test_outer_products_and_cubes(self, f, n, data):
+        x, y = (hs.Vector(f, _array(data, f, n)) for _ in range(2))
+        t = hs.Tensor2(f, _array(data, f, n, n))
+        R = range(n)
+        _same(f, outer(x, y).entries,
+              tuple(tuple(f.mul(x.coords[i], y.coords[j]) for j in R)
+                    for i in R))
+        vt = outer3_vt(x, t)
+        _same(f, vt.entries,
+              tuple(tuple(tuple(f.mul(x.coords[i], t.entries[j][k])
+                                for k in R) for j in R) for i in R))
+        tv = outer3_tv(t, y)
+        _same(f, tv.entries,
+              tuple(tuple(tuple(f.mul(t.entries[i][j], y.coords[k])
+                                for k in R) for j in R) for i in R))
+        _same(f, vt.add(tv).entries,
+              tuple(tuple(tuple(f.add(vt.entries[i][j][k], tv.entries[i][j][k])
+                                for k in R) for j in R) for i in R))
+        _same(f, vt.sub(tv).entries,
+              tuple(tuple(tuple(f.sub(vt.entries[i][j][k], tv.entries[i][j][k])
+                                for k in R) for j in R) for i in R))
+
+    @settings(max_examples=60, deadline=None)
+    @field_and_dim
+    def test_product_and_coproduct(self, f, n, data):
+        p = hs.ProductTensor(f, _array(data, f, n, n, n))
+        q = hs.CoproductTensor(f, _array(data, f, n, n, n))
+        x, y = (hs.Vector(f, _array(data, f, n)) for _ in range(2))
+        a, b = (hs.Tensor2(f, _array(data, f, n, n)) for _ in range(2))
+        c, d, R = p.c, q.d, range(n)
+        _same(f, apply_bilinear(p, x, y).coords,
+              tuple(_fsum(f, ((x.coords[i], y.coords[j], c[i][j][k])
+                              for i in R for j in R)) for k in R))
+        _same(f, apply_coproduct(q, x).entries,
+              tuple(tuple(_fsum(f, ((x.coords[k], d[k][i][j]) for k in R))
+                          for j in R) for i in R))
+        _same(f, bullet(p, a, b).entries,
+              tuple(tuple(_fsum(f, ((a.entries[i][j], b.entries[i2][j2],
+                                     c[i][i2][k], c[j][j2][m])
+                                    for i in R for j in R
+                                    for i2 in R for j2 in R))
+                          for m in R) for k in R))
+
+    @settings(max_examples=60, deadline=None)
+    @field_and_dim
+    def test_cube_contractions(self, f, n, data):
+        p = hs.ProductTensor(f, _array(data, f, n, n, n))
+        q = hs.CoproductTensor(f, _array(data, f, n, n, n))
+        g = hs.LinearMap(f, _array(data, f, n, n))
+        t = hs.Tensor3(f, _array(data, f, n, n, n))
+        s = hs.Tensor2(f, _array(data, f, n, n))
+        c, d, e, G, R = p.c, q.d, t.entries, g.rows, range(n)
+
+        def cube(value):
+            return tuple(tuple(tuple(value(i, j, k) for k in R) for j in R)
+                         for i in R)
+
+        _same(f, product_on_legs(t, p, (0, 1)).entries,
+              tuple(tuple(_fsum(f, ((e[i][j][k], c[i][j][m])
+                                    for i in R for j in R)) for k in R)
+                    for m in R))
+        _same(f, product_on_legs(t, p, (1, 2)).entries,
+              tuple(tuple(_fsum(f, ((e[i][j][k], c[j][k][m])
+                                    for j in R for k in R)) for m in R)
+                    for i in R))
+        _same(f, map_on_leg3(t, g, 0).entries, cube(
+            lambda a, j, k: _fsum(f, ((G[a][i], e[i][j][k]) for i in R))))
+        _same(f, map_on_leg3(t, g, 1).entries, cube(
+            lambda i, b, k: _fsum(f, ((G[b][j], e[i][j][k]) for j in R))))
+        _same(f, map_on_leg3(t, g, 2).entries, cube(
+            lambda i, j, m: _fsum(f, ((G[m][k], e[i][j][k]) for k in R))))
+        _same(f, coproduct_on_left(s, q).entries, cube(
+            lambda a, b, k: _fsum(f, ((s.entries[i][k], d[i][a][b])
+                                      for i in R))))
+        _same(f, coproduct_on_right(s, q).entries, cube(
+            lambda i, a, b: _fsum(f, ((s.entries[i][k], d[k][a][b])
+                                      for k in R))))

@@ -1,8 +1,10 @@
 import pytest
 
 import homstruct as hs
-from homstruct._kernels import available, get_kernel, pykern
-from homstruct.errors import BudgetExceededError
+from homstruct import _kernels
+from homstruct._kernels import (available, compiled_is_exact, get_kernel,
+                                kernel_for, pykern)
+from homstruct.errors import BudgetExceededError, FieldError
 from homstruct.fields import PrimeField
 from homstruct.search import (AuditResult, SearchSpec, audit_inclusion,
                               enumerate_structures, find_morphisms,
@@ -167,6 +169,10 @@ class TestAudit:
         with pytest.raises(ValueError):
             audit_inclusion(*kinds, dim, 2)
 
+    def test_composite_modulus_rejected(self):
+        with pytest.raises(FieldError):
+            audit_inclusion("hom-dialgebra", "hlsda", 1, 4)
+
     @needs_compiled
     def test_kernels_agree_on_audit(self):
         fixed = [-1] * pykern.layout("hlsda", 2)[0]
@@ -176,6 +182,56 @@ class TestAudit:
         c = get_kernel("compiled").audit("hlsda", "hom-dialgebra", 2, 2, fixed)
         assert py == c
         assert py[1] > 0  # the pinned subspace still separates the classes
+
+
+# the Yau twist of k x k by the swap, transported by a random change of
+# basis over GF(2^31 - 1): it passes, and every entry is a large residue
+LARGE_P = 2 ** 31 - 1
+LARGE_P_PASSING = {
+    "mu": [[[1553842109, 2097552334], [2084449534, 593641538]],
+           [[2084449534, 593641538], [851239217, 63034113]]],
+    "alpha": [[1626638446, 1290100625], [1791449449, 520845201]],
+}
+
+
+class TestCompiledOverflowGuard:
+    def test_bound(self):
+        # 3 * n^2 * (p - 1)^3 < 2^63 and p < 2^31
+        assert compiled_is_exact(1, 1_000_003)
+        assert not compiled_is_exact(2, 1_000_003)
+        assert compiled_is_exact(3, 2)
+        assert not compiled_is_exact(1, LARGE_P)
+        assert not compiled_is_exact(1, 2 ** 31)
+        # the largest moduli the bound admits at dimensions 1 and 2
+        assert compiled_is_exact(1, 1454084)
+        assert not compiled_is_exact(1, 1454085)
+        assert compiled_is_exact(2, 916016)
+        assert not compiled_is_exact(2, 916017)
+
+    def test_auto_falls_back_and_compiled_refuses(self, monkeypatch):
+        compiled = object()
+        monkeypatch.setattr(_kernels, "_ckern", compiled)
+        assert kernel_for("auto", 2, 3) is compiled
+        assert kernel_for("compiled", 2, 3) is compiled
+        assert kernel_for("auto", 1, LARGE_P) is pykern
+        assert kernel_for("python", 2, 3) is pykern
+        with pytest.raises(ValueError):
+            kernel_for("compiled", 1, LARGE_P)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_large_prime_count(self, kernel):
+        spec = SearchSpec("hom-algebra", 2, LARGE_P, fixed=LARGE_P_PASSING)
+        if kernel == "compiled":
+            with pytest.raises(ValueError):
+                enumerate_structures(spec, kernel=kernel)
+        else:
+            assert enumerate_structures(spec, kernel=kernel).count == 1
+
+    @needs_compiled
+    def test_auto_matches_python_at_large_prime(self):
+        spec = SearchSpec("hom-algebra", 2, LARGE_P, fixed=LARGE_P_PASSING)
+        assert enumerate_structures(spec, kernel="auto").count == \
+            enumerate_structures(spec, kernel="python").count == 1
 
 
 class TestStructureFromFlat:
