@@ -6,7 +6,9 @@ agree, and prints wall times plus the speedup. The full GF(2) dim-2
 dialgebra space (about 1M candidates) is the workload that motivates the
 compiled kernel; pass --full to sweep it with the Python kernel too
 (about a minute), otherwise the Python side runs a pinned subspace and
-the full-space time is extrapolated from it.
+the full-space time is extrapolated from it. A last layer row groups the
+full dim-2 GF(2) hom-algebra, hom-leibniz and hom-prelie streams into
+isomorphism classes and checks the class counts.
 
 Usage: python benchmarks/bench_kernels.py [--full]
 """
@@ -15,6 +17,11 @@ import argparse
 import time
 
 from homstruct._kernels import available, get_kernel, pykern
+from homstruct.search import (SearchSpec, enumerate_structures,
+                              group_by_isomorphism)
+
+# isomorphism classes of the full dim-2 GF(2) streams
+ORBIT_COUNTS = {"hom-algebra": 77, "hom-leibniz": 101, "hom-prelie": 147}
 
 
 def time_sweep(kind, n, p, fixed, kernel):
@@ -84,6 +91,18 @@ def run(full):
         t = time.perf_counter() - start
         print(f"\nfull dialgebra-vs-left-disymmetry audit (compiled): "
               f"{count} dialgebras, {violations} violations, {t:.2f}s")
+
+    print(f"\n{'group_by_isomorphism':<28} {'structs':>8} {'classes':>8} "
+          f"{'time':>10}")
+    for kind, classes in ORBIT_COUNTS.items():
+        spec = SearchSpec(kind, 2, 2, cap=2 ** pykern.layout(kind, 2)[0])
+        structures = enumerate_structures(spec).structures
+        start = time.perf_counter()
+        orbits = group_by_isomorphism(structures)
+        t = time.perf_counter() - start
+        assert len(orbits) == classes, (kind, len(orbits), classes)
+        print(f"{kind + ' n=2 p=2':<28} {len(structures):>8} "
+              f"{len(orbits):>8} {t:>9.3f}s")
 
 
 def main():

@@ -41,7 +41,7 @@ class OracleResult:
 
 def _pool(field):
     if isinstance(field, PrimeField):
-        return tuple(range(field.p))
+        return range(field.p)  # rng.choice draws the same stream as from a tuple
     return RATIONAL_POOL
 
 

@@ -1,4 +1,8 @@
 import json
+import random
+import time
+
+import pytest
 
 import homstruct as hs
 from homstruct.oracle import oracle_crosscheck, random_vector
@@ -41,12 +45,29 @@ class TestOracle:
         assert res.agreed
 
     def test_random_vector_uses_seeded_pool(self):
-        import random
         rng = random.Random(0)
         v = random_vector(F, 4, rng)
         rng2 = random.Random(0)
         w = random_vector(F, 4, rng2)
         assert v.coords == w.coords
+
+    def test_prime_pool_is_not_materialized(self):
+        # a dim-1 check over a large prime samples in time independent of p
+        gf = hs.PrimeField(1000003)
+        mu = hs.ProductTensor(gf, (((1,),),))
+        s = hs.HomAlgebra(mu, hs.identity_map(gf, 1))
+        start = time.perf_counter()
+        res = oracle_crosscheck(s, "hom-algebra", samples=20, seed=0)
+        assert time.perf_counter() - start < 1.0
+        assert res.agreed
+
+    @pytest.mark.parametrize("p", [3, 7])
+    def test_prime_samples_match_a_tuple_pool(self, p):
+        rng, ref = random.Random(p), random.Random(p)
+        pool = tuple(range(p))
+        for _ in range(20):
+            v = random_vector(hs.PrimeField(p), 4, rng)
+            assert v.coords == tuple(ref.choice(pool) for _ in range(4))
 
     def test_composite_checks_supported(self, ex2):
         res = oracle_crosscheck(ex2, "2-hom-assoc-bialgebra", samples=25,

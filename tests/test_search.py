@@ -1,10 +1,15 @@
+import dataclasses
+import itertools
+import random
+
 import pytest
 
 import homstruct as hs
-from homstruct import _kernels
+from homstruct import _kernels, search
 from homstruct._kernels import (available, compiled_is_exact, get_kernel,
                                 kernel_for, pykern)
-from homstruct.errors import BudgetExceededError, FieldError
+from homstruct.errors import (BudgetExceededError, FieldError,
+                              FieldMismatchError, ShapeError)
 from homstruct.fields import PrimeField
 from homstruct.search import (AuditResult, SearchSpec, audit_inclusion,
                               enumerate_structures, find_morphisms,
@@ -270,6 +275,71 @@ class TestMorphismSearch:
             find_morphisms(z2group, z2group)
 
 
+def pairwise_orbits(structures):
+    """The greedy pairwise grouping: a structure joins the first orbit
+    whose first member has an invertible morphism to it."""
+    orbits = []
+    for s in structures:
+        for orbit in orbits:
+            a = orbit[0]
+            if a.dim == s.dim and any(_det(m.f.rows) % s.field.p
+                                      for m in find_morphisms(a, s)):
+                orbit.append(s)
+                break
+        else:
+            orbits.append([s])
+    return orbits
+
+
+def _det(rows):
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i in range(n):
+            term *= rows[i][perm[i]]
+        total += term
+    return total
+
+
+def ids(orbits):
+    return [[id(s) for s in orbit] for orbit in orbits]
+
+
+def stream(kind, dim, p, **spec):
+    return enumerate_structures(
+        SearchSpec(kind, dim, p, cap=1 << 20, **spec)).structures
+
+
+GF2 = PrimeField(2)
+IDENTITY2 = [[1, 0], [0, 1]]
+
+
+def z2_group_bialgebra():
+    """GF(2)[Z/2] with basis 1, t: t * t = 1, both grouplike, eps = (1, 1)."""
+    mu = hs.ProductTensor(GF2, (((1, 0), (0, 1)), ((0, 1), (1, 0))))
+    delta = hs.CoproductTensor(GF2, (((1, 0), (0, 0)), ((0, 0), (0, 1))))
+    return hs.HomBialgebra(mu, hs.Vector(GF2, (1, 0)), delta,
+                           hs.LinearMap(GF2, ((1, 1),)),
+                           hs.identity_map(GF2, 2))
+
+
+def transport(s, g, h):
+    """g . s for a hom-bialgebra s and h = g^-1, built with the linalg
+    calculus: mu'(x, y) = g mu(h x, h y), Delta' = (g (x) g) Delta h."""
+    cols = [h.column(i) for i in range(s.dim)]
+    mu = tuple(tuple(g.apply(hs.apply_bilinear(s.mu, x, y)).coords
+                     for y in cols) for x in cols)
+    delta = tuple(hs.apply_coproduct(s.delta, x).map_left(g).map_right(g)
+                  .entries for x in cols)
+    return hs.HomBialgebra(hs.ProductTensor(s.field, mu), g.apply(s.unit),
+                           hs.CoproductTensor(s.field, delta),
+                           hs.compose(s.counit, h),
+                           hs.compose(hs.compose(g, s.alpha), h))
+
+
 class TestIsomorphismOrbits:
     def test_dim1_gf2_orbits_are_singletons(self):
         # the only invertible map on a 1-dim GF(2) space is the identity
@@ -286,3 +356,118 @@ class TestIsomorphismOrbits:
         assert len(orbits) == 5
         sizes = sorted(len(o) for o in orbits)
         assert sizes == [1, 1, 1, 2, 2]
+
+    @pytest.mark.parametrize("kind, fixed", [
+        ("hom-algebra", None), ("hom-leibniz", None), ("hom-prelie", None),
+        # the twist pinned to the identity keeps the sweep at 2^16
+        ("hom-dialgebra", {"alpha": IDENTITY2}),
+        ("hlsda", {"alpha": IDENTITY2})])
+    def test_matches_pairwise_search_gf2(self, kind, fixed):
+        sample = random.Random(kind).sample(stream(kind, 2, 2, fixed=fixed),
+                                            30)
+        orbits = group_by_isomorphism(sample)
+        assert len(orbits) < len(sample)
+        assert ids(orbits) == ids(pairwise_orbits(sample))
+
+    @pytest.mark.parametrize("kind", ["hom-algebra", "hom-prelie"])
+    def test_matches_pairwise_search_on_unital_streams(self, kind):
+        structures = stream(kind, 2, 2, require_unit=True)
+        orbits = group_by_isomorphism(structures)
+        assert len(orbits) < len(structures)
+        assert ids(orbits) == ids(pairwise_orbits(structures))
+
+    def test_matches_pairwise_search_gf3(self):
+        structures = stream("hom-algebra", 2, 3, fixed={"alpha": IDENTITY2})
+        sample = random.Random(3).sample(structures, 24)
+        orbits = group_by_isomorphism(sample)
+        assert len(orbits) < len(sample)
+        assert ids(orbits) == ids(pairwise_orbits(sample))
+
+    def test_dimensions_stay_apart(self):
+        mixed = stream("hom-algebra", 1, 2) + stream("hom-algebra", 2, 2)[:40]
+        orbits = group_by_isomorphism(mixed)
+        assert all(len({s.dim for s in orbit}) == 1 for orbit in orbits)
+        assert ids(orbits) == ids(pairwise_orbits(mixed))
+
+    @pytest.mark.parametrize("kind, classes", [
+        ("hom-algebra", 77), ("hom-leibniz", 101), ("hom-prelie", 147)])
+    def test_full_gf2_stream_class_counts(self, kind, classes):
+        assert len(group_by_isomorphism(stream(kind, 2, 2))) == classes
+
+    def test_coproduct_and_counit_are_transported(self):
+        s = z2_group_bialgebra()
+        g = hs.LinearMap(GF2, ((1, 1), (0, 1)))
+        t = transport(s, g, g)  # g is its own inverse over GF(2)
+        assert t.delta != s.delta and t.counit != s.counit
+        assert hs.check_morphism(g, s, t).passed
+        assert ids(group_by_isomorphism([s, t])) == ids([[s, t]])
+        d = [[list(row) for row in plane] for plane in t.delta.d]
+        d[0][1][1] ^= 1
+        bad_delta = dataclasses.replace(
+            t, delta=hs.CoproductTensor(GF2, d))
+        bad_counit = dataclasses.replace(
+            t, counit=hs.LinearMap(GF2, ((1, 1),)))
+        for bad in (bad_delta, bad_counit):
+            orbits = group_by_isomorphism([s, t, bad])
+            assert ids(orbits) == ids([[s, t], [bad]])
+            assert ids(orbits) == ids(pairwise_orbits([s, t, bad]))
+
+    def test_unit_is_transported(self):
+        # a genuine unit is fixed by its product, so these declared vectors
+        # over the zero product (not units, and flagged by validate) are
+        # what shows the unit in the key: GL_2(F_2) moves e1 to e2, never
+        # to 0
+        zero = hs.ProductTensor(GF2, [[[0, 0]] * 2] * 2)
+        a, b, c = (hs.HomAlgebra(zero, hs.identity_map(GF2, 2),
+                                 hs.Vector(GF2, u))
+                   for u in ((1, 0), (0, 1), (0, 0)))
+        assert ids(group_by_isomorphism([a, b, c])) == ids([[a, b], [c]])
+
+    def test_empty_input(self):
+        assert group_by_isomorphism([]) == []
+
+    def test_mixed_kinds_refused(self):
+        algebra = stream("hom-algebra", 2, 2)[5]
+        leibniz = stream("hom-leibniz", 2, 2)[5]
+        with pytest.raises(ShapeError):
+            group_by_isomorphism([algebra, leibniz])
+
+    def test_unit_on_some_members_refused(self):
+        unital = stream("hom-algebra", 2, 2, require_unit=True)[0]
+        bare = dataclasses.replace(unital, unit=None)
+        with pytest.raises(ShapeError):
+            group_by_isomorphism([unital, bare])
+
+    def test_counit_on_some_members_refused(self):
+        s = z2_group_bialgebra()
+        counital = hs.HomCoalgebra(s.delta, s.alpha, s.counit)
+        bare = hs.HomCoalgebra(s.delta, s.alpha)
+        with pytest.raises(ShapeError):
+            group_by_isomorphism([counital, bare])
+
+    def test_mixed_fields_refused(self):
+        a = stream("hom-algebra", 1, 2)[0]
+        b = stream("hom-algebra", 1, 3)[0]
+        with pytest.raises(FieldMismatchError):
+            group_by_isomorphism([a, b])
+
+    def test_rational_structures_refused(self, z2group):
+        with pytest.raises(FieldMismatchError):
+            group_by_isomorphism([z2group])
+
+    def test_group_over_budget_refused(self, monkeypatch):
+        gf3 = stream("hom-algebra", 2, 3, fixed={"alpha": IDENTITY2})[:1]
+        # |GL_2(F_2)| = 6 fits, |GL_2(F_3)| = 48 does not
+        monkeypatch.setattr(search, "GROUP_ORDER_BUDGET", 47)
+        with pytest.raises(BudgetExceededError):
+            group_by_isomorphism(gf3)
+        assert len(group_by_isomorphism(stream("hom-algebra", 2, 2))) == 77
+
+    def test_large_group_refused_before_it_is_built(self):
+        # |GL_3(F_5)| is about 1.5e6 and |GL_2(F_251)| about 4e9
+        for n, p in ((3, 5), (2, 251)):
+            gf = PrimeField(p)
+            zero = hs.ProductTensor(gf, [[[0] * n] * n] * n)
+            s = hs.HomAlgebra(zero, hs.identity_map(gf, n))
+            with pytest.raises(BudgetExceededError):
+                group_by_isomorphism([s])
