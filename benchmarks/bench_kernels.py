@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Benchmark the compiled search kernel against the pure-Python fallback.
 
-Runs the same exhaustive sweeps through both kernels, checks the counts
-agree, and prints wall times plus the speedup. The full GF(2) dim-2
+Runs the same exhaustive sweeps through both kernels, checks that they
+return the same count and the same sample stream, and prints wall
+times, candidates per second and the speedup. The full GF(2) dim-2
 dialgebra space (about 1M candidates) is the workload that motivates the
 compiled kernel; pass --full to sweep it with the Python kernel too
 (about a minute), otherwise the Python side runs a pinned subspace and
-the full-space time is extrapolated from it. A last layer row groups the
-full dim-2 GF(2) hom-algebra, hom-leibniz and hom-prelie streams into
+the full-space time is extrapolated from it. A GF(3) row with the twist
+pinned times both kernels at p > 2. A last layer row groups the full
+dim-2 GF(2) hom-algebra, hom-leibniz and hom-prelie streams into
 isomorphism classes and checks the class counts.
 
 Usage: python benchmarks/bench_kernels.py [--full]
@@ -23,12 +25,14 @@ from homstruct.search import (SearchSpec, enumerate_structures,
 # isomorphism classes of the full dim-2 GF(2) streams
 ORBIT_COUNTS = {"hom-algebra": 77, "hom-leibniz": 101, "hom-prelie": 147}
 
+ALL_SAMPLES = 2 ** 62
+
 
 def time_sweep(kind, n, p, fixed, kernel):
     kern = get_kernel(kernel)
     start = time.perf_counter()
-    count, _ = kern.sweep(kind, n, p, fixed, 0)
-    return count, time.perf_counter() - start
+    result = kern.sweep(kind, n, p, fixed, ALL_SAMPLES)
+    return result, time.perf_counter() - start
 
 
 def free_template(kind, n):
@@ -43,12 +47,24 @@ def pinned_template(kind, n, pins):
     return fixed
 
 
+def twist_pinned_template(kind, n, twist):
+    fixed = free_template(kind, n)
+    _, _, alpha_off = pykern.layout(kind, n)
+    fixed[alpha_off:] = [x for row in twist for x in row]
+    return fixed
+
+
+def rate(candidates, seconds):
+    return f"{candidates / seconds:>10.3g}" if seconds > 0 else f"{'inf':>10}"
+
+
 def run(full):
-    rows = []
     workloads = [
         ("hom-algebra", 2, 2, free_template("hom-algebra", 2), 1.0),
         ("hom-leibniz", 2, 2, free_template("hom-leibniz", 2), 1.0),
         ("hom-prelie", 2, 2, free_template("hom-prelie", 2), 1.0),
+        ("hom-algebra", 2, 3,
+         twist_pinned_template("hom-algebra", 2, [[1, 1], [0, 1]]), 1.0),
     ]
     if full:
         workloads.append(("hom-dialgebra", 2, 2,
@@ -63,21 +79,22 @@ def run(full):
 
     have_compiled = "compiled" in available()
     print(f"kernels available: {', '.join(available())}")
-    header = f"{'workload':<28} {'count':>8} {'python':>10} "
-    header += f"{'compiled':>10} {'speedup':>8}" if have_compiled else ""
+    header = f"{'workload':<28} {'count':>8} {'python':>10} {'cand/s':>10}"
+    if have_compiled:
+        header += f" {'compiled':>10} {'cand/s':>10} {'speedup':>8}"
     print(header)
     for kind, n, p, fixed, scale in workloads:
         free = sum(1 for x in fixed if x < 0)
-        label = f"{kind} n={n} p={p} (2^{free})"
-        count_py, t_py = time_sweep(kind, n, p, fixed, "python")
+        label = f"{kind} n={n} p={p} ({p}^{free})"
+        py, t_py = time_sweep(kind, n, p, fixed, "python")
+        line = f"{label:<28} {py[0]:>8} {t_py:>9.3f}s {rate(p ** free, t_py)}"
         if have_compiled:
-            count_c, t_c = time_sweep(kind, n, p, fixed, "compiled")
-            assert count_py == count_c, (kind, count_py, count_c)
+            c, t_c = time_sweep(kind, n, p, fixed, "compiled")
+            assert py == c, (kind, n, p, "sample streams differ")
             speedup = t_py / t_c if t_c > 0 else float("inf")
-            print(f"{label:<28} {count_py:>8} {t_py:>9.3f}s {t_c:>9.4f}s "
-                  f"{speedup:>7.0f}x")
-        else:
-            print(f"{label:<28} {count_py:>8} {t_py:>9.3f}s")
+            line += (f" {t_c:>9.4f}s {rate(p ** free, t_c)} "
+                     f"{speedup:>7.0f}x")
+        print(line)
         if scale != 1.0:
             print(f"{'':28} (full space is ~{scale:.0f}x this subspace; "
                   f"python estimate {t_py * scale:.0f}s)")

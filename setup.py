@@ -1,9 +1,9 @@
 """Build script: compiles the optional search kernel extension.
 
-The package is pure Python except for homstruct._kernels._ckern, a Cython
-module that accelerates exhaustive structure searches over prime fields.
-If Cython or a C compiler is unavailable the build falls back to the pure
-Python kernel and the package still installs.
+The package is pure Python except for homstruct._kernels._ckern, a short
+hand-written C extension that accelerates exhaustive structure searches
+over prime fields. Without a C compiler the build warns and the package
+still installs with the pure-Python kernel.
 """
 
 import warnings
@@ -30,18 +30,6 @@ class OptionalBuildExt(build_ext):
                           "falling back to the pure Python kernel")
 
 
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError as exc:
-        warnings.warn(f"Cython unavailable ({exc}); building without the "
-                      "compiled search kernel")
-        return []
-    return cythonize(
-        [Extension("homstruct._kernels._ckern",
-                   ["src/homstruct/_kernels/_ckern.pyx"])],
-        compiler_directives={"language_level": "3"},
-    )
-
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": OptionalBuildExt})
+setup(ext_modules=[Extension("homstruct._kernels._ckern",
+                             ["src/homstruct/_kernels/_ckern.c"])],
+      cmdclass={"build_ext": OptionalBuildExt})

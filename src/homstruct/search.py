@@ -26,6 +26,11 @@ from .structures import KINDS, Morphism
 
 RAW_CANDIDATE_BUDGET = 2 ** 32
 
+# raw candidates one sweep may visit, by the kernel that runs it: pykern
+# visits about 40 000 a second at dim 2, so 2^24 take it about 7 minutes
+# and 2^32 would take it about 30 hours
+SWEEP_BUDGETS = {"compiled": RAW_CANDIDATE_BUDGET, "python": 2 ** 24}
+
 # group_by_isomorphism holds GL_n(F_p) for the call and makes one
 # transport per element and structure: 6 at n = 2 over GF(2), 20160 at
 # n = 4 over GF(2); GF(5) at n = 3 (1.5e6) is refused
@@ -65,9 +70,10 @@ class AuditResult:
     kernel: str
 
 
-def _flat_template(spec: SearchSpec):
+def _flat_template(spec: SearchSpec, kernel_name: str):
     """Merge unit prefill and user-pinned entries into the flat pattern;
-    ``BudgetExceededError`` when its free slots span too many candidates."""
+    ``BudgetExceededError`` when its free slots span more candidates than
+    the kernel ``kernel_name`` may sweep."""
     n, p = spec.dim, spec.prime
     gf = PrimeField(p)
     total, offs, alpha_off = pykern.layout(spec.kind, n)
@@ -91,7 +97,7 @@ def _flat_template(spec: SearchSpec):
     unit_pins = 2 * len(offs) * n * n if spec.require_unit else 0
     # each pin fixes at most one slot: refuse a space over the budget
     # before building a template of ``total`` slots
-    _budget_or_raise(total - len(user_pins) - unit_pins, p)
+    _budget_or_raise(total - len(user_pins) - unit_pins, p, kernel_name)
     fixed = [-1] * total
 
     def pin(pos, value):
@@ -107,7 +113,7 @@ def _flat_template(spec: SearchSpec):
                     pin(off + (j * n + 0) * n + k, 1 if j == k else 0)
     for pos, value in user_pins:
         pin(pos, value)
-    _budget_or_raise(fixed.count(-1), p)
+    _budget_or_raise(fixed.count(-1), p, kernel_name)
     return fixed, offs, alpha_off
 
 
@@ -133,15 +139,15 @@ def _require_search_space(dim, prime, *kinds):
         raise ValueError(f"dimension must be >= 1, got {dim}")
 
 
-def _budget_or_raise(free, p):
-    """Raise unless p ** free candidates fit the budget; past
-    ``RAW_CANDIDATE_BUDGET.bit_length()`` free slots they cannot, and
-    the power is not built."""
-    if (free > RAW_CANDIDATE_BUDGET.bit_length()
-            or p ** free > RAW_CANDIDATE_BUDGET):
+def _budget_or_raise(free, p, kernel_name):
+    """Raise unless p ** free candidates fit the kernel's sweep budget;
+    past the budget's bit length in free slots they cannot, and the power
+    is not built."""
+    budget = SWEEP_BUDGETS[kernel_name]
+    if free > budget.bit_length() or p ** free > budget:
         raise BudgetExceededError(
-            f"{p}^{free} raw candidates exceed the budget of "
-            f"{RAW_CANDIDATE_BUDGET}")
+            f"{p}^{free} raw candidates exceed the {kernel_name} kernel's "
+            f"budget of {budget}")
 
 
 def structure_from_flat(kind, flat, n, p, with_unit=False):
@@ -172,8 +178,8 @@ def enumerate_structures(spec: SearchSpec, kernel: str = "auto") -> SearchResult
     lexicographic order of their flattened constants.
     """
     _require_search_space(spec.dim, spec.prime, spec.kind)
-    fixed, _, _ = _flat_template(spec)
-    kern = _kernels.kernel_for(kernel, spec.dim, spec.prime)
+    kern = _kernels.kernel_for(kernel, spec.prime)
+    fixed, _, _ = _flat_template(spec, kern.NAME)
     count, samples = kern.sweep(spec.kind, spec.dim, spec.prime, fixed, spec.cap)
     structures = tuple(
         structure_from_flat(spec.kind, s, spec.dim, spec.prime,
@@ -190,10 +196,10 @@ def audit_inclusion(kind_a: str, kind_b: str, dim: int, prime: int,
     _require_search_space(dim, prime, kind_a, kind_b)
     if pykern.KINDS[kind_a] != pykern.KINDS[kind_b]:
         raise ValueError("audit kinds must share one candidate layout")
+    kern = _kernels.kernel_for(kernel, prime)
     total, _, _ = pykern.layout(kind_a, dim)
-    _budget_or_raise(total, prime)
+    _budget_or_raise(total, prime, kern.NAME)
     fixed = [-1] * total
-    kern = _kernels.kernel_for(kernel, dim, prime)
     count, violations, example = kern.audit(kind_a, kind_b, dim, prime, fixed)
     structure = None
     if example is not None:

@@ -331,6 +331,17 @@ class Finding:
         return f"[{self.severity}] {self.code}: {self.message}"
 
 
+# section type -> (the shape of a value, the shape it must have at
+# dimension n)
+_SHAPES = {
+    "product": (lambda t: (t.dim,) * 3, lambda n: (n,) * 3),
+    "coproduct": (lambda t: (t.dim,) * 3, lambda n: (n,) * 3),
+    "matrix": (lambda m: (m.target_dim, m.source_dim), lambda n: (n, n)),
+    "counit": (lambda m: (m.target_dim, m.source_dim), lambda n: (1, n)),
+    "vector": (lambda v: (v.dim,), lambda n: (n,)),
+}
+
+
 def validate(s) -> list:
     """Structural audit. Returns all findings; defects mean the structure
     is unusable, warnings record advisory conditions. Pure and idempotent."""
@@ -341,44 +352,21 @@ def validate(s) -> list:
         return [Finding("shape", "defect", "structure has no coherent dimension")]
 
     fields = []
-    maps = {}
-    maps.update(s.products())
-    for name, q in s.coproducts().items():
-        maps[name] = q
-    for name, t in maps.items():
-        fields.append((name, t.field))
-        if t.dim != n:
-            findings.append(Finding("shape", "defect",
-                                    f"{name} has dimension {t.dim}, expected {n}"))
-    alpha = s.alpha
-    fields.append(("alpha", alpha.field))
-    if alpha.source_dim != n or alpha.target_dim != n:
-        findings.append(Finding("shape", "defect",
-                                f"alpha is {alpha.target_dim}x{alpha.source_dim}, "
-                                f"expected {n}x{n}"))
-    for name, eps in s.counits().items():
-        fields.append((name, eps.field))
-        if eps.target_dim != 1 or eps.source_dim != n:
-            findings.append(Finding("shape", "defect",
-                                    f"{name} is {eps.target_dim}x{eps.source_dim}, "
-                                    f"expected 1x{n}"))
-    unit = getattr(s, "unit", None)
-    if unit is not None:
-        fields.append(("unit", unit.field))
-        if unit.dim != n:
-            findings.append(Finding("shape", "defect",
-                                    f"unit has dimension {unit.dim}, expected {n}"))
-    if isinstance(s, DifferentialHomAlgebra):
-        fields.append(("d", s.d.field))
-        if s.d.source_dim != n or s.d.target_dim != n:
-            findings.append(Finding("shape", "defect", "d must be n x n"))
-    if isinstance(s, AffineStructure) and s.leibniz.dim != n:
-        findings.append(Finding("shape", "defect",
-                                "affine maps must match the bracket dimension"))
+    for section, value in s.section_values().items():
+        if value is None:
+            continue
+        name = s.SECTIONS[section]
+        fields.append(value.field)
+        shape_of, expected_at = _SHAPES[SECTION_TYPES[section]]
+        shape, expected = shape_of(value), expected_at(n)
+        if shape != expected:
+            findings.append(Finding(
+                "shape", "defect", f"{name} is {'x'.join(map(str, shape))}, "
+                f"expected {'x'.join(map(str, expected))}"))
     try:
-        require_same_field(*(f for _, f in fields))
+        require_same_field(*fields)
     except Exception:
-        modes = sorted({f.name for _, f in fields})
+        modes = sorted({f.name for f in fields})
         findings.append(Finding("field-mode", "defect",
                                 f"mixed field modes: {', '.join(modes)}"))
 
@@ -388,6 +376,7 @@ def validate(s) -> list:
     if any(f.severity == "defect" for f in findings):
         return findings  # shape problems make the unit check meaningless
 
+    unit = getattr(s, "unit", None)
     if unit is not None:
         findings.extend(_validate_unit(s, unit))
     return findings
@@ -408,8 +397,6 @@ def _validate_unit(s, unit: Vector):
     n = s.dim
     f = s.field
     for name, p in s.products().items():
-        if isinstance(s, AffineStructure):
-            break  # affine maps carry no unit law
         for i in range(n):
             e = basis_vector(f, n, i)
             left = apply_bilinear(p, unit, e)

@@ -57,19 +57,12 @@ def test_kernel_checker_agreement_in_dimension_three():
 @needs_compiled
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(sorted(pykern.KINDS)),
-       st.sampled_from([2, 3, 5]), st.data())
+       st.sampled_from([2, 3, 5, 4294967291]), st.data())
 def test_kernels_agree_on_random_candidates(kind, p, data):
     n = 2
     flat = data.draw(flat_candidates(kind, n, p))
     compiled = get_kernel("compiled")
     assert pykern.passes(kind, flat, n, p) == compiled.passes(kind, flat, n, p)
-
-
-def test_layouts_match_between_kernels():
-    compiled = get_kernel("auto")
-    for kind in pykern.KINDS:
-        for n in (1, 2, 3):
-            assert pykern.layout(kind, n) == compiled.layout(kind, n)
 
 
 def test_candidate_order_is_lexicographic():

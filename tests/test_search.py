@@ -20,6 +20,9 @@ KERNELS = available()
 needs_compiled = pytest.mark.skipif("compiled" not in KERNELS,
                                     reason="compiled kernel not built")
 
+ONE_PRODUCT_KINDS = [kind for kind, products in pykern.KINDS.items()
+                     if products == 1]
+
 
 class TestCounts:
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -55,30 +58,24 @@ class TestStreams:
             [s.bracket.c for s in second.structures]
 
     @needs_compiled
-    def test_kernels_agree_on_streams(self):
-        for kind, n, p in (("hom-algebra", 1, 5), ("hom-algebra", 2, 2),
-                           ("hom-leibniz", 2, 2), ("hom-prelie", 2, 2)):
-            spec = SearchSpec(kind, n, p, cap=1 << 14)
-            py = enumerate_structures(spec, kernel="python")
-            c = enumerate_structures(spec, kernel="compiled")
-            assert py.count == c.count, (kind, n, p)
-            key = lambda s: tuple(sorted(
-                (name, t.c) for name, t in s.products().items()))
-            assert [key(s) for s in py.structures] == \
-                [key(s) for s in c.structures]
-
-    @needs_compiled
-    def test_kernels_agree_on_dialgebra_subspace(self):
-        # pin one product to cut the space to 2^12 candidates so the pure
-        # kernel stays quick
-        fixed_mu = [[[0, 0], [0, 0]], [[0, 0], [0, 1]]]
-        spec = SearchSpec("hom-dialgebra", 2, 2, fixed={"mu": fixed_mu},
-                          cap=1 << 13)
-        py = enumerate_structures(spec, kernel="python")
-        c = enumerate_structures(spec, kernel="compiled")
-        assert py.count == c.count
-        assert [s.right.c for s in py.structures] == \
-            [s.right.c for s in c.structures]
+    @pytest.mark.parametrize("kind, n, p, pinned_twist", [
+        ("hom-algebra", 1, 5, None),
+        # one-product kinds: the full GF(2) space, and GF(3) with the twist
+        # pinned; two-product kinds over GF(2) with the twist pinned (2^16
+        # candidates, so that the python kernel stays quick)
+        *((kind, 2, 2, None) for kind in ONE_PRODUCT_KINDS),
+        *((kind, 2, 3, [[1, 1], [0, 1]]) for kind in ONE_PRODUCT_KINDS),
+        ("hom-dialgebra", 2, 2, [[1, 1], [0, 1]]),
+        ("hlsda", 2, 2, [[0, 1], [1, 0]]),
+    ])
+    def test_kernels_agree_on_streams(self, kind, n, p, pinned_twist):
+        total, _, al = pykern.layout(kind, n)
+        fixed = [-1] * total
+        if pinned_twist:
+            fixed[al:] = [x for row in pinned_twist for x in row]
+        py = get_kernel("python").sweep(kind, n, p, fixed, 1 << 16)
+        assert py[0] > 0
+        assert py == get_kernel("compiled").sweep(kind, n, p, fixed, 1 << 16)
 
     def test_soundness_every_emitted_structure_repasses(self):
         checkers = {"hom-algebra": hs.check_hom_algebra,
@@ -103,6 +100,27 @@ class TestSpecHandling:
     def test_budget_rejects_oversized_spaces(self):
         with pytest.raises(BudgetExceededError):
             enumerate_structures(SearchSpec("hom-dialgebra", 3, 5))
+
+    def test_python_budget_refuses_before_sweeping(self, monkeypatch):
+        # 5^12 hom-algebra candidates at dim 2: inside the compiled
+        # kernel's budget of 2^32, past the python kernel's 2^24
+        def never(*args):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(pykern, "sweep", never)
+        monkeypatch.setattr(pykern, "audit", never)
+        spec = SearchSpec("hom-algebra", 2, 5)
+        with pytest.raises(BudgetExceededError, match="python kernel"):
+            enumerate_structures(spec, kernel="python")
+        with pytest.raises(BudgetExceededError, match="python kernel"):
+            audit_inclusion("hom-dialgebra", "hlsda", 2, 3, kernel="python")
+
+        class Compiled:
+            NAME = "compiled"
+            sweep = staticmethod(lambda *args: (0, []))
+
+        monkeypatch.setattr(_kernels, "_compiled", Compiled)
+        assert enumerate_structures(spec, kernel="compiled").count == 0
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -179,64 +197,88 @@ class TestAudit:
             audit_inclusion("hom-dialgebra", "hlsda", 1, 4)
 
     @needs_compiled
-    def test_kernels_agree_on_audit(self):
+    @pytest.mark.parametrize("kinds", [("hlsda", "hom-dialgebra"),
+                                       ("hom-dialgebra", "hlsda")])
+    def test_kernels_agree_on_audit(self, kinds):
         fixed = [-1] * pykern.layout("hlsda", 2)[0]
         for slot in range(8):
             fixed[slot] = 0
-        py = get_kernel("python").audit("hlsda", "hom-dialgebra", 2, 2, fixed)
-        c = get_kernel("compiled").audit("hlsda", "hom-dialgebra", 2, 2, fixed)
+        py = get_kernel("python").audit(*kinds, 2, 2, fixed)
+        c = get_kernel("compiled").audit(*kinds, 2, 2, fixed)
         assert py == c
-        assert py[1] > 0  # the pinned subspace still separates the classes
+        # the pinned subspace still separates the classes one way only
+        assert (py[1] > 0) == (kinds[0] == "hlsda")
 
 
 # the Yau twist of k x k by the swap, transported by a random change of
-# basis over GF(2^31 - 1): it passes, and every entry is a large residue
-LARGE_P = 2 ** 31 - 1
+# basis over GF(2^32 - 5), the largest prime below 2^32: it passes, and
+# five of its entries do not fit a 32-bit signed int
+LARGE_P = 4294967291
 LARGE_P_PASSING = {
-    "mu": [[[1553842109, 2097552334], [2084449534, 593641538]],
-           [[2084449534, 593641538], [851239217, 63034113]]],
-    "alpha": [[1626638446, 1290100625], [1791449449, 520845201]],
+    "mu": [[[2557578400, 489092280], [308694838, 1737388891]],
+           [[308694838, 1737388891], [3352695544, 3986272453]]],
+    "alpha": [[2143811963, 33609902], [2883718824, 2151155328]],
 }
+# the smallest prime above 2^32
+INEXACT_P = 4294967311
 
 
 class TestCompiledOverflowGuard:
     def test_bound(self):
-        # 3 * n^2 * (p - 1)^3 < 2^63 and p < 2^31
-        assert compiled_is_exact(1, 1_000_003)
-        assert not compiled_is_exact(2, 1_000_003)
-        assert compiled_is_exact(3, 2)
-        assert not compiled_is_exact(1, LARGE_P)
-        assert not compiled_is_exact(1, 2 ** 31)
-        # the largest moduli the bound admits at dimensions 1 and 2
-        assert compiled_is_exact(1, 1454084)
-        assert not compiled_is_exact(1, 1454085)
-        assert compiled_is_exact(2, 916016)
-        assert not compiled_is_exact(2, 916017)
+        # residues below 2^32 and every product of two reduced at once:
+        # exact at every dimension
+        assert compiled_is_exact(2)
+        assert compiled_is_exact(1_000_003)
+        assert compiled_is_exact(LARGE_P)
+        assert not compiled_is_exact(2 ** 32)
+        assert not compiled_is_exact(INEXACT_P)
 
     def test_auto_falls_back_and_compiled_refuses(self, monkeypatch):
         compiled = object()
-        monkeypatch.setattr(_kernels, "_ckern", compiled)
-        assert kernel_for("auto", 2, 3) is compiled
-        assert kernel_for("compiled", 2, 3) is compiled
-        assert kernel_for("auto", 1, LARGE_P) is pykern
-        assert kernel_for("python", 2, 3) is pykern
+        monkeypatch.setattr(_kernels, "_compiled", compiled)
+        assert kernel_for("auto", 3) is compiled
+        assert kernel_for("compiled", LARGE_P) is compiled
+        assert kernel_for("auto", INEXACT_P) is pykern
+        assert kernel_for("python", 3) is pykern
         with pytest.raises(ValueError):
-            kernel_for("compiled", 1, LARGE_P)
+            kernel_for("compiled", INEXACT_P)
+
+    def test_unbuilt_compiled_kernel_refused_like_an_inexact_one(
+            self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_compiled", None)
+        assert available() == ("python",)
+        assert get_kernel("auto") is pykern
+        with pytest.raises(ValueError, match="not built"):
+            get_kernel("compiled")
+        with pytest.raises(ValueError, match="not built"):
+            enumerate_structures(SearchSpec("hom-algebra", 1, 2),
+                                 kernel="compiled")
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_large_prime_count(self, kernel):
         spec = SearchSpec("hom-algebra", 2, LARGE_P, fixed=LARGE_P_PASSING)
-        if kernel == "compiled":
-            with pytest.raises(ValueError):
-                enumerate_structures(spec, kernel=kernel)
-        else:
-            assert enumerate_structures(spec, kernel=kernel).count == 1
+        assert enumerate_structures(spec, kernel=kernel).count == 1
 
     @needs_compiled
     def test_auto_matches_python_at_large_prime(self):
         spec = SearchSpec("hom-algebra", 2, LARGE_P, fixed=LARGE_P_PASSING)
+        assert enumerate_structures(spec, kernel="auto").kernel == "compiled"
         assert enumerate_structures(spec, kernel="auto").count == \
             enumerate_structures(spec, kernel="python").count == 1
+
+    @needs_compiled
+    def test_large_entries_decide_like_the_python_kernel(self):
+        # the passing candidate, then each copy with one entry moved by 1
+        flat = [x for plane in LARGE_P_PASSING["mu"] for row in plane
+                for x in row] + [x for row in LARGE_P_PASSING["alpha"]
+                                 for x in row]
+        compiled = get_kernel("compiled")
+        assert compiled.passes("hom-algebra", flat, 2, LARGE_P)
+        for slot in range(len(flat)):
+            bent = list(flat)
+            bent[slot] = (bent[slot] + 1) % LARGE_P
+            assert compiled.passes("hom-algebra", bent, 2, LARGE_P) == \
+                pykern.passes("hom-algebra", bent, 2, LARGE_P)
 
 
 class TestStructureFromFlat:

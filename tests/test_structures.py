@@ -27,6 +27,18 @@ class TestValidate:
         assert any(f.code == "shape" and f.severity == "defect"
                    for f in findings)
 
+    def test_malformed_derivation(self, ut2):
+        bad = hs.DifferentialHomAlgebra(ut2.algebra, lmap([[0, 1], [1, 0]]))
+        assert [f.message for f in validate(bad) if f.code == "shape"] == \
+            ["d is 2x2, expected 3x3"]
+
+    def test_malformed_bracket(self):
+        nabla = product(2, {})
+        bracket = hs.HomLeibniz(product(3, {}), hs.identity_map(F, 2))
+        s = hs.AffineStructure(nabla, nabla, bracket)
+        assert [f.message for f in validate(s) if f.code == "shape"] == \
+            ["bracket is 3x3x3, expected 2x2x2"]
+
     def test_wrong_unit_reports_witness(self, unital2dim):
         wrong = hs.HomAlgebra(unital2dim.mu, unital2dim.alpha, vec([0, 1]))
         findings = validate(wrong)
