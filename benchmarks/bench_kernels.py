@@ -3,19 +3,17 @@
 
 Runs the same exhaustive sweeps through both kernels, checks that they
 return the same count and the same sample stream, and prints wall
-times, candidates per second and the speedup. The full GF(2) dim-2
-dialgebra space (about 1M candidates) is the workload that motivates the
-compiled kernel; pass --full to sweep it with the Python kernel too
-(about a minute), otherwise the Python side runs a pinned subspace and
-the full-space time is extrapolated from it. A GF(3) row with the twist
-pinned times both kernels at p > 2. A last layer row groups the full
-dim-2 GF(2) hom-algebra, hom-leibniz and hom-prelie streams into
-isomorphism classes and checks the class counts.
+times, raw candidates per second and the speedup. The full GF(2) dim-2
+dialgebra and hlsda spaces (2^20 candidates each) and a GF(3) row with
+the twist pinned run through both kernels; the Python kernel prunes, so
+its rate counts the raw candidates its walk accounts for, not the nodes
+it visits. The full dialgebra-vs-hlsda audit runs on each kernel. A
+last layer row groups the full dim-2 GF(2) hom-algebra, hom-leibniz and
+hom-prelie streams into isomorphism classes and checks the class counts.
 
-Usage: python benchmarks/bench_kernels.py [--full]
+Usage: python benchmarks/bench_kernels.py
 """
 
-import argparse
 import time
 
 from homstruct._kernels import available, get_kernel, pykern
@@ -40,13 +38,6 @@ def free_template(kind, n):
     return [-1] * total
 
 
-def pinned_template(kind, n, pins):
-    fixed = free_template(kind, n)
-    for slot in range(pins):
-        fixed[slot] = 0
-    return fixed
-
-
 def twist_pinned_template(kind, n, twist):
     fixed = free_template(kind, n)
     _, _, alpha_off = pykern.layout(kind, n)
@@ -58,24 +49,16 @@ def rate(candidates, seconds):
     return f"{candidates / seconds:>10.3g}" if seconds > 0 else f"{'inf':>10}"
 
 
-def run(full):
+def run():
     workloads = [
-        ("hom-algebra", 2, 2, free_template("hom-algebra", 2), 1.0),
-        ("hom-leibniz", 2, 2, free_template("hom-leibniz", 2), 1.0),
-        ("hom-prelie", 2, 2, free_template("hom-prelie", 2), 1.0),
+        ("hom-algebra", 2, 2, free_template("hom-algebra", 2)),
+        ("hom-leibniz", 2, 2, free_template("hom-leibniz", 2)),
+        ("hom-prelie", 2, 2, free_template("hom-prelie", 2)),
         ("hom-algebra", 2, 3,
-         twist_pinned_template("hom-algebra", 2, [[1, 1], [0, 1]]), 1.0),
+         twist_pinned_template("hom-algebra", 2, [[1, 1], [0, 1]])),
+        ("hom-dialgebra", 2, 2, free_template("hom-dialgebra", 2)),
+        ("hlsda", 2, 2, free_template("hlsda", 2)),
     ]
-    if full:
-        workloads.append(("hom-dialgebra", 2, 2,
-                          free_template("hom-dialgebra", 2), 1.0))
-        workloads.append(("hlsda", 2, 2, free_template("hlsda", 2), 1.0))
-    else:
-        # pin the first 8 slots to zero: 2^12 candidates instead of 2^20
-        workloads.append(("hom-dialgebra", 2, 2,
-                          pinned_template("hom-dialgebra", 2, 8), 256.0))
-        workloads.append(("hlsda", 2, 2,
-                          pinned_template("hlsda", 2, 8), 256.0))
 
     have_compiled = "compiled" in available()
     print(f"kernels available: {', '.join(available())}")
@@ -83,7 +66,7 @@ def run(full):
     if have_compiled:
         header += f" {'compiled':>10} {'cand/s':>10} {'speedup':>8}"
     print(header)
-    for kind, n, p, fixed, scale in workloads:
+    for kind, n, p, fixed in workloads:
         free = sum(1 for x in fixed if x < 0)
         label = f"{kind} n={n} p={p} ({p}^{free})"
         py, t_py = time_sweep(kind, n, p, fixed, "python")
@@ -93,21 +76,20 @@ def run(full):
             assert py == c, (kind, n, p, "sample streams differ")
             speedup = t_py / t_c if t_c > 0 else float("inf")
             line += (f" {t_c:>9.4f}s {rate(p ** free, t_c)} "
-                     f"{speedup:>7.0f}x")
+                     f"{speedup:>7.1f}x")
         print(line)
-        if scale != 1.0:
-            print(f"{'':28} (full space is ~{scale:.0f}x this subspace; "
-                  f"python estimate {t_py * scale:.0f}s)")
 
-    if have_compiled:
+    print()
+    audits = []
+    for kernel in available():
         start = time.perf_counter()
-        kern = get_kernel("compiled")
-        count, violations, _ = kern.audit(
-            "hom-dialgebra", "hlsda", 2, 2,
-            free_template("hom-dialgebra", 2))
+        result = get_kernel(kernel).audit(
+            "hom-dialgebra", "hlsda", 2, 2, free_template("hom-dialgebra", 2))
         t = time.perf_counter() - start
-        print(f"\nfull dialgebra-vs-left-disymmetry audit (compiled): "
-              f"{count} dialgebras, {violations} violations, {t:.2f}s")
+        audits.append(result)
+        print(f"full dialgebra-vs-left-disymmetry audit ({kernel}): "
+              f"{result[0]} dialgebras, {result[1]} violations, {t:.2f}s")
+    assert all(a == audits[0] for a in audits), "audits differ"
 
     print(f"\n{'group_by_isomorphism':<28} {'structs':>8} {'classes':>8} "
           f"{'time':>10}")
@@ -122,13 +104,5 @@ def run(full):
               f"{len(orbits):>8} {t:>9.3f}s")
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--full", action="store_true",
-                        help="run the 2^20 spaces through the python "
-                             "kernel as well")
-    run(parser.parse_args().full)
-
-
 if __name__ == "__main__":
-    main()
+    run()

@@ -1,4 +1,5 @@
-/* Compiled search kernel: pykern's predicates and odometer in C.
+/* Compiled search kernel: pykern's axiom systems in C, swept by an
+   unpruned odometer.
 
    See pykern's module docstring for the flat candidate layout and the two
    contraction helpers; counts and sample streams must match pykern's bit
@@ -268,8 +269,8 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_ckern",
-    "pykern's search predicates and odometer in C; homstruct._kernels wraps them "
-    "in pykern's API.", -1, methods,
+    "pykern's axiom systems in C, swept by an unpruned odometer; "
+    "homstruct._kernels wraps them in pykern's API.", -1, methods,
 };
 
 PyMODINIT_FUNC PyInit__ckern(void) { return PyModule_Create(&module); }

@@ -6,13 +6,17 @@ vector-calculus evaluators), so agreement between the kernels and the
 exact checkers is a three-way cross-check.
 """
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import homstruct as hs
 from homstruct._kernels import available, get_kernel, pykern
 from homstruct.fields import PrimeField
-from homstruct.search import structure_from_flat
+from homstruct.search import (SearchSpec, enumerate_structures,
+                              structure_from_flat)
 
 needs_compiled = pytest.mark.skipif("compiled" not in available(),
                                     reason="compiled kernel not built")
@@ -43,7 +47,6 @@ def test_python_kernel_agrees_with_exact_checkers(kind, n, data):
 
 
 def test_kernel_checker_agreement_in_dimension_three():
-    import random
     rng = random.Random(42)
     for kind in sorted(pykern.KINDS):
         total, _, _ = pykern.layout(kind, 3)
@@ -66,9 +69,17 @@ def test_kernels_agree_on_random_candidates(kind, p, data):
 
 
 def test_candidate_order_is_lexicographic():
-    fixed = [-1, 0, -1]  # middle slot pinned
-    seen = [tuple(v) for v in pykern._candidates(fixed, 3)]
-    assert seen == [(a, 0, b) for a in range(3) for b in range(3)]
+    # with the twist pinned to zero every candidate passes, so the stream
+    # is the whole space: first free slot most significant, the pinned
+    # middle slot untouched
+    total, _, al = pykern.layout("hom-algebra", 2)
+    fixed = [-1] * al + [0] * (total - al)
+    fixed[3] = 1
+    count, samples = pykern.sweep("hom-algebra", 2, 3, fixed, 3 ** 7)
+    assert count == 3 ** 7
+    assert samples == [(*head, 1, *rest) + (0,) * 4
+                       for head in itertools.product(range(3), repeat=3)
+                       for rest in itertools.product(range(3), repeat=4)]
 
 
 def test_pinned_slots_never_move():
@@ -121,3 +132,154 @@ class TestClassicalReductionOfRemainingCheckers:
         # with the identity twist the strict and twisted readings agree
         assert hs.check_dialgebra(d).passed
         assert hs.check_dialgebra(d, strict_assoc=True).passed
+
+
+def brute_candidates(fixed, p):
+    """Every assignment of the free slots of ``fixed``, first free slot
+    most significant: the walk's reference order, without pruning."""
+    free = [slot for slot, x in enumerate(fixed) if x < 0]
+    for values in itertools.product(range(p), repeat=len(free)):
+        v = list(fixed)
+        for slot, x in zip(free, values):
+            v[slot] = x
+        yield tuple(v)
+
+
+def brute_sweep(kind, n, p, fixed, cap):
+    hits = [v for v in brute_candidates(fixed, p)
+            if pykern.passes(kind, v, n, p)]
+    return len(hits), hits[:cap]
+
+
+def brute_audit(kind_a, kind_b, n, p, fixed):
+    passing = [v for v in brute_candidates(fixed, p)
+               if pykern.passes(kind_a, v, n, p)]
+    failing = [v for v in passing if not pykern.passes(kind_b, v, n, p)]
+    return len(passing), len(failing), (failing[0] if failing else None)
+
+
+def random_template(rng, kind, n, p, twist, space=243):
+    """Mostly-zero pinned entries (so that some candidates pass), the twist
+    free, partly pinned or pinned, and free product slots up to about
+    ``space`` candidates."""
+    total, _, al = pykern.layout(kind, n)
+    fixed = [rng.randrange(p) if rng.random() < 0.3 else 0
+             for _ in range(total)]
+    twist_slots = list(range(al, total))
+    if twist == "partly pinned":
+        free = rng.sample(twist_slots, rng.randrange(1, len(twist_slots)))
+    else:
+        free = twist_slots if twist == "free" else []
+    products = rng.sample(range(al), al)
+    while products and p ** (len(free) + 1) <= space:
+        free.append(products.pop())
+    for slot in free:
+        fixed[slot] = -1
+    return fixed
+
+
+WALK_CASES = [(kind, n, p, twist) for kind in sorted(pykern.KINDS)
+              for n in (1, 2) for p in (2, 3)
+              for twist in ("free", "partly pinned", "pinned")
+              if not (n == 1 and twist == "partly pinned")]
+
+
+class TestPrunedWalk:
+    """The pruned walk against an unpruned reference over the same free
+    slots: same count and same sample stream, in the same order."""
+
+    @pytest.mark.parametrize("kind, n, p, twist", WALK_CASES)
+    def test_matches_brute_force(self, kind, n, p, twist):
+        rng = random.Random(f"{kind}:{n}:{p}:{twist}")
+        counts = []
+        for _ in range(4):
+            fixed = random_template(rng, kind, n, p, twist)
+            want = brute_sweep(kind, n, p, fixed, 1 << 20)
+            assert pykern.sweep(kind, n, p, fixed, 1 << 20) == want, fixed
+            counts.append(want[0])
+        assert any(counts)
+
+    @pytest.mark.parametrize("kind", sorted(pykern.KINDS))
+    def test_caps(self, kind):
+        rng = random.Random(kind)
+        fixed = random_template(rng, kind, 2, 2, "free", space=512)
+        count, every = brute_sweep(kind, 2, 2, fixed, 1 << 20)
+        assert count > 2
+        assert pykern.sweep(kind, 2, 2, fixed, 0) == (count, [])
+        assert pykern.sweep(kind, 2, 2, fixed, -1) == (count, [])
+        assert pykern.sweep(kind, 2, 2, fixed, 2) == (count, every[:2])
+        assert pykern.sweep(kind, 2, 2, fixed, 2 ** 70) == (count, every)
+
+    @pytest.mark.parametrize("kind", sorted(pykern.KINDS))
+    def test_template_without_free_slots(self, kind):
+        rng = random.Random(kind)
+        total, _, al = pykern.layout(kind, 2)
+        zero_products = [0] * al + [rng.randrange(3) for _ in range(4)]
+        dense = [rng.randrange(3) for _ in range(total)]
+        for v in (zero_products, dense):
+            want = (1, [tuple(v)]) if pykern.passes(kind, v, 2, 3) else (0, [])
+            assert pykern.sweep(kind, 2, 3, v, 5) == want
+        assert pykern.sweep(kind, 2, 3, zero_products, 5)[0] == 1
+
+    def test_pinned_slots_that_already_fail(self):
+        # identity twist, bracket(e0, e0) = e0 pinned: the Leibniz identity
+        # at (0, 0, 0, 0) reads only pinned slots and fails
+        total, _, al = pykern.layout("hom-leibniz", 2)
+        fixed = [1, 0] + [-1] * (al - 2) + [1, 0, 0, 1]
+        assert brute_sweep("hom-leibniz", 2, 3, fixed, 5) == (0, [])
+        assert pykern.sweep("hom-leibniz", 2, 3, fixed, 5) == (0, [])
+
+    @pytest.mark.parametrize("kind", sorted(pykern.KINDS))
+    def test_pinned_template_over_a_large_prime(self, kind):
+        p = 4294967291  # the largest prime below 2^32
+        rng = random.Random(kind)
+        total, _, al = pykern.layout(kind, 2)
+        zero_products = [0] * al + [rng.randrange(p) for _ in range(4)]
+        dense = [rng.randrange(p) for _ in range(total)]
+        for v in (zero_products, dense):
+            exact = CHECKERS[kind](structure_from_flat(kind, v, 2, p)).passed
+            assert pykern.sweep(kind, 2, p, v, 1) == \
+                ((1, [tuple(v)]) if exact else (0, []))
+
+    @pytest.mark.parametrize("kinds, n, p", [
+        (("hom-dialgebra", "hlsda"), 2, 2),
+        (("hlsda", "hom-dialgebra"), 2, 2),
+        (("hom-algebra", "hom-prelie"), 2, 3),
+        (("hom-prelie", "hom-algebra"), 2, 3),
+        (("hom-leibniz", "hom-prelie"), 2, 2),
+    ])
+    def test_audit_matches_brute_force(self, kinds, n, p):
+        rng = random.Random(f"{kinds}:{n}:{p}")
+        for twist in ("free", "partly pinned", "pinned"):
+            fixed = random_template(rng, kinds[0], n, p, twist, space=512)
+            assert pykern.audit(*kinds, n, p, fixed) == \
+                brute_audit(*kinds, n, p, fixed), fixed
+
+    @pytest.mark.parametrize("kinds", [("hlsda", "hom-dialgebra"),
+                                       ("hom-dialgebra", "hlsda")])
+    def test_audit_on_a_separating_subspace(self, kinds):
+        # the first 8 slots pinned to zero: 2^12 candidates, among them
+        # hlsda structures that are not dialgebras (and none the other way)
+        fixed = [0] * 8 + [-1] * (pykern.layout("hlsda", 2)[0] - 8)
+        want = brute_audit(*kinds, 2, 2, fixed)
+        assert (want[1] > 0) == (kinds[0] == "hlsda")
+        assert pykern.audit(*kinds, 2, 2, fixed) == want
+
+
+class TestCountsWithinReach:
+    """Counts the pruned walk makes cheap on the Python kernel."""
+
+    def test_unital_dim3_gf2_hom_algebras(self):
+        spec = SearchSpec("hom-algebra", 3, 2, require_unit=True, cap=0)
+        assert enumerate_structures(spec, kernel="python").count == 4268
+
+    @pytest.mark.parametrize("kind, count", [("hom-dialgebra", 15),
+                                             ("hlsda", 207)])
+    def test_twist_pinned_gf3_dim2(self, kind, count):
+        # 3^16 candidates, past the Python budget of the search API
+        total, _, al = pykern.layout(kind, 2)
+        fixed = [-1] * al + [1, 1, 0, 1]
+        got, samples = pykern.sweep(kind, 2, 3, fixed, 4)
+        assert got == count
+        for flat in samples:
+            assert CHECKERS[kind](structure_from_flat(kind, flat, 2, 3)).passed
