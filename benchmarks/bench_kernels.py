@@ -4,12 +4,13 @@
 Runs the same exhaustive sweeps through both kernels, checks that they
 return the same count and the same sample stream, and prints wall
 times, raw candidates per second and the speedup. The full GF(2) dim-2
-dialgebra and hlsda spaces (2^20 candidates each) and a GF(3) row with
-the twist pinned run through both kernels; the Python kernel prunes, so
-its rate counts the raw candidates its walk accounts for, not the nodes
-it visits. The full dialgebra-vs-hlsda audit runs on each kernel. A
-last layer row groups the full dim-2 GF(2) hom-algebra, hom-leibniz and
-hom-prelie streams into isomorphism classes and checks the class counts.
+dialgebra and hlsda spaces (2^20 candidates each) and two GF(3) rows
+with the twist pinned run through both kernels. Both kernels run the
+same pruned walk over pykern's identity table, so a rate counts the raw
+candidates the walk accounts for, not the nodes it visits. The full
+dialgebra-vs-hlsda audit runs on each kernel. A last layer row groups
+the full dim-2 GF(2) hom-algebra, hom-leibniz and hom-prelie streams
+into isomorphism classes and checks the class counts.
 
 Usage: python benchmarks/bench_kernels.py
 """
@@ -58,6 +59,8 @@ def run():
          twist_pinned_template("hom-algebra", 2, [[1, 1], [0, 1]])),
         ("hom-dialgebra", 2, 2, free_template("hom-dialgebra", 2)),
         ("hlsda", 2, 2, free_template("hlsda", 2)),
+        ("hom-dialgebra", 2, 3,
+         twist_pinned_template("hom-dialgebra", 2, [[1, 1], [0, 1]])),
     ]
 
     have_compiled = "compiled" in available()

@@ -1,5 +1,8 @@
 """Search kernel selection: compiled extension when built, pure Python
-fallback otherwise. Both expose the same API and identical streams."""
+fallback otherwise. Both run pykern's walk over pykern's identity table,
+so they expose the same API and give identical streams."""
+
+from array import array
 
 from . import pykern
 
@@ -9,42 +12,13 @@ except ImportError:  # extension not built; fall back
     _ckern = None
 
 
-def _c_layout(kind, n):
-    """All the C kernel knows of a kind: its position in ``pykern.KINDS``
-    and the offsets of its products and of its twist."""
-    _, offs, al = pykern.layout(kind, n)
-    return list(pykern.KINDS).index(kind), offs[0], offs[-1], al
+def _scan(kind_a, kind_b, n, p, fixed, cap):
+    """pykern._scan, run by the C kernel on pykern's identity table."""
+    return _ckern.scan(pykern._table(kind_a, kind_b, n), p,
+                       array("q", fixed), cap)
 
 
-class _Compiled:
-    """The C kernel in ``_ckern`` behind ``pykern``'s API."""
-
-    NAME = "compiled"
-
-    @staticmethod
-    def sweep(kind, n, p, fixed, cap):
-        # the C side holds the cap in a 64-bit int
-        count, _, samples = _ckern.scan(_c_layout(kind, n), -1, n, p, fixed,
-                                        min(cap, 2 ** 62))
-        return count, samples
-
-    @staticmethod
-    def audit(kind_a, kind_b, n, p, fixed):
-        if pykern.KINDS[kind_a] != pykern.KINDS[kind_b]:
-            raise ValueError("audit kinds must share one layout")
-        count, violations, examples = _ckern.scan(
-            _c_layout(kind_a, n), _c_layout(kind_b, n)[0], n, p, fixed, 1)
-        return count, violations, (examples[0] if examples else None)
-
-    @staticmethod
-    def passes(kind, v, n, p):
-        # a candidate with no free slot: it passes when it is counted
-        if any(x < 0 for x in v):
-            raise ValueError("candidate entries must be residues mod p")
-        return _ckern.scan(_c_layout(kind, n), -1, n, p, v, 0)[0] == 1
-
-
-_compiled = _Compiled if _ckern is not None else None
+_compiled = None if _ckern is None else pykern.Kernel("compiled", _scan)
 
 
 def available() -> tuple:

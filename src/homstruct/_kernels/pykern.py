@@ -1,10 +1,12 @@
-"""Pure-Python search kernel.
+"""Pure-Python search kernel, and what both search kernels share.
 
 Evaluates the mod-p axiom systems directly on flat structure-constant
 arrays (independent of the exact-arithmetic checkers) and enumerates
-candidate assignments in lexicographic order. The compiled kernel in
-``_ckern`` visits every raw candidate; this one prunes, and both must
-produce identical streams.
+candidate assignments in lexicographic order. ``_identities`` is the one
+place the axiom systems are written. ``_table`` encodes it as flat ints
+for the compiled kernel in ``_ckern``, which runs ``_scan``'s walk in C;
+``Kernel`` pins a free twist and merges the sample streams for either
+kernel, so both produce identical streams.
 
 Flat layout of a candidate: the product tensors in kind order (each
 n*n*n, entry (i, j, k) at ((i*n)+j)*n+k), then the twist matrix (n*n,
@@ -26,9 +28,9 @@ those slots is set (backtracking with exact pruning: Golomb & Baumert,
 "Backtrack programming", J. ACM 12, 1965).
 """
 
-import heapq
 import itertools
 import sys
+from array import array
 from functools import lru_cache
 
 NAME = "python"
@@ -44,6 +46,8 @@ KINDS = {
 
 def layout(kind, n):
     """(total length, product offsets, twist offset) of the flat array."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown search kind {kind!r}")
     products = KINDS[kind]
     offs = tuple(i * n ** 3 for i in range(products))
     alpha_off = products * n ** 3
@@ -141,8 +145,6 @@ def _identities(kind, n):
     vanishes mod p. Equal terms are combined, and an instance that is
     zero or the negative of an earlier one is left out (the pre-Lie
     identity at (j, i, k, l) is minus the one at (i, j, k, l))."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown search kind {kind!r}")
     _, offs, al = layout(kind, n)
     cells = range(n)
     ids = [((1, _mult, (n, al, offs[x], i, j, k)),)
@@ -172,9 +174,27 @@ def _residual(v, terms):
     return acc
 
 
+def _holds(ids, v, p):
+    return not any(_residual(v, terms) % p for terms in ids)
+
+
+def _template(kind, n, p, fixed, free=True):
+    """``fixed`` as a list, refused unless it fits the kind's layout and
+    each entry is a residue mod p or, where ``free``, negative (a free
+    slot): the one input check of both kernels."""
+    fixed = list(fixed)
+    total = layout(kind, n)[0]
+    if len(fixed) != total:
+        raise ValueError(f"a {kind} candidate at dimension {n} has {total} "
+                         f"entries, not {len(fixed)}")
+    if any(x >= p or (x < 0 and not free) for x in fixed):
+        raise ValueError("candidate entries must be residues mod p")
+    return fixed
+
+
 def passes(kind, v, n, p):
     """Does a flat candidate satisfy the kind's axiom system?"""
-    return not any(_residual(v, terms) % p for terms in _identities(kind, n))
+    return _holds(_identities(kind, n), _template(kind, n, p, v, False), p)
 
 
 class _Probe(list):
@@ -185,26 +205,32 @@ class _Probe(list):
         return list.__getitem__(self, slot)
 
 
-def _walk(ids, p, fixed):
+def _walk(ids_a, ids_b, p, fixed):
     """Depth-first over the free slots of ``fixed`` in lexicographic order,
     checking each identity as soon as the last free slot it reads is set.
-    Yields ``(v, tail)`` for every assignment of the free slots before
-    ``tail`` whose identities all hold: no identity reads a slot in
-    ``tail``, so every completion of those slots passes too."""
+    Yields ``(v, tail, bad)`` for every assignment of the free slots before
+    ``tail`` under which all of ``ids_a`` hold: no identity reads a slot in
+    ``tail``, so every completion of those slots passes ``ids_a`` too, and
+    fails ``ids_b`` exactly when ``bad``."""
     free = [slot for slot, x in enumerate(fixed) if x < 0]
     depth_of = {slot: d for d, slot in enumerate(free)}
     probe = _Probe(1 if x < 0 else x for x in fixed)
-    checks = {}  # depth -> identities; depth -1 reads no free slot
-    for terms in ids:
-        probe.read = set()
-        _residual(probe, terms)
-        depth = max((depth_of[s] for s in probe.read if s in depth_of),
-                    default=-1)
-        checks.setdefault(depth, []).append(terms)
+    checks = ({}, {})  # per list, depth -> identities; -1 reads no free slot
+    for ids, filed in zip((ids_a, ids_b), checks):
+        for terms in ids:
+            probe.read = set()
+            _residual(probe, terms)
+            depth = max((depth_of[s] for s in probe.read if s in depth_of),
+                        default=-1)
+            filed.setdefault(depth, []).append(terms)
+    checks_a, checks_b = checks
     v = [x if x >= 0 else 0 for x in fixed]
-    if any(_residual(v, terms) % p for terms in checks.pop(-1, ())):
+    if not _holds(checks_a.pop(-1, ()), v, p):
         return
-    last = max(checks, default=-1)
+    # bad[d + 1]: an identity of ids_b filed at depth d or shallower fails
+    bad = [not _holds(checks_b.pop(-1, ()), v, p)]
+    last = max((*checks_a, *checks_b), default=-1)
+    bad += [False] * (last + 1)
     tail = free[last + 1:]
     d = 0
     while 0 <= d <= last:
@@ -215,17 +241,19 @@ def _walk(ids, p, fixed):
             if d >= 0:
                 v[free[d]] += 1
             continue
-        for terms in checks.get(d, ()):
+        for terms in checks_a.get(d, ()):
             if _residual(v, terms) % p:
                 break  # skips the p^(len(free)-d-1) candidates below
         else:
+            bad[d + 1] = bad[d] or (d in checks_b and
+                                    not _holds(checks_b[d], v, p))
             if d < last:
                 d += 1
                 continue
-            yield v, tail
+            yield v, tail, bad[d + 1]
         v[slot] += 1
     if last < 0:
-        yield v, tail
+        yield v, tail, bad[0]
 
 
 def _assignments(v, slots, p):
@@ -246,44 +274,92 @@ def _pinned_twists(kind, n, p, fixed):
                                 if fixed[s] < 0], p)
 
 
-def sweep(kind, n, p, fixed, cap):
-    """Count all passing candidates; collect the first ``cap`` of them."""
-    ids = _identities(kind, n)
-    cap = max(0, min(cap, sys.maxsize))  # the range islice accepts
-    count = 0
+def _scan(kind_a, kind_b, n, p, fixed, cap):
+    """The walk over one template: how many candidates pass ``kind_a``,
+    how many of those are hits (fail ``kind_b``, or all of them when
+    ``kind_b`` is None), and the first ``cap`` hits in lexicographic
+    order. ``_ckern.scan`` is the same function in C."""
+    ids_b = () if kind_b is None else _identities(kind_b, n)
+    count = hits = 0
     samples = []
-    for pinned in _pinned_twists(kind, n, p, fixed):
-        found = []
-        for v, tail in _walk(ids, p, pinned):
-            count += p ** len(tail)
-            found += itertools.islice(_assignments(v, tail, p),
-                                      cap - len(found))
-        # both lists are lexicographic, and they differ in the twist slots
-        samples = list(itertools.islice(heapq.merge(samples, found), cap))
-    return count, samples
+    for v, tail, bad in _walk(_identities(kind_a, n), ids_b, p, fixed):
+        count += p ** len(tail)
+        if bad or kind_b is None:
+            hits += p ** len(tail)
+            samples += itertools.islice(_assignments(v, tail, p),
+                                        cap - len(samples))
+    return count, hits, samples
 
 
-def audit(kind_a, kind_b, n, p, fixed):
-    """Over all candidates: how many pass ``kind_a``, how many of those
-    fail ``kind_b``, and the first such violation (or None)."""
-    if KINDS[kind_a] != KINDS[kind_b]:
-        raise ValueError("audit kinds must share one layout")
-    ids_a, ids_b = _identities(kind_a, n), _identities(kind_b, n)
-    count = 0
-    violations = 0
-    examples = []  # the first violation under each twist
-    for pinned in _pinned_twists(kind_a, n, p, fixed):
-        first = []
-        for v, tail in _walk(ids_a, p, pinned):
-            # every completion of the tail passes kind_a: walk kind_b's
-            # identities over the tail to count those that fail it
-            survivor = [-1 if slot in tail else x for slot, x in enumerate(v)]
-            failing = p ** len(tail) - sum(
-                p ** len(t) for _, t in _walk(ids_b, p, survivor))
-            count += p ** len(tail)
-            violations += failing
-            if failing and not first:
-                first.append(next(c for c in _assignments(v, tail, p)
-                                  if not passes(kind_b, c, n, p)))
-        examples += first
-    return count, violations, min(examples, default=None)
+_HELPERS = (_ot, _to, _mult)  # the compiled kernel's helper codes
+
+
+@lru_cache(maxsize=None)
+def _table(kind_a, kind_b, n):
+    """The identities of ``kind_a``, then those of ``kind_b`` (none when
+    None), as 64-bit ints for the compiled kernel: n, the twist offset and
+    the offset of ``kind_b``'s first identity, then per identity its term
+    count and, per term, its sign, its helper's index in ``_HELPERS`` and
+    the helper's arguments after (n, al), padded with zeros to six. A term
+    with coefficient c is written |c| times."""
+    flat = [n, layout(kind_a, n)[2], 0]
+    for kind in (kind_a, kind_b):
+        flat[2] = len(flat)  # left, after the loop, where kind_b starts
+        for terms in () if kind is None else _identities(kind, n):
+            flat.append(sum(abs(coeff) for coeff, _, _ in terms))
+            for coeff, helper, args in terms:
+                flat += (1 if coeff > 0 else -1, _HELPERS.index(helper),
+                         *args[2:], *(0,) * (8 - len(args))) * abs(coeff)
+    return array("q", flat)
+
+
+class Kernel:
+    """A search kernel: ``sweep``, ``audit`` and ``passes`` over a
+    template ``scan``, either ``_scan`` or the compiled kernel's, which
+    walks the same table. This module's own ``passes`` evaluates the
+    residuals directly, the reference the tests compare the walks with."""
+
+    def __init__(self, name, scan):
+        self.NAME = name
+        self._scan = scan
+
+    def _over_twists(self, kind_a, kind_b, n, p, fixed, cap):
+        """The scan's counts summed over every template with the free
+        twist pinned, and the first ``cap`` hits of them all."""
+        fixed = _template(kind_a, n, p, fixed)
+        cap = max(0, min(cap, sys.maxsize))  # the range islice and C accept
+        count = hits = 0
+        samples = []
+        for pinned in _pinned_twists(kind_a, n, p, fixed):
+            found, failing, first = self._scan(kind_a, kind_b, n, p, pinned,
+                                               cap)
+            count += found
+            hits += failing
+            samples += first  # a lexicographic run, which sorted merges
+            if len(samples) > 2 * cap:  # memory for twice the cap at most
+                samples = sorted(samples)[:cap]
+        return count, hits, sorted(samples)[:cap]
+
+    def sweep(self, kind, n, p, fixed, cap):
+        """Count all passing candidates; collect the first ``cap`` of them."""
+        count, _, samples = self._over_twists(kind, None, n, p, fixed, cap)
+        return count, samples
+
+    def audit(self, kind_a, kind_b, n, p, fixed):
+        """Over all candidates: how many pass ``kind_a``, how many of those
+        fail ``kind_b``, and the first such violation (or None)."""
+        if KINDS[kind_a] != KINDS[kind_b]:
+            raise ValueError("audit kinds must share one layout")
+        count, violations, first = self._over_twists(kind_a, kind_b, n, p,
+                                                     fixed, 1)
+        return count, violations, (first[0] if first else None)
+
+    def passes(self, kind, v, n, p):
+        """Does a flat candidate satisfy the kind's axiom system?"""
+        return self._scan(kind, None, n, p, _template(kind, n, p, v, False),
+                          0)[0] == 1
+
+
+_python = Kernel(NAME, _scan)
+sweep = _python.sweep
+audit = _python.audit

@@ -4,10 +4,11 @@ isomorphism classes by canonical form.
 
 Enumeration yields the assignments of the free structure constants that
 satisfy the kind's axiom system, in lexicographic order (first flat slot
-most significant). The compiled kernel, when built, visits every raw
-candidate; the pure-Python kernel walks the same order depth-first and
-drops a whole subtree as soon as an identity whose slots are all set
-fails. Streams are identical either way, so runs are reproducible.
+most significant). Both kernels, the compiled one when built and the
+pure-Python one, walk that order depth-first over pykern's one identity
+table and drop a whole subtree as soon as an identity whose slots are
+all set fails. Streams are identical either way, so runs are
+reproducible.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from .structures import KINDS, Morphism
 RAW_CANDIDATE_BUDGET = 2 ** 32
 
 # raw candidates one sweep may span, by the kernel that runs it. A budget
-# counts raw candidates, an upper bound on what a walk visits: the
-# compiled kernel visits every one; pykern's pruned walk visits far fewer
-# (twist-pinned dim-3 GF(2) spaces of 2^24 candidates took it 0.01-25 s
-# on a 2-core machine under Python 3.11.7)
+# counts raw candidates, an upper bound on what a walk visits: both
+# kernels run the same pruned walk and visit far fewer, the compiled one
+# at C speed (twist-pinned dim-3 GF(2) spaces of 2^24 candidates took the
+# Python kernel 0.01-25 s on a 2-core machine under Python 3.11.7)
 SWEEP_BUDGETS = {"compiled": RAW_CANDIDATE_BUDGET, "python": 2 ** 24}
 
 # group_by_isomorphism holds GL_n(F_p) for the call and makes one

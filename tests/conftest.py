@@ -1,10 +1,15 @@
-"""Shared builders: the worked-example tables used across the suite."""
+"""Shared builders: the worked-example tables used across the suite, and
+the search kernels, the compiled one built from source."""
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import homstruct as hs
+from homstruct import _kernels
+from homstruct._kernels import pykern
 
 F = hs.QQ
 
@@ -143,3 +148,38 @@ def leibniz2dim():
 @pytest.fixture
 def half():
     return Fraction(1, 2)
+
+
+@pytest.fixture(scope="session")
+def ckern(tmp_path_factory):
+    """``_kernels/_ckern.c`` compiled into a temporary directory (never
+    into ``src/``, whose kernel the benchmark runs) and loaded as
+    ``homstruct._kernels._ckern``; skips when it cannot be built."""
+    from setuptools import Distribution, Extension
+    from setuptools.command.build_ext import build_ext
+    from setuptools.errors import BaseError, CCompilerError
+
+    source = Path(_kernels.__file__).with_name("_ckern.c")
+    ext = Extension("homstruct._kernels._ckern", [str(source)])
+    build = build_ext(Distribution({"ext_modules": [ext]}))
+    build.build_lib = str(tmp_path_factory.mktemp("ckern"))
+    build.build_temp = str(Path(build.build_lib) / "temp")
+    try:
+        build.ensure_finalized()
+        build.run()
+    except (BaseError, CCompilerError) as exc:
+        pytest.skip(f"compiled kernel not built: {exc}")
+    spec = importlib.util.spec_from_file_location(
+        ext.name, build.get_ext_fullpath(ext.name))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def compiled(ckern, monkeypatch):
+    """The compiled kernel, built from source, behind ``get_kernel``."""
+    monkeypatch.setattr(_kernels, "_ckern", ckern)
+    monkeypatch.setattr(_kernels, "_compiled",
+                        pykern.Kernel("compiled", _kernels._scan))
+    return _kernels._compiled

@@ -1,25 +1,24 @@
 """Parity and correctness of the two search kernels.
 
-The pure-Python kernel is an independent implementation of the mod-p
-axiom systems (contraction loops over flat arrays rather than the
-vector-calculus evaluators), so agreement between the kernels and the
-exact checkers is a three-way cross-check.
+Both kernels evaluate pykern's one identity table (contraction loops over
+flat arrays rather than the vector-calculus evaluators) and walk it the
+same way, pykern's in Python and the compiled one in C. The table is
+checked against the exact checkers, each walk against an unpruned
+reference that decides every candidate with pykern's ``passes``, and the
+C term evaluator against pykern's helpers.
 """
 
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import homstruct as hs
-from homstruct._kernels import available, get_kernel, pykern
+from homstruct._kernels import pykern
 from homstruct.fields import PrimeField
 from homstruct.search import (SearchSpec, enumerate_structures,
                               structure_from_flat)
-
-needs_compiled = pytest.mark.skipif("compiled" not in available(),
-                                    reason="compiled kernel not built")
 
 CHECKERS = {
     "hom-algebra": hs.check_hom_algebra,
@@ -57,14 +56,14 @@ def test_kernel_checker_agreement_in_dimension_three():
                 CHECKERS[kind](structure).passed
 
 
-@needs_compiled
-@settings(max_examples=120, deadline=None)
+# the compiled kernel is built once per session; hypothesis need not reset it
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(sorted(pykern.KINDS)),
        st.sampled_from([2, 3, 5, 4294967291]), st.data())
-def test_kernels_agree_on_random_candidates(kind, p, data):
+def test_kernels_agree_on_random_candidates(compiled, kind, p, data):
     n = 2
     flat = data.draw(flat_candidates(kind, n, p))
-    compiled = get_kernel("compiled")
     assert pykern.passes(kind, flat, n, p) == compiled.passes(kind, flat, n, p)
 
 
@@ -185,52 +184,59 @@ WALK_CASES = [(kind, n, p, twist) for kind in sorted(pykern.KINDS)
 
 
 class TestPrunedWalk:
-    """The pruned walk against an unpruned reference over the same free
-    slots: same count and same sample stream, in the same order."""
+    """Each kernel's pruned walk against an unpruned reference over the
+    same free slots: same count and same sample stream, in the same
+    order."""
+
+    @pytest.fixture
+    def kernel(self):
+        return pykern
 
     @pytest.mark.parametrize("kind, n, p, twist", WALK_CASES)
-    def test_matches_brute_force(self, kind, n, p, twist):
+    def test_matches_brute_force(self, kernel, kind, n, p, twist):
         rng = random.Random(f"{kind}:{n}:{p}:{twist}")
         counts = []
         for _ in range(4):
             fixed = random_template(rng, kind, n, p, twist)
             want = brute_sweep(kind, n, p, fixed, 1 << 20)
-            assert pykern.sweep(kind, n, p, fixed, 1 << 20) == want, fixed
+            assert kernel.sweep(kind, n, p, fixed, 1 << 20) == want, fixed
             counts.append(want[0])
         assert any(counts)
 
     @pytest.mark.parametrize("kind", sorted(pykern.KINDS))
-    def test_caps(self, kind):
+    def test_caps(self, kernel, kind):
         rng = random.Random(kind)
         fixed = random_template(rng, kind, 2, 2, "free", space=512)
         count, every = brute_sweep(kind, 2, 2, fixed, 1 << 20)
         assert count > 2
-        assert pykern.sweep(kind, 2, 2, fixed, 0) == (count, [])
-        assert pykern.sweep(kind, 2, 2, fixed, -1) == (count, [])
-        assert pykern.sweep(kind, 2, 2, fixed, 2) == (count, every[:2])
-        assert pykern.sweep(kind, 2, 2, fixed, 2 ** 70) == (count, every)
+        assert kernel.sweep(kind, 2, 2, fixed, 0) == (count, [])
+        assert kernel.sweep(kind, 2, 2, fixed, -1) == (count, [])
+        assert kernel.sweep(kind, 2, 2, fixed, 2) == (count, every[:2])
+        assert kernel.sweep(kind, 2, 2, fixed, 2 ** 70) == (count, every)
 
     @pytest.mark.parametrize("kind", sorted(pykern.KINDS))
-    def test_template_without_free_slots(self, kind):
+    def test_template_without_free_slots(self, kernel, kind):
         rng = random.Random(kind)
         total, _, al = pykern.layout(kind, 2)
         zero_products = [0] * al + [rng.randrange(3) for _ in range(4)]
         dense = [rng.randrange(3) for _ in range(total)]
         for v in (zero_products, dense):
-            want = (1, [tuple(v)]) if pykern.passes(kind, v, 2, 3) else (0, [])
-            assert pykern.sweep(kind, 2, 3, v, 5) == want
-        assert pykern.sweep(kind, 2, 3, zero_products, 5)[0] == 1
+            passing = pykern.passes(kind, v, 2, 3)
+            assert kernel.passes(kind, v, 2, 3) == passing
+            assert kernel.sweep(kind, 2, 3, v, 5) == \
+                ((1, [tuple(v)]) if passing else (0, []))
+        assert kernel.sweep(kind, 2, 3, zero_products, 5)[0] == 1
 
-    def test_pinned_slots_that_already_fail(self):
+    def test_pinned_slots_that_already_fail(self, kernel):
         # identity twist, bracket(e0, e0) = e0 pinned: the Leibniz identity
         # at (0, 0, 0, 0) reads only pinned slots and fails
         total, _, al = pykern.layout("hom-leibniz", 2)
         fixed = [1, 0] + [-1] * (al - 2) + [1, 0, 0, 1]
         assert brute_sweep("hom-leibniz", 2, 3, fixed, 5) == (0, [])
-        assert pykern.sweep("hom-leibniz", 2, 3, fixed, 5) == (0, [])
+        assert kernel.sweep("hom-leibniz", 2, 3, fixed, 5) == (0, [])
 
     @pytest.mark.parametrize("kind", sorted(pykern.KINDS))
-    def test_pinned_template_over_a_large_prime(self, kind):
+    def test_pinned_template_over_a_large_prime(self, kernel, kind):
         p = 4294967291  # the largest prime below 2^32
         rng = random.Random(kind)
         total, _, al = pykern.layout(kind, 2)
@@ -238,7 +244,7 @@ class TestPrunedWalk:
         dense = [rng.randrange(p) for _ in range(total)]
         for v in (zero_products, dense):
             exact = CHECKERS[kind](structure_from_flat(kind, v, 2, p)).passed
-            assert pykern.sweep(kind, 2, p, v, 1) == \
+            assert kernel.sweep(kind, 2, p, v, 1) == \
                 ((1, [tuple(v)]) if exact else (0, []))
 
     @pytest.mark.parametrize("kinds, n, p", [
@@ -248,38 +254,75 @@ class TestPrunedWalk:
         (("hom-prelie", "hom-algebra"), 2, 3),
         (("hom-leibniz", "hom-prelie"), 2, 2),
     ])
-    def test_audit_matches_brute_force(self, kinds, n, p):
+    def test_audit_matches_brute_force(self, kernel, kinds, n, p):
         rng = random.Random(f"{kinds}:{n}:{p}")
         for twist in ("free", "partly pinned", "pinned"):
             fixed = random_template(rng, kinds[0], n, p, twist, space=512)
-            assert pykern.audit(*kinds, n, p, fixed) == \
+            assert kernel.audit(*kinds, n, p, fixed) == \
                 brute_audit(*kinds, n, p, fixed), fixed
 
     @pytest.mark.parametrize("kinds", [("hlsda", "hom-dialgebra"),
                                        ("hom-dialgebra", "hlsda")])
-    def test_audit_on_a_separating_subspace(self, kinds):
+    def test_audit_on_a_separating_subspace(self, kernel, kinds):
         # the first 8 slots pinned to zero: 2^12 candidates, among them
         # hlsda structures that are not dialgebras (and none the other way)
         fixed = [0] * 8 + [-1] * (pykern.layout("hlsda", 2)[0] - 8)
         want = brute_audit(*kinds, 2, 2, fixed)
         assert (want[1] > 0) == (kinds[0] == "hlsda")
-        assert pykern.audit(*kinds, 2, 2, fixed) == want
+        assert kernel.audit(*kinds, 2, 2, fixed) == want
+
+    @pytest.mark.parametrize("call", ["sweep", "audit", "passes"])
+    def test_entries_outside_the_field_refused(self, kernel, call):
+        # one input contract for both kernels: a pinned entry must be a
+        # residue mod p, and ``passes`` takes no free slot
+        run = {"sweep": lambda v: kernel.sweep("hom-algebra", 1, 3, v, 5),
+               "audit": lambda v: kernel.audit("hom-algebra", "hom-prelie",
+                                               1, 3, v),
+               "passes": lambda v: kernel.passes("hom-algebra", v, 1, 3)}[call]
+        bad = [[4, -1], [3, 0], [0, 5]]
+        if call == "passes":
+            bad += [[-1, 0], [0, -2]]
+        for v in bad:
+            with pytest.raises(ValueError, match="residues mod p"):
+                run(v)
+        with pytest.raises(ValueError, match="entries, not 3"):
+            run([0, 1, 2])
+
+
+class TestCompiledWalk(TestPrunedWalk):
+    """The same cases on the compiled kernel, built from source."""
+
+    @pytest.fixture
+    def kernel(self, compiled):
+        return compiled
 
 
 class TestCountsWithinReach:
     """Counts the pruned walk makes cheap on the Python kernel."""
 
-    def test_unital_dim3_gf2_hom_algebras(self):
+    @pytest.fixture
+    def kernel(self):
+        return pykern
+
+    def test_unital_dim3_gf2_hom_algebras(self, kernel):
         spec = SearchSpec("hom-algebra", 3, 2, require_unit=True, cap=0)
-        assert enumerate_structures(spec, kernel="python").count == 4268
+        assert enumerate_structures(spec, kernel=kernel.NAME).count == 4268
 
     @pytest.mark.parametrize("kind, count", [("hom-dialgebra", 15),
                                              ("hlsda", 207)])
-    def test_twist_pinned_gf3_dim2(self, kind, count):
+    def test_twist_pinned_gf3_dim2(self, kernel, kind, count):
         # 3^16 candidates, past the Python budget of the search API
         total, _, al = pykern.layout(kind, 2)
         fixed = [-1] * al + [1, 1, 0, 1]
-        got, samples = pykern.sweep(kind, 2, 3, fixed, 4)
+        got, samples = kernel.sweep(kind, 2, 3, fixed, 4)
         assert got == count
         for flat in samples:
             assert CHECKERS[kind](structure_from_flat(kind, flat, 2, 3)).passed
+
+
+class TestCompiledCountsWithinReach(TestCountsWithinReach):
+    """The same counts on the compiled kernel, built from source."""
+
+    @pytest.fixture
+    def kernel(self, compiled):
+        return compiled

@@ -15,24 +15,26 @@ from homstruct.search import (AuditResult, SearchSpec, audit_inclusion,
                               enumerate_structures, find_morphisms,
                               group_by_isomorphism, structure_from_flat)
 
-KERNELS = available()
 
-needs_compiled = pytest.mark.skipif("compiled" not in KERNELS,
-                                    reason="compiled kernel not built")
+@pytest.fixture(params=["python", "compiled"])
+def kernel(request):
+    """Each kernel's name; the compiled kernel is built from source."""
+    if request.param == "compiled":
+        request.getfixturevalue("compiled")
+    return request.param
+
 
 ONE_PRODUCT_KINDS = [kind for kind, products in pykern.KINDS.items()
                      if products == 1]
 
 
 class TestCounts:
-    @pytest.mark.parametrize("kernel", KERNELS)
     def test_dim1_gf2_all_four_pass(self, kernel):
         r = enumerate_structures(SearchSpec("hom-algebra", 1, 2, cap=10),
                                  kernel=kernel)
         assert r.count == 4
         assert len(r.structures) == 4
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     def test_dim1_gf3_count_is_seven(self, kernel):
         # nine raw candidates minus the two with a nontrivial product and
         # a twist of residue 2 (where scaling and squaring disagree)
@@ -57,7 +59,6 @@ class TestStreams:
         assert [s.bracket.c for s in first.structures] == \
             [s.bracket.c for s in second.structures]
 
-    @needs_compiled
     @pytest.mark.parametrize("kind, n, p, pinned_twist", [
         ("hom-algebra", 1, 5, None),
         # one-product kinds: the full GF(2) space, and GF(3) with the twist
@@ -68,7 +69,8 @@ class TestStreams:
         ("hom-dialgebra", 2, 2, [[1, 1], [0, 1]]),
         ("hlsda", 2, 2, [[0, 1], [1, 0]]),
     ])
-    def test_kernels_agree_on_streams(self, kind, n, p, pinned_twist):
+    def test_kernels_agree_on_streams(self, compiled, kind, n, p,
+                                      pinned_twist):
         total, _, al = pykern.layout(kind, n)
         fixed = [-1] * total
         if pinned_twist:
@@ -154,7 +156,6 @@ class TestSpecHandling:
 
 
 class TestAudit:
-    @pytest.mark.parametrize("kernel", KERNELS)
     def test_dialgebra_always_left_disymmetric_on_subspace(self, kernel):
         # full sweep is exercised in the acceptance suite; pin the twist to
         # the identity here to keep the python kernel fast
@@ -196,10 +197,9 @@ class TestAudit:
         with pytest.raises(FieldError):
             audit_inclusion("hom-dialgebra", "hlsda", 1, 4)
 
-    @needs_compiled
     @pytest.mark.parametrize("kinds", [("hlsda", "hom-dialgebra"),
                                        ("hom-dialgebra", "hlsda")])
-    def test_kernels_agree_on_audit(self, kinds):
+    def test_kernels_agree_on_audit(self, compiled, kinds):
         fixed = [-1] * pykern.layout("hlsda", 2)[0]
         for slot in range(8):
             fixed[slot] = 0
@@ -254,25 +254,21 @@ class TestCompiledOverflowGuard:
             enumerate_structures(SearchSpec("hom-algebra", 1, 2),
                                  kernel="compiled")
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     def test_large_prime_count(self, kernel):
         spec = SearchSpec("hom-algebra", 2, LARGE_P, fixed=LARGE_P_PASSING)
         assert enumerate_structures(spec, kernel=kernel).count == 1
 
-    @needs_compiled
-    def test_auto_matches_python_at_large_prime(self):
+    def test_auto_matches_python_at_large_prime(self, compiled):
         spec = SearchSpec("hom-algebra", 2, LARGE_P, fixed=LARGE_P_PASSING)
         assert enumerate_structures(spec, kernel="auto").kernel == "compiled"
         assert enumerate_structures(spec, kernel="auto").count == \
             enumerate_structures(spec, kernel="python").count == 1
 
-    @needs_compiled
-    def test_large_entries_decide_like_the_python_kernel(self):
+    def test_large_entries_decide_like_the_python_kernel(self, compiled):
         # the passing candidate, then each copy with one entry moved by 1
         flat = [x for plane in LARGE_P_PASSING["mu"] for row in plane
                 for x in row] + [x for row in LARGE_P_PASSING["alpha"]
                                  for x in row]
-        compiled = get_kernel("compiled")
         assert compiled.passes("hom-algebra", flat, 2, LARGE_P)
         for slot in range(len(flat)):
             bent = list(flat)
