@@ -6,7 +6,8 @@ Subcommands: ``check`` (run a checker suite on a structure document),
 bundled examples against their committed verdicts).
 
 Exit codes: 0 all requested checks pass, 1 a check fails or a
-construction is rejected, 2 unreadable or invalid input.
+construction is rejected, 2 unreadable or invalid input or an unwritable
+output path.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from ._kernels import available as available_kernels
 from .axioms import coerce_for_check, run_check
 from .corpus import corpus_run, render_summary
 from .documents import (document_to_morphism, document_to_structure, dumps,
-                        load_path, save_path, structure_to_document)
+                        load_path, save_path, structure_to_document,
+                        write_text)
 from .errors import (BudgetExceededError, ConstructionError, DocumentError,
                      HomstructError, NotEligibleError, ShapeError)
 from .oracle import oracle_crosscheck
@@ -45,17 +47,13 @@ DEFAULT_CHECKS = {
 }
 
 def _load_structure(path):
-    try:
-        doc = load_path(path)
-        return document_to_structure(doc), doc
-    except FileNotFoundError as exc:
-        raise DocumentError(f"cannot read {path}: {exc}") from exc
+    doc = load_path(path)
+    return document_to_structure(doc), doc
 
 
 def _emit(args, text):
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        write_text(args.out, text if text.endswith("\n") else text + "\n")
     else:
         print(text)
 
@@ -157,7 +155,7 @@ def _construct(args):
 def cmd_construct(args) -> int:
     try:
         out = _construct(args)
-    except (DocumentError, FileNotFoundError) as exc:
+    except DocumentError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except NotEligibleError as exc:

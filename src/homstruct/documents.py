@@ -225,10 +225,24 @@ def loads(text: str) -> dict:
 
 
 def load_path(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    """Parse the document at ``path``; a file that cannot be opened or is
+    not UTF-8 raises DocumentError, like malformed content."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DocumentError(f"cannot read {path}: {exc}") from exc
+    return loads(text)
+
+
+def write_text(path, text: str):
+    """Write ``text`` to ``path``; DocumentError when it cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc}") from exc
 
 
 def save_path(path, doc: dict):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(doc))
+    write_text(path, dumps(doc))

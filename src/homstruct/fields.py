@@ -2,8 +2,10 @@
 
 Every value in this package is a scalar from one of two field types:
 
-* ``RationalField`` -- arbitrary-precision rationals backed by
-  ``fractions.Fraction`` (always reduced, positive denominator);
+* ``RationalField`` -- exact rationals. A scalar is a Python ``int``
+  when its value is integral and a ``fractions.Fraction`` (reduced,
+  positive denominator) only when its denominator exceeds 1, so each
+  value has exactly one representation;
 * ``PrimeField(p)`` -- integers mod a prime ``p``, stored as residues
   in ``[0, p)``.
 
@@ -61,7 +63,15 @@ def _is_prime(n: int) -> bool:
 
 
 class RationalField:
-    """The field of exact rationals. Scalars are ``Fraction`` values."""
+    """The field of exact rationals.
+
+    A scalar is an ``int`` when it is integral and a ``Fraction`` with
+    denominator > 1 otherwise. Integral values dominate the paper's
+    constructions, and native int arithmetic is much cheaper than
+    ``Fraction`` arithmetic. ``reduce`` maps any sum or product of
+    scalars (an ``int`` or a ``Fraction``) to this form, and every
+    operation below returns reduced values.
+    """
 
     name = "rational"
 
@@ -74,23 +84,24 @@ class RationalField:
     def __repr__(self):
         return "RationalField()"
 
-    # shared constants: Fraction is immutable
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def coerce(self, value):
         """Turn an int, Fraction or exact literal string into a scalar."""
         if isinstance(value, bool):
             raise ScalarParseError(f"not a rational scalar: {value!r}")
-        if isinstance(value, (int, Fraction)):
-            return Fraction(value)
+        if isinstance(value, int):
+            return int(value)
+        if isinstance(value, Fraction):
+            return self.reduce(value)
         if isinstance(value, str):
             text = value.strip()
             if not _RATIONAL_LITERAL.match(text):
                 raise ScalarParseError(f"bad rational literal {value!r}; "
                                        "use an integer or p/q")
             try:
-                return Fraction(text)
+                return self.reduce(Fraction(text))
             except ZeroDivisionError as exc:
                 raise ScalarParseError(f"bad rational literal {value!r}") from exc
         if isinstance(value, float):
@@ -98,36 +109,39 @@ class RationalField:
         raise ScalarParseError(f"not a rational scalar: {value!r}")
 
     def add(self, a, b):
-        return a + b
+        return self.reduce(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return self.reduce(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return self.reduce(a * b)
 
     def neg(self, a):
         return -a
 
     def reduce(self, a):
-        """The canonical scalar of a sum or product of scalars."""
-        return a
+        """The canonical scalar of a sum or product of scalars: the
+        numerator of an integral ``Fraction``, anything else as it is."""
+        if type(a) is int:
+            return a
+        return a.numerator if a.denominator == 1 else a
 
     def dot(self, xs, ys):
-        """sum_i xs[i] * ys[i], skipping zero factors."""
-        acc = self.zero
+        """sum_i xs[i] * ys[i], skipping zero factors, reduced once."""
+        acc = 0
         for a, b in zip(xs, ys):
             if a and b:
                 acc += a * b
-        return acc
+        return self.reduce(acc)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return self.reduce(1 / Fraction(a))
 
     def div(self, a, b):
-        return a * self.inv(b)
+        return self.mul(a, self.inv(b))
 
     def format(self, a) -> str:
         return str(a)

@@ -15,10 +15,13 @@ All values are immutable after construction and every operation is a
 pure function, so everything here is safe to share across threads.
 
 Scalar loops use the native ``+`` and ``*`` of the field's scalars
-(``Fraction`` or int), skip zero factors, and call the field's
-``reduce`` once per output entry: over GF(p) sums and products of
-residues are reduced mod p only at the end, which gives the same residue
-because Python ints do not overflow.
+(ints, and over QQ a ``Fraction`` for a non-integral value), skip zero
+factors, and call the field's ``reduce`` once per output entry. Over
+GF(p), sums and products of residues are reduced mod p only at the end,
+which gives the same residue because Python ints do not overflow. Over
+QQ, ``reduce`` turns an integral ``Fraction`` back into an ``int``, so
+every output entry is in the field's canonical form and integral data
+stays in native int arithmetic.
 """
 
 from __future__ import annotations

@@ -201,6 +201,57 @@ class TestConstruct:
         assert err and "Traceback" not in err
 
 
+# Paths that exist but cannot be read as a document, and output paths
+# whose directory is missing: each must exit 2 with one line on stderr.
+DUAL2 = str(DATA_DIR / "dual2dim.json")
+BOOL2 = str(DATA_DIR / "bool2dim.json")
+
+
+@pytest.fixture
+def bad_paths(tmp_path):
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "latin1.json").write_bytes(b'{"kind": "caf\xe9"}')
+    return {"DIR": str(tmp_path / "adir"),
+            "LATIN1": str(tmp_path / "latin1.json"),
+            "OUT": str(tmp_path / "written.json"),
+            "MISSING": str(tmp_path / "missing" / "x.json")}
+
+
+def _exits_two_with_one_line(argv, bad_paths, capsys):
+    argv = [bad_paths.get(a, a) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    return err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "DIR"],
+    ["check", "LATIN1"],
+    ["construct", "tensor", Z2GROUP, "DIR"],
+    ["construct", "twist", Z2GROUP, "--alpha", "DIR"],
+    ["construct", "twist", Z2GROUP, "--alpha", "LATIN1"],
+], ids=["check-directory", "check-not-utf8", "tensor-directory",
+        "twist-alpha-directory", "twist-alpha-not-utf8"])
+def test_unreadable_input_exits_two(argv, bad_paths, capsys):
+    err = _exits_two_with_one_line(argv, bad_paths, capsys)
+    assert err.startswith("invalid input: cannot read ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", HOM3, "--no-oracle", "--out", "MISSING"],
+    ["construct", "k1", KX3, "--out", "MISSING"],
+    ["construct", "assemble", BOOL2, DUAL2, "--kind", "2-bialgebras-B1B2",
+     "--out", "OUT", "--out2", "MISSING"],
+    ["search", "--kind", "hom-algebra", "--dim", "1", "--prime", "2",
+     "--out", "MISSING"],
+], ids=["check-out", "construct-out", "construct-out2", "search-out"])
+def test_unwritable_output_exits_two(argv, bad_paths, capsys):
+    err = _exits_two_with_one_line(argv, bad_paths, capsys)
+    assert f"cannot write {bad_paths['MISSING']}" in err
+
+
 # Search specs that start no large sweep: dimension 1 sweeps at most
 # 7^3 candidates; a larger dimension over GF(2) has over 2^32 candidates
 # unless a whole section is pinned, which needs more than the 8 leaves a

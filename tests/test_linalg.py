@@ -5,6 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import homstruct as hs
+from homstruct import documents
+from homstruct.constructions import (ASSEMBLY_KINDS, assemble_two,
+                                     kaplansky_k1, kaplansky_k2,
+                                     tensor_product, yau_twist)
+from homstruct.corpus import DATA_DIR
 from homstruct.errors import ShapeError
 from homstruct.fields import PrimeField
 from homstruct.linalg import (apply_bilinear, apply_coproduct, bullet,
@@ -186,13 +191,15 @@ def _fsum(f, products):
 
 
 def _canonical(f, value):
-    """Every scalar in a nested tuple is a Fraction over QQ and a residue
-    in [0, p) over GF(p)."""
+    """Every scalar in a nested tuple has its field's one representation:
+    over QQ an int, or a Fraction whose denominator exceeds 1; over GF(p)
+    a residue in [0, p)."""
     if isinstance(value, tuple):
         return all(_canonical(f, x) for x in value)
     if isinstance(f, PrimeField):
         return type(value) is int and 0 <= value < f.p
-    return type(value) is Fraction
+    return type(value) is int or (type(value) is Fraction
+                                  and value.denominator > 1)
 
 
 def _array(data, f, *shape):
@@ -364,3 +371,75 @@ class TestNativeScalarLoops:
         _same(f, coproduct_on_right(s, q).entries, cube(
             lambda i, a, b: _fsum(f, ((s.entries[i][k], d[k][a][b])
                                       for k in R))))
+
+
+# ---------------------------------------------------------------------------
+# over QQ an integral scalar is an int wherever it comes from: documents,
+# field operations and the constructions built on them
+
+_SCALARS = {hs.Vector: "coords", hs.LinearMap: "rows",
+            hs.ProductTensor: "c", hs.CoproductTensor: "d"}
+
+
+def _section_scalars(s):
+    return tuple(getattr(v, _SCALARS[type(v)])
+                 for v in s.section_values().values() if v is not None)
+
+
+def _fraction_count(value):
+    if isinstance(value, tuple):
+        return sum(map(_fraction_count, value))
+    return type(value) is Fraction
+
+
+class TestCanonicalRationals:
+    def test_field_operations(self):
+        half, third = Fraction(1, 2), Fraction(-1, 3)
+        for got, want in ((F.coerce("4/2"), 2), (F.coerce(Fraction(6, 3)), 2),
+                          (F.coerce("-3/6"), Fraction(-1, 2)),
+                          (F.add(half, half), 1), (F.sub(half, half), 0),
+                          (F.mul(2, half), 1), (F.mul(third, -3), 1),
+                          (F.inv(half), 2), (F.inv(-1), -1),
+                          (F.div(3, third), -9), (F.div(1, 3), Fraction(1, 3)),
+                          (F.dot((half, 2, third), (2, 0, 3)), 0),
+                          (F.reduce(Fraction(-4, 1)), -4)):
+            assert got == want
+            assert _canonical(F, (got,))
+        assert type(F.zero) is int and type(F.one) is int
+
+    def test_fixture_scalars(self):
+        seen = 0
+        for path in sorted(DATA_DIR.glob("*.json")):
+            if path.name == "expected.json":
+                continue
+            s = documents.document_to_structure(documents.load_path(path))
+            assert _canonical(s.field, _section_scalars(s)), path.name
+            seen += 1
+        for path in sorted((DATA_DIR / "morphisms").glob("*.json")):
+            f, _, _ = documents.document_to_morphism(documents.load_path(path))
+            assert _canonical(f.field, f.rows), path.name
+            seen += 1
+        assert seen == 24
+
+    def test_construction_outputs(self, kx3, unital2dim, mu2_table):
+        # twists by 1/2 and by 2 make products of non-integral entries
+        # that come out integral: 1/2 * 2, 1/2 - 1/2, ...
+        shrink = yau_twist("algebra", kx3, lmap([[1, 0, 0], [0, "1/2", 0],
+                                                 [0, 0, "1/4"]]))
+        grow = yau_twist("algebra", kx3, lmap([[1, 0, 0], [0, 2, 0],
+                                               [0, 0, 4]]))
+        alpha = lmap([[1, 0], [0, "1/2"]])
+        a = hs.HomAlgebra(unital2dim.mu, alpha, vec([1, 0]))
+        b = hs.HomAlgebra(mu2_table, alpha, vec([1, 0]))
+        outputs = [shrink, tensor_product(shrink, grow),
+                   tensor_product(shrink, a), kaplansky_k1(a),
+                   kaplansky_k2(a), grow, kaplansky_k1(kx3), kaplansky_k2(kx3)]
+        for kind in ASSEMBLY_KINDS:
+            out = assemble_two(kind, a, b)
+            outputs += out if isinstance(out, tuple) else (out,)
+        for s in outputs:
+            assert _canonical(F, _section_scalars(s)), s.kind
+        # the Fraction branch is exercised: the first five keep a 1/2 or 1/4
+        assert all(_fraction_count(_section_scalars(s)) for s in outputs[:5])
+        # (x (x) x) . (x (x) x) = x^2/4 (x) 4x^2: the entry 1/4 * 4 is an int
+        assert outputs[1].mu.c[4][4][8] == 1

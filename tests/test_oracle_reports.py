@@ -1,14 +1,20 @@
 import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 import homstruct as hs
-from homstruct.oracle import oracle_crosscheck, random_vector
+from homstruct.oracle import RATIONAL_POOL, oracle_crosscheck, random_vector
 from homstruct.reports import Report, check_row
 
 from conftest import F
+
+# the oracle's rational pool as Fractions: its values and their order fix
+# the sample stream that every committed oracle verdict was drawn from
+FRACTION_POOL = tuple(Fraction(x) for x in (-2, -1, 0, 1, 2, 3)) + (
+    Fraction(1, 2), Fraction(-1, 3))
 
 
 class TestOracle:
@@ -68,6 +74,21 @@ class TestOracle:
         for _ in range(20):
             v = random_vector(hs.PrimeField(p), 4, rng)
             assert v.coords == tuple(ref.choice(pool) for _ in range(4))
+
+    def test_rational_pool_holds_the_fraction_pool_values(self):
+        assert len(RATIONAL_POOL) == len(FRACTION_POOL)
+        for got, want in zip(RATIONAL_POOL, FRACTION_POOL):
+            assert got == want and hash(got) == hash(want)
+            assert str(got) == str(want)
+            assert type(got) is (int if want.denominator == 1 else Fraction)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rational_samples_match_the_fraction_pool(self, seed):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for n in (1, 2, 3, 4, 5) * 4:
+            v = random_vector(F, n, rng)
+            assert v.coords == tuple(ref.choice(FRACTION_POOL)
+                                     for _ in range(n))
 
     def test_composite_checks_supported(self, ex2):
         res = oracle_crosscheck(ex2, "2-hom-assoc-bialgebra", samples=25,
