@@ -21,15 +21,10 @@ from .structures import (AffineStructure, DifferentialHomAlgebra, HLSDA,
                          HomDialgebra, HomLeibniz, HomPreLie, Morphism,
                          TwoHomStructure, counit_map, is_valid,
                          is_unit_extension_eligible, unit_vector, validate)
-from .axioms import (CHECK_IDS, Verdict, Witness, check_affine,
-                     check_bialgebra_compat, check_composite,
-                     check_dialgebra, check_differential,
-                     check_hom_algebra, check_hom_bialgebra,
-                     check_hom_coalgebra, check_hom_leibniz,
-                     check_hom_prelie, check_hlsda, check_infinitesimal,
-                     check_morphism, classify_two_hom, run_check)
+from .axioms import (CHECK_IDS, Verdict, Witness, check_morphism,
+                     classify_two_hom, default_check, run_check)
 from .constructions import (affine_from_hlsda, assemble_two,
-                            bracket_from_dialgebra,
+                            bracket_from_dialgebra, construct,
                             dialgebra_from_differential, hlsda_from_affine,
                             kaplansky_k1, kaplansky_k2,
                             leibniz_from_differential, opposite, coopposite,

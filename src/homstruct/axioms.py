@@ -1,4 +1,5 @@
-"""One checker per axiom family.
+"""Axiom checks, each selected by its id in :data:`CHECKS` and run with
+:func:`run_check`.
 
 Every identity is evaluated on all basis tuples, which suffices because
 both sides are multilinear in their arguments. A failed identity is
@@ -130,6 +131,9 @@ def _coassoc_tests(delta, alpha, where=""):
 
 
 def _counit_tests(delta, counit, alpha, counit_mode, where=""):
+    """The two counit laws, in one of two conventions: ``eq7`` compares
+    the contracted coproduct against the squared twist, ``eq8`` against
+    the twist itself with identity legs."""
     if counit_mode not in COUNIT_MODES:
         raise ValueError(f"counit mode must be one of {COUNIT_MODES}")
     squared = counit_mode == "eq7"
@@ -160,6 +164,8 @@ def _coalgebra_tests(delta, counit, alpha, counit_mode, where=""):
 
 
 def _compat_tests(mu, delta, counit, alpha, where=""):
+    """The four compatibility identities making the coproduct and the
+    counit morphisms of twisted algebras."""
     f = mu.field
 
     def coproduct_mult(x, y):
@@ -243,6 +249,7 @@ def _prelie_test(product, alpha, where=""):
 
 
 def _hlsda_tests(left, right, alpha, where=""):
+    """The four left-disymmetry identities."""
     base = _dialgebra_axiom_tests(left, right, alpha, where)
 
     def mixed(x, y, z):
@@ -267,6 +274,8 @@ def _hlsda_tests(left, right, alpha, where=""):
 
 
 def _affine_tests(a: AffineStructure, where=""):
+    """Bracket compatibility and the four affine identities, with the
+    underlying Leibniz identity as a prerequisite."""
     n1, n2 = a.nabla1, a.nabla2
     br = a.leibniz.bracket
     alpha = a.alpha
@@ -308,6 +317,8 @@ def _affine_tests(a: AffineStructure, where=""):
 
 
 def _differential_tests(dh: DifferentialHomAlgebra, where=""):
+    """Derivation rule, square-zero and twist commutation, over the
+    twisted-associative algebra axioms."""
     mu, alpha, d = dh.mu, dh.alpha, dh.d
     n, f = dh.dim, dh.field
 
@@ -379,81 +390,7 @@ def merge_verdicts(parts) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# public checkers
-
-def check_hom_algebra(a: HomAlgebra, witness_cap=DEFAULT_WITNESS_CAP) -> Verdict:
-    """Multiplicativity and twisted associativity (plus the unit law when
-    a unit is declared)."""
-    return run_check("hom-algebra", a, witness_cap=witness_cap)
-
-
-def check_hom_coalgebra(c: HomCoalgebra, counit_mode="eq7",
-                        witness_cap=DEFAULT_WITNESS_CAP) -> Verdict:
-    """Twisted coassociativity, comultiplicativity, and the counit law.
-
-    Two counit conventions exist: ``eq7`` compares the contracted
-    coproduct against the squared twist, ``eq8`` against the twist
-    itself with identity legs.
-    """
-    return run_check("hom-coalgebra", c, counit_mode, witness_cap=witness_cap)
-
-
-def check_bialgebra_compat(b: HomBialgebra,
-                           witness_cap=DEFAULT_WITNESS_CAP) -> Verdict:
-    """The four compatibility identities making the coproduct and counit
-    morphisms of twisted algebras."""
-    return run_check("bialgebra-compat", b, witness_cap=witness_cap)
-
-
-def check_hom_bialgebra(b: HomBialgebra, counit_mode="eq7",
-                        witness_cap=DEFAULT_WITNESS_CAP) -> Verdict:
-    """Full unital bialgebra suite: algebra + coalgebra + compatibility."""
-    return run_check("hom-bialgebra", b, counit_mode, witness_cap=witness_cap)
-
-
-def check_infinitesimal(b: HomBialgebra, counit_mode="eq7",
-                        witness_cap=DEFAULT_WITNESS_CAP) -> Verdict:
-    """The twisted infinitesimal relation, with the underlying algebra and
-    coalgebra axioms reported alongside as prerequisites."""
-    return run_check("infinitesimal", b, counit_mode, witness_cap=witness_cap)
-
-
-def check_dialgebra(d: HomDialgebra, strict_assoc=False,
-                    witness_cap=DEFAULT_WITNESS_CAP) -> Verdict:
-    """Both products twisted-associative and multiplicative, plus the three
-    bar-side axioms. ``strict_assoc`` demands plain associativity instead."""
-    return run_check("hom-dialgebra", d, strict_assoc=strict_assoc,
-                     witness_cap=witness_cap)
-
-
-def check_differential(dh: DifferentialHomAlgebra,
-                       witness_cap=DEFAULT_WITNESS_CAP) -> Verdict:
-    """Derivation rule, square-zero, and twist commutation over a passing
-    twisted-associative algebra."""
-    return run_check("differential", dh, witness_cap=witness_cap)
-
-
-def check_hom_leibniz(l: HomLeibniz, witness_cap=DEFAULT_WITNESS_CAP) -> Verdict:
-    """The twisted Leibniz identity. Bracket multiplicativity under the
-    twist and vanishing of self-brackets are reported as non-fatal info."""
-    return run_check("hom-leibniz", l, witness_cap=witness_cap)
-
-
-def check_hom_prelie(p: HomPreLie, witness_cap=DEFAULT_WITNESS_CAP) -> Verdict:
-    """Left symmetry of twisted associators."""
-    return run_check("hom-prelie", p, witness_cap=witness_cap)
-
-
-def check_hlsda(s: HLSDA, witness_cap=DEFAULT_WITNESS_CAP) -> Verdict:
-    """The four left-disymmetry identities."""
-    return run_check("hlsda", s, witness_cap=witness_cap)
-
-
-def check_affine(a: AffineStructure, witness_cap=DEFAULT_WITNESS_CAP) -> Verdict:
-    """Bracket compatibility and the four affine identities, with the
-    underlying Leibniz check as a prerequisite."""
-    return run_check("affine", a, witness_cap=witness_cap)
-
+# morphisms
 
 def check_morphism(f, src, dst, witness_cap=DEFAULT_WITNESS_CAP) -> Verdict:
     """Does ``f`` intertwine every map the two structures carry?
@@ -496,6 +433,9 @@ def check_morphism(f, src, dst, witness_cap=DEFAULT_WITNESS_CAP) -> Verdict:
     return run_suite(src.dim, src.field, tests, witness_cap)
 
 
+# ---------------------------------------------------------------------------
+# the check table: every check id resolves here
+
 def classify_two_hom(s: TwoHomStructure) -> str:
     """Type tag by equality of the two products and the two coproducts."""
     same_mu = tensors_equal(s.mu1, s.mu2)
@@ -505,16 +445,9 @@ def classify_two_hom(s: TwoHomStructure) -> str:
     return f"({1 if same_mu else 2}-{1 if same_delta else 2})"
 
 
-def check_composite(kind: str, s, counit_mode="eq7",
-                    witness_cap=DEFAULT_WITNESS_CAP) -> Verdict:
-    """Aggregate the constituent checks a composite kind demands."""
-    return run_check(kind, s, counit_mode, witness_cap=witness_cap)
-
-
-# ---------------------------------------------------------------------------
-# the check table: every check id resolves here
-
 def _hom_bialgebra_suite(s, counit_mode, strict_assoc):
+    """The full unital bialgebra suite: algebra, coalgebra and
+    compatibility."""
     return (_algebra_tests(s.mu, s.alpha, s.unit)
             + _coassoc_tests(s.delta, s.alpha)[1:]  # coassociativity
             + _counit_tests(s.delta, s.counit, s.alpha, counit_mode)
@@ -522,12 +455,17 @@ def _hom_bialgebra_suite(s, counit_mode, strict_assoc):
 
 
 def _infinitesimal_suite(s, counit_mode, strict_assoc):
+    """The twisted infinitesimal relation, with the underlying algebra and
+    coalgebra axioms alongside as prerequisites."""
     return (_algebra_tests(s.mu, s.alpha, s.unit)
             + _coalgebra_tests(s.delta, s.counit, s.alpha, counit_mode)
             + _infinitesimal_test(s.mu, s.delta, s.alpha))
 
 
 def _dialgebra_suite(s, counit_mode, strict_assoc):
+    """Both products twisted-associative and multiplicative, plus the three
+    bar-side axioms. ``strict_assoc`` demands plain associativity instead
+    of the twisted one."""
     tests = []
     for name, p in (("left", s.left), ("right", s.right)):
         if strict_assoc:
@@ -542,6 +480,8 @@ def _dialgebra_suite(s, counit_mode, strict_assoc):
 
 
 def _leibniz_suite(s, counit_mode, strict_assoc):
+    """The twisted Leibniz identity. Bracket multiplicativity under the
+    twist and vanishing self-brackets are reported as non-fatal info."""
     mult = _algebra_tests(s.bracket, s.alpha, None)[0]
 
     def self_zero(x):
@@ -662,6 +602,18 @@ def coerce_for_check(check_id: str, s):
         raise ShapeError(f"kind mismatch: structure is {s.variant}, "
                          f"check asked for {check_id}")
     return s
+
+
+def default_check(s) -> str:
+    """The id of the check a structure is held to by default: the check
+    named after its kind, else the one check whose canonical type is its
+    record (``differential`` for a differential hom-algebra, ``affine``
+    for an affine structure)."""
+    if s.kind in CHECKS:
+        return s.kind
+    (check_id,) = [check_id for check_id, check in CHECKS.items()
+                   if check.types[0] is type(s)]
+    return check_id
 
 
 def _suite(check: Check, s, counit_mode, strict_assoc):

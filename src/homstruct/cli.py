@@ -16,35 +16,20 @@ import argparse
 import json
 import sys
 
-from . import __version__, constructions
+from . import __version__
 from ._kernels import available as available_kernels
-from .axioms import coerce_for_check, run_check
+from .axioms import coerce_for_check, default_check, run_check
+from .constructions import CONSTRUCT_VERBS, construct
 from .corpus import corpus_run, render_summary
 from .documents import (document_to_morphism, document_to_structure, dumps,
-                        load_path, save_path, structure_to_document,
-                        write_text)
+                        load_path, structure_to_document, write_texts)
 from .errors import (BudgetExceededError, ConstructionError, DocumentError,
                      HomstructError, NotEligibleError, ShapeError)
 from .oracle import oracle_crosscheck
 from .reports import Report, check_row
 from .search import SearchSpec, enumerate_structures
-from .structures import HomAlgebra, HomBialgebra, HomCoalgebra, validate
+from .structures import validate
 
-DEFAULT_CHECKS = {
-    "hom-algebra": ("hom-algebra",),
-    "hom-coalgebra": ("hom-coalgebra",),
-    "hom-bialgebra": ("hom-bialgebra",),
-    "2-hom-assoc-algebra": ("2-hom-assoc-algebra",),
-    "2-hom-assoc-bialgebra": ("2-hom-assoc-bialgebra",),
-    "2-hom-bialgebra": ("2-hom-bialgebra",),
-    "2-2-hom-bialgebra": ("2-2-hom-bialgebra",),
-    "hom-dialgebra": ("hom-dialgebra",),
-    "differential-hom-algebra": ("differential",),
-    "hom-leibniz": ("hom-leibniz",),
-    "hom-prelie": ("hom-prelie",),
-    "hlsda": ("hlsda",),
-    "affine-hom-leibniz": ("affine",),
-}
 
 def _load_structure(path):
     doc = load_path(path)
@@ -53,7 +38,8 @@ def _load_structure(path):
 
 def _emit(args, text):
     if args.out:
-        write_text(args.out, text if text.endswith("\n") else text + "\n")
+        text = text if text.endswith("\n") else text + "\n"
+        write_texts([(args.out, text)])
     else:
         print(text)
 
@@ -71,32 +57,26 @@ def cmd_check(args) -> int:
     if defects:
         print(f"invalid structure: {'; '.join(defects)}", file=sys.stderr)
         return 2
-    check_ids = ((args.kind,) if args.kind
-                 else DEFAULT_CHECKS.get(structure.kind, (structure.kind,)))
+    check_id = args.kind or default_check(structure)
     try:
-        targets = [(c, coerce_for_check(c, structure)) for c in check_ids]
+        target = coerce_for_check(check_id, structure)
     except (ValueError, ShapeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     basis = doc.get("basis") or [f"e{i + 1}" for i in range(structure.dim)]
-    all_pass = True
-    for check_id, target in targets:
-        verdict = run_check(check_id, target, counit_mode=args.counit_mode,
-                            strict_assoc=args.strict_assoc,
-                            witness_cap=args.witness_cap)
-        oracle = None
-        if not args.no_oracle:
-            oracle = oracle_crosscheck(target, check_id,
-                                       samples=args.oracle_samples,
-                                       seed=args.seed,
-                                       counit_mode=args.counit_mode,
-                                       strict_assoc=args.strict_assoc,
-                                       verdict=verdict)
-            if not oracle.agreed:
-                all_pass = False
-        report.checks.append(check_row(check_id, verdict, structure.field,
-                                       basis, oracle))
-        all_pass = all_pass and verdict.passed
+    verdict = run_check(check_id, target, counit_mode=args.counit_mode,
+                        strict_assoc=args.strict_assoc,
+                        witness_cap=args.witness_cap)
+    oracle = None
+    if not args.no_oracle:
+        oracle = oracle_crosscheck(target, check_id,
+                                   samples=args.oracle_samples,
+                                   seed=args.seed,
+                                   counit_mode=args.counit_mode,
+                                   strict_assoc=args.strict_assoc,
+                                   verdict=verdict)
+    report.checks.append(check_row(check_id, verdict, structure.field,
+                                   basis, oracle))
     for f in findings:
         if f.severity == "warning":
             report.annotations.append(f"warning {f.code}: {f.message}")
@@ -104,52 +84,24 @@ def cmd_check(args) -> int:
         _emit(args, json.dumps(report.to_dict(), indent=1))
     else:
         _emit(args, report.render_human())
-    return 0 if all_pass else 1
-
-
-CONSTRUCT_VERBS = ("assemble", "bracket", "cop", "dialg-from-diff",
-                   "hlsda-from-affine", "k1", "k2", "leibniz-from-diff", "op",
-                   "tensor", "trivial-dialg", "twist")
+    passed = verdict.passed and (oracle is None or oracle.agreed)
+    return 0 if passed else 1
 
 
 def _construct(args):
     verb = args.verb
-    inputs = 2 if verb in ("assemble", "tensor") else 1
+    inputs = CONSTRUCT_VERBS[verb]
     if len(args.inputs) != inputs:
         raise DocumentError(f"{verb} takes {inputs} input document"
                             f"{'s' * (inputs > 1)}, got {len(args.inputs)}")
     if verb == "twist" and not args.alpha:
         raise DocumentError("twist needs --alpha MATRIXFILE")
-    s, *rest = [_load_structure(path)[0] for path in args.inputs]
+    structures = [_load_structure(path)[0] for path in args.inputs]
+    alpha = None
     if verb == "twist":
         alpha, _, _ = document_to_morphism(load_path(args.alpha))
-        return constructions.yau_twist(args.kind, s, alpha)
-    if verb in ("k1", "k2"):
-        fn = (constructions.kaplansky_k1 if verb == "k1"
-              else constructions.kaplansky_k2)
-        return fn(s, allow_ineligible=args.allow_ineligible)
-    if verb == "assemble":
-        return constructions.assemble_two(args.kind, s, *rest,
-                                          args.allow_ineligible)
-    if verb == "tensor":
-        return constructions.tensor_product(s, *rest)
-    if verb == "bracket":
-        return constructions.bracket_from_dialgebra(s, args.variant)
-    if verb in ("op", "cop"):
-        section, flip, carrying, what = (
-            ("mu", constructions.opposite, (HomAlgebra, HomBialgebra),
-             "product") if verb == "op" else
-            ("delta", constructions.coopposite, (HomCoalgebra, HomBialgebra),
-             "coproduct"))
-        if not isinstance(s, carrying):
-            raise ShapeError(f"{verb} needs a {what}-carrying kind")
-        values = s.section_values()
-        values[section] = flip(values[section])
-        return s.from_sections(s.kind, values)
-    return {"dialg-from-diff": constructions.dialgebra_from_differential,
-            "leibniz-from-diff": constructions.leibniz_from_differential,
-            "hlsda-from-affine": constructions.hlsda_from_affine,
-            "trivial-dialg": constructions.trivial_dialgebra}[verb](s)
+    return construct(verb, structures, kind=args.kind, variant=args.variant,
+                     alpha=alpha, allow_ineligible=args.allow_ineligible)
 
 
 def cmd_construct(args) -> int:
@@ -169,24 +121,22 @@ def cmd_construct(args) -> int:
         return 1
 
     outputs = out if isinstance(out, tuple) else (out,)
-    paths = [args.out] if args.out else []
-    if args.out2:
-        paths.append(args.out2)
+    paths = [path for path in (args.out, args.out2) if path]
     metadata = None
     if args.verb in ("k1", "k2", "assemble"):
         # the adjoined unit sits at index 0; old basis vector i is at i + 1
         metadata = {"adjoined-unit-index": 0, "old-basis-offset": 1}
-    lines = []
+    lines, writes = [], []
     for idx, s in enumerate(outputs):
-        doc = structure_to_document(s, metadata=metadata)
+        text = dumps(structure_to_document(s, metadata=metadata))
         if idx < len(paths):
-            save_path(paths[idx], doc)
+            writes.append((paths[idx], text))
             lines.append(f"wrote {s.kind} (dim {s.dim}) to {paths[idx]}")
         else:
-            lines.append(dumps(doc).rstrip())
+            lines.append(text.rstrip())
         # the unit-adjoining extensions also run the infinitesimal check
         post = (("hom-bialgebra", "infinitesimal") if args.verb in ("k1", "k2")
-                else DEFAULT_CHECKS[s.kind])
+                else (default_check(s),))
         for check_id in post:
             verdict = run_check(check_id, s, counit_mode=args.counit_mode)
             detail = ""
@@ -194,6 +144,7 @@ def cmd_construct(args) -> int:
                 w = verdict.witnesses[0]
                 detail = f" (witness {w.label()})"
             lines.append(f"  {check_id}: {verdict.status}{detail}")
+    write_texts(writes)
     print("\n".join(lines))
     return 0
 

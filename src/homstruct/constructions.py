@@ -9,9 +9,7 @@ Identical inputs always yield identical outputs.
 
 from __future__ import annotations
 
-from .axioms import (check_affine, check_dialgebra, check_differential,
-                     check_hlsda, check_hom_algebra, check_morphism,
-                     coerce_for_check)
+from .axioms import check_morphism, coerce_for_check, run_check
 from .errors import (ConstructionError, InvalidStructureError,
                      MissingMapError, NotEligibleError, ShapeError)
 from .fields import require_same_field
@@ -19,8 +17,8 @@ from .linalg import (CoproductTensor, LinearMap, ProductTensor, Vector,
                      apply_bilinear, basis_vector, kron,
                      product_from_basis_values, tensors_equal)
 from .structures import (SECTION_TYPES, AffineStructure, HLSDA, HomAlgebra,
-                         HomBialgebra, HomDialgebra, DifferentialHomAlgebra,
-                         HomLeibniz, TwoHomStructure,
+                         HomBialgebra, HomCoalgebra, HomDialgebra,
+                         DifferentialHomAlgebra, HomLeibniz, TwoHomStructure,
                          is_unit_extension_eligible, unit_basis_index,
                          validate)
 
@@ -324,7 +322,7 @@ def coopposite(q: CoproductTensor) -> CoproductTensor:
 def dialgebra_from_differential(dh: DifferentialHomAlgebra) -> HomDialgebra:
     """Two products from a differential algebra: x -| y = t(x) . d(t(y))
     and x |- y = d(t(x)) . t(y), where t is the twist."""
-    verdict = check_differential(dh)
+    verdict = run_check("differential", dh)
     if not verdict.passed:
         raise ConstructionError("differential axioms fail", verdict)
     f, n = dh.field, dh.dim
@@ -345,7 +343,7 @@ def dialgebra_from_differential(dh: DifferentialHomAlgebra) -> HomDialgebra:
 def leibniz_from_differential(dh: DifferentialHomAlgebra) -> HomLeibniz:
     """The bracket t(x) . d(t(y)) - d(t(y)) . t(x) of a differential
     algebra."""
-    verdict = check_differential(dh)
+    verdict = run_check("differential", dh)
     if not verdict.passed:
         raise ConstructionError("differential axioms fail", verdict)
     f, n = dh.field, dh.dim
@@ -369,10 +367,8 @@ def bracket_from_dialgebra(d: HomDialgebra, variant: str = "loday") -> HomLeibni
     """
     if variant not in BRACKET_VARIANTS:
         raise ConstructionError(f"unknown bracket variant {variant!r}")
-    if variant == "aligned":
-        verdict = check_dialgebra(d)
-    else:
-        verdict = check_hlsda(d)
+    verdict = run_check("hom-dialgebra" if variant == "aligned" else "hlsda",
+                        d)
     if not verdict.passed:
         raise ConstructionError(f"prerequisite check for the {variant} "
                                 f"bracket fails", verdict)
@@ -397,7 +393,7 @@ def _derived_bracket(d, variant) -> HomLeibniz:
 def hlsda_from_affine(a: AffineStructure) -> HLSDA:
     """Read the two affine maps as products: x |- y = nabla1(x, y) and
     x -| y = nabla2(x, y)."""
-    verdict = check_affine(a)
+    verdict = run_check("affine", a)
     if not verdict.passed:
         raise ConstructionError("affine axioms fail", verdict)
     return HLSDA(a.nabla2, a.nabla1, a.alpha)
@@ -406,7 +402,7 @@ def hlsda_from_affine(a: AffineStructure) -> HLSDA:
 def affine_from_hlsda(s: HLSDA) -> AffineStructure:
     """Inverse reading: the products become the affine maps over the
     derived commutator bracket."""
-    verdict = check_hlsda(s)
+    verdict = run_check("hlsda", s)
     if not verdict.passed:
         raise ConstructionError("left-disymmetry axioms fail", verdict)
     return AffineStructure(s.right, s.left, _derived_bracket(s, "loday"))
@@ -414,7 +410,62 @@ def affine_from_hlsda(s: HLSDA) -> AffineStructure:
 
 def trivial_dialgebra(a: HomAlgebra) -> HomDialgebra:
     """Use one product on both sides."""
-    verdict = check_hom_algebra(a)
+    verdict = run_check("hom-algebra", a)
     if not verdict.passed:
         raise ConstructionError("input is not twisted-associative", verdict)
     return HomDialgebra(a.mu, a.mu, a.alpha)
+
+
+# ---------------------------------------------------------------------------
+# one entry point per construction verb
+
+# construction verb -> number of input structures
+CONSTRUCT_VERBS = {
+    "assemble": 2, "bracket": 1, "cop": 1, "dialg-from-diff": 1,
+    "hlsda-from-affine": 1, "k1": 1, "k2": 1, "leibniz-from-diff": 1,
+    "op": 1, "tensor": 2, "trivial-dialg": 1, "twist": 1,
+}
+
+
+def construct(verb: str, inputs, kind: str = "algebra",
+              variant: str = "loday", alpha: LinearMap = None,
+              allow_ineligible: bool = False):
+    """Run the construction ``verb`` on the structures ``inputs``.
+
+    ``kind`` is the twist kind of ``twist`` and the assembly kind of
+    ``assemble``, ``variant`` the bracket variant, ``alpha`` the twist map,
+    and ``allow_ineligible`` lets ``k1``, ``k2`` and ``assemble`` build the
+    case-split extensions. ``op`` and ``cop`` flip the product or the
+    coproduct of any kind that carries one. ``assemble`` with kind
+    ``2-bialgebras-B1B2`` returns a pair; every other verb one structure.
+    """
+    if verb not in CONSTRUCT_VERBS:
+        raise ShapeError(f"unknown construction {verb!r}")
+    if len(inputs) != CONSTRUCT_VERBS[verb]:
+        raise ShapeError(f"{verb} takes {CONSTRUCT_VERBS[verb]} input "
+                         f"structures, got {len(inputs)}")
+    if verb == "twist" and alpha is None:
+        raise ShapeError("twist needs a twist map")
+    s, *rest = inputs
+    if verb in ("op", "cop"):
+        section, flip, carrying, what = (
+            ("mu", opposite, (HomAlgebra, HomBialgebra), "product")
+            if verb == "op" else
+            ("delta", coopposite, (HomCoalgebra, HomBialgebra), "coproduct"))
+        if not isinstance(s, carrying):
+            raise ShapeError(f"{verb} needs a {what}-carrying kind")
+        values = s.section_values()
+        values[section] = flip(values[section])
+        return s.from_sections(s.kind, values)
+    return {
+        "assemble": lambda: assemble_two(kind, s, *rest, allow_ineligible),
+        "bracket": lambda: bracket_from_dialgebra(s, variant),
+        "dialg-from-diff": lambda: dialgebra_from_differential(s),
+        "hlsda-from-affine": lambda: hlsda_from_affine(s),
+        "k1": lambda: kaplansky_k1(s, allow_ineligible),
+        "k2": lambda: kaplansky_k2(s, allow_ineligible),
+        "leibniz-from-diff": lambda: leibniz_from_differential(s),
+        "tensor": lambda: tensor_product(s, *rest),
+        "trivial-dialg": lambda: trivial_dialgebra(s),
+        "twist": lambda: yau_twist(kind, s, alpha),
+    }[verb]()

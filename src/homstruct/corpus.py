@@ -41,34 +41,24 @@ def _witness_keys(verdict):
     return sorted(keys)
 
 
+# corpus op -> the check id whose structure type it reads its input as
+_COERCIONS = {"as-hlsda": "hlsda", "as-prelie": "hom-prelie",
+              "algebra-of": "hom-algebra"}
+
+
 def _derive(spec, resolved):
     op = spec["op"]
-    if op in ("k1", "k2"):
-        fn = constructions.kaplansky_k1 if op == "k1" else constructions.kaplansky_k2
-        return fn(resolved[spec["input"]],
-                  allow_ineligible=spec.get("allow-ineligible", False))
-    if op == "trivial-dialg":
-        return constructions.trivial_dialgebra(resolved[spec["input"]])
-    if op == "dialg-from-diff":
-        return constructions.dialgebra_from_differential(resolved[spec["input"]])
-    if op == "leibniz-from-diff":
-        return constructions.leibniz_from_differential(resolved[spec["input"]])
-    if op == "bracket":
-        return constructions.bracket_from_dialgebra(resolved[spec["input"]],
-                                                    spec["variant"])
-    if op == "assemble":
-        a, b = (resolved[name] for name in spec["inputs"])
-        out = constructions.assemble_two(spec["kind"], a, b,
-                                         spec.get("allow-ineligible", False))
+    if op in constructions.CONSTRUCT_VERBS:
+        names = spec["inputs"] if "inputs" in spec else [spec["input"]]
+        out = constructions.construct(
+            op, [resolved[name] for name in names], kind=spec.get("kind"),
+            variant=spec.get("variant"),
+            allow_ineligible=spec.get("allow-ineligible", False))
         if isinstance(out, tuple):
             return out[spec.get("select", 0)]
         return out
-    if op == "as-hlsda":
-        return coerce_for_check("hlsda", resolved[spec["input"]])
-    if op == "as-prelie":
-        return coerce_for_check("hom-prelie", resolved[spec["input"]])
-    if op == "algebra-of":
-        return resolved[spec["input"]].algebra
+    if op in _COERCIONS:
+        return coerce_for_check(_COERCIONS[op], resolved[spec["input"]])
     if op == "promote-two-hom":
         s = resolved[spec["input"]]
         delta2 = s.delta2 if s.delta2 is not None else s.delta1

@@ -13,6 +13,7 @@ kind tag fixes the interpretation through ``structures.KINDS``.
 from __future__ import annotations
 
 import json
+import os
 
 from .errors import DocumentError, ScalarParseError
 from .fields import parse_field
@@ -235,14 +236,24 @@ def load_path(path):
     return loads(text)
 
 
-def write_text(path, text: str):
-    """Write ``text`` to ``path``; DocumentError when it cannot be written."""
+def write_texts(items):
+    """Write each ``(path, text)`` pair. Every path is first opened for
+    appending, which changes no file, so a path that cannot be opened
+    leaves all of them as they were; on any failure the files this call
+    created are removed again. DocumentError names the path that could
+    not be written."""
+    created = [path for path, _ in items if not os.path.lexists(path)]
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        for path, _ in items:
+            open(path, "a", encoding="utf-8").close()
+        for path, text in items:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except OSError as exc:
+        for done in filter(os.path.lexists, created):
+            os.remove(done)
         raise DocumentError(f"cannot write {path}: {exc}") from exc
 
 
 def save_path(path, doc: dict):
-    write_text(path, dumps(doc))
+    write_texts([(path, dumps(doc))])

@@ -59,9 +59,6 @@ class Vector:
         f = self.field
         return Vector(f, tuple([f.reduce(c * a) for a in self.coords]))
 
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
 
 def zero_vector(field, n: int) -> Vector:
     return Vector(field, (field.zero,) * n)
@@ -120,16 +117,6 @@ def identity_map(field, n: int) -> LinearMap:
     one, zero = field.one, field.zero
     return LinearMap(field, tuple(tuple(one if i == j else zero for j in range(n))
                                   for i in range(n)))
-
-
-def map_from_columns(field, columns) -> LinearMap:
-    cols = [tuple(c) for c in columns]
-    if not cols:
-        raise ShapeError("no columns")
-    m = len(cols[0])
-    if any(len(c) != m for c in cols):
-        raise ShapeError("ragged columns")
-    return LinearMap(field, tuple(tuple(col[i] for col in cols) for i in range(m)))
 
 
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:
@@ -267,9 +254,6 @@ class Tensor2:
         f = require_same_field(self.field, functional.field)
         dot, row = f.dot, functional.rows[0]
         return Vector(f, tuple([dot(row, erow) for erow in self.entries]))
-
-    def is_zero(self) -> bool:
-        return not any(map(any, self.entries))
 
 
 @dataclass(frozen=True)
@@ -507,17 +491,6 @@ def product_from_basis_values(field, n: int, value_at) -> ProductTensor:
             plane.append(tuple(v.coords))
         c.append(tuple(plane))
     return ProductTensor(field, tuple(c))
-
-
-def coproduct_from_basis_values(field, n: int, value_at) -> CoproductTensor:
-    """Build a coproduct tensor from a callable giving delta(e_k) as a Tensor2."""
-    d = []
-    for k in range(n):
-        t = value_at(k)
-        if t.shape != (n, n):
-            raise ShapeError("basis value has wrong shape")
-        d.append(tuple(tuple(row) for row in t.entries))
-    return CoproductTensor(field, tuple(d))
 
 
 def _outer_rows(f, xs, ys):

@@ -1,5 +1,6 @@
 """Check reports: one machine-readable dict per structure plus a stable
-human rendering. The machine format round-trips through JSON exactly."""
+human rendering. The machine dict holds only JSON types, so it survives
+``json.dumps`` and ``json.loads`` unchanged."""
 
 from __future__ import annotations
 
@@ -79,12 +80,6 @@ class Report:
         if self.annotations:
             out["annotations"] = self.annotations
         return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Report":
-        return cls(d.get("structure", ""), d.get("kind", ""),
-                   list(d.get("checks", [])), list(d.get("defects", [])),
-                   list(d.get("annotations", [])))
 
     def render_human(self) -> str:
         lines = [f"structure {self.structure} ({self.kind})"]

@@ -401,14 +401,13 @@ def _validate_unit(s, unit: Vector):
             e = basis_vector(f, n, i)
             left = apply_bilinear(p, unit, e)
             right = apply_bilinear(p, e, unit)
-            if not tensors_equal(left, e):
-                out.append(Finding("unit", "defect",
-                                   f"{name}(unit, e{i + 1}) = {left.coords}, "
-                                   f"expected e{i + 1}"))
-            if not tensors_equal(right, e):
-                out.append(Finding("unit", "defect",
-                                   f"{name}(e{i + 1}, unit) = {right.coords}, "
-                                   f"expected e{i + 1}"))
+            for args, value in ((f"unit, e{i + 1}", left),
+                                (f"e{i + 1}, unit", right)):
+                if not tensors_equal(value, e):
+                    coords = ", ".join(map(f.format, value.coords))
+                    out.append(Finding("unit", "defect",
+                                       f"{name}({args}) = ({coords}), "
+                                       f"expected e{i + 1}"))
     if not out:
         alpha_u = s.alpha.apply(unit)
         if not tensors_equal(alpha_u, unit):

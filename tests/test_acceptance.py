@@ -55,7 +55,7 @@ def test_criterion_1_reduction_to_classical(fixtures):
     for name in classical:
         a = fixtures[name]
         assert a.alpha.is_identity()
-        hom_passes = hs.check_hom_algebra(a).passed
+        hom_passes = hs.run_check("hom-algebra", a).passed
         classically_associative = classical_associativity_gap(a) is None
         ok = ok and hom_passes == classically_associative == True  # noqa: E712
     # contra case: a table that is not associative fails the checker with
@@ -64,8 +64,8 @@ def test_criterion_1_reduction_to_classical(fixtures):
     plain = hs.HomAlgebra(twisted_table.mu,
                           hs.identity_map(twisted_table.field, 3))
     ok = ok and classical_associativity_gap(plain) == (0, 0, 2)
-    ok = ok and not hs.check_hom_algebra(plain).passed
-    ok = ok and hs.check_hom_algebra(twisted_table).passed
+    ok = ok and not hs.run_check("hom-algebra", plain).passed
+    ok = ok and hs.run_check("hom-algebra", twisted_table).passed
     record(1, ok, "identity-twist checkers agree with direct classical "
                   "evaluation on all four classical fixtures")
 
@@ -79,7 +79,7 @@ def test_criterion_2_twist_conformance(fixtures):
         committed = fixtures[twisted_name]
         rebuilt = yau_twist("algebra", classical, committed.alpha)
         ok = ok and tensors_equal(rebuilt.mu, committed.mu)
-        ok = ok and hs.check_hom_algebra(committed).passed
+        ok = ok and hs.run_check("hom-algebra", committed).passed
     morphisms = load_expected()["morphisms"]
     ok = ok and len(morphisms) >= 3
     for row in morphisms:
@@ -103,8 +103,8 @@ def test_criterion_3_first_extension(fixtures):
         if name == "ut2":
             s = s.algebra
         out = kaplansky_k1(s)
-        results.append(hs.check_hom_bialgebra(out).passed
-                       and hs.check_infinitesimal(out).passed)
+        results.append(hs.run_check("hom-bialgebra", out).passed
+                       and hs.run_check("infinitesimal", out).passed)
     ok = len(results) >= 6 and all(results)
     record(3, ok, f"first unit-adjoining extension passes both suites on "
                   f"all {len(results)} eligible corpus algebras")
@@ -112,8 +112,8 @@ def test_criterion_3_first_extension(fixtures):
 
 def test_criterion_4_second_extension(fixtures):
     out = kaplansky_k2(fixtures["unital2dim"], allow_ineligible=True)
-    bialgebra_ok = hs.check_hom_bialgebra(out).passed
-    verdict = hs.check_infinitesimal(out)
+    bialgebra_ok = hs.run_check("hom-bialgebra", out).passed
+    verdict = hs.run_check("infinitesimal", out)
     witnesses = [w for w in verdict.witnesses if w.axiom == "infinitesimal"]
     ok = bialgebra_ok and not verdict.passed and len(witnesses) >= 1
     record(4, ok, "second extension of the 2-dim unital fixture is a "
@@ -127,12 +127,12 @@ def test_criterion_5_assemblies(fixtures):
     ok = True
     for a, b in pairs:
         b1 = assemble_two("2-assoc-bialgebra-B1", a, b)
-        ok = ok and hs.check_composite("2-hom-assoc-bialgebra", b1).passed
+        ok = ok and hs.run_check("2-hom-assoc-bialgebra", b1).passed
         first, second = assemble_two("2-bialgebras-B1B2", a, b)
-        ok = ok and hs.check_composite("2-hom-bialgebra", first).passed
-        ok = ok and hs.check_composite("2-hom-bialgebra", second).passed
+        ok = ok and hs.run_check("2-hom-bialgebra", first).passed
+        ok = ok and hs.run_check("2-hom-bialgebra", second).passed
         b22 = assemble_two("2-2-bialgebra", a, b)
-        ok = ok and hs.check_composite("2-2-hom-bialgebra", b22).passed
+        ok = ok and hs.run_check("2-2-hom-bialgebra", b22).passed
         ok = ok and b1.dim == a.dim + 1
     record(5, ok, "all three assemblies pass their composite checks on "
                   "both eligible corpus pairs")
@@ -141,15 +141,16 @@ def test_criterion_5_assemblies(fixtures):
 def test_criterion_6_dialgebras_inside_left_disymmetric(fixtures):
     corpus_dialgebras = [fixtures["trivdialg3dim"],
                          dialgebra_from_differential(fixtures["ut2"])]
-    ok = all(hs.check_dialgebra(d).passed
-             and hs.check_hlsda(hs.HLSDA(d.left, d.right, d.alpha)).passed
+    ok = all(hs.run_check("hom-dialgebra", d).passed
+             and hs.run_check("hlsda", hs.HLSDA(d.left, d.right,
+                                               d.alpha)).passed
              for d in corpus_dialgebras)
     sweep = audit_inclusion("hom-dialgebra", "hlsda", 2, 2)
     ok = ok and sweep.violations == 0 and sweep.count > 0
     reverse = audit_inclusion("hlsda", "hom-dialgebra", 2, 2)
     ok = ok and reverse.violations >= 1
-    ok = ok and hs.check_hlsda(reverse.example).passed
-    ok = ok and not hs.check_dialgebra(
+    ok = ok and hs.run_check("hlsda", reverse.example).passed
+    ok = ok and not hs.run_check("hom-dialgebra", 
         hs.HomDialgebra(reverse.example.left, reverse.example.right,
                         reverse.example.alpha)).passed
     record(6, ok, f"exhaustive GF(2) dim-2 sweep: all {sweep.count} "
@@ -168,8 +169,9 @@ def test_criterion_7_bracket_theorems(fixtures):
     for s in corpus_hlsdas:
         loday = bracket_from_dialgebra(
             hs.HomDialgebra(s.left, s.right, s.alpha), "loday")
-        ok = ok and hs.check_hom_leibniz(loday).passed
-    ok = ok and hs.check_hom_leibniz(leibniz_from_differential(ut2)).passed
+        ok = ok and hs.run_check("hom-leibniz", loday).passed
+    ok = ok and hs.run_check("hom-leibniz",
+                             leibniz_from_differential(ut2)).passed
     # the aligned-variant verdict is recorded in the corpus with the
     # discrepancy annotation and must match live evaluation
     table = load_expected()
@@ -179,7 +181,7 @@ def test_criterion_7_bracket_theorems(fixtures):
                     for a in row.get("annotations", []))
     recorded = next(c["status"] for c in row["checks"]
                     if c["check"] == "hom-leibniz")
-    live = hs.check_hom_leibniz(
+    live = hs.run_check("hom-leibniz", 
         bracket_from_dialgebra(d, "aligned")).status
     ok = ok and recorded == live
     record(7, ok, f"loday brackets pass everywhere; the aligned variant's "
@@ -247,8 +249,8 @@ def test_criterion_10_discrepancy_regression():
     import homstruct as hs_mod
     from homstruct.corpus import load_fixture as lf
     ex1_structure = lf("ex1.json")
-    w1 = hs_mod.check_infinitesimal(ex1_structure).witnesses
-    w2 = hs_mod.check_infinitesimal(ex1_structure).witnesses
+    w1 = hs_mod.run_check("infinitesimal", ex1_structure).witnesses
+    w2 = hs_mod.run_check("infinitesimal", ex1_structure).witnesses
     ok = ok and [(w.axiom, w.at) for w in w1] == [(w.axiom, w.at) for w in w2]
     record(10, ok, "corpus flags the published 2-dim bialgebra claim as "
                    "expected-fail with reproducible witnesses")

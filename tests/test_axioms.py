@@ -2,29 +2,30 @@ import pytest
 
 import homstruct as hs
 from homstruct import corpus
-from homstruct.axioms import (CHECK_IDS, coerce_for_check, merge_verdicts,
-                              run_suite, suite_for)
+from homstruct.axioms import (CHECK_IDS, coerce_for_check, default_check,
+                              merge_verdicts, run_suite, suite_for)
 from homstruct.constructions import (bracket_from_dialgebra,
                                      dialgebra_from_differential,
                                      leibniz_from_differential,
                                      trivial_dialgebra)
 from homstruct.errors import HomstructError, ShapeError
 from homstruct.linalg import tensors_equal
+from homstruct.structures import KINDS
 
 from conftest import F, coproduct, lmap, product, vec
 
 
 class TestHomAlgebra:
     def test_paper_table_passes(self, hom3dim):
-        assert hs.check_hom_algebra(hom3dim).passed
+        assert hs.run_check("hom-algebra", hom3dim).passed
 
     def test_classical_fixtures_pass(self, kx3, mat2, z2group, dim1):
         for a in (kx3, mat2, z2group, dim1):
-            assert hs.check_hom_algebra(a).passed
+            assert hs.run_check("hom-algebra", a).passed
 
     def test_untwisted_table_fails_with_exact_witness(self, hom3dim):
         plain = hs.HomAlgebra(hom3dim.mu, hs.identity_map(F, 3))
-        v = hs.check_hom_algebra(plain)
+        v = hs.run_check("hom-algebra", plain)
         assert not v.passed
         w = v.witnesses[0]
         assert (w.axiom, w.at) == ("hom-associativity", (0, 0, 2))
@@ -33,23 +34,24 @@ class TestHomAlgebra:
         assert w.rhs.coords == vec([0, 0, 2]).coords
 
     def test_unit_axiom_checked_when_declared(self, unital2dim):
-        v = hs.check_hom_algebra(unital2dim)
+        v = hs.run_check("hom-algebra", unital2dim)
         assert v.passed
         assert "unit-left" in v.checked and "unit-right" in v.checked
 
 
 class TestHomCoalgebra:
     def test_coalgebra_example_passes(self, coalg2dim):
-        assert hs.check_hom_coalgebra(coalg2dim).passed
+        assert hs.run_check("hom-coalgebra", coalg2dim).passed
 
     def test_counital_example_passes_both_modes(self, counital2dim):
-        assert hs.check_hom_coalgebra(counital2dim, counit_mode="eq7").passed
-        assert hs.check_hom_coalgebra(counital2dim, counit_mode="eq8").passed
+        for mode in ("eq7", "eq8"):
+            assert hs.run_check("hom-coalgebra", counital2dim,
+                                counit_mode=mode).passed
 
     def test_swapped_counit_fails_at_e1(self, coalg2dim):
         swapped = hs.HomCoalgebra(coalg2dim.delta, coalg2dim.alpha,
                                   lmap([[1, 0]]))
-        v = hs.check_hom_coalgebra(swapped)
+        v = hs.run_check("hom-coalgebra", swapped)
         assert not v.passed
         w = next(x for x in v.witnesses if x.axiom == "counit-left")
         assert w.at == (0,)
@@ -58,7 +60,7 @@ class TestHomCoalgebra:
 
     def test_bad_mode_rejected(self, counital2dim):
         with pytest.raises(ValueError):
-            hs.check_hom_coalgebra(counital2dim, counit_mode="eq9")
+            hs.run_check("hom-coalgebra", counital2dim, counit_mode="eq9")
 
 
 class TestBialgebraChecks:
@@ -66,12 +68,12 @@ class TestBialgebraChecks:
         delta = coproduct(1, {(0, 0, 0): 1})
         b = hs.HomBialgebra(dim1.mu, vec([1]), delta, lmap([[1]]),
                             hs.identity_map(F, 1))
-        assert hs.check_bialgebra_compat(b).passed
-        assert hs.check_hom_bialgebra(b).passed
-        assert hs.check_infinitesimal(b).passed
+        assert hs.run_check("bialgebra-compat", b).passed
+        assert hs.run_check("hom-bialgebra", b).passed
+        assert hs.run_check("infinitesimal", b).passed
 
     def test_published_2dim_claim_fails_compat(self, ex1):
-        v = hs.check_bialgebra_compat(ex1)
+        v = hs.run_check("bialgebra-compat", ex1)
         assert sorted(v.failing_axioms()) == ["comultiplicativity",
                                               "counit-twist-invariance"]
         w = next(x for x in v.witnesses if x.axiom == "comultiplicativity")
@@ -81,14 +83,14 @@ class TestBialgebraChecks:
         assert w.rhs.entries == ((F.one, F.zero), (F.zero, F.zero))
 
     def test_published_2dim_claim_fails_infinitesimal(self, ex1):
-        v = hs.check_infinitesimal(ex1)
+        v = hs.run_check("infinitesimal", ex1)
         w = next(x for x in v.witnesses if x.axiom == "infinitesimal")
         assert w.at == (0, 0)
         assert w.lhs.entries == ((F.one, F.zero), (F.zero, F.zero))
         assert w.rhs.entries == ((F.zero, F.zero), (F.zero, F.one))
 
     def test_full_suite_includes_algebra_side(self, ex1):
-        v = hs.check_hom_bialgebra(ex1)
+        v = hs.run_check("hom-bialgebra", ex1)
         assert "multiplicativity" in v.checked
         assert "hom-associativity" in v.checked
         assert sorted(v.failing_axioms()) == [
@@ -98,10 +100,11 @@ class TestBialgebraChecks:
 
 class TestDialgebra:
     def test_trivial_dialgebra_passes(self, hom3dim):
-        assert hs.check_dialgebra(trivial_dialgebra(hom3dim)).passed
+        assert hs.run_check("hom-dialgebra", trivial_dialgebra(hom3dim)).passed
 
     def test_derived_dialgebra_passes(self, ut2):
-        assert hs.check_dialgebra(dialgebra_from_differential(ut2)).passed
+        d = dialgebra_from_differential(ut2)
+        assert hs.run_check("hom-dialgebra", d).passed
 
     def test_swapping_the_products_breaks_middle_exchange(self):
         # over GF(2): e2 -| e2 = e2; e2 |- e1 = e1, e2 |- e2 = e2
@@ -109,9 +112,9 @@ class TestDialgebra:
         left = hs.ProductTensor(gf, (((0, 0), (0, 0)), ((0, 0), (0, 1))))
         right = hs.ProductTensor(gf, (((0, 0), (0, 0)), ((1, 0), (0, 1))))
         d = hs.HomDialgebra(left, right, hs.identity_map(gf, 2))
-        assert hs.check_dialgebra(d).passed
+        assert hs.run_check("hom-dialgebra", d).passed
         swapped = hs.HomDialgebra(d.right, d.left, d.alpha)
-        v = hs.check_dialgebra(swapped)
+        v = hs.run_check("hom-dialgebra", swapped)
         assert not v.passed
         assert "middle-exchange" in v.failing_axioms()
 
@@ -120,32 +123,33 @@ class TestDialgebra:
         # swapped pair still satisfies every axiom
         d = dialgebra_from_differential(ut2)
         swapped = hs.HomDialgebra(d.right, d.left, d.alpha)
-        assert hs.check_dialgebra(swapped).passed
+        assert hs.run_check("hom-dialgebra", swapped).passed
 
     def test_strict_mode_demands_plain_associativity(self, hom3dim):
         d = trivial_dialgebra(hom3dim)
-        assert hs.check_dialgebra(d, strict_assoc=False).passed
-        v = hs.check_dialgebra(d, strict_assoc=True)
+        assert hs.run_check("hom-dialgebra", d, strict_assoc=False).passed
+        v = hs.run_check("hom-dialgebra", d, strict_assoc=True)
         assert not v.passed
         assert "associativity" in v.failing_axioms()
 
     def test_strict_mode_on_classical_input(self, ut2):
         d = dialgebra_from_differential(ut2)
-        assert hs.check_dialgebra(d, strict_assoc=True).passed
+        assert hs.run_check("hom-dialgebra", d, strict_assoc=True).passed
 
 
 class TestDifferential:
     def test_inner_derivation_fixture_passes(self, ut2):
-        assert hs.check_differential(ut2).passed
+        assert hs.run_check("differential", ut2).passed
 
     def test_zero_derivation_passes(self, kx3):
         zero = hs.LinearMap(F, ((F.zero,) * 3,) * 3)
-        assert hs.check_differential(
+        assert hs.run_check("differential", 
             hs.DifferentialHomAlgebra(kx3, zero)).passed
 
     def test_broken_derivation_fails_product_rule(self, ut2):
         bad = lmap([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-        v = hs.check_differential(hs.DifferentialHomAlgebra(ut2.algebra, bad))
+        v = hs.run_check("differential",
+                         hs.DifferentialHomAlgebra(ut2.algebra, bad))
         w = next(x for x in v.witnesses if x.axiom == "derivation-rule")
         assert w.at == (0, 0)
         assert w.lhs.coords == vec([1, 0, 0]).coords
@@ -155,7 +159,7 @@ class TestDifferential:
 class TestLeibniz:
     def test_differential_bracket_passes(self, ut2):
         lb = leibniz_from_differential(ut2)
-        v = hs.check_hom_leibniz(lb)
+        v = hs.run_check("hom-leibniz", lb)
         assert v.passed
         notes = {note.name: note.holds for note in v.info}
         assert notes["bracket-multiplicativity"] is True
@@ -164,28 +168,30 @@ class TestLeibniz:
 
     def test_zero_bracket_passes(self):
         zero = hs.HomLeibniz(product(2, {}), hs.identity_map(F, 2))
-        assert hs.check_hom_leibniz(zero).passed
+        assert hs.run_check("hom-leibniz", zero).passed
 
     def test_loday_bracket_of_derived_dialgebra_passes(self, ut2):
         d = dialgebra_from_differential(ut2)
-        assert hs.check_hom_leibniz(bracket_from_dialgebra(d, "loday")).passed
+        assert hs.run_check("hom-leibniz",
+                            bracket_from_dialgebra(d, "loday")).passed
 
     def test_smallest_nonskew_bracket_passes(self, leibniz2dim):
-        assert hs.check_hom_leibniz(leibniz2dim).passed
+        assert hs.run_check("hom-leibniz", leibniz2dim).passed
 
 
 class TestPreLie:
     def test_any_passing_algebra_is_prelie(self, hom3dim, kx3):
         for a in (hom3dim, kx3):
-            assert hs.check_hom_prelie(hs.HomPreLie(a.mu, a.alpha)).passed
+            assert hs.run_check("hom-prelie",
+                                hs.HomPreLie(a.mu, a.alpha)).passed
 
     def test_commutative_identity_twist_passes(self, z2group):
-        assert hs.check_hom_prelie(
+        assert hs.run_check("hom-prelie", 
             hs.HomPreLie(z2group.mu, z2group.alpha)).passed
 
     def test_nonsymmetric_associator_fails_with_witness(self):
         p = hs.HomPreLie(product(2, {(0, 1, 0): 1}), hs.identity_map(F, 2))
-        v = hs.check_hom_prelie(p)
+        v = hs.run_check("hom-prelie", p)
         assert not v.passed
         w = v.witnesses[0]
         assert w.axiom == "left-symmetry"
@@ -196,20 +202,21 @@ class TestHlsda:
     def test_any_dialgebra_is_left_disymmetric(self, ut2, hom3dim):
         for d in (dialgebra_from_differential(ut2),
                   trivial_dialgebra(hom3dim)):
-            assert hs.check_hlsda(hs.HLSDA(d.left, d.right, d.alpha)).passed
+            assert hs.run_check("hlsda",
+                                hs.HLSDA(d.left, d.right, d.alpha)).passed
 
     def test_algebra_with_equal_products_is_left_disymmetric(self, hom3dim):
         s = hs.HLSDA(hom3dim.mu, hom3dim.mu, hom3dim.alpha)
-        assert hs.check_hlsda(s).passed
+        assert hs.run_check("hlsda", s).passed
 
     def test_left_symmetric_non_associative_separates_the_classes(self):
         # e2 . e1 = e1, all other products zero: left-symmetric but the
         # product is not (twisted-)associative
         mu = product(2, {(1, 0, 0): 1})
         s = hs.HLSDA(mu, mu, hs.identity_map(F, 2))
-        assert hs.check_hlsda(s).passed
+        assert hs.run_check("hlsda", s).passed
         d = hs.HomDialgebra(mu, mu, hs.identity_map(F, 2))
-        v = hs.check_dialgebra(d)
+        v = hs.run_check("hom-dialgebra", d)
         assert not v.passed
         assert "hom-associativity" in v.failing_axioms()
 
@@ -219,13 +226,13 @@ class TestAffine:
         d = dialgebra_from_differential(ut2)
         bracket = bracket_from_dialgebra(d, "loday")
         aff = hs.AffineStructure(d.right, d.left, bracket)
-        assert hs.check_affine(aff).passed
+        assert hs.run_check("affine", aff).passed
 
     def test_zero_affine_over_zero_bracket_passes(self):
         zero = product(2, {})
         aff = hs.AffineStructure(zero, zero,
                                  hs.HomLeibniz(zero, hs.identity_map(F, 2)))
-        assert hs.check_affine(aff).passed
+        assert hs.run_check("affine", aff).passed
 
     def test_perturbed_map_fails(self, ut2):
         d = dialgebra_from_differential(ut2)
@@ -233,7 +240,7 @@ class TestAffine:
         bad = list(list(list(r) for r in pl) for pl in d.right.c)
         bad[0][0][0] = F.add(bad[0][0][0], F.one)
         aff = hs.AffineStructure(hs.ProductTensor(F, bad), d.left, bracket)
-        assert not hs.check_affine(aff).passed
+        assert not hs.run_check("affine", aff).passed
 
 
 class TestMorphism:
@@ -260,14 +267,14 @@ class TestMorphism:
 
 class TestComposite:
     def test_two_product_claim_fails_only_on_second_product(self, twohom2dim):
-        v = hs.check_composite("2-hom-assoc-algebra", twohom2dim)
+        v = hs.run_check("2-hom-assoc-algebra", twohom2dim)
         keys = {f"{w.where}/{w.axiom}" for w in v.witnesses}
         assert keys == {"mu2/multiplicativity", "mu2/hom-associativity"}
 
     def test_witnesses_union_of_constituents(self, twohom2dim):
-        v = hs.check_composite("2-hom-assoc-algebra", twohom2dim)
+        v = hs.run_check("2-hom-assoc-algebra", twohom2dim)
         mu2 = hs.HomAlgebra(twohom2dim.mu2, twohom2dim.alpha, twohom2dim.unit)
-        sub = hs.check_hom_algebra(mu2)
+        sub = hs.run_check("hom-algebra", mu2)
         assert len(v.witnesses) == len(sub.witnesses)
         assert {(w.axiom, w.at) for w in v.witnesses} == \
             {(w.axiom, w.at) for w in sub.witnesses}
@@ -276,13 +283,13 @@ class TestComposite:
         delta = coproduct(1, {(0, 0, 0): 1})
         b = hs.HomBialgebra(dim1.mu, vec([1]), delta, lmap([[1]]),
                             hs.identity_map(F, 1))
-        v = hs.check_composite("2-hom-bialgebra", b)
+        v = hs.run_check("2-hom-bialgebra", b)
         assert v.passed
         assert any(note.name == "type (1-1)" for note in v.info)
 
     def test_kind_mismatch_raises(self, twohom2dim):
         with pytest.raises(ShapeError):
-            hs.check_composite("2-hom-bialgebra", twohom2dim)
+            hs.run_check("2-hom-bialgebra", twohom2dim)
 
 
 @pytest.fixture(scope="module")
@@ -322,14 +329,14 @@ class TestCheckTable:
         ex2 = corpus_rows["ex2"]
         v = hs.run_check("2-hom-assoc-bialgebra", ex2)
         assert v == merge_verdicts([
-            ("mu1+delta", hs.check_hom_bialgebra(ex2.view(1, 1))),
-            ("mu2+delta", hs.check_infinitesimal(ex2.view(2, 1)))])
+            ("mu1+delta", hs.run_check("hom-bialgebra", ex2.view(1, 1))),
+            ("mu2+delta", hs.run_check("infinitesimal", ex2.view(2, 1)))])
         assert len(v.witnesses) == 18
 
         pair = corpus_rows["ex2-as-2-hom-bialgebra"]
         v = hs.run_check("2-hom-bialgebra", pair)
         parts = merge_verdicts(
-            (f"mu{i}+delta{j}", hs.check_hom_bialgebra(pair.view(i, j)))
+            (f"mu{i}+delta{j}", hs.run_check("hom-bialgebra", pair.view(i, j)))
             for i in (1, 2) for j in (1, 2))
         assert (v.witnesses, v.checked) == (parts.witnesses, parts.checked)
         assert len(v.witnesses) == 32
@@ -348,21 +355,29 @@ class TestCheckTable:
                     refused += 1
         assert refused > 0
 
+    def test_every_kind_has_one_default_check(self):
+        defaults = {kind: default_check(record.from_sections(kind, {}))
+                    for kind, (record, _, _) in KINDS.items()}
+        assert defaults == {
+            **{kind: kind for kind in KINDS if kind in CHECK_IDS},
+            "differential-hom-algebra": "differential",
+            "affine-hom-leibniz": "affine"}
+
     def test_canonical_readings(self, corpus_rows):
         hom3 = corpus_rows["hom3dim_ab"]
         assert hs.run_check("hom-prelie", hom3) == \
-            hs.check_hom_prelie(hs.HomPreLie(hom3.mu, hom3.alpha))
+            hs.run_check("hom-prelie", hs.HomPreLie(hom3.mu, hom3.alpha))
         ex1 = corpus_rows["ex1"]
         assert hs.run_check("hom-algebra", ex1) == \
-            hs.check_hom_algebra(ex1.algebra())
+            hs.run_check("hom-algebra", ex1.algebra())
         assert hs.run_check("hom-coalgebra", ex1) == \
-            hs.check_hom_coalgebra(ex1.coalgebra())
+            hs.run_check("hom-coalgebra", ex1.coalgebra())
 
 
 class TestVerdictMechanics:
     def test_witness_soundness_reevaluates_to_inequality(self, ex1):
         from homstruct.linalg import basis_vector
-        v = hs.check_hom_bialgebra(ex1)
+        v = hs.run_check("hom-bialgebra", ex1)
         tests = {(t.axiom, t.where): t
                  for t in suite_for("hom-bialgebra", ex1)}
         basis = [basis_vector(F, ex1.dim, i) for i in range(ex1.dim)]
@@ -379,25 +394,25 @@ class TestVerdictMechanics:
         mu = product(3, {(i, j, 1): 1 for i in range(3) for j in range(3)})
         alpha = lmap([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
         bad = hs.HomAlgebra(mu, alpha)
-        v = hs.check_hom_algebra(bad, witness_cap=4)
+        v = hs.run_check("hom-algebra", bad, witness_cap=4)
         assert len(v.witnesses) == 4
         assert v.truncated
-        full = hs.check_hom_algebra(bad, witness_cap=100)
+        full = hs.run_check("hom-algebra", bad, witness_cap=100)
         # 5 multiplicativity pairs plus 12 associativity triples touch e1
         assert len(full.witnesses) == 17
         assert not full.truncated
 
     def test_deterministic_witness_order(self, ex1):
-        a = hs.check_hom_bialgebra(ex1)
-        b = hs.check_hom_bialgebra(ex1)
+        a = hs.run_check("hom-bialgebra", ex1)
+        b = hs.run_check("hom-bialgebra", ex1)
         assert [(w.axiom, w.at) for w in a.witnesses] == \
             [(w.axiom, w.at) for w in b.witnesses]
 
     def test_run_check_dispatch_matches_direct_calls(self, hom3dim, ex1):
         assert hs.run_check("hom-algebra", hom3dim).passed == \
-            hs.check_hom_algebra(hom3dim).passed
+            hs.run_check("hom-algebra", hom3dim).passed
         assert hs.run_check("infinitesimal", ex1).status == \
-            hs.check_infinitesimal(ex1).status
+            hs.run_check("infinitesimal", ex1).status
         with pytest.raises(ValueError):
             hs.run_check("nonsense", hom3dim)
 
@@ -407,15 +422,15 @@ class TestClassicalReduction:
 
     def test_associative_iff_hom_associative(self, kx3, mat2, z2group):
         for a in (kx3, mat2, z2group):
-            hom = hs.check_hom_algebra(a).passed
-            strict = hs.check_dialgebra(trivial_dialgebra(a),
+            hom = hs.run_check("hom-algebra", a).passed
+            strict = hs.run_check("hom-dialgebra", trivial_dialgebra(a),
                                         strict_assoc=True).passed
             assert hom and strict
 
     def test_nonassociative_table_fails_both_ways(self, hom3dim):
         plain = hs.HomAlgebra(hom3dim.mu, hs.identity_map(F, 3))
-        assert not hs.check_hom_algebra(plain).passed
+        assert not hs.run_check("hom-algebra", plain).passed
 
     def test_trivial_algebra_passes(self):
         zero = hs.HomAlgebra(product(2, {}), hs.identity_map(F, 2))
-        assert hs.check_hom_algebra(zero).passed
+        assert hs.run_check("hom-algebra", zero).passed

@@ -252,6 +252,22 @@ def test_unwritable_output_exits_two(argv, bad_paths, capsys):
     assert f"cannot write {bad_paths['MISSING']}" in err
 
 
+@pytest.mark.parametrize("existing", [None, "old contents\n"],
+                         ids=["new-out", "existing-out"])
+def test_unwritable_out2_leaves_out_untouched(existing, bad_paths, capsys):
+    out = Path(bad_paths["OUT"])
+    if existing is not None:
+        out.write_text(existing)
+    argv = ["construct", "assemble", BOOL2, DUAL2, "--kind",
+            "2-bialgebras-B1B2", "--out", "OUT", "--out2", "MISSING"]
+    err = _exits_two_with_one_line(argv, bad_paths, capsys)
+    assert err.startswith(f"error: cannot write {bad_paths['MISSING']}")
+    if existing is None:
+        assert not out.exists()
+    else:
+        assert out.read_text() == existing
+
+
 # Search specs that start no large sweep: dimension 1 sweeps at most
 # 7^3 candidates; a larger dimension over GF(2) has over 2^32 candidates
 # unless a whole section is pinned, which needs more than the 8 leaves a

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -82,3 +84,16 @@ def test_load_fixture_returns_structures():
 def test_outcome_is_a_plain_record(outcome):
     assert isinstance(outcome, CorpusOutcome)
     assert all("checks" in row or "error" in row for row in outcome.rows)
+
+
+def test_generator_reproduces_the_bundled_corpus(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_corpus.py"
+    spec = importlib.util.spec_from_file_location("make_corpus", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.main(tmp_path)
+    bundled = sorted(p.relative_to(DATA_DIR) for p in DATA_DIR.rglob("*.json"))
+    assert sorted(p.relative_to(tmp_path)
+                  for p in tmp_path.rglob("*.json")) == bundled
+    for rel in bundled:
+        assert (tmp_path / rel).read_bytes() == (DATA_DIR / rel).read_bytes()

@@ -20,14 +20,6 @@ from homstruct.fields import PrimeField
 from homstruct.search import (SearchSpec, enumerate_structures,
                               structure_from_flat)
 
-CHECKERS = {
-    "hom-algebra": hs.check_hom_algebra,
-    "hom-leibniz": hs.check_hom_leibniz,
-    "hom-prelie": hs.check_hom_prelie,
-    "hom-dialgebra": hs.check_dialgebra,
-    "hlsda": hs.check_hlsda,
-}
-
 
 def flat_candidates(kind, n, p):
     total, _, _ = pykern.layout(kind, n)
@@ -41,7 +33,7 @@ def test_python_kernel_agrees_with_exact_checkers(kind, n, data):
     flat = data.draw(flat_candidates(kind, n, p))
     kernel_says = pykern.passes(kind, flat, n, p)
     structure = structure_from_flat(kind, flat, n, p)
-    checker_says = CHECKERS[kind](structure).passed
+    checker_says = hs.run_check(kind, structure).passed
     assert kernel_says == checker_says
 
 
@@ -53,7 +45,7 @@ def test_kernel_checker_agreement_in_dimension_three():
             flat = [rng.randrange(5) for _ in range(total)]
             structure = structure_from_flat(kind, flat, 3, 5)
             assert pykern.passes(kind, flat, 3, 5) == \
-                CHECKERS[kind](structure).passed
+                hs.run_check(kind, structure).passed
 
 
 # the compiled kernel is built once per session; hypothesis need not reset it
@@ -116,21 +108,21 @@ class TestClassicalReductionOfRemainingCheckers:
     def test_leibniz_reduction(self, leibniz2dim):
         assert leibniz2dim.alpha.is_identity()
         assert self.classical_leibniz_holds(leibniz2dim)
-        assert hs.check_hom_leibniz(leibniz2dim).passed
+        assert hs.run_check("hom-leibniz", leibniz2dim).passed
         gf = PrimeField(2)
         broken = hs.HomLeibniz(
             hs.ProductTensor(gf, (((0, 1), (1, 0)), ((0, 0), (0, 1)))),
             hs.identity_map(gf, 2))
         assert self.classical_leibniz_holds(broken) == \
-            hs.check_hom_leibniz(broken).passed
+            hs.run_check("hom-leibniz", broken).passed
 
     def test_dialgebra_reduction_on_classical_fixture(self, ut2):
         from homstruct.constructions import dialgebra_from_differential
         d = dialgebra_from_differential(ut2)
         assert d.alpha.is_identity()
         # with the identity twist the strict and twisted readings agree
-        assert hs.check_dialgebra(d).passed
-        assert hs.check_dialgebra(d, strict_assoc=True).passed
+        assert hs.run_check("hom-dialgebra", d).passed
+        assert hs.run_check("hom-dialgebra", d, strict_assoc=True).passed
 
 
 def brute_candidates(fixed, p):
@@ -243,7 +235,8 @@ class TestPrunedWalk:
         zero_products = [0] * al + [rng.randrange(p) for _ in range(4)]
         dense = [rng.randrange(p) for _ in range(total)]
         for v in (zero_products, dense):
-            exact = CHECKERS[kind](structure_from_flat(kind, v, 2, p)).passed
+            exact = hs.run_check(kind,
+                                 structure_from_flat(kind, v, 2, p)).passed
             assert kernel.sweep(kind, 2, p, v, 1) == \
                 ((1, [tuple(v)]) if exact else (0, []))
 
@@ -317,7 +310,8 @@ class TestCountsWithinReach:
         got, samples = kernel.sweep(kind, 2, 3, fixed, 4)
         assert got == count
         for flat in samples:
-            assert CHECKERS[kind](structure_from_flat(kind, flat, 2, 3)).passed
+            assert hs.run_check(kind,
+                                structure_from_flat(kind, flat, 2, 3)).passed
 
 
 class TestCompiledCountsWithinReach(TestCountsWithinReach):

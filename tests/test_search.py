@@ -80,14 +80,11 @@ class TestStreams:
         assert py == get_kernel("compiled").sweep(kind, n, p, fixed, 1 << 16)
 
     def test_soundness_every_emitted_structure_repasses(self):
-        checkers = {"hom-algebra": hs.check_hom_algebra,
-                    "hom-leibniz": hs.check_hom_leibniz,
-                    "hom-prelie": hs.check_hom_prelie}
-        for kind, checker in checkers.items():
+        for kind in ("hom-algebra", "hom-leibniz", "hom-prelie"):
             r = enumerate_structures(SearchSpec(kind, 2, 2, cap=64))
             assert r.structures
             for s in r.structures:
-                assert checker(s).passed, kind
+                assert hs.run_check(kind, s).passed, kind
 
     def test_opposite_closure_of_the_full_gf2_run(self):
         from homstruct.constructions import opposite
@@ -134,7 +131,8 @@ class TestSpecHandling:
         assert r.structures
         for s in r.structures:
             assert s.unit is not None
-            assert hs.check_hom_algebra(s).passed  # includes the unit law
+            # includes the unit law
+            assert hs.run_check("hom-algebra", s).passed
 
     def test_fixed_entries_conflict_detected(self):
         from homstruct.errors import ShapeError
@@ -174,8 +172,8 @@ class TestAudit:
         res = audit_inclusion("hlsda", "hom-dialgebra", 2, 2)
         assert isinstance(res, AuditResult)
         assert res.violations >= 1
-        assert hs.check_hlsda(res.example).passed
-        assert not hs.check_dialgebra(
+        assert hs.run_check("hlsda", res.example).passed
+        assert not hs.run_check("hom-dialgebra", 
             hs.HomDialgebra(res.example.left, res.example.right,
                             res.example.alpha)).passed
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 import homstruct as hs
@@ -46,6 +48,13 @@ class TestValidate:
         assert defects
         # the table shows e2 absorbing e1 instead of fixing it
         assert any("e1" in f.message for f in defects)
+
+    def test_unit_defect_writes_scalars_as_documents_do(self):
+        mu = product(2, {(0, 0, 0): 1, (0, 1, 1): Fraction(1, 2),
+                         (1, 0, 1): 1})
+        a = hs.HomAlgebra(mu, hs.identity_map(F, 2), vec([1, 0]))
+        assert [f.message for f in validate(a) if f.code == "unit"] == \
+            ["mu(unit, e2) = (0, 1/2), expected e2"]
 
     def test_classical_unit_fixed_no_warning(self, kx3):
         findings = validate(kx3)
