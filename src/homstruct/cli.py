@@ -44,7 +44,18 @@ def _emit(args, text):
         print(text)
 
 
+def _negative_samples(args) -> bool:
+    """Report a negative ``--oracle-samples`` on stderr; True if refused."""
+    if args.oracle_samples < 0:
+        print(f"invalid input: --oracle-samples must be non-negative, got "
+              f"{args.oracle_samples}", file=sys.stderr)
+        return True
+    return False
+
+
 def cmd_check(args) -> int:
+    if _negative_samples(args):
+        return 2
     try:
         structure, doc = _load_structure(args.path)
     except DocumentError as exc:
@@ -105,6 +116,9 @@ def _construct(args):
 
 
 def cmd_construct(args) -> int:
+    if args.out2 and not args.out:
+        print("invalid input: --out2 needs --out", file=sys.stderr)
+        return 2
     try:
         out = _construct(args)
     except DocumentError as exc:
@@ -184,6 +198,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    if _negative_samples(args):
+        return 2
     try:
         outcome = corpus_run(samples=args.oracle_samples, seed=args.seed,
                              data_dir=args.data)

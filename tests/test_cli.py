@@ -252,6 +252,24 @@ def test_unwritable_output_exits_two(argv, bad_paths, capsys):
     assert f"cannot write {bad_paths['MISSING']}" in err
 
 
+def test_out2_without_out_exits_two_and_writes_nothing(bad_paths, capsys):
+    argv = ["construct", "k1", KX3, "--out2", "OUT"]
+    err = _exits_two_with_one_line(argv, bad_paths, capsys)
+    assert err == "invalid input: --out2 needs --out\n"
+    assert not Path(bad_paths["OUT"]).exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", HOM3, "--oracle-samples=-3"],
+    ["check", HOM3, "--no-oracle", "--oracle-samples=-3"],
+    ["corpus", "--oracle-samples=-3"],
+], ids=["check", "check-no-oracle", "corpus"])
+def test_negative_oracle_samples_exit_two(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "invalid input: --oracle-samples must be non-negative, got -3\n")
+
+
 @pytest.mark.parametrize("existing", [None, "old contents\n"],
                          ids=["new-out", "existing-out"])
 def test_unwritable_out2_leaves_out_untouched(existing, bad_paths, capsys):

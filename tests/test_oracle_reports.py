@@ -6,7 +6,11 @@ from fractions import Fraction
 import pytest
 
 import homstruct as hs
-from homstruct.oracle import RATIONAL_POOL, oracle_crosscheck, random_vector
+from homstruct.axioms import suite_for
+from homstruct.corpus import _derive, load_expected, load_fixture
+from homstruct.linalg import tensors_equal
+from homstruct.oracle import (RATIONAL_POOL, SCALE, SCALED_POOL,
+                              oracle_crosscheck, random_vector)
 from homstruct.reports import Report, check_row
 
 from conftest import F
@@ -94,6 +98,68 @@ class TestOracle:
         res = oracle_crosscheck(ex2, "2-hom-assoc-bialgebra", samples=25,
                                 seed=0)
         assert res.agreed
+
+    def test_negative_sample_count_rejected(self, hom3dim):
+        with pytest.raises(ValueError, match="non-negative"):
+            oracle_crosscheck(hom3dim, "hom-algebra", samples=-1)
+
+    def test_axioms_past_a_truncated_verdict_are_not_sampled(self):
+        # every one of the 16 multiplicativity pairs fails, so the witness
+        # cap stops the basis check before it reaches hom-associativity
+        rng, n = random.Random(3), 4
+        mu = hs.ProductTensor(F, tuple(
+            tuple(tuple(rng.randint(-2, 2) for _ in range(n))
+                  for _ in range(n)) for _ in range(n)))
+        alpha = hs.LinearMap(F, tuple(
+            tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(n)))
+        s = hs.HomAlgebra(mu, alpha)
+        verdict = hs.run_check("hom-algebra", s)
+        assert verdict.truncated and verdict.checked == ("multiplicativity",)
+        res = oracle_crosscheck(s, "hom-algebra", samples=100, seed=0,
+                                verdict=verdict)
+        assert res.agreed, res.mismatches
+
+
+def _rational_corpus_checks():
+    """(structure, check id, counit mode) for every corpus check over QQ."""
+    resolved, rows = {}, []
+    for entry in load_expected()["entries"]:
+        s = (load_fixture(entry["fixture"]) if "fixture" in entry
+             else _derive(entry["derive"], resolved))
+        resolved[entry["name"]] = s
+        if not isinstance(s.field, hs.PrimeField):
+            rows.extend((s, spec["check"], spec.get("counit-mode", "eq7"))
+                        for spec in entry.get("checks", []))
+    return rows
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_scaled_draws_decide_every_sample_as_unscaled(seed):
+    """The oracle samples RATIONAL_POOL draws times SCALE. Each sampled
+    identity is multilinear, so a scaled draw must pass or fail exactly as
+    the unscaled Fraction draw does; this keeps the unscaled path run."""
+    rows = _rational_corpus_checks()
+    assert rows
+    fraction_draws = 0
+    for s, check_id, counit_mode in rows:
+        unscaled, scaled = random.Random(seed), random.Random(seed)
+        for test in suite_for(check_id, s, counit_mode=counit_mode):
+            if not test.fatal:
+                continue
+            for k in range(3):
+                xs = [random_vector(F, s.dim, unscaled)
+                      for _ in range(test.arity)]
+                ys = [hs.Vector(F, tuple(scaled.choice(SCALED_POOL)
+                                         for _ in range(s.dim)))
+                      for _ in range(test.arity)]
+                for x, y in zip(xs, ys):
+                    assert y.coords == tuple(SCALE * c for c in x.coords)
+                fraction_draws += any(type(c) is Fraction
+                                      for x in xs for c in x.coords)
+                assert (tensors_equal(*test.evaluate(*xs))
+                        == tensors_equal(*test.evaluate(*ys))), \
+                    (check_id, test.where, test.axiom, k)
+    assert fraction_draws
 
 
 class TestReports:
