@@ -1,27 +1,36 @@
 """Axiom checks, each selected by its id in :data:`CHECKS` and run with
 :func:`run_check`.
 
-Every identity is evaluated on all basis tuples, which suffices because
+Every identity is decided on all basis tuples, which suffices because
 both sides are multilinear in their arguments. A failed identity is
 reported through a :class:`Witness` carrying the basis tuple and the two
 exactly evaluated sides, so any failure can be replayed.
 
-The same axiom suites drive the random-vector cross-check in
-:mod:`homstruct.oracle`: each suite entry is an evaluator over arbitrary
-vectors, and the checkers here simply run it on basis tuples.
+Each identity is one closure over the :mod:`homstruct.linalg`
+primitives, and it is the only definition of that identity.
+:func:`run_suite` calls it once, with the batch of all basis vectors
+along argument position a as its a-th argument
+(:func:`~homstruct.linalg.basis_batch`). Each side comes back as a batch
+over the positions it depends on, each subexpression computed once per
+distinct index combination, or as a plain value when it depends on none.
+The witnesses are the basis tuples where the sides differ, in
+``itertools.product`` order.
+
+The random-vector cross-check in :mod:`homstruct.oracle` calls the same
+closures on plain vectors, so its re-evaluation of each witness checks
+the batched evaluation independently.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .errors import ShapeError
-from .linalg import (apply_bilinear, apply_coproduct, basis_vector, bullet,
+from .linalg import (apply_bilinear, apply_coproduct, basis_batch, bullet,
                      coproduct_on_left, coproduct_on_right, map_on_leg3,
-                     outer, outer3_tv, outer3_vt, product_on_legs,
-                     tensors_equal, zero_vector)
+                     mismatches, outer, outer3_tv, outer3_vt,
+                     product_on_legs, tensors_equal, zero_vector)
 from .structures import (AffineStructure, DifferentialHomAlgebra, HLSDA,
                          HomAlgebra, HomBialgebra, HomCoalgebra, HomDialgebra,
                          HomLeibniz, HomPreLie, TwoHomStructure)
@@ -174,11 +183,9 @@ def _compat_tests(mu, delta, counit, alpha, where=""):
         return lhs, rhs
 
     def counit_mult(x, y):
-        lhs = counit.apply(apply_bilinear(mu, x, y))
-        ex = counit.apply(x).coords[0]
-        ey = counit.apply(y).coords[0]
-        from .linalg import Vector
-        return lhs, Vector(f, (f.mul(ex, ey),))
+        # eps(x) eps(y) as a 1-entry vector: x (x) eps(y) contracted by eps
+        return counit.apply(apply_bilinear(mu, x, y)), \
+            outer(x, counit.apply(y)).contract_left(counit)
 
     def counit_twist(x):
         return counit.apply(alpha.apply(x)), counit.apply(x)
@@ -343,24 +350,28 @@ def _differential_tests(dh: DifferentialHomAlgebra, where=""):
 # suite drivers
 
 def run_suite(structure_dim, field, tests, witness_cap=DEFAULT_WITNESS_CAP):
-    """Evaluate every test on all basis tuples, in deterministic order."""
+    """Evaluate each test once over all basis tuples; report witnesses in
+    ``itertools.product`` order of the tuples, at most ``witness_cap`` of
+    them over the fatal tests, stopping at the test that reaches it."""
+    if witness_cap < 1:
+        raise ValueError(f"witness cap must be at least 1, got {witness_cap}")
     witnesses = []
     checked = []
     info = []
     truncated = False
-    basis = [basis_vector(field, structure_dim, i) for i in range(structure_dim)]
+    basis = [basis_batch(field, structure_dim, a)
+             for a in range(max((t.arity for t in tests), default=0))]
     for test in tests:
         key = f"{test.where}/{test.axiom}" if test.where else test.axiom
         if key not in checked:
             checked.append(key)
         local = []
-        for at in itertools.product(range(structure_dim), repeat=test.arity):
-            lhs, rhs = test.evaluate(*(basis[i] for i in at))
-            if not tensors_equal(lhs, rhs):
-                local.append(Witness(test.axiom, at, lhs, rhs, test.where))
-                if test.fatal and len(witnesses) + len(local) >= witness_cap:
-                    truncated = True
-                    break
+        lhs, rhs = test.evaluate(*basis[:test.arity])
+        for at, a, b in mismatches(lhs, rhs, test.arity, structure_dim):
+            local.append(Witness(test.axiom, at, a, b, test.where))
+            if test.fatal and len(witnesses) + len(local) >= witness_cap:
+                truncated = True
+                break
         if test.fatal:
             witnesses.extend(local)
             if truncated:

@@ -18,8 +18,10 @@ import sys
 
 from . import __version__
 from ._kernels import available as available_kernels
-from .axioms import coerce_for_check, default_check, run_check
-from .constructions import CONSTRUCT_VERBS, construct
+from .axioms import (DEFAULT_WITNESS_CAP, coerce_for_check, default_check,
+                     run_check)
+from .constructions import (CONSTRUCT_VERBS, PAIR_ASSEMBLY, construct,
+                            yields_pair)
 from .corpus import corpus_run, render_summary
 from .documents import (document_to_morphism, document_to_structure, dumps,
                         load_path, structure_to_document, write_texts)
@@ -55,6 +57,10 @@ def _negative_samples(args) -> bool:
 
 def cmd_check(args) -> int:
     if _negative_samples(args):
+        return 2
+    if args.witness_cap < 1:
+        print(f"invalid input: --witness-cap must be at least 1, got "
+              f"{args.witness_cap}", file=sys.stderr)
         return 2
     try:
         structure, doc = _load_structure(args.path)
@@ -118,6 +124,10 @@ def _construct(args):
 def cmd_construct(args) -> int:
     if args.out2 and not args.out:
         print("invalid input: --out2 needs --out", file=sys.stderr)
+        return 2
+    if args.out2 and not yields_pair(args.verb, args.kind):
+        print(f"invalid input: --out2 needs a construction that produces a "
+              f"pair (assemble --kind {PAIR_ASSEMBLY})", file=sys.stderr)
         return 2
     try:
         out = _construct(args)
@@ -225,11 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--counit-mode", choices=("eq7", "eq8"), default="eq7",
                        help="counit law: eq7 compares against the squared "
                             "twist, eq8 against the twist with identity legs")
-        p.add_argument("--witness-cap", type=int, default=16)
-        p.add_argument("--format", choices=("human", "machine"),
-                       default="human")
         p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("check", help="run a checker suite on a document")
     p.add_argument("path")
@@ -239,6 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="demand plain associativity of dialgebra products")
     p.add_argument("--oracle-samples", type=int, default=100)
     p.add_argument("--no-oracle", action="store_true")
+    p.add_argument("--witness-cap", type=int, default=DEFAULT_WITNESS_CAP,
+                   help="witnesses to report, at least 1")
+    p.add_argument("--format", choices=("human", "machine"), default="human")
+    p.add_argument("--seed", type=int, default=0)
     common_check_flags(p)
     p.set_defaults(fn=cmd_check)
 

@@ -25,6 +25,8 @@ from .structures import (SECTION_TYPES, AffineStructure, HLSDA, HomAlgebra,
 BRACKET_VARIANTS = ("aligned", "loday")
 
 ASSEMBLY_KINDS = ("2-assoc-bialgebra-B1", "2-bialgebras-B1B2", "2-2-bialgebra")
+# the one assembly kind that returns a pair of structures
+PAIR_ASSEMBLY = "2-bialgebras-B1B2"
 
 # twist kind -> kind of the structure it takes and returns
 TWIST_KINDS = {
@@ -254,7 +256,7 @@ def assemble_two(kind: str, a: HomAlgebra, b: HomAlgebra,
         return TwoHomStructure("2-hom-assoc-bialgebra", k1a.mu, k1b.mu,
                                k1a.alpha, k1a.unit, delta1=k1a.delta,
                                counit1=k1a.counit)
-    if kind == "2-bialgebras-B1B2":
+    if kind == PAIR_ASSEMBLY:
         k2b = kaplansky_k2(b, allow_ineligible)
         first = TwoHomStructure("2-hom-bialgebra", k1a.mu, k2b.mu, k1a.alpha,
                                 k1a.unit, delta1=k1a.delta, delta2=k2b.delta,
@@ -425,6 +427,11 @@ CONSTRUCT_VERBS = {
     "hlsda-from-affine": 1, "k1": 1, "k2": 1, "leibniz-from-diff": 1,
     "op": 1, "tensor": 2, "trivial-dialg": 1, "twist": 1,
 }
+
+
+def yields_pair(verb: str, kind: str) -> bool:
+    """Does ``construct(verb, ..., kind=kind)`` return a pair?"""
+    return verb == "assemble" and kind == PAIR_ASSEMBLY
 
 
 def construct(verb: str, inputs, kind: str = "algebra",

@@ -22,11 +22,37 @@ which gives the same residue because Python ints do not overflow. Over
 QQ, ``reduce`` turns an integral ``Fraction`` back into an ``int``, so
 every output entry is in the field's canonical form and integral data
 stays in native int arithmetic.
+
+Batches. A :class:`Batch` holds one value at every basis tuple over some
+argument positions (its ``axes``), so that an identity written once over
+these primitives can be evaluated over all basis tuples in one call:
+
+* ``apply_bilinear``, ``apply_coproduct``, ``bullet``, ``outer``,
+  ``outer3_vt``, ``outer3_tv``, ``product_on_legs``, ``map_on_leg3``,
+  ``coproduct_on_left``, ``coproduct_on_right`` and ``LinearMap.apply``
+  take batches as well as plain values; a batch also has the methods
+  ``add``, ``sub``, ``map_left``, ``map_right``, ``contract_left`` and
+  ``contract_right``.
+* A result is a batch over the union of its operands' axes. An axis two
+  operands share is joined, not multiplied out: ``apply_bilinear(p, x,
+  x)`` has one entry per basis vector. Entries are keyed by axis, that is
+  by argument position, whatever order the operands come in. A plain
+  operand holds at every tuple.
+* ``apply_bilinear`` on two batches builds the operator of multiplication
+  by each entry of the smaller batch once, and applies it to every entry
+  of the other.
+* The plain path costs one type check per primitive: each primitive
+  tests its operands' type once and otherwise runs its plain loops, with
+  no layer in between. Batch entries are stored raw (coordinate tuples,
+  rows, planes) and are reduced once per entry like plain values, so a
+  batch entry equals the plain value at its tuple exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add, sub
 
 from .errors import ShapeError
@@ -95,6 +121,8 @@ class LinearMap:
         return self.rows[i][j]
 
     def apply(self, v: Vector) -> Vector:
+        if type(v) is Batch:
+            return _map_batch(self, v)
         if v.dim != self.source_dim:
             raise ShapeError(f"map expects dimension {self.source_dim}, got {v.dim}")
         f = require_same_field(self.field, v.field)
@@ -219,41 +247,23 @@ class Tensor2:
 
     def map_left(self, g: LinearMap) -> "Tensor2":
         """Apply g to the left tensor leg."""
-        n, m = self.shape
-        if g.source_dim != n:
-            raise ShapeError("left leg dimension mismatch")
-        f = require_same_field(self.field, g.field)
-        dot = f.dot
-        cols = list(zip(*self.entries))
-        return Tensor2(f, tuple(tuple([dot(grow, col) for col in cols])
-                                for grow in g.rows))
+        f = _leg_map_field(self.shape[0], self.field, g, "left")
+        return Tensor2(f, _map_left(f.dot, g.rows, self.entries))
 
     def map_right(self, g: LinearMap) -> "Tensor2":
         """Apply g to the right tensor leg."""
-        n, m = self.shape
-        if g.source_dim != m:
-            raise ShapeError("right leg dimension mismatch")
-        f = require_same_field(self.field, g.field)
-        dot = f.dot
-        return Tensor2(f, tuple(tuple([dot(grow, row) for grow in g.rows])
-                                for row in self.entries))
+        f = _leg_map_field(self.shape[1], self.field, g, "right")
+        return Tensor2(f, _map_right(f.dot, g.rows, self.entries))
 
     def contract_left(self, functional: LinearMap) -> Vector:
         """Contract the left leg with a 1-by-n functional, leaving a vector."""
-        n, m = self.shape
-        if functional.target_dim != 1 or functional.source_dim != n:
-            raise ShapeError("functional must be 1 x left-dim")
-        f = require_same_field(self.field, functional.field)
-        dot, row = f.dot, functional.rows[0]
-        return Vector(f, tuple([dot(row, col) for col in zip(*self.entries)]))
+        f = _functional_field(self.shape[0], self.field, functional, "left")
+        return Vector(f, _contract_left(f.dot, functional.rows[0], self.entries))
 
     def contract_right(self, functional: LinearMap) -> Vector:
-        n, m = self.shape
-        if functional.target_dim != 1 or functional.source_dim != m:
-            raise ShapeError("functional must be 1 x right-dim")
-        f = require_same_field(self.field, functional.field)
-        dot, row = f.dot, functional.rows[0]
-        return Vector(f, tuple([dot(row, erow) for erow in self.entries]))
+        f = _functional_field(self.shape[1], self.field, functional, "right")
+        return Vector(f, _contract_right(f.dot, functional.rows[0],
+                                         self.entries))
 
 
 @dataclass(frozen=True)
@@ -282,28 +292,136 @@ class Tensor3:
             for pa, pb in zip(self.entries, other.entries)))
 
 
+# the plain class of a batch's entries, by the length of their shape
+_KINDS = (None, Vector, Tensor2, Tensor3)
+
+
+class Batch:
+    """One value at every basis tuple over some argument positions.
+
+    ``axes`` lists the argument positions the value depends on, in
+    increasing order, and ``n`` is the number of basis vectors along each.
+    ``entries`` holds one value per basis tuple over ``axes``, in
+    ``itertools.product`` order, stored raw: the coordinates of a
+    ``Vector``, or the rows or planes of a ``Tensor2`` or ``Tensor3``.
+    Every entry has ``shape``, whose length tells which of the three.
+    """
+
+    __slots__ = ("field", "shape", "axes", "n", "entries")
+
+    def __init__(self, field, shape, axes, n, entries):
+        self.field = field
+        self.shape = shape
+        self.axes = axes
+        self.n = n
+        self.entries = entries
+
+    @property
+    def kind(self):
+        return _KINDS[len(self.shape)]
+
+    def _with(self, field, shape, entries):
+        return Batch(field, shape, self.axes, self.n, entries)
+
+    def add(self, other) -> "Batch":
+        return _entrywise(self, other, add)
+
+    def sub(self, other) -> "Batch":
+        return _entrywise(self, other, sub)
+
+    def map_left(self, g: LinearMap) -> "Batch":
+        """Apply g to the left leg of every entry."""
+        n, m = _square_shape(self)
+        f = _leg_map_field(n, self.field, g, "left")
+        dot, rows = _sparse_rows(f, g.rows)
+        return self._with(f, (g.target_dim, m),
+                          [_map_left(dot, rows, e) for e in self.entries])
+
+    def map_right(self, g: LinearMap) -> "Batch":
+        """Apply g to the right leg of every entry."""
+        n, m = _square_shape(self)
+        f = _leg_map_field(m, self.field, g, "right")
+        dot, rows = _sparse_rows(f, g.rows)
+        return self._with(f, (n, g.target_dim),
+                          [_map_right(dot, rows, e) for e in self.entries])
+
+    def contract_left(self, functional: LinearMap) -> "Batch":
+        n, m = _square_shape(self)
+        f = _functional_field(n, self.field, functional, "left")
+        dot, (row,) = _sparse_rows(f, functional.rows)
+        return self._with(f, (m,), [_contract_left(dot, row, e)
+                                    for e in self.entries])
+
+    def contract_right(self, functional: LinearMap) -> "Batch":
+        n, m = _square_shape(self)
+        f = _functional_field(m, self.field, functional, "right")
+        dot, (row,) = _sparse_rows(f, functional.rows)
+        return self._with(f, (n,), [_contract_right(dot, row, e)
+                                    for e in self.entries])
+
+
+def basis_batch(field, n: int, axis: int) -> Batch:
+    """The n basis vectors along argument position ``axis``."""
+    one, zero = field.one, field.zero
+    return Batch(field, (n,), (axis,), n,
+                 [tuple(one if j == i else zero for j in range(n))
+                  for i in range(n)])
+
+
+def mismatches(lhs, rhs, arity: int, n: int):
+    """Yield ``(basis tuple, lhs, rhs)`` at every basis tuple of ``arity``
+    positions where the two sides differ, in ``itertools.product`` order,
+    with both sides as plain values. Either side may be a batch over some
+    of the positions or a plain value, which holds at every tuple."""
+    shape, f = _shape_of(lhs), require_same_field(lhs.field, rhs.field)
+    if _shape_of(rhs) != shape:
+        raise ShapeError(f"cannot compare values of shapes {shape} and "
+                         f"{_shape_of(rhs)}")
+    axes = tuple(range(arity))
+    left, right = _spread(lhs, axes, n), _spread(rhs, axes, n)
+    if left == right:
+        return
+    kind = _KINDS[len(shape)]
+    for at, a, b in zip(itertools.product(range(n), repeat=arity),
+                        left, right):
+        if a != b:
+            yield at, kind(f, a), kind(f, b)
+
+
 def outer(x: Vector, y: Vector) -> Tensor2:
+    if type(x) is Batch or type(y) is Batch:
+        return _outer_batch(_outer_rows, x, y, (1, 1))
     f = require_same_field(x.field, y.field)
     return Tensor2(f, _outer_rows(f, x.coords, y.coords))
 
 
 def outer3_vt(x: Vector, t: Tensor2) -> Tensor3:
     """x (x) t as an element of V (x) V (x) V."""
+    if type(x) is Batch or type(t) is Batch:
+        return _outer_batch(_outer3_vt, x, t, (1, 2))
     f = require_same_field(x.field, t.field)
-    red = f.reduce
-    return Tensor3(f, tuple(
-        tuple(tuple([red(a * e) for e in row]) for row in t.entries)
-        for a in x.coords))
+    return Tensor3(f, _outer3_vt(f, x.coords, t.entries))
 
 
 def outer3_tv(t: Tensor2, z: Vector) -> Tensor3:
     """t (x) z as an element of V (x) V (x) V."""
+    if type(t) is Batch or type(z) is Batch:
+        return _outer_batch(_outer3_tv, t, z, (2, 1))
     f = require_same_field(t.field, z.field)
-    return Tensor3(f, tuple(_outer_rows(f, row, z.coords) for row in t.entries))
+    return Tensor3(f, _outer3_tv(f, t.entries, z.coords))
+
+
+def _outer_batch(kernel, x, y, ranks):
+    """An outer product ``kernel(f, u, v)`` at every pair of entries."""
+    x, y = _batches(x, y, ranks)
+    f = require_same_field(x.field, y.field)
+    return _pairwise(x, y, f, x.shape + y.shape, lambda u, v: kernel(f, u, v))
 
 
 def apply_bilinear(p: ProductTensor, x: Vector, y: Vector) -> Vector:
     """Evaluate the bilinear product at (x, y)."""
+    if type(x) is Batch or type(y) is Batch:
+        return _bilinear_batch(p, x, y)
     if p.dim != x.dim or p.dim != y.dim:
         raise ShapeError(f"product dimension {p.dim} does not match vectors "
                          f"{x.dim}, {y.dim}")
@@ -323,48 +441,90 @@ def apply_bilinear(p: ProductTensor, x: Vector, y: Vector) -> Vector:
     return Vector(f, tuple(map(f.reduce, out)))
 
 
+def _bilinear_batch(p, x, y):
+    """The product at every pair of entries. It builds the operator of
+    multiplication by each entry of the smaller batch once and applies it
+    to every entry of the other, instead of expanding each pair."""
+    x, y = _batches(x, y, (1, 1))
+    n = p.dim
+    if x.shape != (n,) or y.shape != (n,):
+        raise ShapeError(f"product dimension {n} does not match vectors "
+                         f"{x.shape[0]}, {y.shape[0]}")
+    f = require_same_field(p.field, x.field, y.field)
+    axes, pairs = _join(x.axes, y.axes, x.n)
+    if len(x.entries) <= len(y.entries):
+        # mu(u, e_j) = sum_i u_i c[i][j]
+        ops = [_operator(f, n, u, p.c) for u in x.entries]
+        args = [_nonzeros(v) for v in y.entries]
+    else:
+        # mu(e_i, v) = sum_j v_j c[i][j]
+        planes = [[plane[j] for plane in p.c] for j in range(n)]
+        ops = [_operator(f, n, v, planes) for v in y.entries]
+        args = [_nonzeros(u) for u in x.entries]
+        pairs = [(j, i) for i, j in pairs]
+    zero, red = f.zero, f.reduce
+    out = []
+    for i, j in pairs:
+        op = ops[i]
+        acc = [zero] * n
+        for a, w in args[j]:
+            for k, c in op[a]:
+                acc[k] += w * c
+        out.append(tuple([red(v) if v else zero for v in acc]))
+    return Batch(f, (n,), axes, x.n, out)
+
+
+def _map_batch(g: LinearMap, v: Batch) -> Batch:
+    """g at every entry, summing g's sparse columns over each entry's
+    nonzero coordinates."""
+    if v.shape != (g.source_dim,):
+        raise ShapeError(f"map expects dimension {g.source_dim}, got {v.shape}")
+    f = require_same_field(g.field, v.field)
+    m = g.target_dim
+    cols = [_nonzeros(col) for col in zip(*g.rows)]
+    zero, red = f.zero, f.reduce
+    out = []
+    for x in v.entries:
+        acc = [zero] * m
+        for xj, col in zip(x, cols):
+            if xj:
+                for i, a in col:
+                    acc[i] += xj * a
+        out.append(tuple([red(r) if r else zero for r in acc]))
+    return v._with(f, (m,), out)
+
+
 def apply_coproduct(q: CoproductTensor, x: Vector) -> Tensor2:
     """Evaluate the comultiplication at x, as an element of V (x) V."""
-    if q.dim != x.dim:
-        raise ShapeError(f"coproduct dimension {q.dim} does not match vector {x.dim}")
-    f = require_same_field(q.field, x.field)
     n = q.dim
-    acc = _zeros2(f, n)
-    for c, plane in zip(x.coords, q.d):
-        if c:
-            _add_scaled_plane(acc, c, plane)
-    return Tensor2(f, _reduced(f, acc))
+    if type(x) is Batch:
+        if x.shape != (n,):
+            raise ShapeError(f"coproduct dimension {n} does not match "
+                             f"vector {x.shape}")
+        f = require_same_field(q.field, x.field)
+        return x._with(f, (n, n), [_coproduct(f, q.d, e) for e in x.entries])
+    if n != x.dim:
+        raise ShapeError(f"coproduct dimension {n} does not match vector {x.dim}")
+    f = require_same_field(q.field, x.field)
+    return Tensor2(f, _coproduct(f, q.d, x.coords))
 
 
 def bullet(p: ProductTensor, a: Tensor2, b: Tensor2) -> Tensor2:
     """Componentwise product on V (x) V:
     (x (x) y) . (x' (x) y') = mu(x, x') (x) mu(y, y')."""
     n = p.dim
+    if type(a) is Batch or type(b) is Batch:
+        a, b = _batches(a, b, (2, 2))
+        if a.shape != (n, n) or b.shape != (n, n):
+            raise ShapeError("bullet operands must match the product dimension")
+        f = require_same_field(p.field, a.field, b.field)
+        c = p.c
+        return _pairwise(a, b, f, (n, n), lambda u, v: _bullet(f, c, u, v),
+                         [_nonzeros2(e) for e in b.entries])
     if a.shape != (n, n) or b.shape != (n, n):
         raise ShapeError("bullet operands must match the product dimension")
     f = require_same_field(p.field, a.field, b.field)
-    out = _zeros2(f, n)
-    c = p.c
-    right = [(i2, j2, v) for i2, row in enumerate(b.entries)
-             for j2, v in enumerate(row) if v]
-    for i, arow in enumerate(a.entries):
-        plane_l = c[i]
-        for j, u in enumerate(arow):
-            if not u:
-                continue
-            plane_r = c[j]
-            for i2, j2, v in right:
-                uv = u * v
-                row_r = plane_r[j2]
-                for k, cl in enumerate(plane_l[i2]):
-                    if not cl:
-                        continue
-                    ucl = uv * cl
-                    orow = out[k]
-                    for m, cr in enumerate(row_r):
-                        if cr:
-                            orow[m] += ucl * cr
-    return Tensor2(f, _reduced(f, out))
+    return Tensor2(f, _bullet(f, p.c, a.entries, _nonzeros2(b.entries)))
 
 
 def product_on_legs(t: Tensor3, p: ProductTensor, legs) -> Tensor2:
@@ -376,77 +536,45 @@ def product_on_legs(t: Tensor3, p: ProductTensor, legs) -> Tensor2:
     if legs not in ((0, 1), (1, 2)):
         raise ShapeError(f"legs must be (0, 1) or (1, 2), got {legs}")
     f = require_same_field(t.field, p.field)
-    out = _zeros2(f, p.dim)
-    c = p.c
-    for i, plane in enumerate(t.entries):
-        if legs == (0, 1):
-            for j, row in enumerate(plane):
-                cij = c[i][j]
-                for k, v in enumerate(row):
-                    if v:
-                        for m, cm in enumerate(cij):
-                            if cm:
-                                out[m][k] += v * cm
-        else:
-            orow = out[i]
-            for j, row in enumerate(plane):
-                cj = c[j]
-                for k, v in enumerate(row):
-                    if v:
-                        for m, cm in enumerate(cj[k]):
-                            if cm:
-                                orow[m] += v * cm
-    return Tensor2(f, _reduced(f, out))
+    n, c = p.dim, p.c
+    if type(t) is Batch:
+        return t._with(f, (n, n), [_product_on_legs(f, n, c, e, legs)
+                                   for e in t.entries])
+    return Tensor2(f, _product_on_legs(f, n, c, t.entries, legs))
 
 
 def map_on_leg3(t: Tensor3, g: LinearMap, leg: int) -> Tensor3:
     """Apply a linear map to one leg of a cube."""
+    if leg not in (0, 1, 2):
+        raise ShapeError(f"leg must be 0, 1 or 2, got {leg}")
     f = require_same_field(t.field, g.field)
-    dot, e = f.dot, t.entries
-    if leg == 0:
-        # fibers[j][k] = (e[0][j][k], e[1][j][k], ...)
-        fibers = [list(zip(*planes)) for planes in zip(*e)]
-        return Tensor3(f, tuple(
-            tuple(tuple([dot(grow, fib) for fib in row]) for row in fibers)
-            for grow in g.rows))
-    if leg == 1:
-        return Tensor3(f, tuple(
-            tuple(tuple([dot(grow, col) for col in cols]) for grow in g.rows)
-            for cols in (list(zip(*plane)) for plane in e)))
-    if leg == 2:
-        return Tensor3(f, tuple(
-            tuple(tuple([dot(grow, row) for grow in g.rows]) for row in plane)
-            for plane in e))
-    raise ShapeError(f"leg must be 0, 1 or 2, got {leg}")
+    if type(t) is Batch:
+        shape = list(t.shape)
+        shape[leg] = g.target_dim
+        dot, rows = _sparse_rows(f, g.rows)
+        return t._with(f, tuple(shape), [_map_on_leg3(dot, rows, e, leg)
+                                         for e in t.entries])
+    return Tensor3(f, _map_on_leg3(f.dot, g.rows, t.entries, leg))
 
 
 def coproduct_on_left(t: Tensor2, q: CoproductTensor) -> Tensor3:
     """(delta (x) id) applied to an element of V (x) V."""
     f = require_same_field(t.field, q.field)
     n = q.dim
-    out = [_zeros2(f, n) for _ in range(n)]
-    for trow, plane in zip(t.entries, q.d):
-        for k, v in enumerate(trow):
-            if not v:
-                continue
-            for a, prow in enumerate(plane):
-                oplane = out[a]
-                for b, w in enumerate(prow):
-                    if w:
-                        oplane[b][k] += v * w
-    return Tensor3(f, tuple(_reduced(f, plane) for plane in out))
+    if type(t) is Batch:
+        return t._with(f, (n, n, n), [_coproduct_on_left(f, n, q.d, e)
+                                      for e in t.entries])
+    return Tensor3(f, _coproduct_on_left(f, n, q.d, t.entries))
 
 
 def coproduct_on_right(t: Tensor2, q: CoproductTensor) -> Tensor3:
     """(id (x) delta) applied to an element of V (x) V."""
     f = require_same_field(t.field, q.field)
     n = q.dim
-    out = [_zeros2(f, n) for _ in range(n)]
-    for trow, oplane in zip(t.entries, out):
-        for v, plane in zip(trow, q.d):
-            if v:
-                _add_scaled_plane(oplane, v, plane)
-    return Tensor3(f, tuple(_reduced(f, plane) for plane in out))
+    if type(t) is Batch:
+        return t._with(f, (n, n, n), [_coproduct_on_right(f, n, q.d, e)
+                                      for e in t.entries])
+    return Tensor3(f, _coproduct_on_right(f, n, q.d, t.entries))
 
 
 def tensors_equal(a, b) -> bool:
@@ -495,7 +623,273 @@ def product_from_basis_values(field, n: int, value_at) -> ProductTensor:
 
 def _outer_rows(f, xs, ys):
     red = f.reduce
-    return tuple(tuple([red(a * b) for b in ys]) for a in xs)
+    zero_row = (f.zero,) * len(ys)
+    return tuple(tuple([red(a * b) for b in ys]) if a else zero_row
+                 for a in xs)
+
+
+def _outer3_vt(f, xs, rows):
+    red = f.reduce
+    zero_plane = tuple((f.zero,) * len(row) for row in rows)
+    return tuple(tuple(tuple([red(a * e) for e in row]) for row in rows)
+                 if a else zero_plane for a in xs)
+
+
+def _outer3_tv(f, rows, zs):
+    return tuple(_outer_rows(f, row, zs) for row in rows)
+
+
+def _coproduct(f, d, xs):
+    acc = _zeros2(f, len(d))
+    for c, plane in zip(xs, d):
+        if c:
+            _add_scaled_plane(acc, c, plane)
+    return _reduced(f, acc)
+
+
+def _bullet(f, c, rows, right):
+    """The bullet product of a tensor square, given as rows, and one given
+    by ``_nonzeros2``."""
+    out = _zeros2(f, len(c))
+    for i, arow in enumerate(rows):
+        plane_l = c[i]
+        for j, u in enumerate(arow):
+            if not u:
+                continue
+            plane_r = c[j]
+            for i2, j2, v in right:
+                uv = u * v
+                row_r = plane_r[j2]
+                for k, cl in enumerate(plane_l[i2]):
+                    if not cl:
+                        continue
+                    ucl = uv * cl
+                    orow = out[k]
+                    for m, cr in enumerate(row_r):
+                        if cr:
+                            orow[m] += ucl * cr
+    return _reduced(f, out)
+
+
+def _product_on_legs(f, n, c, planes, legs):
+    out = _zeros2(f, n)
+    for i, plane in enumerate(planes):
+        if legs == (0, 1):
+            for j, row in enumerate(plane):
+                cij = c[i][j]
+                for k, v in enumerate(row):
+                    if v:
+                        for m, cm in enumerate(cij):
+                            if cm:
+                                out[m][k] += v * cm
+        else:
+            orow = out[i]
+            for j, row in enumerate(plane):
+                cj = c[j]
+                for k, v in enumerate(row):
+                    if v:
+                        for m, cm in enumerate(cj[k]):
+                            if cm:
+                                orow[m] += v * cm
+    return _reduced(f, out)
+
+
+def _map_on_leg3(dot, rows, e, leg):
+    if leg == 0:
+        # fibers[j][k] = (e[0][j][k], e[1][j][k], ...)
+        fibers = [list(zip(*planes)) for planes in zip(*e)]
+        return tuple(tuple(tuple([dot(grow, fib) for fib in row])
+                           for row in fibers)
+                     for grow in rows)
+    if leg == 1:
+        return tuple(tuple(tuple([dot(grow, col) for col in cols])
+                           for grow in rows)
+                     for cols in (list(zip(*plane)) for plane in e))
+    return tuple(tuple(tuple([dot(grow, row) for grow in rows])
+                       for row in plane)
+                 for plane in e)
+
+
+def _coproduct_on_left(f, n, d, rows):
+    out = [_zeros2(f, n) for _ in range(n)]
+    for trow, plane in zip(rows, d):
+        for k, v in enumerate(trow):
+            if not v:
+                continue
+            for a, prow in enumerate(plane):
+                oplane = out[a]
+                for b, w in enumerate(prow):
+                    if w:
+                        oplane[b][k] += v * w
+    return tuple(_reduced(f, plane) for plane in out)
+
+
+def _coproduct_on_right(f, n, d, rows):
+    out = [_zeros2(f, n) for _ in range(n)]
+    for trow, oplane in zip(rows, out):
+        for v, plane in zip(trow, d):
+            if v:
+                _add_scaled_plane(oplane, v, plane)
+    return tuple(_reduced(f, plane) for plane in out)
+
+
+def _map_left(dot, rows, e):
+    cols = list(zip(*e))
+    return tuple(tuple([dot(grow, col) for col in cols]) for grow in rows)
+
+
+def _map_right(dot, rows, e):
+    return tuple(tuple([dot(grow, row) for grow in rows]) for row in e)
+
+
+def _contract_left(dot, row, e):
+    return tuple([dot(row, col) for col in zip(*e)])
+
+
+def _contract_right(dot, row, e):
+    return tuple([dot(row, erow) for erow in e])
+
+
+def _leg_map_field(dim, field, g, side):
+    if g.source_dim != dim:
+        raise ShapeError(f"{side} leg dimension mismatch")
+    return require_same_field(field, g.field)
+
+
+def _functional_field(dim, field, functional, side):
+    if functional.target_dim != 1 or functional.source_dim != dim:
+        raise ShapeError(f"functional must be 1 x {side}-dim")
+    return require_same_field(field, functional.field)
+
+
+def _operator(f, n, u, planes):
+    """sum_i u[i] * planes[i], each row as the (index, value) pairs of its
+    nonzero entries: a product with one argument fixed at u, as a map."""
+    acc = _zeros2(f, n)
+    for a, plane in zip(u, planes):
+        if a:
+            _add_scaled_plane(acc, a, plane)
+    red = f.reduce
+    return [[(k, red(v)) for k, v in enumerate(row) if v] for row in acc]
+
+
+def _sparse_rows(f, rows):
+    """The rows of a map as their nonzero (index, value) pairs, and the
+    inner product of such a row with a dense one, reduced once: the form
+    the batch paths map every entry with."""
+    red, zero = f.reduce, f.zero
+
+    def dot(row, xs):
+        acc = zero
+        for i, a in row:
+            x = xs[i]
+            if x:
+                acc += a * x
+        return red(acc)
+
+    return dot, [_nonzeros(r) for r in rows]
+
+
+def _nonzeros(xs):
+    return [(i, x) for i, x in enumerate(xs) if x]
+
+
+def _nonzeros2(rows):
+    return [(i, j, v) for i, row in enumerate(rows)
+            for j, v in enumerate(row) if v]
+
+
+def _raw(v):
+    return v.coords if type(v) is Vector else v.entries
+
+
+def _shape_of(v):
+    if type(v) is Batch:
+        return v.shape
+    if type(v) is Vector:
+        return (v.dim,)
+    if type(v) is Tensor2:
+        return v.shape
+    if type(v) is Tensor3:
+        e = v.entries
+        return (len(e), len(e[0]) if e else 0,
+                len(e[0][0]) if e and e[0] else 0)
+    raise ShapeError(f"unsupported type {type(v).__name__}")
+
+
+def _batches(x, y, ranks=None):
+    """Two operands, at least one a batch, as batches: a plain value is a
+    batch over no positions. ``ranks`` are the shape lengths they need."""
+    if type(x) is not Batch:
+        x = Batch(x.field, _shape_of(x), (), y.n, [_raw(x)])
+    elif type(y) is not Batch:
+        y = Batch(y.field, _shape_of(y), (), x.n, [_raw(y)])
+    elif x.n != y.n:
+        raise ShapeError(f"batches over {x.n} and {y.n} basis vectors")
+    if ranks is not None and (len(x.shape), len(y.shape)) != ranks:
+        raise ShapeError(f"operands of shapes {x.shape} and {y.shape}")
+    return x, y
+
+
+@lru_cache(maxsize=1024)
+def _join(axes_x, axes_y, n):
+    """The union of two batches' axes and, for each basis tuple over it in
+    ``itertools.product`` order, the index of its entry in each batch. An
+    axis the two share takes one index, so it is joined, not multiplied
+    out."""
+    axes = tuple(sorted(set(axes_x) | set(axes_y)))
+
+    def index(t, sub):
+        i = 0
+        for a in sub:
+            i = i * n + t[axes.index(a)]
+        return i
+
+    return axes, tuple((index(t, axes_x), index(t, axes_y))
+                       for t in itertools.product(range(n), repeat=len(axes)))
+
+
+def _pairwise(x, y, f, shape, fn, ys=None):
+    """``fn`` at every pair of entries over the union of the axes; ``ys``
+    replaces the entries of ``y`` by a form ``fn`` takes."""
+    axes, pairs = _join(x.axes, y.axes, x.n)
+    xs = x.entries
+    ys = y.entries if ys is None else ys
+    return Batch(f, shape, axes, x.n, [fn(xs[i], ys[j]) for i, j in pairs])
+
+
+def _entrywise(x, y, op):
+    x, y = _batches(x, y)
+    if x.shape != y.shape:
+        raise ShapeError(f"shape mismatch: {x.shape} vs {y.shape}")
+    f = require_same_field(x.field, y.field)
+    red, depth = f.reduce, len(x.shape)
+    return _pairwise(x, y, f, x.shape,
+                     lambda u, v: _zipwith(op, red, depth, u, v))
+
+
+def _zipwith(op, red, depth, a, b):
+    if depth == 1:
+        return tuple(map(red, map(op, a, b)))
+    return tuple([_zipwith(op, red, depth - 1, ra, rb)
+                  for ra, rb in zip(a, b)])
+
+
+def _spread(v, axes, n):
+    """A side's raw entries at every basis tuple over ``axes``."""
+    if type(v) is not Batch:
+        return [_raw(v)] * n ** len(axes)
+    if v.axes == axes:
+        return v.entries
+    e = v.entries
+    return [e[i] for i, _ in _join(v.axes, axes, n)[1]]
+
+
+def _square_shape(b):
+    if len(b.shape) != 2:
+        raise ShapeError(f"expected a batch of tensor squares, got shape "
+                         f"{b.shape}")
+    return b.shape
 
 
 def _zeros2(f, n):
@@ -512,7 +906,8 @@ def _add_scaled_plane(acc, c, plane):
 
 def _reduced(f, acc):
     red = f.reduce
-    return tuple(tuple(map(red, row)) for row in acc)
+    zero = f.zero
+    return tuple(tuple([red(v) if v else zero for v in row]) for row in acc)
 
 
 def _same_dim(a: Vector, b: Vector):

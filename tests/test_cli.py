@@ -260,6 +260,40 @@ def test_out2_without_out_exits_two_and_writes_nothing(bad_paths, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["construct", "k1", KX3, "--out", "OUT", "--out2", "SECOND"],
+    ["construct", "assemble", BOOL2, DUAL2, "--kind", "2-2-bialgebra",
+     "--out", "OUT", "--out2", "SECOND"],
+], ids=["k1", "single-assembly"])
+def test_out2_on_a_one_output_construction_exits_two(argv, bad_paths,
+                                                     capsys):
+    bad_paths = dict(bad_paths, SECOND=str(Path(bad_paths["OUT"])
+                                           .with_name("second.json")))
+    err = _exits_two_with_one_line(argv, bad_paths, capsys)
+    assert err == ("invalid input: --out2 needs a construction that produces "
+                   "a pair (assemble --kind 2-bialgebras-B1B2)\n")
+    assert not Path(bad_paths["OUT"]).exists()
+    assert not Path(bad_paths["SECOND"]).exists()
+
+
+@pytest.mark.parametrize("flag", [["--format", "machine"], ["--seed", "7"],
+                                  ["--witness-cap", "0"]],
+                         ids=["format", "seed", "witness-cap"])
+def test_construct_refuses_check_only_flags(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "k1", KX3] + flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_witness_cap_below_one_exits_two(cap, capsys):
+    assert main(["check", EX1, "--witness-cap", cap, "--no-oracle"]) == 2
+    assert capsys.readouterr() == (
+        "", f"invalid input: --witness-cap must be at least 1, got {cap}\n")
+
+
+@pytest.mark.parametrize("argv", [
     ["check", HOM3, "--oracle-samples=-3"],
     ["check", HOM3, "--no-oracle", "--oracle-samples=-3"],
     ["corpus", "--oracle-samples=-3"],

@@ -1,20 +1,24 @@
+import importlib.util
+import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import homstruct as hs
-from homstruct import documents
+from homstruct import axioms, documents, linalg
 from homstruct.constructions import (ASSEMBLY_KINDS, assemble_two,
                                      kaplansky_k1, kaplansky_k2,
                                      tensor_product, yau_twist)
 from homstruct.corpus import DATA_DIR
 from homstruct.errors import ShapeError
 from homstruct.fields import PrimeField
-from homstruct.linalg import (apply_bilinear, apply_coproduct, bullet,
-                              compose, coproduct_on_left, coproduct_on_right,
-                              kron, map_on_leg3, outer, outer3_tv, outer3_vt,
+from homstruct.linalg import (Batch, apply_bilinear, apply_coproduct,
+                              basis_batch, bullet, compose, coproduct_on_left,
+                              coproduct_on_right, kron, map_on_leg3,
+                              mismatches, outer, outer3_tv, outer3_vt,
                               product_on_legs, tensors_equal)
 from homstruct.oracle import RATIONAL_POOL
 
@@ -442,3 +446,204 @@ class TestCanonicalRationals:
         assert all(_fraction_count(_section_scalars(s)) for s in outputs[:5])
         # (x (x) x) . (x (x) x) = x^2/4 (x) 4x^2: the entry 1/4 * 4 is an int
         assert outputs[1].mu.c[4][4][8] == 1
+
+
+# ---------------------------------------------------------------------------
+# batches: every batch-aware primitive against its plain evaluation at each
+# basis tuple
+
+# operand axes of a binary primitive: apart, swapped against argument
+# order, sharing an axis, overlapping, and with one operand plain (None)
+LAYOUTS = (((0,), (1,)), ((1,), (0,)), ((0,), (0,)), ((0, 2), (1,)),
+           ((1,), (0, 2)), ((0, 1), (1, 2)), (None, (0,)), ((1,), None))
+layouts = st.sampled_from(LAYOUTS)
+
+
+def _value(data, f, shape):
+    kind = linalg._KINDS[len(shape)]
+    return kind(f, _array(data, f, *shape))
+
+
+def _operand(data, f, axes, k, shape):
+    """A batch over ``axes`` with ``k`` basis vectors along each, or with
+    ``axes`` None a plain value."""
+    if axes is None:
+        return _value(data, f, shape)
+    return Batch(f, shape, axes, k, [_array(data, f, *shape)
+                                     for _ in range(k ** len(axes))])
+
+
+def _at(v, at):
+    """The plain value of ``v`` at the basis tuple ``at`` (position ->
+    index); a plain ``v`` holds at every tuple."""
+    if type(v) is not Batch:
+        return v
+    i = 0
+    for a in v.axes:
+        i = i * v.n + at[a]
+    return v.kind(v.field, v.entries[i])
+
+
+def _agrees(result, fn, *operands):
+    """``result`` is a batch over the union of the operands' axes, and at
+    each basis tuple it equals ``fn`` on the operands' plain values."""
+    batches = [o for o in operands if type(o) is Batch]
+    axes = tuple(sorted(set().union(*(b.axes for b in batches))))
+    k = batches[0].n
+    assert type(result) is Batch
+    assert result.axes == axes and result.n == k
+    assert len(result.entries) == k ** len(axes)
+    for t in itertools.product(range(k), repeat=len(axes)):
+        at = dict(zip(axes, t))
+        want = fn(*(_at(o, at) for o in operands))
+        got = _at(result, at)
+        assert type(got) is type(want) and got == want
+        assert linalg._shape_of(want) == result.shape
+        assert _canonical(result.field, result.entries[0])
+
+
+batch_case = given(st.sampled_from(FIELDS), st.integers(1, 3),
+                   st.integers(1, 3), st.data())
+
+
+class TestBatches:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(FIELDS), st.integers(1, 3), st.integers(1, 3),
+           layouts, st.data())
+    def test_apply_bilinear(self, f, n, k, layout, data):
+        p = hs.ProductTensor(f, _array(data, f, n, n, n))
+        x, y = (_operand(data, f, axes, k, (n,)) for axes in layout)
+        _agrees(apply_bilinear(p, x, y),
+                lambda u, v: apply_bilinear(p, u, v), x, y)
+
+    @settings(max_examples=30, deadline=None)
+    @batch_case
+    def test_map_apply(self, f, n, k, data):
+        g = hs.LinearMap(f, _array(data, f, data.draw(st.integers(1, 3)), n))
+        x = _operand(data, f, (0, 2), k, (n,))
+        _agrees(g.apply(x), g.apply, x)
+
+    @settings(max_examples=30, deadline=None)
+    @batch_case
+    def test_apply_coproduct(self, f, n, k, data):
+        q = hs.CoproductTensor(f, _array(data, f, n, n, n))
+        x = _operand(data, f, (1,), k, (n,))
+        _agrees(apply_coproduct(q, x), lambda u: apply_coproduct(q, u), x)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(FIELDS), st.integers(1, 3), st.integers(1, 2),
+           layouts, st.data())
+    def test_bullet(self, f, n, k, layout, data):
+        p = hs.ProductTensor(f, _array(data, f, n, n, n))
+        a, b = (_operand(data, f, axes, k, (n, n)) for axes in layout)
+        _agrees(bullet(p, a, b), lambda u, v: bullet(p, u, v), a, b)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(FIELDS), st.integers(1, 3), st.integers(1, 3),
+           layouts, st.data())
+    def test_outer_products(self, f, n, k, layout, data):
+        for fn, shapes in ((outer, ((n,), (2,))), (outer3_vt, ((2,), (n, 3))),
+                           (outer3_tv, ((n, 2), (3,)))):
+            x, y = (_operand(data, f, axes, k, shape)
+                    for axes, shape in zip(layout, shapes))
+            _agrees(fn(x, y), fn, x, y)
+
+    @settings(max_examples=30, deadline=None)
+    @batch_case
+    def test_cube_contractions(self, f, n, k, data):
+        p = hs.ProductTensor(f, _array(data, f, n, n, n))
+        q = hs.CoproductTensor(f, _array(data, f, n, n, n))
+        g = hs.LinearMap(f, _array(data, f, 2, n))
+        t = _operand(data, f, (0, 1), k, (n, n, n))
+        t2 = _operand(data, f, (2,), k, (n, n))
+        for legs in ((0, 1), (1, 2)):
+            _agrees(product_on_legs(t, p, legs),
+                    lambda u: product_on_legs(u, p, legs), t)
+        for leg in (0, 1, 2):
+            _agrees(map_on_leg3(t, g, leg), lambda u: map_on_leg3(u, g, leg),
+                    t)
+        for fn in (coproduct_on_left, coproduct_on_right):
+            _agrees(fn(t2, q), lambda u: fn(u, q), t2)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(FIELDS), st.integers(1, 3), st.integers(1, 3),
+           layouts, st.data())
+    def test_side_methods(self, f, n, k, layout, data):
+        first, second = layout
+        if first is None:  # a method is called on a batch
+            first, second = second, first
+        for shape in ((n,), (n, 2), (2, n, 1)):
+            x = _operand(data, f, first, k, shape)
+            y = _operand(data, f, second, k, shape)
+            _agrees(x.add(y), lambda u, v: u.add(v), x, y)
+            _agrees(x.sub(y), lambda u, v: u.sub(v), x, y)
+        t = _operand(data, f, first, k, (n, 2))
+        g = hs.LinearMap(f, _array(data, f, 3, n))
+        h = hs.LinearMap(f, _array(data, f, 1, 2))
+        e = hs.LinearMap(f, _array(data, f, 1, n))
+        _agrees(t.map_left(g), lambda u: u.map_left(g), t)
+        _agrees(t.map_right(h), lambda u: u.map_right(h), t)
+        _agrees(t.contract_left(e), lambda u: u.contract_left(e), t)
+        _agrees(t.contract_right(h), lambda u: u.contract_right(h), t)
+
+    def test_shared_axis_is_joined(self, hom3dim):
+        x = basis_batch(F, 3, 0)
+        square = apply_bilinear(hom3dim.mu, x, x)
+        assert square.axes == (0,) and len(square.entries) == 3
+        assert square.entries[2] == apply_bilinear(
+            hom3dim.mu, vec([0, 0, 1]), vec([0, 0, 1])).coords
+
+    def test_keys_follow_argument_position(self, hom3dim):
+        # mu(y, x) at the tuple (x, y) = (e1, e3) is mu(e3, e1) = 2 e3
+        x, y = basis_batch(F, 3, 0), basis_batch(F, 3, 1)
+        swapped = apply_bilinear(hom3dim.mu, y, x)
+        assert swapped.axes == (0, 1)
+        assert swapped.entries[0 * 3 + 2] == (0, 0, 2)
+        assert swapped.entries[2 * 3 + 0] == (0, 0, 2)
+        assert swapped.entries[1 * 3 + 2] == (0, 0, 0)
+
+    def test_basis_batch(self):
+        b = basis_batch(F, 3, 1)
+        assert (b.axes, b.n, b.shape) == ((1,), 3, (3,))
+        assert [b.kind(F, e) for e in b.entries] == [
+            hs.basis_vector(F, 3, i) for i in range(3)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(FIELDS), st.integers(1, 3), st.integers(0, 3),
+           st.data())
+    def test_mismatches_walk_tuples_in_product_order(self, f, k, arity, data):
+        axes = data.draw(st.sampled_from(
+            [None] + [c for r in range(1, arity + 1)
+                      for c in itertools.combinations(range(arity), r)]))
+        lhs = _operand(data, f, axes, k, (2,))
+        rhs = _value(data, f, (2,))
+        got = list(mismatches(lhs, rhs, arity, k))
+        want = []
+        for at in itertools.product(range(k), repeat=arity):
+            a = _at(lhs, dict(enumerate(at)))
+            if a != rhs:
+                want.append((at, a, rhs))
+        assert got == want
+
+    def test_mismatched_shapes_raise(self):
+        with pytest.raises(ShapeError):
+            list(mismatches(basis_batch(F, 2, 0), vec([1, 0, 0]), 1, 2))
+        with pytest.raises(ShapeError):
+            basis_batch(F, 2, 0).add(basis_batch(F, 3, 1))
+
+
+def test_axioms_binds_linalg_own_functions():
+    """``perfbench/tracer.py`` rebinds each primitive it times wherever a
+    homstruct module binds it, by identity: axioms must bind linalg's own
+    function objects under their own names."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for name in tracer.LINALG_FUNCTIONS:
+        assert getattr(axioms, name) is getattr(linalg, name), name
+    shared = [name for name, value in vars(axioms).items()
+              if callable(value) and getattr(linalg, name, None) is not None]
+    assert "apply_bilinear" in shared
+    for name in shared:
+        assert getattr(axioms, name) is getattr(linalg, name), name
