@@ -162,6 +162,21 @@ def test_broken_morphism_fails_alike(resolved, per_tuple):
             _same(got, per_tuple(check_morphism, g, src, dst, cap))
 
 
+@pytest.mark.parametrize("rows, source, target", [
+    ([[1], [0], [0]], "dim1", "kx3"), ([[1], [1], [0]], "dim1", "kx3"),
+    ([[0], [2], [1]], "dim1", "kx3"), ([[1, 0, 0]], "kx3", "dim1"),
+    ([[1, 1, 0]], "kx3", "dim1"),
+], ids=["unit-in", "off-unit", "no-unit", "onto-unit", "onto-off-unit"])
+def test_morphisms_between_dimensions(resolved, per_tuple, rows, source,
+                                      target):
+    # the batches run along the source basis, the values live in the target
+    src, dst = resolved[source], resolved[target]
+    f = LinearMap(src.field, rows)
+    for cap in (1, 10 ** 6):
+        _same(check_morphism(f, src, dst, cap),
+              per_tuple(check_morphism, f, src, dst, cap))
+
+
 # ---------------------------------------------------------------------------
 # the shapes the benchmark's check workload builds: tensor products at dims
 # 4-8, and K1 extensions of the unital untwisted ones
