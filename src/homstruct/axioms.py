@@ -17,8 +17,9 @@ The witnesses are the basis tuples where the sides differ, in
 ``itertools.product`` order.
 
 The random-vector cross-check in :mod:`homstruct.oracle` calls the same
-closures on plain vectors, so its re-evaluation of each witness checks
-the batched evaluation independently.
+closures on batches of random samples, every argument along one shared
+sample axis. Only its re-evaluation of each witness calls them on plain
+basis vectors, which checks the batched evaluation independently.
 """
 
 from __future__ import annotations

@@ -23,9 +23,13 @@ QQ, ``reduce`` turns an integral ``Fraction`` back into an ``int``, so
 every output entry is in the field's canonical form and integral data
 stays in native int arithmetic.
 
-Batches. A :class:`Batch` holds one value at every basis tuple over some
-argument positions (its ``axes``), so that an identity written once over
-these primitives can be evaluated over all basis tuples in one call:
+Batches. A :class:`Batch` holds one value at every index tuple over some
+axes, so that an identity written once over these primitives can be
+evaluated at many arguments in one call. ``axioms.run_suite`` gives each
+argument position its own axis, over the basis vectors, so one call
+covers every basis tuple; ``oracle.oracle_crosscheck`` puts every
+argument on one shared sample axis, so one call covers a block of
+random samples:
 
 * ``apply_bilinear``, ``apply_coproduct``, ``bullet``, ``outer``,
   ``outer3_vt``, ``outer3_tv``, ``product_on_legs``, ``map_on_leg3``,
@@ -35,12 +39,13 @@ these primitives can be evaluated over all basis tuples in one call:
   ``contract_right``.
 * A result is a batch over the union of its operands' axes. An axis two
   operands share is joined, not multiplied out: ``apply_bilinear(p, x,
-  x)`` has one entry per basis vector. Entries are keyed by axis, that is
-  by argument position, whatever order the operands come in. A plain
-  operand holds at every tuple.
+  x)`` has one entry per entry of ``x``. Entries are keyed by axis,
+  whatever order the operands come in. A plain operand holds at every
+  tuple.
 * ``apply_bilinear`` on two batches builds the operator of multiplication
   by each entry of the smaller batch once, and applies it to every entry
-  of the other.
+  of the other; when the join pairs their entries one to one, as on a
+  shared axis, it expands each pair as the plain path does.
 * The plain path costs one type check per primitive: each primitive
   tests its operands' type once and otherwise runs its plain loops, with
   no layer in between. Batch entries are stored raw (coordinate tuples,
@@ -277,7 +282,14 @@ class Tensor3:
         e = tuple(tuple(tuple(k) for k in j) for j in self.entries)
         object.__setattr__(self, "entries", e)
 
+    @property
+    def shape(self):
+        e = self.entries
+        return (len(e), len(e[0]) if e else 0,
+                len(e[0][0]) if e and e[0] else 0)
+
     def add(self, other: "Tensor3") -> "Tensor3":
+        _same_shape(self, other)
         f = require_same_field(self.field, other.field)
         red = f.reduce
         return Tensor3(f, tuple(
@@ -285,6 +297,7 @@ class Tensor3:
             for pa, pb in zip(self.entries, other.entries)))
 
     def sub(self, other: "Tensor3") -> "Tensor3":
+        _same_shape(self, other)
         f = require_same_field(self.field, other.field)
         red = f.reduce
         return Tensor3(f, tuple(
@@ -297,14 +310,17 @@ _KINDS = (None, Vector, Tensor2, Tensor3)
 
 
 class Batch:
-    """One value at every basis tuple over some argument positions.
+    """One value at every index tuple over some axes.
 
-    ``axes`` lists the argument positions the value depends on, in
-    increasing order, and ``n`` is the number of basis vectors along each.
-    ``entries`` holds one value per basis tuple over ``axes``, in
-    ``itertools.product`` order, stored raw: the coordinates of a
-    ``Vector``, or the rows or planes of a ``Tensor2`` or ``Tensor3``.
-    Every entry has ``shape``, whose length tells which of the three.
+    An axis is an index position: ``axes`` lists the ones the value
+    depends on, in increasing order, and ``n`` is the number of entries
+    along each. ``run_suite`` uses one axis per argument position, each
+    over the n basis vectors; the oracle uses one axis, shared by every
+    argument, over a block of n samples. ``entries`` holds one value per
+    index tuple over ``axes``, in ``itertools.product`` order, stored raw:
+    the coordinates of a ``Vector``, or the rows or planes of a
+    ``Tensor2`` or ``Tensor3``. Every entry has ``shape``, whose length
+    tells which of the three.
     """
 
     __slots__ = ("field", "shape", "axes", "n", "entries")
@@ -369,10 +385,11 @@ def basis_batch(field, n: int, axis: int) -> Batch:
 
 
 def mismatches(lhs, rhs, arity: int, n: int):
-    """Yield ``(basis tuple, lhs, rhs)`` at every basis tuple of ``arity``
-    positions where the two sides differ, in ``itertools.product`` order,
-    with both sides as plain values. Either side may be a batch over some
-    of the positions or a plain value, which holds at every tuple."""
+    """Yield ``(index tuple, lhs, rhs)`` at every index tuple over the
+    axes ``0 .. arity - 1``, ``n`` entries along each, where the two sides
+    differ, in ``itertools.product`` order, with both sides as plain
+    values. Either side may be a batch over some of the axes or a plain
+    value, which holds at every tuple."""
     shape, f = _shape_of(lhs), require_same_field(lhs.field, rhs.field)
     if _shape_of(rhs) != shape:
         raise ShapeError(f"cannot compare values of shapes {shape} and "
@@ -426,25 +443,16 @@ def apply_bilinear(p: ProductTensor, x: Vector, y: Vector) -> Vector:
         raise ShapeError(f"product dimension {p.dim} does not match vectors "
                          f"{x.dim}, {y.dim}")
     f = require_same_field(p.field, x.field, y.field)
-    out = [f.zero] * p.dim
-    ys = y.coords
-    for a, plane in zip(x.coords, p.c):
-        if not a:
-            continue
-        for b, row in zip(ys, plane):
-            if not b:
-                continue
-            ab = a * b
-            for k, c in enumerate(row):
-                if c:
-                    out[k] += ab * c
-    return Vector(f, tuple(map(f.reduce, out)))
+    return Vector(f, _bilinear(f, p.c, x.coords, y.coords))
 
 
 def _bilinear_batch(p, x, y):
-    """The product at every pair of entries. It builds the operator of
-    multiplication by each entry of the smaller batch once and applies it
-    to every entry of the other, instead of expanding each pair."""
+    """The product at every pair of entries. When some entry is used by
+    several pairs, it builds the operator of multiplication by each entry
+    of the smaller batch once and applies it to every entry of the other,
+    instead of expanding each pair. When the join pairs the entries one
+    to one, as on a shared axis, no operator would be reused, and each
+    pair is expanded directly."""
     x, y = _batches(x, y, (1, 1))
     n = p.dim
     if x.shape != (n,) or y.shape != (n,):
@@ -452,15 +460,21 @@ def _bilinear_batch(p, x, y):
                          f"{x.shape[0]}, {y.shape[0]}")
     f = require_same_field(p.field, x.field, y.field)
     axes, pairs = _join(x.axes, y.axes, x.n)
-    if len(x.entries) <= len(y.entries):
+    xs, ys = x.entries, y.entries
+    if len(pairs) == len(xs) == len(ys):
+        # the same axes, so the pairs are (0, 0), (1, 1), ...
+        c = p.c
+        return Batch(f, (n,), axes, x.n,
+                     [_bilinear(f, c, u, v) for u, v in zip(xs, ys)])
+    if len(xs) <= len(ys):
         # mu(u, e_j) = sum_i u_i c[i][j]
-        ops = [_operator(f, n, u, p.c) for u in x.entries]
-        args = [_nonzeros(v) for v in y.entries]
+        ops = [_operator(f, n, u, p.c) for u in xs]
+        args = [_nonzeros(v) for v in ys]
     else:
         # mu(e_i, v) = sum_j v_j c[i][j]
         planes = [[plane[j] for plane in p.c] for j in range(n)]
-        ops = [_operator(f, n, v, planes) for v in y.entries]
-        args = [_nonzeros(u) for u in x.entries]
+        ops = [_operator(f, n, v, planes) for v in ys]
+        args = [_nonzeros(u) for u in xs]
         pairs = [(j, i) for i, j in pairs]
     zero, red = f.zero, f.reduce
     out = []
@@ -535,8 +549,11 @@ def product_on_legs(t: Tensor3, p: ProductTensor, legs) -> Tensor2:
     """
     if legs not in ((0, 1), (1, 2)):
         raise ShapeError(f"legs must be (0, 1) or (1, 2), got {legs}")
-    f = require_same_field(t.field, p.field)
     n, c = p.dim, p.c
+    if _shape_of(t) != (n, n, n):
+        raise ShapeError(f"product dimension {n} does not match cube "
+                         f"{_shape_of(t)}")
+    f = require_same_field(t.field, p.field)
     if type(t) is Batch:
         return t._with(f, (n, n), [_product_on_legs(f, n, c, e, legs)
                                    for e in t.entries])
@@ -547,9 +564,12 @@ def map_on_leg3(t: Tensor3, g: LinearMap, leg: int) -> Tensor3:
     """Apply a linear map to one leg of a cube."""
     if leg not in (0, 1, 2):
         raise ShapeError(f"leg must be 0, 1 or 2, got {leg}")
+    shape = list(_shape_of(t))
+    if len(shape) != 3 or shape[leg] != g.source_dim:
+        raise ShapeError(f"map expects dimension {g.source_dim}, got leg "
+                         f"{leg} of cube {tuple(shape)}")
     f = require_same_field(t.field, g.field)
     if type(t) is Batch:
-        shape = list(t.shape)
         shape[leg] = g.target_dim
         dot, rows = _sparse_rows(f, g.rows)
         return t._with(f, tuple(shape), [_map_on_leg3(dot, rows, e, leg)
@@ -598,11 +618,9 @@ def tensors_equal(a, b) -> bool:
         if a.dim != b.dim:
             raise ShapeError("coproduct dimensions differ")
         return a.d == b.d
-    if isinstance(a, Tensor2):
+    if isinstance(a, (Tensor2, Tensor3)):
         if a.shape != b.shape:
             raise ShapeError("tensor shapes differ")
-        return a.entries == b.entries
-    if isinstance(a, Tensor3):
         return a.entries == b.entries
     raise ShapeError(f"unsupported type {type(a).__name__}")
 
@@ -637,6 +655,21 @@ def _outer3_vt(f, xs, rows):
 
 def _outer3_tv(f, rows, zs):
     return tuple(_outer_rows(f, row, zs) for row in rows)
+
+
+def _bilinear(f, c, xs, ys):
+    out = [f.zero] * len(c)
+    for a, plane in zip(xs, c):
+        if not a:
+            continue
+        for b, row in zip(ys, plane):
+            if not b:
+                continue
+            ab = a * b
+            for k, cv in enumerate(row):
+                if cv:
+                    out[k] += ab * cv
+    return tuple(map(f.reduce, out))
 
 
 def _coproduct(f, d, xs):
@@ -804,16 +837,10 @@ def _raw(v):
 
 
 def _shape_of(v):
-    if type(v) is Batch:
-        return v.shape
     if type(v) is Vector:
         return (v.dim,)
-    if type(v) is Tensor2:
+    if type(v) in (Batch, Tensor2, Tensor3):
         return v.shape
-    if type(v) is Tensor3:
-        e = v.entries
-        return (len(e), len(e[0]) if e else 0,
-                len(e[0][0]) if e and e[0] else 0)
     raise ShapeError(f"unsupported type {type(v).__name__}")
 
 
@@ -825,7 +852,7 @@ def _batches(x, y, ranks=None):
     elif type(y) is not Batch:
         y = Batch(y.field, _shape_of(y), (), x.n, [_raw(y)])
     elif x.n != y.n:
-        raise ShapeError(f"batches over {x.n} and {y.n} basis vectors")
+        raise ShapeError(f"batches with {x.n} and {y.n} entries per axis")
     if ranks is not None and (len(x.shape), len(y.shape)) != ranks:
         raise ShapeError(f"operands of shapes {x.shape} and {y.shape}")
     return x, y
@@ -915,6 +942,6 @@ def _same_dim(a: Vector, b: Vector):
         raise ShapeError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
-def _same_shape(a: Tensor2, b: Tensor2):
+def _same_shape(a, b):
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")

@@ -11,6 +11,21 @@ pool) and compares:
 Disagreement would mean an identity is not actually multilinear as
 implemented, so this guards the evaluator layer itself.
 
+Samples are evaluated in blocks of at most ``BLOCK``: each sampled
+identity is called once per block, with its a-th argument the batch of
+the block's a-th vectors along one sample axis shared by every argument
+(a :class:`~homstruct.linalg.Batch` over the axis ``(0,)``), so sample
+k's arguments are evaluated together and never paired with another
+sample's. The draws are the same ``rng.choice`` calls in the same order
+as one sample at a time: sample, then argument, then coordinate. An
+identity stops at its first failing sample, and the rng must then stand
+where a sample-at-a-time loop would leave it, since the next identity
+draws on from there: the rng state is saved before each block and, on a
+mismatch at sample j of the block, restored and advanced by the draws of
+samples 0 to j only. The fixed block bounds memory whatever the sample
+count. Witnesses are re-evaluated on plain basis vectors, so the plain
+path of every identity keeps running as a check on the batched one.
+
 Over the rationals a sample is a pool draw scaled to integers: each
 coordinate comes from ``RATIONAL_POOL`` by the same ``rng.choice`` call,
 then is multiplied by ``SCALE``, the lcm of the pool's denominators.
@@ -31,13 +46,15 @@ from fractions import Fraction
 
 from .axioms import run_check, suite_for
 from .fields import PrimeField
-from .linalg import Vector, basis_vector, tensors_equal
+from .linalg import Batch, Vector, basis_vector, mismatches, tensors_equal
 
 # canonical scalars of QQ; the order fixes the sample stream
 RATIONAL_POOL = (-2, -1, 0, 1, 2, 3, Fraction(1, 2), Fraction(-1, 3))
 # the oracle's rational draws: the pool times the lcm of its denominators
 SCALE = math.lcm(*(Fraction(c).denominator for c in RATIONAL_POOL))
 SCALED_POOL = tuple(int(c * SCALE) for c in RATIONAL_POOL)
+# samples per call of an identity: the default sample count is one block
+BLOCK = 100
 
 
 @dataclass(frozen=True)
@@ -89,7 +106,7 @@ def oracle_crosscheck(structure, check_id: str, samples: int = 100,
     n, field = structure.dim, structure.field
     pool = _pool(field) if isinstance(field, PrimeField) else SCALED_POOL
     rng = random.Random(seed)
-    mismatches = []
+    failed = []
 
     # sampled agreement is only guaranteed for axioms found to hold; a
     # truncated verdict leaves the axioms after its cap unchecked
@@ -97,14 +114,23 @@ def oracle_crosscheck(structure, check_id: str, samples: int = 100,
     for test in tests:
         if not test.fatal or _key(test) not in holding:
             continue
-        for k in range(samples):
-            vectors = [Vector(field, tuple(rng.choice(pool)
-                                           for _ in range(n)))
-                       for _ in range(test.arity)]
-            lhs, rhs = test.evaluate(*vectors)
-            if not tensors_equal(lhs, rhs):
-                mismatches.append(
-                    f"{_key(test)}: basis verdict holds but sample {k} fails")
+        arity = test.arity
+        for start in range(0, samples, BLOCK):
+            size = min(BLOCK, samples - start)
+            state = rng.getstate()
+            draws = [[tuple([rng.choice(pool) for _ in range(n)])
+                      for _ in range(arity)] for _ in range(size)]
+            lhs, rhs = test.evaluate(*(
+                Batch(field, (n,), (0,), size, [d[a] for d in draws])
+                for a in range(arity)))
+            first = next(mismatches(lhs, rhs, 1, size), None)
+            if first is not None:
+                (j,), _, _ = first
+                rng.setstate(state)
+                for _ in range((j + 1) * arity * n):
+                    rng.choice(pool)
+                failed.append(f"{_key(test)}: basis verdict holds but "
+                              f"sample {start + j} fails")
                 break
 
     by_key = {_key(test): test for test in tests}
@@ -112,13 +138,12 @@ def oracle_crosscheck(structure, check_id: str, samples: int = 100,
     for w in verdict.witnesses:
         test = by_key.get(_key(w))
         if test is None:
-            mismatches.append(f"witness for unknown axiom {w.axiom!r}")
+            failed.append(f"witness for unknown axiom {w.axiom!r}")
             continue
         lhs, rhs = test.evaluate(*(basis[i] for i in w.at))
         if tensors_equal(lhs, rhs):
-            mismatches.append(
+            failed.append(
                 f"{_key(w)}: witness at {w.at} no longer fails on "
                 "re-evaluation")
 
-    return OracleResult(check_id, not mismatches, samples, seed,
-                        tuple(mismatches))
+    return OracleResult(check_id, not failed, samples, seed, tuple(failed))

@@ -152,6 +152,46 @@ class TestTensorsEqual:
             tensors_equal(vec([1, 0]), vec([1, 0, 0]))
         with pytest.raises(ShapeError):
             tensors_equal(vec([1, 0]), lmap([[1, 0]]))
+        with pytest.raises(ShapeError):
+            tensors_equal(_cube(2), _cube(3))
+
+
+def _cube(n, kind=hs.Tensor3):
+    """The n-cube of ones, plain or as a batch of one entry."""
+    entries = tuple(tuple((1,) * n for _ in range(n)) for _ in range(n))
+    if kind is Batch:
+        return Batch(F, (n, n, n), (0,), 1, [entries])
+    return hs.Tensor3(F, entries)
+
+
+@pytest.mark.parametrize("kind", [hs.Tensor3, Batch], ids=["plain", "batch"])
+class TestCubeShapes:
+    """Every cube operation rejects operands of mismatched dimensions,
+    where zipping them would silently truncate a sum."""
+
+    def test_add_and_sub(self, kind):
+        for a, b in ((_cube(2, kind), _cube(3)), (_cube(3, kind), _cube(2))):
+            with pytest.raises(ShapeError):
+                a.add(b)
+            with pytest.raises(ShapeError):
+                a.sub(b)
+
+    def test_map_on_leg3(self, kind):
+        g = lmap([[1, 1, 1], [1, 1, 1]])  # 2x3: needs a leg of dimension 3
+        for leg in (0, 1, 2):
+            with pytest.raises(ShapeError):
+                map_on_leg3(_cube(2, kind), g, leg)
+        square = hs.Tensor2(F, ((1, 1), (1, 1)))
+        if kind is Batch:
+            square = Batch(F, (2, 2), (0,), 1, [square.entries])
+        with pytest.raises(ShapeError):
+            map_on_leg3(square, lmap([[1, 1], [1, 1]]), 2)
+
+    def test_product_on_legs(self, kind):
+        p = hs.ProductTensor(F, _cube(3).entries)
+        for legs in ((0, 1), (1, 2)):
+            with pytest.raises(ShapeError):
+                product_on_legs(_cube(2, kind), p, legs)
 
 
 def test_map_on_leg_matches_elementary_tensors(half):
@@ -624,6 +664,30 @@ class TestBatches:
             if a != rhs:
                 want.append((at, a, rhs))
         assert got == want
+
+    @pytest.mark.parametrize("f, pool", [
+        (F, [c for c in RATIONAL_POOL if c]), (F, range(1, 5)),
+        (PrimeField(7), range(1, 7))], ids=["QQ-fractions", "QQ-ints", "GF7"])
+    @pytest.mark.parametrize("axes", [(0,), (0, 1)])
+    def test_diagonal_bilinear_is_the_plain_product(self, monkeypatch, f,
+                                                    pool, axes):
+        # batches over the same axes pair their entries one to one: each
+        # pair is expanded as the plain path does, with no operator built
+        monkeypatch.setattr(linalg, "_operator", None)
+        rng, n, k = random.Random(11), 3, 4
+        p = hs.ProductTensor(f, tuple(
+            tuple(tuple(rng.choice(pool) for _ in range(n)) for _ in range(n))
+            for _ in range(n)))
+        x, y = (Batch(f, (n,), axes, k,
+                      [tuple(rng.choice(pool) for _ in range(n))
+                       for _ in range(k ** len(axes))]) for _ in range(2))
+        got = apply_bilinear(p, x, y)
+        assert (got.axes, got.n, got.shape) == (axes, k, (n,))
+        assert got.entries == [
+            apply_bilinear(p, hs.Vector(f, u), hs.Vector(f, v)).coords
+            for u, v in zip(x.entries, y.entries)]
+        assert (any(type(c) is Fraction for e in got.entries for c in e)
+                == any(type(c) is Fraction for c in pool))
 
     def test_mismatched_shapes_raise(self):
         with pytest.raises(ShapeError):

@@ -45,7 +45,8 @@ class TestOracle:
         res = oracle_crosscheck(plain, "hom-algebra", samples=100, seed=0,
                                 verdict=fake)
         assert not res.agreed
-        assert res.mismatches
+        assert res.mismatches == (
+            "hom-associativity: basis verdict holds but sample 0 fails",)
 
     def test_prime_field_sampling(self):
         gf = hs.PrimeField(5)
