@@ -4,11 +4,14 @@
    pykern._table encodes them as 64-bit ints: n, the twist offset al and
    the offset of kind b's first identity, then per identity its term count
    and, per term, its sign, a helper code (0 _ot, 1 _to, 2 _mult) and the
-   helper's six slot arguments. scan() runs pykern._walk's probe and
-   depth-first walk, so counts and sample streams match pykern's bit for
-   bit; see pykern's module docstring for the flat candidate layout, the
-   helpers and why the pruning is exact. This file holds no kind names,
-   no layout formula and no axiom.
+   helper's six slot arguments. scan() runs pykern._walk's depth-first
+   walk, but files each identity by a probe: the deepest free slot the
+   helpers read with every free slot set to 1, reading each twist entry
+   first and skipping the reads behind a pinned zero. pykern files by the
+   reduced polynomial instead; both filings are exact, so counts and sample
+   streams match pykern's bit for bit. See pykern's module docstring for
+   the flat candidate layout and the helpers. This file holds no kind
+   names, no layout formula and no axiom.
 
    Entries are residues mod p < 2^32 held in 64-bit unsigned words, and
    every product of two residues is reduced at once, so no sum or product

@@ -12,20 +12,26 @@ Flat layout of a candidate: the product tensors in kind order (each
 n*n*n, entry (i, j, k) at ((i*n)+j)*n+k), then the twist matrix (n*n,
 entry (row, col) at row*n+col; column j is the image of e_j).
 
-Two contraction helpers cover every identity but multiplicativity:
+Two contraction helpers cover every identity but multiplicativity
+(``_mult``). Each yields the monomials (sign, slot, slot[, slot]) whose
+sum is its coordinate:
 
 * ``_ot(outer, inner, i, j, k, l)``: coordinate l of
   outer(inner(e_i, e_j), twist(e_k)) -- "combine first, twist the tail";
 * ``_to(outer, inner, i, j, k, l)``: coordinate l of
   outer(twist(e_i), inner(e_j, e_k)) -- "twist the head, combine inside".
 
-Each helper skips a read only when a factor of the skipped term is zero,
-and reads the twist entry first, so that a pinned zero in the twist
-spares the product reads behind it. A candidate's residual therefore
-depends only on the slots the helpers read on a probe with every free
-slot set to 1, so the walk checks each identity as soon as the last of
-those slots is set (backtracking with exact pruning: Golomb & Baumert,
-"Backtrack programming", J. ACM 12, 1965).
+``_expansion`` multiplies each identity out into a polynomial in the
+slots, once per (kind, n). The walk specialises it to each template with
+the twist pinned (partial evaluation: Jones, Gomard & Sestoft, "Partial
+Evaluation and Automatic Program Generation", 1993): it multiplies in the
+pinned slots, combines equal monomials mod p, drops the identities that
+vanish, and checks each of the rest as soon as the deepest free slot its
+reduced polynomial reads is set. A slot that no surviving monomial reads
+cannot change the residual mod p, so the pruning is exact (Golomb &
+Baumert, "Backtrack programming", J. ACM 12, 1965). The compiled kernel
+files the identities by a probe instead; both filings are exact, so the
+two kernels give the same counts and streams.
 """
 
 import itertools
@@ -54,54 +60,31 @@ def layout(kind, n):
     return alpha_off + n * n, offs, alpha_off
 
 
-def _ot(v, n, al, outer, inner, i, j, k, l):
-    acc = 0
+def _ot(n, al, outer, inner, i, j, k, l):
     base = inner + (i * n + j) * n
     for b in range(n):
-        bk = v[al + b * n + k]
-        if bk == 0:
-            continue
         for m in range(n):
-            cm = v[base + m]
-            if cm:
-                acc += cm * bk * v[outer + (m * n + b) * n + l]
-    return acc
+            yield 1, base + m, al + b * n + k, outer + (m * n + b) * n + l
 
 
-def _to(v, n, al, outer, inner, i, j, k, l):
-    acc = 0
+def _to(n, al, outer, inner, i, j, k, l):
     base = inner + (j * n + k) * n
     for a in range(n):
-        ai = v[al + a * n + i]
-        if ai == 0:
-            continue
         row = outer + a * n * n
         for m in range(n):
-            cm = v[base + m]
-            if cm:
-                acc += ai * cm * v[row + m * n + l]
-    return acc
+            yield 1, al + a * n + i, base + m, row + m * n + l
 
 
-def _mult(v, n, al, mu, i, j, k):
+def _mult(n, al, mu, i, j, k):
     # coordinate k of twist(product(ei, ej)) - product(twist ei, twist ej)
-    acc = 0
     arow = al + k * n
     base = mu + (i * n + j) * n
     for m in range(n):
-        km = v[arow + m]
-        if km:
-            acc += km * v[base + m]
+        yield 1, arow + m, base + m
     for a in range(n):
-        ai = v[al + a * n + i]
-        if ai == 0:
-            continue
         block = mu + a * n * n
         for b in range(n):
-            bj = v[al + b * n + j]
-            if bj:
-                acc -= ai * bj * v[block + b * n + k]
-    return acc
+            yield -1, al + a * n + i, al + b * n + j, block + b * n + k
 
 
 def _assoc(x):
@@ -140,9 +123,9 @@ _MULTIPLICATIVE = {"hom-algebra": (0,), "hom-dialgebra": (0, 1)}
 @lru_cache(maxsize=None)
 def _identities(kind, n):
     """Every scalar identity instance of the kind's axiom system at
-    dimension n, each a tuple of terms (coefficient, helper, args) whose
-    sum ``_residual`` evaluates; a candidate passes when every residual
-    vanishes mod p. Equal terms are combined, and an instance that is
+    dimension n, each a tuple of terms (coefficient, helper, args): a
+    signed sum of the helpers' monomials; a candidate passes when every
+    sum vanishes mod p. Equal terms are combined, and an instance that is
     zero or the negative of an earlier one is left out (the pre-Lie
     identity at (j, i, k, l) is minus the one at (i, j, k, l))."""
     _, offs, al = layout(kind, n)
@@ -167,15 +150,23 @@ def _identities(kind, n):
     return tuple(ids)
 
 
-def _residual(v, terms):
-    acc = 0
-    for coeff, helper, args in terms:
-        acc += coeff * helper(v, *args)
-    return acc
-
-
-def _holds(ids, v, p):
-    return not any(_residual(v, terms) % p for terms in ids)
+@lru_cache(maxsize=None)
+def _expansion(kind, n):
+    """``_identities(kind, n)`` multiplied out: each identity a tuple of
+    monomials (c, x, y, z), a coefficient times three slots x <= y <= z,
+    equal monomials combined. Slot ``layout(kind, n)[0]``, one past the
+    candidate, holds a constant 1; it pads multiplicativity's quadratic
+    monomials."""
+    one = layout(kind, n)[0]
+    polys = []
+    for terms in _identities(kind, n):
+        poly = {}
+        for coeff, helper, args in terms:
+            for sign, *slots in helper(*args):
+                key = (*sorted(slots), one)[:3]
+                poly[key] = poly.get(key, 0) + coeff * sign
+        polys.append(tuple((c, *key) for key, c in poly.items() if c))
+    return tuple(polys)
 
 
 def _template(kind, n, p, fixed, free=True):
@@ -194,40 +185,64 @@ def _template(kind, n, p, fixed, free=True):
 
 def passes(kind, v, n, p):
     """Does a flat candidate satisfy the kind's axiom system?"""
-    return _holds(_identities(kind, n), _template(kind, n, p, v, False), p)
+    v = _template(kind, n, p, v, False) + [1]
+    return not any(sum([c * v[x] * v[y] * v[z] for c, x, y, z in poly]) % p
+                   for poly in _expansion(kind, n))
 
 
-class _Probe(list):
-    """A candidate that records in ``read`` the slots read from it."""
-
-    def __getitem__(self, slot):
-        self.read.add(slot)
-        return list.__getitem__(self, slot)
+def _holds(polys, v, p):
+    return not any(sum([c * v[x] * v[y] for c, x, y in poly]) % p
+                   for poly in polys)
 
 
-def _walk(ids_a, ids_b, p, fixed):
-    """Depth-first over the free slots of ``fixed`` in lexicographic order,
-    checking each identity as soon as the last free slot it reads is set.
-    Yields ``(v, tail, bad)`` for every assignment of the free slots before
-    ``tail`` under which all of ``ids_a`` hold: no identity reads a slot in
-    ``tail``, so every completion of those slots passes ``ids_a`` too, and
-    fails ``ids_b`` exactly when ``bad``."""
-    free = [slot for slot, x in enumerate(fixed) if x < 0]
-    depth_of = {slot: d for d, slot in enumerate(free)}
-    probe = _Probe(1 if x < 0 else x for x in fixed)
-    checks = ({}, {})  # per list, depth -> identities; -1 reads no free slot
-    for ids, filed in zip((ids_a, ids_b), checks):
-        for terms in ids:
-            probe.read = set()
-            _residual(probe, terms)
-            depth = max((depth_of[s] for s in probe.read if s in depth_of),
-                        default=-1)
+def _specialise(polys, w, p, depth_of):
+    """``polys`` on the template ``w`` (free slots negative, the constant-1
+    slot last): the pinned slots multiplied in, equal monomials combined
+    and reduced mod p. Each identity that does not vanish is filed, as a
+    tuple of (c, x, y) over the free slots padded with the constant-1
+    slot, at the depth of the deepest free slot it reads (-1 for none).
+    The last slot of every monomial is a twist slot or the constant-1
+    slot, pinned either way, so no monomial keeps more than two free
+    slots."""
+    one = len(w) - 1
+    val = [1 if x < 0 else x for x in w]
+    fr = [s if x < 0 else one for s, x in enumerate(w)]
+    filed = {}
+    for poly in polys:
+        reduced = {}
+        for c, x, y, z in poly:
+            c *= val[x] * val[y] * val[z]
+            if c:
+                x, y = fr[x], fr[y]
+                key = (x, y) if x <= y else (y, x)
+                reduced[key] = reduced.get(key, 0) + c
+        terms = tuple((c % p, x, y) for (x, y), c in reduced.items()
+                      if c % p)
+        if terms:
+            depth = max(max(depth_of[x], depth_of[y]) for _, x, y in terms)
             filed.setdefault(depth, []).append(terms)
-    checks_a, checks_b = checks
-    v = [x if x >= 0 else 0 for x in fixed]
+    return filed
+
+
+def _walk(polys_a, polys_b, p, fixed):
+    """Depth-first over the free slots of ``fixed`` (its twist pinned) in
+    lexicographic order, checking each identity as soon as the last free
+    slot it reads is set. Yields ``(v, tail, bad)`` for every assignment of
+    the free slots before ``tail`` under which all of ``polys_a`` hold,
+    ``v`` with the constant-1 slot appended: no identity reads a slot in
+    ``tail``, so every completion of those slots passes ``polys_a`` too,
+    and fails ``polys_b`` exactly when ``bad``."""
+    free = [slot for slot, x in enumerate(fixed) if x < 0]
+    depth_of = [-1] * (len(fixed) + 1)
+    for d, slot in enumerate(free):
+        depth_of[slot] = d
+    w = [*fixed, 1]
+    checks_a, checks_b = (_specialise(polys, w, p, depth_of)
+                          for polys in (polys_a, polys_b))
+    v = [x if x >= 0 else 0 for x in w]
     if not _holds(checks_a.pop(-1, ()), v, p):
         return
-    # bad[d + 1]: an identity of ids_b filed at depth d or shallower fails
+    # bad[d + 1]: an identity of polys_b filed at depth d or shallower fails
     bad = [not _holds(checks_b.pop(-1, ()), v, p)]
     last = max((*checks_a, *checks_b), default=-1)
     bad += [False] * (last + 1)
@@ -241,8 +256,11 @@ def _walk(ids_a, ids_b, p, fixed):
             if d >= 0:
                 v[free[d]] += 1
             continue
-        for terms in checks_a.get(d, ()):
-            if _residual(v, terms) % p:
+        for poly in checks_a.get(d, ()):
+            acc = 0
+            for c, x, y in poly:
+                acc += c * v[x] * v[y]
+            if acc % p:
                 break  # skips the p^(len(free)-d-1) candidates below
         else:
             bad[d + 1] = bad[d] or (d in checks_b and
@@ -278,16 +296,20 @@ def _scan(kind_a, kind_b, n, p, fixed, cap):
     """The walk over one template: how many candidates pass ``kind_a``,
     how many of those are hits (fail ``kind_b``, or all of them when
     ``kind_b`` is None), and the first ``cap`` hits in lexicographic
-    order. ``_ckern.scan`` is the same function in C."""
-    ids_b = () if kind_b is None else _identities(kind_b, n)
+    order. ``_ckern.scan`` is the same function in C; this one needs the
+    template's twist pinned."""
+    if min(fixed[layout(kind_a, n)[2]:], default=0) < 0:
+        raise ValueError("a scan needs the twist pinned")
+    polys_b = () if kind_b is None else _expansion(kind_b, n)
     count = hits = 0
     samples = []
-    for v, tail, bad in _walk(_identities(kind_a, n), ids_b, p, fixed):
+    for v, tail, bad in _walk(_expansion(kind_a, n), polys_b, p, fixed):
         count += p ** len(tail)
         if bad or kind_b is None:
             hits += p ** len(tail)
-            samples += itertools.islice(_assignments(v, tail, p),
-                                        cap - len(samples))
+            if len(samples) < cap:
+                samples += itertools.islice(_assignments(v[:-1], tail, p),
+                                            cap - len(samples))
     return count, hits, samples
 
 

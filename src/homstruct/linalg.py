@@ -77,14 +77,10 @@ class Vector:
         return len(self.coords)
 
     def add(self, other: "Vector") -> "Vector":
-        _same_dim(self, other)
-        f = require_same_field(self.field, other.field)
-        return Vector(f, tuple(map(f.reduce, map(add, self.coords, other.coords))))
+        return _combine(self, other, add)
 
     def sub(self, other: "Vector") -> "Vector":
-        _same_dim(self, other)
-        f = require_same_field(self.field, other.field)
-        return Vector(f, tuple(map(f.reduce, map(sub, self.coords, other.coords))))
+        return _combine(self, other, sub)
 
     def scale(self, c) -> "Vector":
         f = self.field
@@ -237,18 +233,10 @@ class Tensor2:
         return (len(self.entries), len(self.entries[0]) if self.entries else 0)
 
     def add(self, other: "Tensor2") -> "Tensor2":
-        _same_shape(self, other)
-        f = require_same_field(self.field, other.field)
-        red = f.reduce
-        return Tensor2(f, tuple(tuple(map(red, map(add, ra, rb)))
-                                for ra, rb in zip(self.entries, other.entries)))
+        return _combine(self, other, add)
 
     def sub(self, other: "Tensor2") -> "Tensor2":
-        _same_shape(self, other)
-        f = require_same_field(self.field, other.field)
-        red = f.reduce
-        return Tensor2(f, tuple(tuple(map(red, map(sub, ra, rb)))
-                                for ra, rb in zip(self.entries, other.entries)))
+        return _combine(self, other, sub)
 
     def map_left(self, g: LinearMap) -> "Tensor2":
         """Apply g to the left tensor leg."""
@@ -289,20 +277,10 @@ class Tensor3:
                 len(e[0][0]) if e and e[0] else 0)
 
     def add(self, other: "Tensor3") -> "Tensor3":
-        _same_shape(self, other)
-        f = require_same_field(self.field, other.field)
-        red = f.reduce
-        return Tensor3(f, tuple(
-            tuple(tuple(map(red, map(add, ra, rb))) for ra, rb in zip(pa, pb))
-            for pa, pb in zip(self.entries, other.entries)))
+        return _combine(self, other, add)
 
     def sub(self, other: "Tensor3") -> "Tensor3":
-        _same_shape(self, other)
-        f = require_same_field(self.field, other.field)
-        red = f.reduce
-        return Tensor3(f, tuple(
-            tuple(tuple(map(red, map(sub, ra, rb))) for ra, rb in zip(pa, pb))
-            for pa, pb in zip(self.entries, other.entries)))
+        return _combine(self, other, sub)
 
 
 # the plain class of a batch's entries, by the length of their shape
@@ -885,6 +863,18 @@ def _pairwise(x, y, f, shape, fn, ys=None):
     return Batch(f, shape, axes, x.n, [fn(xs[i], ys[j]) for i, j in pairs])
 
 
+def _combine(x, y, op):
+    """``x op y`` entry by entry for a plain ``x``: a plain value when
+    ``y`` is one too, else a batch, as ``_entrywise`` gives."""
+    if type(y) is Batch:
+        return _entrywise(x, y, op)
+    shape = _shape_of(x)
+    if _shape_of(y) != shape:
+        raise ShapeError(f"shape mismatch: {shape} vs {_shape_of(y)}")
+    f = require_same_field(x.field, y.field)
+    return type(x)(f, _zipwith(op, f.reduce, len(shape), _raw(x), _raw(y)))
+
+
 def _entrywise(x, y, op):
     x, y = _batches(x, y)
     if x.shape != y.shape:
@@ -935,13 +925,3 @@ def _reduced(f, acc):
     red = f.reduce
     zero = f.zero
     return tuple(tuple([red(v) if v else zero for v in row]) for row in acc)
-
-
-def _same_dim(a: Vector, b: Vector):
-    if a.dim != b.dim:
-        raise ShapeError(f"dimension mismatch: {a.dim} vs {b.dim}")
-
-
-def _same_shape(a, b):
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")

@@ -31,8 +31,9 @@ RAW_CANDIDATE_BUDGET = 2 ** 32
 # raw candidates one sweep may span, by the kernel that runs it. A budget
 # counts raw candidates, an upper bound on what a walk visits: both
 # kernels run the same pruned walk and visit far fewer, the compiled one
-# at C speed (twist-pinned dim-3 GF(2) spaces of 2^24 candidates took the
-# Python kernel 0.01-25 s on a 2-core machine under Python 3.11.7)
+# at C speed (twist-pinned dim-3 GF(2) spaces of 2^24 candidates, one
+# product and three of its slots pinned, took the Python kernel 0.002-13 s
+# over six twists on a 2-core machine under Python 3.11.7)
 SWEEP_BUDGETS = {"compiled": RAW_CANDIDATE_BUDGET, "python": 2 ** 24}
 
 # group_by_isomorphism holds GL_n(F_p) for the call and makes one

@@ -2,10 +2,12 @@
 
 Both kernels evaluate pykern's one identity table (contraction loops over
 flat arrays rather than the vector-calculus evaluators) and walk it the
-same way, pykern's in Python and the compiled one in C. The table is
-checked against the exact checkers, each walk against an unpruned
-reference that decides every candidate with pykern's ``passes``, and the
-C term evaluator against pykern's helpers.
+same way, pykern's in Python over each identity specialised to the
+template and the compiled one in C. The table is checked against the
+exact checkers, each specialised identity against the residual it stands
+for, each walk against an unpruned reference that decides every
+candidate with pykern's ``passes``, and the C term evaluator against
+pykern's helpers.
 """
 
 import itertools
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import homstruct as hs
+from homstruct import search
 from homstruct._kernels import pykern
 from homstruct.fields import PrimeField
 from homstruct.search import (SearchSpec, enumerate_structures,
@@ -290,6 +293,139 @@ class TestCompiledWalk(TestPrunedWalk):
         return compiled
 
 
+# 4294967311 is the least prime above 2^32, where only pykern is exact
+SPECIALISE_PRIMES = (2, 3, 7, 4294967291, 4294967311)
+
+
+def det(rows):
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        term = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        for row, col in enumerate(perm):
+            term *= rows[row][col]
+        total += term
+    return total
+
+
+def random_twist(rng, n, p, rank):
+    """A flat n x n twist over GF(p): "zero", "singular" (zero at n = 1)
+    or "invertible"."""
+    if rank == "zero" or (rank == "singular" and n == 1):
+        return [0] * (n * n)
+    while True:
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        if rank == "singular":
+            c = rng.randrange(p)
+            rows[-1] = [c * x % p for x in rows[0]]
+        if (det(rows) % p == 0) == (rank == "singular"):
+            return [x for row in rows for x in row]
+
+
+def specialise_template(rng, kind, n, p, rank, unit):
+    """The twist pinned to a ``rank`` twist, the product slots of the
+    ``require_unit`` prefill pinned when ``unit``, and about 40% of the
+    other product slots pinned, half of those to zero."""
+    total, _, al = pykern.layout(kind, n)
+    if unit:  # entries 0 and 1 are residues mod every p
+        spec = SearchSpec(kind, n, 2, require_unit=True,
+                          fixed={"alpha": [[0] * n] * n})
+        fixed = search._flat_template(spec, "compiled")[0]
+    else:
+        fixed = [-1] * total
+    for slot in range(al):
+        if fixed[slot] < 0 and rng.random() < 0.4:
+            fixed[slot] = rng.randrange(p) if rng.random() < 0.5 else 0
+    fixed[al:] = random_twist(rng, n, p, rank)
+    return fixed
+
+
+def depths(fixed):
+    """Per slot, and for the constant-1 slot after them: the slot's
+    position among the free slots, or -1."""
+    depth_of = [-1] * (len(fixed) + 1)
+    for d, slot in enumerate(s for s, x in enumerate(fixed) if x < 0):
+        depth_of[slot] = d
+    return depth_of
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", sorted(pykern.KINDS))
+def test_specialised_identities_are_the_residuals(kind, n):
+    """Each identity of the cached expansion, specialised to a template,
+    has the identity's residual mod p at random completions, reads only
+    free slots (and the constant-1 slot, ``len(fixed)``), and is filed at
+    the deepest of them; one that vanishes has residual 0 there."""
+    polys = pykern._expansion(kind, n)
+    for p in SPECIALISE_PRIMES:
+        rng = random.Random(f"{kind}:{n}:{p}")
+        sample = rng.sample(polys, min(len(polys), 24))
+        for rank, unit in itertools.product(
+                ("zero", "singular", "invertible"), (False, True)):
+            fixed = specialise_template(rng, kind, n, p, rank, unit)
+            depth_of = depths(fixed)
+            for poly in sample:
+                filed = pykern._specialise((poly,), [*fixed, 1], p, depth_of)
+                reduced = [r for rs in filed.values() for r in rs]
+                assert len(reduced) <= 1
+                reduced = reduced[0] if reduced else ()
+                reads = {s for _, x, y in reduced for s in (x, y)}
+                reads.discard(len(fixed))
+                assert all(fixed[s] < 0 for s in reads)
+                assert all(0 < c < p for c, _, _ in reduced)
+                if reduced:
+                    assert list(filed) == [max((depth_of[s] for s in reads),
+                                               default=-1)]
+                for _ in range(3):
+                    v = [rng.randrange(p) if x < 0 else x for x in fixed]
+                    v.append(1)
+                    assert sum(c * v[x] * v[y] for c, x, y in reduced) % p \
+                        == sum(c * v[x] * v[y] * v[z]
+                               for c, x, y, z in poly) % p
+
+
+@pytest.mark.parametrize("kind, p, fixed", [
+    # twist [[1, 1], [0, 2]]: the last free slot cancels mod 3 only
+    ("hom-prelie", 3, [2, 0, 0, -1, -1, 0, 0, -1, 1, 1, 0, 2]),
+    # twist [[0, 1], [0, 1]]: the last free slot cancels mod 2 only
+    ("hom-prelie", 2, [0, 0, -1, -1, -1, 0, 0, -1, 0, 1, 0, 1]),
+])
+def test_slots_that_cancel_mod_p_join_the_tail(compiled, kind, p, fixed):
+    polys, depth_of = pykern._expansion(kind, 2), depths(fixed)
+
+    def last(q):  # the deepest depth an identity is filed at over GF(q)
+        return max(pykern._specialise(polys, [*fixed, 1], q, depth_of))
+
+    assert last(p) < last(4294967291)
+    free = [slot for slot, x in enumerate(fixed) if x < 0]
+    tails = {tuple(tail) for _, tail, _ in pykern._walk(polys, (), p, fixed)}
+    assert tails == {tuple(free[last(p) + 1:])} != {()}
+    want = brute_sweep(kind, 2, p, fixed, 1 << 20)
+    assert want[0] > 0
+    assert pykern.sweep(kind, 2, p, fixed, 1 << 20) == want
+    assert compiled.sweep(kind, 2, p, fixed, 1 << 20) == want
+
+
+def twists(n, p, invertible=False):
+    """Every flat n x n twist over GF(p), or every invertible one."""
+    for flat in itertools.product(range(p), repeat=n * n):
+        rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+        if not invertible or det(rows) % p:
+            yield list(flat)
+
+
+@pytest.mark.parametrize("kind, p", [
+    ("hom-algebra", 3), ("hom-leibniz", 3), ("hom-prelie", 3),
+    ("hom-dialgebra", 2), ("hlsda", 2)])
+def test_kernels_agree_on_the_search_shapes(compiled, kind, p):
+    """The search workload's sweeps: dimension 2, every invertible twist
+    pinned, everything else free."""
+    al = pykern.layout(kind, 2)[2]
+    for twist in twists(2, p, invertible=True):
+        fixed = [-1] * al + twist
+        assert pykern.sweep(kind, 2, p, fixed, 16) == \
+            compiled.sweep(kind, 2, p, fixed, 16), twist
+
+
 class TestCountsWithinReach:
     """Counts the pruned walk makes cheap on the Python kernel."""
 
@@ -300,6 +436,12 @@ class TestCountsWithinReach:
     def test_unital_dim3_gf2_hom_algebras(self, kernel):
         spec = SearchSpec("hom-algebra", 3, 2, require_unit=True, cap=0)
         assert enumerate_structures(spec, kernel=kernel.NAME).count == 4268
+
+    def test_dim2_gf3_hom_algebras_over_every_twist(self, kernel):
+        # the per-twist counts behind the 2-hom-associative count
+        counts = [kernel.sweep("hom-algebra", 2, 3, [-1] * 8 + twist, 0)[0]
+                  for twist in twists(2, 3)]
+        assert len(counts) == 81 and sum(counts) == 7305
 
     @pytest.mark.parametrize("kind, count", [("hom-dialgebra", 15),
                                              ("hlsda", 207)])

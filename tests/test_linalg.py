@@ -170,7 +170,8 @@ class TestCubeShapes:
     where zipping them would silently truncate a sum."""
 
     def test_add_and_sub(self, kind):
-        for a, b in ((_cube(2, kind), _cube(3)), (_cube(3, kind), _cube(2))):
+        for a, b in ((_cube(2, kind), _cube(3)), (_cube(3, kind), _cube(2)),
+                     (_cube(2), _cube(3, kind)), (_cube(3), _cube(2, kind))):
             with pytest.raises(ShapeError):
                 a.add(b)
             with pytest.raises(ShapeError):
@@ -609,15 +610,12 @@ class TestBatches:
     @given(st.sampled_from(FIELDS), st.integers(1, 3), st.integers(1, 3),
            layouts, st.data())
     def test_side_methods(self, f, n, k, layout, data):
-        first, second = layout
-        if first is None:  # a method is called on a batch
-            first, second = second, first
+        # add and sub on a plain value take a batch operand too
         for shape in ((n,), (n, 2), (2, n, 1)):
-            x = _operand(data, f, first, k, shape)
-            y = _operand(data, f, second, k, shape)
+            x, y = (_operand(data, f, axes, k, shape) for axes in layout)
             _agrees(x.add(y), lambda u, v: u.add(v), x, y)
             _agrees(x.sub(y), lambda u, v: u.sub(v), x, y)
-        t = _operand(data, f, first, k, (n, 2))
+        t = _operand(data, f, layout[0] or layout[1], k, (n, 2))
         g = hs.LinearMap(f, _array(data, f, 3, n))
         h = hs.LinearMap(f, _array(data, f, 1, 2))
         e = hs.LinearMap(f, _array(data, f, 1, n))
@@ -694,6 +692,15 @@ class TestBatches:
             list(mismatches(basis_batch(F, 2, 0), vec([1, 0, 0]), 1, 2))
         with pytest.raises(ShapeError):
             basis_batch(F, 2, 0).add(basis_batch(F, 3, 1))
+        square = Batch(F, (2, 2), (0,), 2, [((1, 0), (0, 1))] * 2)
+        for plain, batch in ((vec([1, 0]), basis_batch(F, 3, 0)),
+                             (vec([1, 0]), square),
+                             (hs.Tensor2(F, ((1, 0, 0), (0, 1, 0))), square),
+                             (hs.Tensor2(F, ((1, 0), (0, 1))),
+                              basis_batch(F, 2, 0))):
+            for op in (plain.add, plain.sub):
+                with pytest.raises(ShapeError):
+                    op(batch)
 
 
 def test_axioms_binds_linalg_own_functions():
