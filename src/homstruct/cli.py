@@ -46,17 +46,29 @@ def _emit(args, text):
         print(text)
 
 
-def _negative_samples(args) -> bool:
-    """Report a negative ``--oracle-samples`` on stderr; True if refused."""
+# the most random-vector samples one oracle cross-check may draw: on a
+# 2-core machine under Python 3.11.7 that many took about 22 s on the
+# slowest corpus fixture and 8 min on a dim-10 hom-bialgebra
+MAX_ORACLE_SAMPLES = 10 ** 5
+
+
+def _refused_samples(args) -> bool:
+    """Report an ``--oracle-samples`` count below 0 or above
+    MAX_ORACLE_SAMPLES on stderr; True if refused."""
     if args.oracle_samples < 0:
         print(f"invalid input: --oracle-samples must be non-negative, got "
               f"{args.oracle_samples}", file=sys.stderr)
+        return True
+    if args.oracle_samples > MAX_ORACLE_SAMPLES:
+        print(f"invalid input: --oracle-samples must be at most "
+              f"{MAX_ORACLE_SAMPLES}, got {args.oracle_samples}",
+              file=sys.stderr)
         return True
     return False
 
 
 def cmd_check(args) -> int:
-    if _negative_samples(args):
+    if _refused_samples(args):
         return 2
     if args.witness_cap < 1:
         print(f"invalid input: --witness-cap must be at least 1, got "
@@ -181,6 +193,9 @@ def cmd_search(args) -> int:
         except json.JSONDecodeError as exc:
             print(f"invalid --fixed JSON: {exc}", file=sys.stderr)
             return 2
+        except RecursionError:
+            print("invalid --fixed JSON: nested too deeply", file=sys.stderr)
+            return 2
     spec = SearchSpec(kind=args.kind, dim=args.dim, prime=args.prime,
                       fixed=fixed, require_unit=args.require_unit,
                       cap=args.cap)
@@ -208,7 +223,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    if _negative_samples(args):
+    if _refused_samples(args):
         return 2
     try:
         outcome = corpus_run(samples=args.oracle_samples, seed=args.seed,
@@ -243,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check id to run (default: the document kind's suite)")
     p.add_argument("--strict-assoc", action="store_true",
                    help="demand plain associativity of dialgebra products")
-    p.add_argument("--oracle-samples", type=int, default=100)
+    p.add_argument("--oracle-samples", type=int, default=100,
+                   help=f"random-vector samples, 0 to {MAX_ORACLE_SAMPLES}")
     p.add_argument("--no-oracle", action="store_true")
     p.add_argument("--witness-cap", type=int, default=DEFAULT_WITNESS_CAP,
                    help="witnesses to report, at least 1")
@@ -285,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", help="re-verify the bundled corpus")
     p.add_argument("--format", choices=("human", "machine"), default="human")
-    p.add_argument("--oracle-samples", type=int, default=100)
+    p.add_argument("--oracle-samples", type=int, default=100,
+                   help=f"random-vector samples, 0 to {MAX_ORACLE_SAMPLES}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--data", default=None,
                    help="corpus directory (default: the bundled one)")

@@ -11,7 +11,6 @@ the tables.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -79,9 +78,8 @@ def load_expected(data_dir=None) -> dict:
     path = data_dir / "expected.json"
     if not path.exists():
         raise DocumentError(f"no expected-verdict table at {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        table = json.load(fh)
-    if table.get("format-version") != 1:
+    table = load_path(path)
+    if not isinstance(table, dict) or table.get("format-version") != 1:
         raise DocumentError("unsupported expected-verdict format")
     return table
 

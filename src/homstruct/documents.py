@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 
-from .errors import DocumentError, ScalarParseError
+from .errors import DocumentError, FieldError, ScalarParseError
 from .fields import parse_field
 from .linalg import CoproductTensor, LinearMap, ProductTensor, Vector
 from .structures import KINDS, SECTION_TYPES
@@ -58,7 +58,8 @@ def _parse_matrix(field, rows_n, cols_n, arr) -> LinearMap:
                      for i in range(rows_n))
     except (IndexError, TypeError, KeyError) as exc:
         raise DocumentError("matrix section has the wrong shape") from exc
-    if len(arr) != rows_n or any(len(r) != cols_n for r in arr):
+    if len(arr) != rows_n or any(not isinstance(r, list) or len(r) != cols_n
+                                 for r in arr):
         raise DocumentError("matrix section has the wrong shape")
     return LinearMap(field, rows)
 
@@ -70,33 +71,54 @@ def _parse_vector(field, n, arr) -> Vector:
 
 
 def _no_extra(arr, n, depth):
-    if len(arr) != n:
+    if not isinstance(arr, list) or len(arr) != n:
         raise DocumentError("tensor section has the wrong shape")
     if depth > 1:
         for sub in arr:
             _no_extra(sub, n, depth - 1)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_version(doc):
+    version = doc.get("format-version")
+    if not _is_int(version) or version != FORMAT_VERSION:
+        raise DocumentError(f"unsupported format-version {version!r}")
+
+
+def _parse_field(doc):
+    descriptor = doc.get("field", "")
+    if not isinstance(descriptor, str):
+        raise DocumentError(f"bad field descriptor {descriptor!r}")
+    try:
+        return parse_field(descriptor)
+    except FieldError as exc:
+        raise DocumentError(f"bad field descriptor: {exc}") from exc
+
+
 def document_to_structure(doc: dict):
-    """Parse a document dict into exactly one structure."""
+    """Parse a document dict into exactly one structure. Each top-level
+    field is type-checked before it is used; any defect raises
+    DocumentError."""
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
-    if doc.get("format-version") != FORMAT_VERSION:
-        raise DocumentError(f"unsupported format-version "
-                            f"{doc.get('format-version')!r}")
+    _check_version(doc)
     kind = doc.get("kind")
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise DocumentError(f"unknown kind {kind!r}")
     n = doc.get("dimension")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise DocumentError("dimension must be a positive integer")
-    try:
-        field = parse_field(doc.get("field", ""))
-    except Exception as exc:
-        raise DocumentError(f"bad field descriptor: {exc}") from exc
+    field = _parse_field(doc)
     basis = doc.get("basis")
-    if basis is not None and (not isinstance(basis, list) or len(basis) != n):
+    if basis is not None and (not isinstance(basis, list) or len(basis) != n
+                              or not all(isinstance(b, str) for b in basis)):
         raise DocumentError("basis labels must list one name per dimension")
+    metadata = doc.get("metadata")
+    if metadata is not None and not isinstance(metadata, dict):
+        raise DocumentError("metadata must be a JSON object")
     maps = doc.get("maps")
     if not isinstance(maps, dict):
         raise DocumentError("document has no maps object")
@@ -202,16 +224,18 @@ def morphism_to_document(f: LinearMap, source: str, target: str,
 
 def document_to_morphism(doc: dict):
     """Returns (matrix, source fixture name, target fixture name)."""
-    if doc.get("format-version") != FORMAT_VERSION:
-        raise DocumentError("unsupported format-version")
+    if not isinstance(doc, dict):
+        raise DocumentError("document must be a JSON object")
+    _check_version(doc)
     if doc.get("type") != "morphism":
         raise DocumentError("not a morphism document")
-    field = parse_field(doc.get("field", ""))
+    field = _parse_field(doc)
     matrix = doc.get("matrix")
-    if not isinstance(matrix, list) or not matrix:
+    if not isinstance(matrix, list) or not matrix or \
+            not isinstance(matrix[0], list) or not matrix[0]:
         raise DocumentError("morphism document has no matrix")
-    rows = tuple(tuple(_coerce(field, x) for x in row) for row in matrix)
-    return LinearMap(field, rows), doc.get("source"), doc.get("target")
+    return (_parse_matrix(field, len(matrix), len(matrix[0]), matrix),
+            doc.get("source"), doc.get("target"))
 
 
 def dumps(doc: dict) -> str:
@@ -219,10 +243,14 @@ def dumps(doc: dict) -> str:
 
 
 def loads(text: str) -> dict:
+    """Parse JSON text; malformed or too deeply nested text raises
+    DocumentError."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError("not valid JSON: nested too deeply") from exc
 
 
 def load_path(path):

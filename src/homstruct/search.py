@@ -13,9 +13,11 @@ reproducible.
 
 from __future__ import annotations
 
-import itertools
+import functools
+import sys
+from array import array
+from itertools import chain, product
 from dataclasses import dataclass
-from operator import mul
 from typing import Optional
 
 from . import _kernels
@@ -23,7 +25,7 @@ from ._kernels import pykern
 from .axioms import check_morphism
 from .errors import BudgetExceededError, FieldMismatchError, ShapeError
 from .fields import PrimeField, require_same_field
-from .linalg import LinearMap, ProductTensor, basis_vector, kron
+from .linalg import LinearMap, ProductTensor, basis_vector
 from .structures import KINDS, Morphism
 
 RAW_CANDIDATE_BUDGET = 2 ** 32
@@ -36,9 +38,11 @@ RAW_CANDIDATE_BUDGET = 2 ** 32
 # over six twists on a 2-core machine under Python 3.11.7)
 SWEEP_BUDGETS = {"compiled": RAW_CANDIDATE_BUDGET, "python": 2 ** 24}
 
-# group_by_isomorphism holds GL_n(F_p) for the call and makes one
-# transport per element and structure: 6 at n = 2 over GF(2), 20160 at
-# n = 4 over GF(2); GF(5) at n = 3 (1.5e6) is refused
+# group_by_isomorphism walks GL_n(F_p) once per call: it packs each
+# element's map on every section once and then makes one big-integer
+# multiply per section, element and structure. Elements: 6 at n = 2 over
+# GF(2), 20160 at n = 4 over GF(2); GF(5) at n = 3 (1.5e6) is refused.
+# The elements of the last few groups are cached per (n, p)
 GROUP_ORDER_BUDGET = 2 ** 16
 
 SEARCH_KINDS = tuple(pykern.KINDS)
@@ -223,9 +227,20 @@ def group_by_isomorphism(structures) -> list:
     array over its transports g . s for g in GL_n(F_p) (McKay, "Isomorph-
     free exhaustive generation", J. Algorithms 26, 1998). Two keys are
     equal exactly when an invertible intertwiner exists, so grouping is
-    one dict lookup per structure after |GL_n(F_p)| transports: 6 at
-    n = 2 over GF(2), 48 over GF(3), 168 at n = 3 over GF(2).
-    ``BudgetExceededError`` when |GL_n(F_p)| exceeds GROUP_ORDER_BUDGET.
+    one dict lookup per structure once the forms are known.
+
+    A transport is linear in each section, so the loop runs over the
+    group: once per call, each g in GL_n(F_p) is packed into one integer
+    per section holding the dense map of the transport on that section's
+    flat entries (Kronecker substitution; Harvey, "Faster polynomial
+    multiplication via multipoint Kronecker substitution", J. Symbolic
+    Comput. 44, 2009). Then g . s costs, per section, one big-integer
+    multiply by the packed entries, one ``to_bytes`` and a reduction mod
+    p of the strided result; a section of N entries makes about 2 N^3
+    field products. |GL_n(F_p)| is 6 at n = 2 over GF(2), 48 over GF(3)
+    and 168 at n = 3 over GF(2). The group's elements are cached per
+    (n, p); ``BudgetExceededError`` when its order exceeds
+    GROUP_ORDER_BUDGET, checked on every call.
 
     All members must share one kind and carry the same sections
     (``ShapeError`` otherwise): a unit, say, is compared only when both
@@ -242,16 +257,17 @@ def group_by_isomorphism(structures) -> list:
     if len({_signature(s) for s in structures}) > 1:
         raise ShapeError("isomorphism classes need structures of one kind "
                          "carrying the same sections")
-    p = gf.p
-    groups = {}  # dim -> GL_n(F_p), built once per call
+    by_dim = {}
+    for s in structures:
+        by_dim.setdefault(s.dim, []).append(s)
+    keys = {}  # id(structure) -> (dim, canonical form)
+    for n, members in by_dim.items():
+        _require_group_order(n, gf.p)
+        forms = _canonical_forms(members, n, gf.p)
+        keys.update((id(s), (n, form)) for s, form in zip(members, forms))
     orbits = {}
     for s in structures:
-        n = s.dim
-        if n not in groups:
-            groups[n] = _general_linear_group(n, gf)
-        sections = _section_matrices(s)
-        key = (n, min(_transport(sections, g, p) for g in groups[n]))
-        orbits.setdefault(key, []).append(s)
+        orbits.setdefault(keys[id(s)], []).append(s)
     return list(orbits.values())
 
 
@@ -262,25 +278,41 @@ def _signature(s):
               (s.products(), s.coproducts(), s.counits())))
 
 
-def _general_linear_group(n, gf):
-    """Every invertible n x n matrix g over GF(p), as (g, g^-1, g(x)g,
-    g^-1(x)g^-1), the factors ``_transport`` multiplies by;
-    ``BudgetExceededError`` when there are more than GROUP_ORDER_BUDGET."""
-    p = gf.p
+def _require_group_order(n, p):
+    """``BudgetExceededError`` when |GL_n(F_p)| exceeds GROUP_ORDER_BUDGET;
+    stops multiplying as soon as it does."""
     order = 1
     for i in range(n):  # |GL_n(F_p)| = (p^n - 1)(p^n - p)...(p^n - p^(n-1))
         order *= p ** n - p ** i
         if order > GROUP_ORDER_BUDGET:
             raise BudgetExceededError(
                 f"GL_{n}(F_{p}) has more than {GROUP_ORDER_BUDGET} elements")
+
+
+@functools.lru_cache(maxsize=4)
+def _general_linear_group(n, p):
+    """Every invertible n x n matrix g over GF(p) with its inverse, in
+    lexicographic order of g, as pairs of row tuples (equal rows are one
+    object); callers check the group's order against the budget first.
+    Row k runs over the vectors outside the span of rows 0 to k - 1, so
+    no singular matrix is built."""
+    vectors = {v: v for v in product(range(p), repeat=n)}
     out = []
-    for flat in itertools.product(range(p), repeat=n * n):
-        g = [flat[i * n:(i + 1) * n] for i in range(n)]
-        h = _inverse(g, p)
-        if h is not None:
-            gm, hm = LinearMap(gf, g), LinearMap(gf, h)
-            out.append((g, h, kron(gm, gm).rows, kron(hm, hm).rows))
-    return out
+
+    def extend(rows, span):
+        for v in vectors:
+            if v in span:
+                continue
+            g = rows + [v]
+            if len(g) == n:
+                h = _inverse(g, p)
+                out.append((tuple(g), tuple(vectors[tuple(r)] for r in h)))
+            else:
+                extend(g, {tuple((x + a * y) % p for x, y in zip(s, v))
+                           for s in span for a in range(p)})
+
+    extend([], {(0,) * n})
+    return tuple(out)
 
 
 def _inverse(rows, p):
@@ -304,52 +336,147 @@ def _inverse(rows, p):
     return [r[n:] for r in aug]
 
 
-def _matmul(a, b, p):
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
-
-
-# factor positions in a group element (g, g^-1, g(x)g, g^-1(x)g^-1)
+# factors of a transport: g, g^-1, g (x) g, g^-1 (x) g^-1, and None for
+# the 1 x 1 identity
 _G, _H, _GG, _HH = range(4)
 
-
-def _section_matrices(s):
-    """The sections ``check_morphism`` compares, as (left, matrix, right):
-    the transport by g is group[left] . matrix . group[right] (a None
-    factor is skipped). A product is the n x n^2 matrix sending
-    e_i (x) e_j to mu(e_i, e_j), a coproduct the n^2 x n matrix of its
-    values, the unit a column and a counit a row."""
-    n = s.dim
-    out = []
-    for _, t in sorted(s.products().items()):
-        c = t.c
-        out.append((_G, [[c[i][j][k] for i in range(n) for j in range(n)]
-                         for k in range(n)], _HH))
-    out.append((_G, s.alpha.rows, _H))
-    if getattr(s, "unit", None) is not None:
-        out.append((_G, [[x] for x in s.unit.coords], None))
-    for _, q in sorted(s.coproducts().items()):
-        d = q.d
-        out.append((_GG, [[d[k][i][j] for k in range(n)]
-                          for i in range(n) for j in range(n)], _H))
-    for _, eps in sorted(s.counits().items()):
-        out.append((None, eps.rows, _H))
-    return out
+# native formats of unsigned fields, narrowest first; memoryview.cast and
+# array read and write them alike
+_FORMATS = ("B", "H", "I", "Q")
 
 
-def _transport(sections, g, p):
-    """The flat array of g . s: mu'(x, y) = g mu(g^-1 x, g^-1 y),
+def _sections(s):
+    """The sections ``check_morphism`` compares, as their layout and their
+    entries: a section is a (left, rows, cols, right) block of the flat
+    entries, a rows x cols matrix M in row-major order, and the transport
+    by g maps it to left . M . right for the factors of g those codes
+    name. A product is the n x n^2 matrix sending e_i (x) e_j to
+    mu(e_i, e_j), a coproduct the n^2 x n matrix of its values, the unit
+    a column and a counit a row. So mu'(x, y) = g mu(g^-1 x, g^-1 y),
     alpha' = g alpha g^-1, unit' = g unit, Delta' = (g (x) g) Delta g^-1
-    and eps' = eps g^-1, entries mod p."""
-    flat = []
-    for left, m, right in sections:
-        if right is not None:
-            m = _matmul(m, g[right], p)
-        if left is not None:
-            m = _matmul(g[left], m, p)
-        for row in m:
-            flat.extend(row)
-    return tuple(flat)
+    and eps' = eps g^-1."""
+    n = s.dim
+    layout, flat = [], []
+    for _, t in sorted(s.products().items()):
+        layout.append((_G, n, n * n, _HH))
+        # row k lists mu(e_i, e_j)[k] over the n^2 rows t.c[i][j]
+        flat += chain.from_iterable(zip(*chain.from_iterable(t.c)))
+    layout.append((_G, n, n, _H))
+    flat += chain.from_iterable(s.alpha.rows)
+    if getattr(s, "unit", None) is not None:
+        layout.append((_G, n, 1, None))
+        flat += s.unit.coords
+    for _, q in sorted(s.coproducts().items()):
+        layout.append((_GG, n * n, n, _H))
+        # row (i, j) lists Delta(e_k)[i][j] over the planes q.d[k]
+        flat += chain.from_iterable(zip(*map(chain.from_iterable, q.d)))
+    for _, eps in sorted(s.counits().items()):
+        layout.append((None, 1, n, _H))
+        flat += eps.rows[0]
+    return layout, flat
+
+
+def _field_format(size, p):
+    """The narrowest field format that holds a sum of ``size`` products of
+    three residues mod p without carrying. Under GROUP_ORDER_BUDGET a
+    section has one entry when p > 13, so 8 bytes always do."""
+    return next(f for f in _FORMATS
+                if size * (p - 1) ** 3 < 1 << 8 * array(f).itemsize)
+
+
+def _canonical_forms(members, n, p):
+    """The canonical form of each structure of dimension n (all of one
+    signature): the least flat ``_sections`` array of g . s over
+    GL_n(F_p), entries mod p.
+
+    The transport maps each section on its own. Entry r of g . M is
+    sum_c T[r][c] v[c] mod p for the section's flat entries v, reduced,
+    and its dense map T, entries below p^2. With v packed as
+    sum_c v[c] B^c and T as sum T[r][c] B^(2Nr + N - 1 - c) for
+    N = len(v) and a field base B = 2^(8 * width), field 2Nr + N - 1 of
+    their product holds that sum: every field sums at most N products
+    below p^3, so none carries into the next. A form is kept as a tuple
+    of per-section parts, which compares like their concatenation."""
+    sections = [_sections(s) for s in members]
+    layout = sections[0][0]
+    flats = [[x % p for x in flat] for _, flat in sections]
+    fmt = _field_format(max(rows * cols for _, rows, cols, _ in layout), p)
+    width, order = array(fmt).itemsize, sys.byteorder
+    if fmt == "B":
+        # bytes compare like the tuples of their values, and one
+        # translate reduces every field
+        part = bytes
+        residues = bytes(x % p for x in range(256))
+
+        def read(raw, size):
+            return raw[size - 1::2 * size].translate(residues)
+    else:
+        part = tuple
+        mod = p.__rmod__
+
+        def read(raw, size):
+            fields = memoryview(raw).cast(fmt)
+            return tuple(map(mod, fields[size - 1::2 * size]))
+    packed = []  # per section: (packed entries of each member, N, bytes)
+    best = [()] * len(flats)
+    off = 0
+    for _, rows, cols, _ in layout:
+        size = rows * cols
+        cuts = [v[off:off + size] for v in flats]
+        packed.append(([int.from_bytes(array(fmt, v), order) for v in cuts],
+                       size, 2 * size * size * width))
+        best = [b + (part(v),) for b, v in zip(best, cuts)]  # g = 1
+        off += size
+    for g, h in _general_linear_group(n, p):
+        maps = _packed_maps(layout, g, h, p, fmt)
+        best = list(map(min, best, zip(*[
+            [read((v * t).to_bytes(nbytes, order), size) for v in entries]
+            for t, (entries, size, nbytes) in zip(maps, packed)])))
+    return [tuple(chain.from_iterable(b)) for b in best]
+
+
+def _packed_maps(layout, g, h, p, fmt):
+    """The dense map T of the transport by g on each section, packed as
+    ``_canonical_forms`` reads it.
+
+    A section left . M . right (R x C, S = RC entries) has the map
+    left (x) right^T on row-major M: T[rC + c][iC + j] is
+    left[r][i] right[j][c], at field (rC + c) 2S + S - 1 - iC - j. That
+    field is the sum of a place for left[r][i], rC 2S + (R - 1 - i) C,
+    and one for right[j][c], c 2S + C - 1 - j, and no two pairs of
+    places share a sum (Kronecker substitution). So the larger factor is
+    packed once at its places, and T is the sum of that packing times
+    each entry a != 0 of the smaller one, shifted by the entry's place:
+    each field holds one product of two residues."""
+    factors = {_G: g, _H: h, None: ((1,),)}
+    for code, m in ((_GG, g), (_HH, h)):
+        if any(code in (left, right) for left, _, _, right in layout):
+            factors[code] = [[x * y % p for x in ra for y in rb]
+                             for ra in m for rb in m]
+    bits, order = 8 * array(fmt).itemsize, sys.byteorder
+    out = []
+    for left, rows, cols, right in layout:
+        size = rows * cols
+        stride = 2 * size
+        if rows <= cols:  # pack the right factor, a reversed column each
+            fields = array(fmt, [0]) * (cols * stride)
+            for c, col in enumerate(zip(*factors[right])):
+                fields[c * stride:c * stride + cols] = array(
+                    fmt, reversed(col))
+            places = [(a, r * cols * stride + (rows - 1 - i) * cols)
+                      for r, row in enumerate(factors[left])
+                      for i, a in enumerate(row) if a]
+        else:  # pack the left factor, a reversed row at stride C each
+            fields = array(fmt, [0]) * (size * stride)
+            for r, row in enumerate(factors[left]):
+                at = r * cols * stride
+                fields[at:at + size:cols] = array(fmt, reversed(row))
+            places = [(a, c * stride + cols - 1 - j)
+                      for j, row in enumerate(factors[right])
+                      for c, a in enumerate(row) if a]
+        block = int.from_bytes(fields, order)
+        out.append(sum(a * block << bits * place for a, place in places))
+    return out
 
 
 def find_morphisms(src, dst, cap: Optional[int] = None) -> list:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homstruct import documents, fields
+from homstruct import cli, documents, fields
 from homstruct.cli import main
 from homstruct.corpus import DATA_DIR
 from homstruct.search import SEARCH_KINDS
@@ -302,6 +302,61 @@ def test_negative_oracle_samples_exit_two(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr() == (
         "", "invalid input: --oracle-samples must be non-negative, got -3\n")
+
+
+ABOVE_BOUND = str(cli.MAX_ORACLE_SAMPLES + 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", HOM3, "--oracle-samples", ABOVE_BOUND],
+    ["check", HOM3, "--no-oracle", "--oracle-samples", ABOVE_BOUND],
+    ["corpus", "--oracle-samples", ABOVE_BOUND],
+    ["check", HOM3, "--oracle-samples", str(10 ** 22)],
+], ids=["check", "check-no-oracle", "corpus", "check-huge"])
+def test_oracle_samples_above_the_bound_exit_two(argv, capsys):
+    started = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - started < 5
+    assert capsys.readouterr() == (
+        "", f"invalid input: --oracle-samples must be at most "
+            f"{cli.MAX_ORACLE_SAMPLES}, got {argv[-1]}\n")
+
+
+@pytest.mark.parametrize("verb", ["check", "corpus"])
+def test_oracle_samples_bound_is_in_the_help(verb, capsys):
+    with pytest.raises(SystemExit):
+        main([verb, "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"0 to {cli.MAX_ORACLE_SAMPLES}" in help_text
+
+
+@pytest.mark.parametrize("key, value", [
+    ("kind", ["hom-bialgebra"]), ("kind", {"hom-bialgebra": 1}),
+    ("dimension", True), ("basis", [1, 2]), ("metadata", ["ex1"]),
+], ids=["list-kind", "dict-kind", "bool-dimension", "int-labels",
+        "list-metadata"])
+def test_mistyped_document_fields_exit_two(key, value, bad_paths, tmp_path,
+                                           capsys):
+    doc = json.loads(Path(EX1).read_text())
+    doc[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    _exits_two_with_one_line(["check", str(path)], bad_paths, capsys)
+
+
+def test_deeply_nested_document_exits_two(bad_paths, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    err = _exits_two_with_one_line(["check", str(path)], bad_paths, capsys)
+    assert err == "invalid input: not valid JSON: nested too deeply\n"
+
+
+def test_deeply_nested_corpus_table_exits_two(tmp_path, bad_paths, capsys):
+    (tmp_path / "ex1.json").write_text(Path(EX1).read_text())
+    (tmp_path / "expected.json").write_text("[" * 100000)
+    err = _exits_two_with_one_line(["corpus", "--data", str(tmp_path)],
+                                   bad_paths, capsys)
+    assert "nested too deeply" in err
 
 
 @pytest.mark.parametrize("existing", [None, "old contents\n"],

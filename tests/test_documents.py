@@ -118,6 +118,47 @@ def test_wrong_shape_rejected():
     broken["maps"]["mu"] = [[["1", "0"]]]
     with pytest.raises(DocumentError):
         document_to_structure(broken)
+    # a string is a sequence, but not a row of entries
+    for section, arr in (("mu", [["1"]]), ("alpha", ["1"])):
+        broken = json.loads(json.dumps(base))
+        broken["maps"][section] = arr
+        with pytest.raises(DocumentError):
+            document_to_structure(broken)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("format-version", True), ("format-version", 1.0),
+    ("kind", ["hom-algebra"]), ("kind", {"hom-algebra": 1}), ("kind", 7),
+    ("dimension", True),
+    ("dimension", "1"), ("field", ["rational"]), ("basis", [2]),
+    ("basis", "e"), ("metadata", ["name"]), ("maps", [])],
+    ids=["bool-version", "float-version", "list-kind", "dict-kind",
+         "int-kind", "bool-dimension", "string-dimension", "list-field",
+         "int-label", "string-basis", "list-metadata", "list-maps"])
+def test_top_level_fields_type_checked(key, value):
+    doc = structure_to_document(hs.HomAlgebra(
+        hs.ProductTensor(F, (((F.one,),),)), hs.identity_map(F, 1)))
+    doc[key] = value
+    with pytest.raises(DocumentError):
+        document_to_structure(doc)
+
+
+@pytest.mark.parametrize("text", ["[" * 100000, '{"a": ' * 100000],
+                         ids=["lists", "objects"])
+def test_deep_nesting_rejected(text):
+    with pytest.raises(DocumentError, match="nested too deeply"):
+        loads(text)
+
+
+@pytest.mark.parametrize("change", [
+    {"field": ["rational"]}, {"format-version": True}, {"matrix": [1, 0]},
+    {"matrix": [["1", "0"], "01"]}, {"matrix": [["1", "0"], ["1"]]},
+    {"matrix": [[]]}], ids=["field", "version", "flat-matrix", "string-row",
+                            "ragged", "empty-row"])
+def test_malformed_morphism_documents_rejected(change):
+    doc = morphism_to_document(hs.identity_map(F, 2), "a", "b")
+    with pytest.raises(DocumentError):
+        document_to_morphism(dict(doc, **change))
 
 
 def test_gf_documents(tmp_path):

@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import itertools
 import random
+from operator import mul
 
 import pytest
 
@@ -363,17 +365,22 @@ def z2_group_bialgebra():
 
 
 def transport(s, g, h):
-    """g . s for a hom-bialgebra s and h = g^-1, built with the linalg
-    calculus: mu'(x, y) = g mu(h x, h y), Delta' = (g (x) g) Delta h."""
+    """g . s for a hom-algebra or hom-bialgebra s and h = g^-1, built with
+    the linalg calculus: mu'(x, y) = g mu(h x, h y), alpha' = g alpha h,
+    unit' = g unit, Delta' = (g (x) g) Delta h and eps' = eps h."""
     cols = [h.column(i) for i in range(s.dim)]
     mu = tuple(tuple(g.apply(hs.apply_bilinear(s.mu, x, y)).coords
                      for y in cols) for x in cols)
-    delta = tuple(hs.apply_coproduct(s.delta, x).map_left(g).map_right(g)
-                  .entries for x in cols)
-    return hs.HomBialgebra(hs.ProductTensor(s.field, mu), g.apply(s.unit),
-                           hs.CoproductTensor(s.field, delta),
-                           hs.compose(s.counit, h),
-                           hs.compose(hs.compose(g, s.alpha), h))
+    changes = {"mu": hs.ProductTensor(s.field, mu),
+               "alpha": hs.compose(hs.compose(g, s.alpha), h)}
+    if s.unit is not None:
+        changes["unit"] = g.apply(s.unit)
+    if isinstance(s, hs.HomBialgebra):
+        changes["delta"] = hs.CoproductTensor(s.field, tuple(
+            hs.apply_coproduct(s.delta, x).map_left(g).map_right(g).entries
+            for x in cols))
+        changes["counit"] = hs.compose(s.counit, h)
+    return dataclasses.replace(s, **changes)
 
 
 class TestIsomorphismOrbits:
@@ -507,3 +514,180 @@ class TestIsomorphismOrbits:
             s = hs.HomAlgebra(zero, hs.identity_map(gf, n))
             with pytest.raises(BudgetExceededError):
                 group_by_isomorphism([s])
+
+
+# The per-element canonical form: four small matrix products per
+# (structure, group element). The packed forms must equal it exactly.
+_G, _H, _GG, _HH = range(4)
+
+
+def _matmul(a, b, p):
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
+
+
+def _kron(a, b, p):
+    return [[x * y % p for x in ra for y in rb] for ra in a for rb in b]
+
+
+def _section_matrices(s):
+    """The sections, as (left, matrix, right): the transport by g is
+    group[left] . matrix . group[right] (a None factor is skipped)."""
+    n = s.dim
+    out = []
+    for _, t in sorted(s.products().items()):
+        c = t.c
+        out.append((_G, [[c[i][j][k] for i in range(n) for j in range(n)]
+                         for k in range(n)], _HH))
+    out.append((_G, s.alpha.rows, _H))
+    if getattr(s, "unit", None) is not None:
+        out.append((_G, [[x] for x in s.unit.coords], None))
+    for _, q in sorted(s.coproducts().items()):
+        d = q.d
+        out.append((_GG, [[d[k][i][j] for k in range(n)]
+                          for i in range(n) for j in range(n)], _H))
+    for _, eps in sorted(s.counits().items()):
+        out.append((None, eps.rows, _H))
+    return out
+
+
+def _transport(sections, g, p):
+    """The flat array of g . s, entries mod p; g holds (g, g^-1,
+    g (x) g, g^-1 (x) g^-1)."""
+    flat = []
+    for left, m, right in sections:
+        if right is not None:
+            m = _matmul(m, g[right], p)
+        if left is not None:
+            m = _matmul(g[left], m, p)
+        for row in m:
+            flat.extend(row)
+    return tuple(flat)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_group(n, p):
+    """Each g in GL_n(F_p) as (g, g^-1, g (x) g, g^-1 (x) g^-1)."""
+    return [(g, h, _kron(g, g, p), _kron(h, h, p))
+            for g, h in search._general_linear_group(n, p)]
+
+
+def reference_forms(structures):
+    """(dim, least flat array over g . s) of each structure, one
+    transport per element of GL_n(F_p)."""
+    p = structures[0].field.p
+    return [(s.dim, min(_transport(_section_matrices(s), g, p)
+                        for g in reference_group(s.dim, p)))
+            for s in structures]
+
+
+def random_structure(shape, n, p, rnd, top=False):
+    """A hom-algebra ("algebra"), a unital one ("unital") or a hom-bialgebra
+    shaped like z2_group_bialgebra ("bialgebra") with random entries, or
+    with every entry p - 1 when ``top``; no axiom is imposed."""
+    gf = PrimeField(p)
+
+    def entries(*shape):
+        if not shape:
+            return p - 1 if top else rnd.randrange(p)
+        return [entries(*shape[1:]) for _ in range(shape[0])]
+
+    mu = hs.ProductTensor(gf, entries(n, n, n))
+    alpha = hs.LinearMap(gf, entries(n, n))
+    if shape == "algebra":
+        return hs.HomAlgebra(mu, alpha)
+    unit = hs.Vector(gf, entries(n))
+    if shape == "unital":
+        return hs.HomAlgebra(mu, alpha, unit)
+    return hs.HomBialgebra(mu, unit, hs.CoproductTensor(gf, entries(n, n, n)),
+                           hs.LinearMap(gf, entries(1, n)), alpha)
+
+
+def orbit_sample(shape, n, p, seed, bases, top=False):
+    """``bases`` random structures (the first with every entry p - 1 when
+    ``top``), each with its transport by a random invertible map,
+    shuffled."""
+    rnd = random.Random(seed)
+    gf = PrimeField(p)
+    sample = []
+    for b in range(bases):
+        s = random_structure(shape, n, p, rnd, top=top and b == 0)
+        while True:
+            g = [[rnd.randrange(p) for _ in range(n)] for _ in range(n)]
+            h = search._inverse(g, p)
+            if h is not None:
+                break
+        sample += [s, transport(s, hs.LinearMap(gf, g), hs.LinearMap(gf, h))]
+    rnd.shuffle(sample)
+    return sample
+
+
+def field_format(sample):
+    layout = search._sections(sample[0])[0]
+    return search._field_format(max(r * c for _, r, c, _ in layout),
+                                sample[0].field.p)
+
+
+class TestPackedCanonicalForms:
+    def check(self, sample, orbits=True):
+        n, p = sample[0].dim, sample[0].field.p
+        want = reference_forms(sample)
+        assert [(n, form) for form in
+                search._canonical_forms(sample, n, p)] == want
+        if orbits:
+            by_form = {}
+            for s, key in zip(sample, want):
+                by_form.setdefault(key, []).append(s)
+            assert ids(group_by_isomorphism(sample)) == ids(by_form.values())
+            # each structure shares its orbit with its transport
+            assert all(len(orbit) >= 2 for orbit in by_form.values())
+
+    @pytest.mark.parametrize("p, n, bases", [
+        (2, 1, 3), (2, 2, 6), (2, 3, 4), (3, 1, 3), (3, 2, 5), (5, 1, 3),
+        (5, 2, 3), (13, 1, 3)])
+    @pytest.mark.parametrize("shape", ["algebra", "unital", "bialgebra"])
+    def test_equal_to_per_element_transport(self, shape, p, n, bases):
+        self.check(orbit_sample(shape, n, p, f"{shape}{p}{n}", bases))
+
+    @pytest.mark.parametrize("shape, p, n", [
+        ("algebra", 3, 3), ("algebra", 13, 2)])
+    def test_equal_to_per_element_transport_on_large_groups(self, shape,
+                                                            p, n):
+        # GL_3(F_3) has 11232 elements and GL_2(F_13) 26208; the orbits
+        # follow from the forms
+        self.check(orbit_sample(shape, n, p, f"{shape}{p}{n}", 1),
+                   orbits=False)
+
+    @pytest.mark.parametrize("shape, p, n, fmt", [
+        ("bialgebra", 2, 3, "B"), ("bialgebra", 3, 2, "B"),
+        ("unital", 5, 2, "H"), ("bialgebra", 43, 1, "I"),
+        ("algebra", 1627, 1, "Q")])
+    def test_every_field_width_at_entries_p_minus_1(self, shape, p, n, fmt):
+        # a field sums N products of three residues; at n = 1 it holds
+        # (p - 1) . a . (a^-2 mod p) for the transport by a, which passes
+        # 2^16 at p = 43 and 2^32 at p = 1627
+        bases = {1: 2, 2: 2, 3: 1}[n]
+        sample = orbit_sample(shape, n, p, f"top{p}", bases, top=True)
+        assert field_format(sample) == fmt
+        self.check(sample)
+
+    def test_field_format_is_the_narrowest_without_carry(self):
+        assert [search._field_format(size, p) for size, p in [
+            (255, 2), (256, 2), (31, 3), (32, 3), (1, 41), (1, 42),
+            (1, 1626), (1, 1627)]] == ["B", "H", "B", "H", "H", "I",
+                                       "I", "Q"]
+
+    def test_cached_group_keeps_the_budget(self, monkeypatch):
+        gf3 = stream("hom-algebra", 2, 3, fixed={"alpha": IDENTITY2})[:8]
+        group_by_isomorphism(gf3)  # caches GL_2(F_3)
+        monkeypatch.setattr(search, "GROUP_ORDER_BUDGET", 47)
+        with pytest.raises(BudgetExceededError):
+            group_by_isomorphism(gf3)
+
+    @pytest.mark.parametrize("n, p, order", [
+        (1, 2, 1), (1, 5, 4), (2, 2, 6), (2, 3, 48), (3, 2, 168)])
+    def test_group_elements_come_with_their_inverses(self, n, p, order):
+        group = search._general_linear_group(n, p)
+        assert len(group) == len(set(group)) == order
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert all(_matmul(g, h, p) == identity for g, h in group)
