@@ -30,8 +30,8 @@ from typing import Callable, Optional
 from .errors import ShapeError
 from .linalg import (apply_bilinear, apply_coproduct, basis_batch, bullet,
                      coproduct_on_left, coproduct_on_right, map_on_leg3,
-                     mismatches, outer, outer3_tv, outer3_vt,
-                     product_on_legs, tensors_equal, zero_vector)
+                     mismatches, multiply_leg, outer, tensors_equal,
+                     zero_vector)
 from .structures import (AffineStructure, DifferentialHomAlgebra, HLSDA,
                          HomAlgebra, HomBialgebra, HomCoalgebra, HomDialgebra,
                          HomLeibniz, HomPreLie, TwoHomStructure)
@@ -201,10 +201,11 @@ def _infinitesimal_test(mu, delta, alpha, where=""):
     def inf(x, y):
         lhs = apply_coproduct(delta, apply_bilinear(mu, x, y))
         ax, ay = alpha.apply(x), alpha.apply(y)
-        first = product_on_legs(outer3_vt(ax, apply_coproduct(delta, y)),
-                                mu, (0, 1)).map_right(alpha)
-        second = product_on_legs(outer3_tv(apply_coproduct(delta, x), ay),
-                                 mu, (1, 2)).map_left(alpha)
+        # (mu(ax, .) (x) alpha) delta(y) and (alpha (x) mu(., ay)) delta(x)
+        first = multiply_leg(mu, ax, apply_coproduct(delta, y),
+                             0).map_right(alpha)
+        second = multiply_leg(mu, ay, apply_coproduct(delta, x),
+                              1).map_left(alpha)
         third = outer(alpha.apply(ax), ay)
         return lhs, first.add(second).sub(third)
 

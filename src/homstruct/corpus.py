@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import constructions
-from .axioms import check_morphism, coerce_for_check, run_check
+from .axioms import (CHECK_IDS, COUNIT_MODES, check_morphism,
+                     coerce_for_check, run_check)
 from .documents import document_to_morphism, document_to_structure, load_path
 from .errors import DocumentError
 from .oracle import oracle_crosscheck
@@ -81,7 +82,69 @@ def load_expected(data_dir=None) -> dict:
     table = load_path(path)
     if not isinstance(table, dict) or table.get("format-version") != 1:
         raise DocumentError("unsupported expected-verdict format")
+    _check_table(table)
     return table
+
+
+_TYPE_NAMES = {str: "a string", list: "a list", dict: "an object"}
+
+
+def _require(value, kind, where):
+    if not isinstance(value, kind):
+        raise DocumentError(f"expected-verdict table: {where} must be "
+                            f"{_TYPE_NAMES[kind]}")
+
+
+def _require_one_of(value, names, where):
+    if value not in names:
+        raise DocumentError(f"expected-verdict table: {where} must be one "
+                            f"of {', '.join(names)}")
+
+
+def _require_strings(value, where):
+    _require(value, list, where)
+    for i, item in enumerate(value):
+        _require(item, str, f"{where}[{i}]")
+
+
+def _check_table(table):
+    """Raise ``DocumentError`` unless every field the runner reads from
+    the table has the type it reads it as, and every check id and counit
+    mode is one the checkers know."""
+    entries = table.get("entries")
+    _require(entries, list, "entries")
+    for i, entry in enumerate(entries):
+        where = f"entries[{i}]"
+        _require(entry, dict, where)
+        _require(entry.get("name"), str, f"{where}.name")
+        if "fixture" in entry:
+            _require(entry["fixture"], str, f"{where}.fixture")
+        else:
+            _require(entry.get("derive"), dict, f"{where}.derive")
+        _require_strings(entry.get("annotations", []), f"{where}.annotations")
+        checks = entry.get("checks", [])
+        _require(checks, list, f"{where}.checks")
+        for j, spec in enumerate(checks):
+            at = f"{where}.checks[{j}]"
+            _require(spec, dict, at)
+            for key in ("check", "status"):
+                _require(spec.get(key), str, f"{at}.{key}")
+            _require_one_of(spec["check"], CHECK_IDS, f"{at}.check")
+            if "counit-mode" in spec:
+                _require_one_of(spec["counit-mode"], COUNIT_MODES,
+                                f"{at}.counit-mode")
+            if "failing" in spec:
+                _require_strings(spec["failing"], f"{at}.failing")
+    morphisms = table.get("morphisms", [])
+    _require(morphisms, list, "morphisms")
+    for i, mentry in enumerate(morphisms):
+        where = f"morphisms[{i}]"
+        _require(mentry, dict, where)
+        for key in ("name", "file", "source", "target", "status"):
+            _require(mentry.get(key), str, f"{where}.{key}")
+        for key in ("twisted-source", "twisted-target", "twisted-status"):
+            if key in mentry:
+                _require(mentry[key], str, f"{where}.{key}")
 
 
 def load_fixture(name, data_dir=None):

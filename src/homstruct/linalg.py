@@ -14,6 +14,16 @@ Conventions fixed here and shared by the whole package:
 All values are immutable after construction and every operation is a
 pure function, so everything here is safe to share across threads.
 
+Sparse forms. A ``ProductTensor`` keeps its planes of multiplication on
+the left and on the right, and a ``CoproductTensor`` its planes, as
+their nonzero entries (``left_planes``, ``right_planes``,
+``sparse_planes``), and the primitives that evaluate a tensor read it
+through them. Each is computed from the value on first use and kept on
+the value, so it lives as long as the value does. A ``LinearMap`` keeps
+whether it is the identity the same way: an identity map checks its
+operand's shape and field, then returns the operand itself from
+``apply``, ``map_left``, ``map_right`` and ``map_on_leg3``.
+
 Scalar loops use the native ``+`` and ``*`` of the field's scalars
 (ints, and over QQ a ``Fraction`` for a non-integral value), skip zero
 factors, and call the field's ``reduce`` once per output entry. Over
@@ -32,20 +42,22 @@ argument on one shared sample axis, so one call covers a block of
 random samples:
 
 * ``apply_bilinear``, ``apply_coproduct``, ``bullet``, ``outer``,
-  ``outer3_vt``, ``outer3_tv``, ``product_on_legs``, ``map_on_leg3``,
-  ``coproduct_on_left``, ``coproduct_on_right`` and ``LinearMap.apply``
-  take batches as well as plain values; a batch also has the methods
-  ``add``, ``sub``, ``map_left``, ``map_right``, ``contract_left`` and
-  ``contract_right``.
+  ``multiply_leg``, ``map_on_leg3``, ``coproduct_on_left``,
+  ``coproduct_on_right`` and ``LinearMap.apply`` take batches as well as
+  plain values; a batch also has the methods ``add``, ``sub``,
+  ``map_left``, ``map_right``, ``contract_left`` and ``contract_right``.
 * A result is a batch over the union of its operands' axes. An axis two
   operands share is joined, not multiplied out: ``apply_bilinear(p, x,
   x)`` has one entry per entry of ``x``. Entries are keyed by axis,
   whatever order the operands come in. A plain operand holds at every
   tuple.
 * ``apply_bilinear`` on two batches builds the operator of multiplication
-  by each entry of the smaller batch once, and applies it to every entry
-  of the other; when the join pairs their entries one to one, as on a
-  shared axis, it expands each pair as the plain path does.
+  by each entry of the smaller batch once, and applies it once to each
+  distinct entry of the other; when the join pairs their entries one to
+  one, as on a shared axis, it expands each pair as the plain path does.
+  ``multiply_leg`` builds the operator once per entry of its vector, and
+  ``bullet`` builds one per nonzero column of each entry of its left
+  operand.
 * The plain path costs one type check per primitive: each primitive
   tests its operands' type once and otherwise runs its plain loops, with
   no layer in between. Batch entries are stored raw (coordinate tuples,
@@ -57,7 +69,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add, sub
 
 from .errors import ShapeError
@@ -127,6 +139,8 @@ class LinearMap:
         if v.dim != self.source_dim:
             raise ShapeError(f"map expects dimension {self.source_dim}, got {v.dim}")
         f = require_same_field(self.field, v.field)
+        if self._identity:
+            return v
         dot, x = f.dot, v.coords
         return Vector(f, tuple([dot(row, x) for row in self.rows]))
 
@@ -134,6 +148,13 @@ class LinearMap:
         return Vector(self.field, tuple(row[j] for row in self.rows))
 
     def is_identity(self) -> bool:
+        return self._identity
+
+    @cached_property
+    def _identity(self) -> bool:
+        """Whether this is the identity map, computed once per map:
+        ``apply`` and the leg maps read it to return their operand
+        unchanged."""
         n, m = self.source_dim, self.target_dim
         if n != m:
             return False
@@ -192,6 +213,23 @@ class ProductTensor:
     def entry(self, i: int, j: int, k: int):
         return self.c[i][j][k]
 
+    @cached_property
+    def left_planes(self):
+        """``left_planes[i][j]``: the nonzero ``(k, value)`` pairs of
+        mu(e_i, e_j), so ``sum_i u_i left_planes[i]`` is multiplication by
+        u on the left, as a map. Computed once per tensor."""
+        return tuple(tuple(_nonzeros(row) for row in plane)
+                     for plane in self.c)
+
+    @cached_property
+    def right_planes(self):
+        """``right_planes[j][i]``: the nonzero ``(k, value)`` pairs of
+        mu(e_i, e_j), so ``sum_j v_j right_planes[j]`` is multiplication by
+        v on the right, as a map. Computed once per tensor."""
+        left = self.left_planes
+        return tuple(tuple(plane[j] for plane in left)
+                     for j in range(len(left)))
+
 
 @dataclass(frozen=True)
 class CoproductTensor:
@@ -213,6 +251,13 @@ class CoproductTensor:
 
     def entry(self, k: int, i: int, j: int):
         return self.d[k][i][j]
+
+    @cached_property
+    def sparse_planes(self):
+        """``sparse_planes[k]``: the nonzero ``(i, j, value)`` entries of
+        delta(e_k). Computed once per tensor."""
+        return tuple([(i, j, v) for i, row in enumerate(plane)
+                      for j, v in enumerate(row) if v] for plane in self.d)
 
 
 @dataclass(frozen=True)
@@ -241,11 +286,15 @@ class Tensor2:
     def map_left(self, g: LinearMap) -> "Tensor2":
         """Apply g to the left tensor leg."""
         f = _leg_map_field(self.shape[0], self.field, g, "left")
+        if g._identity:
+            return self
         return Tensor2(f, _map_left(f.dot, g.rows, self.entries))
 
     def map_right(self, g: LinearMap) -> "Tensor2":
         """Apply g to the right tensor leg."""
         f = _leg_map_field(self.shape[1], self.field, g, "right")
+        if g._identity:
+            return self
         return Tensor2(f, _map_right(f.dot, g.rows, self.entries))
 
     def contract_left(self, functional: LinearMap) -> Vector:
@@ -327,6 +376,8 @@ class Batch:
         """Apply g to the left leg of every entry."""
         n, m = _square_shape(self)
         f = _leg_map_field(n, self.field, g, "left")
+        if g._identity:
+            return self
         dot, rows = _sparse_rows(f, g.rows)
         return self._with(f, (g.target_dim, m),
                           [_map_left(dot, rows, e) for e in self.entries])
@@ -335,6 +386,8 @@ class Batch:
         """Apply g to the right leg of every entry."""
         n, m = _square_shape(self)
         f = _leg_map_field(m, self.field, g, "right")
+        if g._identity:
+            return self
         dot, rows = _sparse_rows(f, g.rows)
         return self._with(f, (n, g.target_dim),
                           [_map_right(dot, rows, e) for e in self.entries])
@@ -385,32 +438,12 @@ def mismatches(lhs, rhs, arity: int, n: int):
 
 def outer(x: Vector, y: Vector) -> Tensor2:
     if type(x) is Batch or type(y) is Batch:
-        return _outer_batch(_outer_rows, x, y, (1, 1))
+        x, y = _batches(x, y, (1, 1))
+        f = require_same_field(x.field, y.field)
+        return _pairwise(x, y, f, x.shape + y.shape,
+                         lambda u, v: _outer_rows(f, u, v))
     f = require_same_field(x.field, y.field)
     return Tensor2(f, _outer_rows(f, x.coords, y.coords))
-
-
-def outer3_vt(x: Vector, t: Tensor2) -> Tensor3:
-    """x (x) t as an element of V (x) V (x) V."""
-    if type(x) is Batch or type(t) is Batch:
-        return _outer_batch(_outer3_vt, x, t, (1, 2))
-    f = require_same_field(x.field, t.field)
-    return Tensor3(f, _outer3_vt(f, x.coords, t.entries))
-
-
-def outer3_tv(t: Tensor2, z: Vector) -> Tensor3:
-    """t (x) z as an element of V (x) V (x) V."""
-    if type(t) is Batch or type(z) is Batch:
-        return _outer_batch(_outer3_tv, t, z, (2, 1))
-    f = require_same_field(t.field, z.field)
-    return Tensor3(f, _outer3_tv(f, t.entries, z.coords))
-
-
-def _outer_batch(kernel, x, y, ranks):
-    """An outer product ``kernel(f, u, v)`` at every pair of entries."""
-    x, y = _batches(x, y, ranks)
-    f = require_same_field(x.field, y.field)
-    return _pairwise(x, y, f, x.shape + y.shape, lambda u, v: kernel(f, u, v))
 
 
 def apply_bilinear(p: ProductTensor, x: Vector, y: Vector) -> Vector:
@@ -421,7 +454,7 @@ def apply_bilinear(p: ProductTensor, x: Vector, y: Vector) -> Vector:
         raise ShapeError(f"product dimension {p.dim} does not match vectors "
                          f"{x.dim}, {y.dim}")
     f = require_same_field(p.field, x.field, y.field)
-    return Vector(f, _bilinear(f, p.c, x.coords, y.coords))
+    return Vector(f, _bilinear(f, p.left_planes, x.coords, y.coords))
 
 
 def _bilinear_batch(p, x, y):
@@ -441,28 +474,37 @@ def _bilinear_batch(p, x, y):
     xs, ys = x.entries, y.entries
     if len(pairs) == len(xs) == len(ys):
         # the same axes, so the pairs are (0, 0), (1, 1), ...
-        c = p.c
+        left = p.left_planes
         return Batch(f, (n,), axes, x.n,
-                     [_bilinear(f, c, u, v) for u, v in zip(xs, ys)])
+                     [_bilinear(f, left, u, v) for u, v in zip(xs, ys)])
     if len(xs) <= len(ys):
         # mu(u, e_j) = sum_i u_i c[i][j]
-        ops = [_operator(f, n, u, p.c) for u in xs]
-        args = [_nonzeros(v) for v in ys]
+        ops = [_operator(f, n, u, p.left_planes) for u in xs]
+        others = ys
     else:
         # mu(e_i, v) = sum_j v_j c[i][j]
-        planes = [[plane[j] for plane in p.c] for j in range(n)]
-        ops = [_operator(f, n, v, planes) for v in ys]
-        args = [_nonzeros(u) for u in xs]
+        ops = [_operator(f, n, v, p.right_planes) for v in ys]
+        others = xs
         pairs = [(j, i) for i, j in pairs]
+    # each operator meets each distinct argument once: products of basis
+    # vectors repeat a few values many times
+    distinct = {}
+    keys = [distinct.setdefault(v, len(distinct)) for v in others]
+    args = [_nonzeros(v) for v in distinct]
+    memo = [[None] * len(args) for _ in ops]
     zero, red = f.zero, f.reduce
     out = []
     for i, j in pairs:
-        op = ops[i]
-        acc = [zero] * n
-        for a, w in args[j]:
-            for k, c in op[a]:
-                acc[k] += w * c
-        out.append(tuple([red(v) if v else zero for v in acc]))
+        j = keys[j]
+        value = memo[i][j]
+        if value is None:
+            op = ops[i]
+            acc = [zero] * n
+            for a, w in args[j]:
+                for k, c in op[a]:
+                    acc[k] += w * c
+            value = memo[i][j] = tuple([red(v) if v else zero for v in acc])
+        out.append(value)
     return Batch(f, (n,), axes, x.n, out)
 
 
@@ -472,6 +514,8 @@ def _map_batch(g: LinearMap, v: Batch) -> Batch:
     if v.shape != (g.source_dim,):
         raise ShapeError(f"map expects dimension {g.source_dim}, got {v.shape}")
     f = require_same_field(g.field, v.field)
+    if g._identity:
+        return v
     m = g.target_dim
     cols = [_nonzeros(col) for col in zip(*g.rows)]
     zero, red = f.zero, f.reduce
@@ -494,48 +538,64 @@ def apply_coproduct(q: CoproductTensor, x: Vector) -> Tensor2:
             raise ShapeError(f"coproduct dimension {n} does not match "
                              f"vector {x.shape}")
         f = require_same_field(q.field, x.field)
-        return x._with(f, (n, n), [_coproduct(f, q.d, e) for e in x.entries])
+        return x._with(f, (n, n), [_coproduct(f, q.sparse_planes, e)
+                                    for e in x.entries])
     if n != x.dim:
         raise ShapeError(f"coproduct dimension {n} does not match vector {x.dim}")
     f = require_same_field(q.field, x.field)
-    return Tensor2(f, _coproduct(f, q.d, x.coords))
+    return Tensor2(f, _coproduct(f, q.sparse_planes, x.coords))
 
 
 def bullet(p: ProductTensor, a: Tensor2, b: Tensor2) -> Tensor2:
     """Componentwise product on V (x) V:
-    (x (x) y) . (x' (x) y') = mu(x, x') (x) mu(y, y')."""
+    (x (x) y) . (x' (x) y') = mu(x, x') (x) mu(y, y').
+
+    It is evaluated as sum_{j, j2} mu(a_j, b_j2) (x) mu(e_j, e_j2), where
+    a_j is column j of a, with the operator of multiplication by each
+    nonzero column of an entry of a built once."""
     n = p.dim
     if type(a) is Batch or type(b) is Batch:
         a, b = _batches(a, b, (2, 2))
         if a.shape != (n, n) or b.shape != (n, n):
             raise ShapeError("bullet operands must match the product dimension")
         f = require_same_field(p.field, a.field, b.field)
-        c = p.c
-        return _pairwise(a, b, f, (n, n), lambda u, v: _bullet(f, c, u, v),
-                         [_nonzeros2(e) for e in b.entries])
+        left = p.left_planes
+        return _pairwise(a, b, f, (n, n),
+                         lambda ops, cols: _bullet(f, left, ops, cols),
+                         [_column_operators(f, left, e) for e in a.entries],
+                         [_nonzero_columns(e) for e in b.entries])
     if a.shape != (n, n) or b.shape != (n, n):
         raise ShapeError("bullet operands must match the product dimension")
     f = require_same_field(p.field, a.field, b.field)
-    return Tensor2(f, _bullet(f, p.c, a.entries, _nonzeros2(b.entries)))
+    left = p.left_planes
+    return Tensor2(f, _bullet(f, left, _column_operators(f, left, a.entries),
+                              _nonzero_columns(b.entries)))
 
 
-def product_on_legs(t: Tensor3, p: ProductTensor, legs) -> Tensor2:
-    """Contract two adjacent legs of a cube with a product.
-
-    ``legs=(0, 1)`` turns sum T_ijk e_i(x)e_j(x)e_k into
-    sum T_ijk mu(e_i,e_j)(x)e_k; ``legs=(1, 2)`` acts on the right pair.
-    """
-    if legs not in ((0, 1), (1, 2)):
-        raise ShapeError(f"legs must be (0, 1) or (1, 2), got {legs}")
-    n, c = p.dim, p.c
-    if _shape_of(t) != (n, n, n):
-        raise ShapeError(f"product dimension {n} does not match cube "
-                         f"{_shape_of(t)}")
-    f = require_same_field(t.field, p.field)
-    if type(t) is Batch:
-        return t._with(f, (n, n), [_product_on_legs(f, n, c, e, legs)
-                                   for e in t.entries])
-    return Tensor2(f, _product_on_legs(f, n, c, t.entries, legs))
+def multiply_leg(p: ProductTensor, x: Vector, t: Tensor2, leg: int) -> Tensor2:
+    """Multiply one leg of an element of V (x) V by x: ``leg=0`` applies
+    mu(x, .) to the left leg of t, ``leg=1`` applies mu(., x) to its
+    right leg. The operator of multiplication by each entry of x is built
+    once and applied to every entry of t it is paired with."""
+    if leg not in (0, 1):
+        raise ShapeError(f"leg must be 0 or 1, got {leg}")
+    n = p.dim
+    planes = p.left_planes if leg == 0 else p.right_planes
+    if type(x) is Batch or type(t) is Batch:
+        x, t = _batches(x, t, (1, 2))
+        if x.shape != (n,) or t.shape != (n, n):
+            raise ShapeError(f"product dimension {n} does not match operands "
+                             f"{x.shape}, {t.shape}")
+        f = require_same_field(p.field, x.field, t.field)
+        return _pairwise(x, t, f, (n, n),
+                         lambda op, e: _on_leg(f, op, e, leg),
+                         [_operator(f, n, u, planes) for u in x.entries])
+    if _shape_of(x) != (n,) or _shape_of(t) != (n, n):
+        raise ShapeError(f"product dimension {n} does not match operands "
+                         f"{_shape_of(x)}, {_shape_of(t)}")
+    f = require_same_field(p.field, x.field, t.field)
+    return Tensor2(f, _on_leg(f, _operator(f, n, x.coords, planes),
+                              t.entries, leg))
 
 
 def map_on_leg3(t: Tensor3, g: LinearMap, leg: int) -> Tensor3:
@@ -547,6 +607,8 @@ def map_on_leg3(t: Tensor3, g: LinearMap, leg: int) -> Tensor3:
         raise ShapeError(f"map expects dimension {g.source_dim}, got leg "
                          f"{leg} of cube {tuple(shape)}")
     f = require_same_field(t.field, g.field)
+    if g._identity:
+        return t
     if type(t) is Batch:
         shape[leg] = g.target_dim
         dot, rows = _sparse_rows(f, g.rows)
@@ -558,21 +620,23 @@ def map_on_leg3(t: Tensor3, g: LinearMap, leg: int) -> Tensor3:
 def coproduct_on_left(t: Tensor2, q: CoproductTensor) -> Tensor3:
     """(delta (x) id) applied to an element of V (x) V."""
     f = require_same_field(t.field, q.field)
-    n = q.dim
+    n, planes = q.dim, q.sparse_planes
+    _require_square(t, n)
     if type(t) is Batch:
-        return t._with(f, (n, n, n), [_coproduct_on_left(f, n, q.d, e)
+        return t._with(f, (n, n, n), [_coproduct_on_left(f, n, planes, e)
                                       for e in t.entries])
-    return Tensor3(f, _coproduct_on_left(f, n, q.d, t.entries))
+    return Tensor3(f, _coproduct_on_left(f, n, planes, t.entries))
 
 
 def coproduct_on_right(t: Tensor2, q: CoproductTensor) -> Tensor3:
     """(id (x) delta) applied to an element of V (x) V."""
     f = require_same_field(t.field, q.field)
-    n = q.dim
+    n, planes = q.dim, q.sparse_planes
+    _require_square(t, n)
     if type(t) is Batch:
-        return t._with(f, (n, n, n), [_coproduct_on_right(f, n, q.d, e)
+        return t._with(f, (n, n, n), [_coproduct_on_right(f, n, planes, e)
                                       for e in t.entries])
-    return Tensor3(f, _coproduct_on_right(f, n, q.d, t.entries))
+    return Tensor3(f, _coproduct_on_right(f, n, planes, t.entries))
 
 
 def tensors_equal(a, b) -> bool:
@@ -624,84 +688,89 @@ def _outer_rows(f, xs, ys):
                  for a in xs)
 
 
-def _outer3_vt(f, xs, rows):
-    red = f.reduce
-    zero_plane = tuple((f.zero,) * len(row) for row in rows)
-    return tuple(tuple(tuple([red(a * e) for e in row]) for row in rows)
-                 if a else zero_plane for a in xs)
-
-
-def _outer3_tv(f, rows, zs):
-    return tuple(_outer_rows(f, row, zs) for row in rows)
-
-
-def _bilinear(f, c, xs, ys):
-    out = [f.zero] * len(c)
-    for a, plane in zip(xs, c):
+def _bilinear(f, left, xs, ys):
+    """mu(x, y) from the tensor's ``left_planes``."""
+    out = [f.zero] * len(left)
+    for a, plane in zip(xs, left):
         if not a:
             continue
         for b, row in zip(ys, plane):
             if not b:
                 continue
             ab = a * b
-            for k, cv in enumerate(row):
-                if cv:
-                    out[k] += ab * cv
+            for k, cv in row:
+                out[k] += ab * cv
     return tuple(map(f.reduce, out))
 
 
-def _coproduct(f, d, xs):
-    acc = _zeros2(f, len(d))
-    for c, plane in zip(xs, d):
+def _coproduct(f, planes, xs):
+    """delta(x) from the tensor's ``sparse_planes``."""
+    acc = _zeros2(f, len(planes))
+    for c, plane in zip(xs, planes):
         if c:
-            _add_scaled_plane(acc, c, plane)
+            for i, j, v in plane:
+                acc[i][j] += c * v
     return _reduced(f, acc)
 
 
-def _bullet(f, c, rows, right):
-    """The bullet product of a tensor square, given as rows, and one given
-    by ``_nonzeros2``."""
-    out = _zeros2(f, len(c))
-    for i, arow in enumerate(rows):
-        plane_l = c[i]
-        for j, u in enumerate(arow):
-            if not u:
+def _column_operators(f, left, rows):
+    """For each column a_j of a tensor square given as rows, the operator
+    of multiplication by a_j on the left, or None when a_j is zero."""
+    n = len(left)
+    return [_operator(f, n, col, left) if any(col) else None
+            for col in zip(*rows)]
+
+
+def _nonzero_columns(rows):
+    return [_nonzeros(col) for col in zip(*rows)]
+
+
+def _bullet(f, left, ops, cols):
+    """sum_{j, j2} mu(a_j, b_j2) (x) mu(e_j, e_j2), from the operators of
+    multiplication by the columns a_j of a (``_column_operators``) and the
+    nonzeros of the columns b_j2 of b (``_nonzero_columns``)."""
+    zero = f.zero
+    n = len(left)
+    out = _zeros2(f, n)
+    for op, plane in zip(ops, left):
+        if op is None:
+            continue
+        for col, right in zip(cols, plane):
+            if not col or not right:
                 continue
-            plane_r = c[j]
-            for i2, j2, v in right:
-                uv = u * v
-                row_r = plane_r[j2]
-                for k, cl in enumerate(plane_l[i2]):
-                    if not cl:
-                        continue
-                    ucl = uv * cl
+            # mu(a_j, b_j2), unreduced
+            acc = [zero] * n
+            for i2, w in col:
+                for k, v in op[i2]:
+                    acc[k] += w * v
+            for k, u in enumerate(acc):
+                if u:
                     orow = out[k]
-                    for m, cr in enumerate(row_r):
-                        if cr:
-                            orow[m] += ucl * cr
+                    for m, cr in right:
+                        orow[m] += u * cr
     return _reduced(f, out)
 
 
-def _product_on_legs(f, n, c, planes, legs):
-    out = _zeros2(f, n)
-    for i, plane in enumerate(planes):
-        if legs == (0, 1):
-            for j, row in enumerate(plane):
-                cij = c[i][j]
-                for k, v in enumerate(row):
-                    if v:
-                        for m, cm in enumerate(cij):
-                            if cm:
-                                out[m][k] += v * cm
-        else:
-            orow = out[i]
-            for j, row in enumerate(plane):
-                cj = c[j]
-                for k, v in enumerate(row):
-                    if v:
-                        for m, cm in enumerate(cj[k]):
-                            if cm:
-                                orow[m] += v * cm
+def _on_leg(f, op, rows, leg):
+    """The operator ``op`` (rows of (index, value) pairs) applied to the
+    left leg (``leg=0``) or the right leg (``leg=1``) of a tensor square
+    given as rows."""
+    out = _zeros2(f, len(op))
+    if leg == 0:
+        for row, oprow in zip(rows, op):
+            if not oprow:
+                continue
+            nz = _nonzeros(row)
+            for k, v in oprow:
+                orow = out[k]
+                for m, w in nz:
+                    orow[m] += v * w
+    else:
+        for row, orow in zip(rows, out):
+            for w, oprow in zip(row, op):
+                if w:
+                    for m, v in oprow:
+                        orow[m] += w * v
     return _reduced(f, out)
 
 
@@ -721,26 +790,25 @@ def _map_on_leg3(dot, rows, e, leg):
                  for plane in e)
 
 
-def _coproduct_on_left(f, n, d, rows):
+def _coproduct_on_left(f, n, planes, rows):
     out = [_zeros2(f, n) for _ in range(n)]
-    for trow, plane in zip(rows, d):
-        for k, v in enumerate(trow):
-            if not v:
-                continue
-            for a, prow in enumerate(plane):
-                oplane = out[a]
-                for b, w in enumerate(prow):
-                    if w:
-                        oplane[b][k] += v * w
+    for trow, plane in zip(rows, planes):
+        nz = _nonzeros(trow)
+        if nz:
+            for a, b, w in plane:
+                orow = out[a][b]
+                for k, v in nz:
+                    orow[k] += v * w
     return tuple(_reduced(f, plane) for plane in out)
 
 
-def _coproduct_on_right(f, n, d, rows):
+def _coproduct_on_right(f, n, planes, rows):
     out = [_zeros2(f, n) for _ in range(n)]
     for trow, oplane in zip(rows, out):
-        for v, plane in zip(trow, d):
+        for v, plane in zip(trow, planes):
             if v:
-                _add_scaled_plane(oplane, v, plane)
+                for a, b, w in plane:
+                    oplane[a][b] += v * w
     return tuple(_reduced(f, plane) for plane in out)
 
 
@@ -774,12 +842,18 @@ def _functional_field(dim, field, functional, side):
 
 
 def _operator(f, n, u, planes):
-    """sum_i u[i] * planes[i], each row as the (index, value) pairs of its
-    nonzero entries: a product with one argument fixed at u, as a map."""
+    """sum_i u[i] * planes[i] for planes whose rows are the (index, value)
+    pairs of their nonzero entries, as rows of the same form: a product
+    with one argument fixed at u, as a map. At a basis vector it is the
+    plane itself."""
+    terms = [(a, plane) for a, plane in zip(u, planes) if a]
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
     acc = _zeros2(f, n)
-    for a, plane in zip(u, planes):
-        if a:
-            _add_scaled_plane(acc, a, plane)
+    for a, plane in terms:
+        for arow, prow in zip(acc, plane):
+            for k, v in prow:
+                arow[k] += a * v
     red = f.reduce
     return [[(k, red(v)) for k, v in enumerate(row) if v] for row in acc]
 
@@ -803,11 +877,6 @@ def _sparse_rows(f, rows):
 
 def _nonzeros(xs):
     return [(i, x) for i, x in enumerate(xs) if x]
-
-
-def _nonzeros2(rows):
-    return [(i, j, v) for i, row in enumerate(rows)
-            for j, v in enumerate(row) if v]
 
 
 def _raw(v):
@@ -854,11 +923,12 @@ def _join(axes_x, axes_y, n):
                        for t in itertools.product(range(n), repeat=len(axes)))
 
 
-def _pairwise(x, y, f, shape, fn, ys=None):
-    """``fn`` at every pair of entries over the union of the axes; ``ys``
-    replaces the entries of ``y`` by a form ``fn`` takes."""
+def _pairwise(x, y, f, shape, fn, xs=None, ys=None):
+    """``fn`` at every pair of entries over the union of the axes; ``xs``
+    and ``ys`` replace the entries of ``x`` and ``y`` by forms ``fn``
+    takes, computed once per entry."""
     axes, pairs = _join(x.axes, y.axes, x.n)
-    xs = x.entries
+    xs = x.entries if xs is None else xs
     ys = y.entries if ys is None else ys
     return Batch(f, shape, axes, x.n, [fn(xs[i], ys[j]) for i, j in pairs])
 
@@ -902,6 +972,12 @@ def _spread(v, axes, n):
     return [e[i] for i, _ in _join(v.axes, axes, n)[1]]
 
 
+def _require_square(t, n):
+    if _shape_of(t) != (n, n):
+        raise ShapeError(f"coproduct dimension {n} does not match tensor "
+                         f"square {_shape_of(t)}")
+
+
 def _square_shape(b):
     if len(b.shape) != 2:
         raise ShapeError(f"expected a batch of tensor squares, got shape "
@@ -911,14 +987,6 @@ def _square_shape(b):
 
 def _zeros2(f, n):
     return [[f.zero] * n for _ in range(n)]
-
-
-def _add_scaled_plane(acc, c, plane):
-    """acc += c * plane entrywise, skipping zero entries, unreduced."""
-    for arow, prow in zip(acc, plane):
-        for j, v in enumerate(prow):
-            if v:
-                arow[j] += c * v
 
 
 def _reduced(f, acc):

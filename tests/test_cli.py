@@ -359,6 +359,76 @@ def test_deeply_nested_corpus_table_exits_two(tmp_path, bad_paths, capsys):
     assert "nested too deeply" in err
 
 
+_EX1_ENTRY = {"name": "ex1", "fixture": "ex1.json",
+              "checks": [{"check": "hom-bialgebra", "status": "fail"}]}
+_MORPHISM = {"name": "m", "file": "m.json", "source": "ex1",
+             "target": "ex1", "status": "pass"}
+
+
+def _with(base, **changes):
+    return {**base, **{key.replace("_", "-"): value
+                       for key, value in changes.items()}}
+
+
+@pytest.mark.parametrize("table, where", [
+    ({"entries": 5}, "entries must be a list"),
+    ({"entries": [5]}, "entries[0] must be an object"),
+    ({}, "entries must be a list"),
+    ({"entries": [_with(_EX1_ENTRY, name=5)]}, "entries[0].name must be"),
+    ({"entries": [{"fixture": "ex1.json"}]}, "entries[0].name must be"),
+    ({"entries": [_with(_EX1_ENTRY, fixture=["ex1.json"])]},
+     "entries[0].fixture must be"),
+    ({"entries": [{"name": "d", "derive": "k1"}]},
+     "entries[0].derive must be an object"),
+    ({"entries": [{"name": "d"}]}, "entries[0].derive must be an object"),
+    ({"entries": [_with(_EX1_ENTRY, checks=5)]}, "entries[0].checks must be"),
+    ({"entries": [_with(_EX1_ENTRY, checks=[5])]},
+     "entries[0].checks[0] must be an object"),
+    ({"entries": [_with(_EX1_ENTRY, checks=[{"status": "pass"}])]},
+     "entries[0].checks[0].check must be"),
+    ({"entries": [_with(_EX1_ENTRY, checks=[{"check": "hom-bialgebra",
+                                             "status": 1}])]},
+     "entries[0].checks[0].status must be"),
+    ({"entries": [_with(_EX1_ENTRY, checks=[{
+        "check": "hom-bialgebra", "status": "fail", "failing": "x"}])]},
+     "entries[0].checks[0].failing must be a list"),
+    ({"entries": [_with(_EX1_ENTRY, checks=[{
+        "check": "hom-bialgebra", "status": "fail", "counit-mode": 7}])]},
+     "entries[0].checks[0].counit-mode must be"),
+    ({"entries": [_with(_EX1_ENTRY, checks=[{"check": "nope",
+                                             "status": "fail"}])]},
+     "entries[0].checks[0].check must be one of"),
+    ({"entries": [_with(_EX1_ENTRY, checks=[{
+        "check": "hom-bialgebra", "status": "fail", "counit-mode": "eq9"}])]},
+     "entries[0].checks[0].counit-mode must be one of"),
+    ({"entries": [_with(_EX1_ENTRY, annotations=5)]},
+     "entries[0].annotations must be a list"),
+    ({"entries": [_EX1_ENTRY], "morphisms": 5}, "morphisms must be a list"),
+    ({"entries": [_EX1_ENTRY], "morphisms": [5]},
+     "morphisms[0] must be an object"),
+    ({"entries": [_EX1_ENTRY], "morphisms": [_with(_MORPHISM, name=5)]},
+     "morphisms[0].name must be"),
+    ({"entries": [_EX1_ENTRY], "morphisms": [_with(_MORPHISM,
+                                                   twisted_source=[])]},
+     "morphisms[0].twisted-source must be"),
+], ids=["entries-int", "entry-int", "no-entries", "name-int", "no-name",
+        "fixture-list", "derive-string", "no-fixture-or-derive",
+        "checks-int", "check-spec-int", "no-check-id", "status-int",
+        "failing-string", "counit-mode-int", "unknown-check",
+        "unknown-counit-mode", "annotations-int",
+        "morphisms-int", "morphism-int", "morphism-name-int",
+        "twisted-source-list"])
+def test_mistyped_corpus_table_exits_two(tmp_path, bad_paths, capsys, table,
+                                         where):
+    (tmp_path / "ex1.json").write_text(Path(EX1).read_text())
+    (tmp_path / "expected.json").write_text(
+        json.dumps({"format-version": 1, **table}))
+    err = _exits_two_with_one_line(["corpus", "--data", str(tmp_path)],
+                                   bad_paths, capsys)
+    assert err.startswith("corpus unavailable: expected-verdict table: ")
+    assert where in err
+
+
 @pytest.mark.parametrize("existing", [None, "old contents\n"],
                          ids=["new-out", "existing-out"])
 def test_unwritable_out2_leaves_out_untouched(existing, bad_paths, capsys):

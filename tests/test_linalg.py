@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import itertools
 import random
@@ -13,16 +14,87 @@ from homstruct.constructions import (ASSEMBLY_KINDS, assemble_two,
                                      kaplansky_k1, kaplansky_k2,
                                      tensor_product, yau_twist)
 from homstruct.corpus import DATA_DIR
-from homstruct.errors import ShapeError
+from homstruct.errors import FieldMismatchError, ShapeError
 from homstruct.fields import PrimeField
 from homstruct.linalg import (Batch, apply_bilinear, apply_coproduct,
                               basis_batch, bullet, compose, coproduct_on_left,
                               coproduct_on_right, kron, map_on_leg3,
-                              mismatches, outer, outer3_tv, outer3_vt,
-                              product_on_legs, tensors_equal)
+                              mismatches, multiply_leg, outer, tensors_equal)
 from homstruct.oracle import RATIONAL_POOL
 
 from conftest import F, lmap, vec
+
+
+# ---------------------------------------------------------------------------
+# references: the cube-based leg products and the nested bullet loop that
+# the library evaluated before its factored forms, on plain values only
+
+def outer3_vt(x, t):
+    """x (x) t as an element of V (x) V (x) V."""
+    f = require_same(x.field, t.field)
+    return hs.Tensor3(f, tuple(tuple(tuple(f.reduce(a * e) for e in row)
+                                     for row in t.entries) for a in x.coords))
+
+
+def outer3_tv(t, z):
+    """t (x) z as an element of V (x) V (x) V."""
+    f = require_same(t.field, z.field)
+    return hs.Tensor3(f, tuple(tuple(tuple(f.reduce(a * b) for b in z.coords)
+                                     for a in row) for row in t.entries))
+
+
+def product_on_legs(t, p, legs):
+    """Contract two adjacent legs of a cube with a product: ``legs=(0,
+    1)`` turns sum T_ijk e_i (x) e_j (x) e_k into sum T_ijk mu(e_i, e_j)
+    (x) e_k, ``legs=(1, 2)`` acts on the right pair."""
+    n, c = p.dim, p.c
+    assert legs in ((0, 1), (1, 2)) and t.shape == (n, n, n)
+    f = require_same(t.field, p.field)
+    out = [[f.zero] * n for _ in range(n)]
+    for i, plane in enumerate(t.entries):
+        for j, row in enumerate(plane):
+            for k, v in enumerate(row):
+                if not v:
+                    continue
+                for m, cm in enumerate(c[i][j] if legs == (0, 1)
+                                       else c[j][k]):
+                    if cm:
+                        if legs == (0, 1):
+                            out[m][k] += v * cm
+                        else:
+                            out[i][m] += v * cm
+    return hs.Tensor2(f, tuple(tuple(f.reduce(v) for v in row)
+                               for row in out))
+
+
+def nested_bullet(p, a, b):
+    """The bullet product as the n^6 loop over both operands' entries."""
+    f, c, n = require_same(p.field, a.field, b.field), p.c, p.dim
+    right = [(i, j, v) for i, row in enumerate(b.entries)
+             for j, v in enumerate(row) if v]
+    out = [[f.zero] * n for _ in range(n)]
+    for i, arow in enumerate(a.entries):
+        plane_l = c[i]
+        for j, u in enumerate(arow):
+            if not u:
+                continue
+            plane_r = c[j]
+            for i2, j2, v in right:
+                uv = u * v
+                row_r = plane_r[j2]
+                for k, cl in enumerate(plane_l[i2]):
+                    if not cl:
+                        continue
+                    for m, cr in enumerate(row_r):
+                        if cr:
+                            out[k][m] += uv * cl * cr
+    return hs.Tensor2(f, tuple(tuple(f.reduce(v) if v else f.zero
+                                     for v in row) for row in out))
+
+
+def require_same(*fields):
+    assert all(g == fields[0] for g in fields)
+    return fields[0]
 
 
 class TestApplyBilinear:
@@ -188,11 +260,33 @@ class TestCubeShapes:
         with pytest.raises(ShapeError):
             map_on_leg3(square, lmap([[1, 1], [1, 1]]), 2)
 
+    def test_coproduct_on_legs(self, kind):
+        q = hs.CoproductTensor(F, _cube(3).entries)
+        for n in (2, 4):
+            square = hs.Tensor2(F, ((1,) * n,) * n)
+            if kind is Batch:
+                square = Batch(F, (n, n), (0,), 1, [square.entries])
+            for fn in (coproduct_on_left, coproduct_on_right):
+                with pytest.raises(ShapeError):
+                    fn(square, q)
+
     def test_product_on_legs(self, kind):
+        # the leg product that replaced the cube contraction
         p = hs.ProductTensor(F, _cube(3).entries)
-        for legs in ((0, 1), (1, 2)):
+        square = hs.Tensor2(F, ((1, 1), (1, 1)))
+        x = vec([1, 1])
+        if kind is Batch:
+            square = Batch(F, (2, 2), (0,), 1, [square.entries])
+            x = Batch(F, (2,), (0,), 1, [x.coords])
+        for leg in (0, 1):
             with pytest.raises(ShapeError):
-                product_on_legs(_cube(2, kind), p, legs)
+                multiply_leg(p, x, square, leg)
+            with pytest.raises(ShapeError):
+                multiply_leg(p, vec([1, 1, 1]), square, leg)
+            with pytest.raises(ShapeError):
+                multiply_leg(p, x, hs.Tensor2(F, ((1,) * 3,) * 3), leg)
+        with pytest.raises(ShapeError):
+            multiply_leg(p, vec([1, 1, 1]), hs.Tensor2(F, ((1,) * 3,) * 3), 2)
 
 
 def test_map_on_leg_matches_elementary_tensors(half):
@@ -395,12 +489,13 @@ class TestNativeScalarLoops:
             return tuple(tuple(tuple(value(i, j, k) for k in R) for j in R)
                          for i in R)
 
-        _same(f, product_on_legs(t, p, (0, 1)).entries,
-              tuple(tuple(_fsum(f, ((e[i][j][k], c[i][j][m])
-                                    for i in R for j in R)) for k in R)
-                    for m in R))
-        _same(f, product_on_legs(t, p, (1, 2)).entries,
-              tuple(tuple(_fsum(f, ((e[i][j][k], c[j][k][m])
+        x = hs.Vector(f, _array(data, f, n))
+        _same(f, multiply_leg(p, x, s, 0).entries,
+              tuple(tuple(_fsum(f, ((x.coords[i], s.entries[j][m], c[i][j][k])
+                                    for i in R for j in R)) for m in R)
+                    for k in R))
+        _same(f, multiply_leg(p, x, s, 1).entries,
+              tuple(tuple(_fsum(f, ((s.entries[i][j], x.coords[k], c[j][k][m])
                                     for j in R for k in R)) for m in R)
                     for i in R))
         _same(f, map_on_leg3(t, g, 0).entries, cube(
@@ -583,11 +678,10 @@ class TestBatches:
     @given(st.sampled_from(FIELDS), st.integers(1, 3), st.integers(1, 3),
            layouts, st.data())
     def test_outer_products(self, f, n, k, layout, data):
-        for fn, shapes in ((outer, ((n,), (2,))), (outer3_vt, ((2,), (n, 3))),
-                           (outer3_tv, ((n, 2), (3,)))):
+        for shapes in (((n,), (2,)), ((2,), (n,))):
             x, y = (_operand(data, f, axes, k, shape)
                     for axes, shape in zip(layout, shapes))
-            _agrees(fn(x, y), fn, x, y)
+            _agrees(outer(x, y), outer, x, y)
 
     @settings(max_examples=30, deadline=None)
     @batch_case
@@ -597,9 +691,10 @@ class TestBatches:
         g = hs.LinearMap(f, _array(data, f, 2, n))
         t = _operand(data, f, (0, 1), k, (n, n, n))
         t2 = _operand(data, f, (2,), k, (n, n))
-        for legs in ((0, 1), (1, 2)):
-            _agrees(product_on_legs(t, p, legs),
-                    lambda u: product_on_legs(u, p, legs), t)
+        x = _operand(data, f, (0,), k, (n,))
+        for leg in (0, 1):
+            _agrees(multiply_leg(p, x, t2, leg),
+                    lambda u, v: multiply_leg(p, u, v, leg), x, t2)
         for leg in (0, 1, 2):
             _agrees(map_on_leg3(t, g, leg), lambda u: map_on_leg3(u, g, leg),
                     t)
@@ -718,3 +813,287 @@ def test_axioms_binds_linalg_own_functions():
     assert "apply_bilinear" in shared
     for name in shared:
         assert getattr(axioms, name) is getattr(linalg, name), name
+
+
+# ---------------------------------------------------------------------------
+# the factored primitives against their references, repr for repr: the
+# factored bullet against the nested loop, the leg product against the
+# cube contraction, and an identity map's shortcut against the general path
+
+PARITY_FIELDS = (F, PrimeField(2), PrimeField(3), PrimeField(5))
+# plain operands, both along one shared axis, each along its own
+PARITY_LAYOUTS = ((None, None), ((0,), (0,)), ((0,), (1,)))
+parity_case = pytest.mark.parametrize(
+    "f, n, dense", [(f, n, dense) for f in PARITY_FIELDS
+                    for n in range(1, 6) for dense in (False, True)],
+    ids=lambda v: (v.name if hasattr(v, "name") else
+                   ("dense" if v else "sparse") if isinstance(v, bool)
+                   else str(v)))
+
+
+def _scalars(f, rng, dense):
+    """A scalar drawer: over QQ the oracle's pool, Fractions included;
+    sparse draws are zero four times in five."""
+    pool = RATIONAL_POOL if f is F else range(f.p)
+
+    def draw():
+        if not dense and rng.random() < 0.8:
+            return f.zero
+        return rng.choice(pool)
+
+    return draw
+
+
+def _parity_operand(f, rng, dense, axes, shape, k=2):
+    draw = _scalars(f, rng, dense)
+
+    def value():
+        if len(shape) == 1:
+            return tuple(draw() for _ in range(shape[0]))
+        return tuple(tuple(draw() for _ in range(shape[1]))
+                     for _ in range(shape[0]))
+
+    if axes is None:
+        return linalg._KINDS[len(shape)](f, value())
+    return Batch(f, shape, axes, k, [value() for _ in range(k ** len(axes))])
+
+
+def _parity_product(f, rng, dense, n):
+    draw = _scalars(f, rng, dense)
+    return hs.ProductTensor(f, tuple(tuple(tuple(draw() for _ in range(n))
+                                           for _ in range(n))
+                                     for _ in range(n)))
+
+
+def _matches(result, reference, *operands):
+    """``result`` equals ``reference`` on the operands' plain values at
+    every index tuple, with the same repr: the same scalars of the same
+    types."""
+    batches = [o for o in operands if type(o) is Batch]
+    if not batches:
+        assert repr(result) == repr(reference(*operands))
+        return
+    axes = tuple(sorted(set().union(*(b.axes for b in batches))))
+    k = batches[0].n
+    assert type(result) is Batch and result.axes == axes
+    for t in itertools.product(range(k), repeat=len(axes)):
+        at = dict(zip(axes, t))
+        want = reference(*(_at(o, at) for o in operands))
+        assert repr(_at(result, at)) == repr(want)
+
+
+@parity_case
+def test_bullet_matches_the_nested_loop(f, n, dense):
+    rng = random.Random(f"bullet {f.name} {n} {dense}")
+    for _ in range(2):
+        p = _parity_product(f, rng, dense, n)
+        for layout in PARITY_LAYOUTS:
+            a, b = (_parity_operand(f, rng, dense, axes, (n, n))
+                    for axes in layout)
+            _matches(bullet(p, a, b), lambda u, v: nested_bullet(p, u, v),
+                     a, b)
+
+
+@parity_case
+def test_leg_product_matches_the_cube_contraction(f, n, dense):
+    rng = random.Random(f"leg {f.name} {n} {dense}")
+    for _ in range(2):
+        p = _parity_product(f, rng, dense, n)
+        for layout in PARITY_LAYOUTS:
+            x = _parity_operand(f, rng, dense, layout[0], (n,))
+            t = _parity_operand(f, rng, dense, layout[1], (n, n))
+            _matches(multiply_leg(p, x, t, 0),
+                     lambda u, v: product_on_legs(outer3_vt(u, v), p, (0, 1)),
+                     x, t)
+            _matches(multiply_leg(p, x, t, 1),
+                     lambda u, v: product_on_legs(outer3_tv(v, u), p, (1, 2)),
+                     x, t)
+
+
+def _general(g):
+    """An equal map that takes the general path: its identity flag reads
+    false."""
+    h = hs.LinearMap(g.field, g.rows)
+    h.__dict__["_identity"] = False
+    return h
+
+
+@parity_case
+def test_identity_map_returns_an_equal_value(f, n, dense):
+    rng = random.Random(f"identity {f.name} {n} {dense}")
+    g = hs.identity_map(f, n)
+    assert g.is_identity() and not _general(g).is_identity()
+    h = _general(g)
+    for axes in (None, (0,), (0, 1)):
+        x = _parity_operand(f, rng, dense, axes, (n,))
+        t = _parity_operand(f, rng, dense, axes, (n, n))
+        draw = _scalars(f, rng, dense)
+        cube = tuple(tuple(tuple(draw() for _ in range(n)) for _ in range(n))
+                     for _ in range(n))
+        cube = (hs.Tensor3(f, cube) if axes is None else
+                Batch(f, (n, n, n), axes, 2, [cube] * 2 ** len(axes)))
+        got = [g.apply(x), t.map_left(g), t.map_right(g)]
+        want = [h.apply(x), t.map_left(h), t.map_right(h)]
+        for leg in range(3):
+            got.append(map_on_leg3(cube, g, leg))
+            want.append(map_on_leg3(cube, h, leg))
+        for a, b in zip(got, want):
+            assert type(a) is type(b)
+            if type(a) is Batch:
+                assert (a.axes, a.n, a.shape) == (b.axes, b.n, b.shape)
+                assert repr(a.entries) == repr(b.entries)
+            else:
+                assert repr(a) == repr(b)
+        # the operand itself comes back
+        assert got[0] is x and got[1] is t and got[3] is cube
+
+
+@pytest.mark.parametrize("f", PARITY_FIELDS, ids=lambda f: f.name)
+@pytest.mark.parametrize("n", range(1, 6))
+def test_identity_map_still_checks_its_operand(f, n):
+    g = hs.identity_map(f, n)
+    other = PrimeField(7)
+    zero = f.zero
+    wrong_dim = hs.Vector(f, (zero,) * (n + 1))
+    wrong_field = hs.Vector(other, (0,) * n)
+    square = hs.Tensor2(f, ((zero,) * n,) * (n + 1))
+    tall = hs.Tensor2(f, ((zero,) * (n + 1),) * n)
+    cube = hs.Tensor3(f, (((zero,) * n,) * n,) * (n + 1))
+    for bad, error in ((wrong_dim, ShapeError),
+                       (wrong_field, FieldMismatchError),
+                       (Batch(f, (n + 1,), (0,), 1, [wrong_dim.coords]),
+                        ShapeError),
+                       (Batch(other, (n,), (0,), 1, [wrong_field.coords]),
+                        FieldMismatchError)):
+        with pytest.raises(error):
+            g.apply(bad)
+    for bad in (square, Batch(f, (n + 1, n), (0,), 1, [square.entries])):
+        with pytest.raises(ShapeError):
+            bad.map_left(g)
+    for bad in (tall, Batch(f, (n, n + 1), (0,), 1, [tall.entries])):
+        with pytest.raises(ShapeError):
+            bad.map_right(g)
+    for bad in (hs.Tensor2(other, ((0,) * n,) * n),
+                Batch(other, (n, n), (0,), 1, [((0,) * n,) * n])):
+        with pytest.raises(FieldMismatchError):
+            bad.map_left(g)
+        with pytest.raises(FieldMismatchError):
+            bad.map_right(g)
+    with pytest.raises(ShapeError):
+        map_on_leg3(cube, g, 0)
+    with pytest.raises(ShapeError):
+        map_on_leg3(hs.Tensor2(f, ((zero,) * n,) * n), g, 0)
+    with pytest.raises(FieldMismatchError):
+        map_on_leg3(hs.Tensor3(other, (((0,) * n,) * n,) * n), g, 1)
+
+
+# ---------------------------------------------------------------------------
+# the infinitesimal identity against its cube form. The per-tuple reference
+# in test_evaluator.py calls the suite's own closures, so it cannot catch a
+# wrong formula; here the closure as it read over V (x) V (x) V cubes is
+# evaluated on plain vectors at every tuple and compared with the suite's
+# batched sides
+
+def cube_infinitesimal(mu, delta, alpha):
+    def inf(x, y):
+        lhs = apply_coproduct(delta, apply_bilinear(mu, x, y))
+        ax, ay = alpha.apply(x), alpha.apply(y)
+        first = product_on_legs(outer3_vt(ax, apply_coproduct(delta, y)),
+                                mu, (0, 1)).map_right(alpha)
+        second = product_on_legs(outer3_tv(apply_coproduct(delta, x), ay),
+                                 mu, (1, 2)).map_left(alpha)
+        third = outer(alpha.apply(ax), ay)
+        return lhs, first.add(second).sub(third)
+    return inf
+
+
+def _infinitesimal_cases():
+    """Every corpus hom-bialgebra; the K1 and K2 extensions of the unital
+    corpus algebras, and of each unital algebra that a corpus algebra
+    twists, with that twist in place of its own (a twist other than the
+    identity); and each extension again with a seeded random twist."""
+    from homstruct import corpus
+    table = corpus.load_expected()
+    resolved = {}
+    for entry in table["entries"]:
+        resolved[entry["name"]] = (
+            corpus.load_fixture(entry["fixture"]) if "fixture" in entry
+            else corpus._derive(entry["derive"], resolved))
+    cases = [(name, s) for name, s in resolved.items()
+             if isinstance(s, hs.HomBialgebra)]
+    unital = {name: a for name, a in resolved.items()
+              if isinstance(a, hs.HomAlgebra) and a.unit is not None}
+    inputs = dict(unital)
+    for name, a in resolved.items():
+        base = name.split("_twist")[0]
+        if ("_twist" in name and isinstance(a, hs.HomAlgebra)
+                and base in unital):
+            b = unital[base]
+            inputs[f"{base} with the twist of {name}"] = hs.HomAlgebra(
+                b.mu, a.alpha, b.unit)
+    rng = random.Random(17)
+    for name, a in inputs.items():
+        for build in (kaplansky_k1, kaplansky_k2):
+            try:
+                ext = build(a, allow_ineligible=True)
+            except hs.errors.NotEligibleError:
+                continue
+            label = f"{build.__name__}({name})"
+            cases.append((label, ext))
+            f, m = ext.field, ext.dim
+            alpha = hs.LinearMap(f, tuple(tuple(rng.choice(RATIONAL_POOL)
+                                                for _ in range(m))
+                                          for _ in range(m)))
+            cases.append((label + " random twist",
+                          dataclasses.replace(ext, alpha=alpha)))
+    return cases
+
+
+INFINITESIMAL_CASES = _infinitesimal_cases()
+
+
+def test_infinitesimal_cases_reach_the_general_path():
+    twists = [s.alpha.is_identity() for _, s in INFINITESIMAL_CASES]
+    assert any(twists) and not all(twists)
+    # an extension whose own twist is not the identity
+    assert any(not s.alpha.is_identity() for label, s in INFINITESIMAL_CASES
+               if label.startswith("kaplansky") and "random" not in label)
+
+
+@pytest.mark.parametrize("label, s", INFINITESIMAL_CASES,
+                         ids=[label for label, _ in INFINITESIMAL_CASES])
+def test_infinitesimal_matches_its_cube_form(label, s):
+    (test,) = [t for t in axioms.suite_for("infinitesimal", s)
+               if t.axiom == "infinitesimal"]
+    reference = cube_infinitesimal(s.mu, s.delta, s.alpha)
+    f, n = s.field, s.dim
+    rng = random.Random(label)
+
+    def sample(axis, k):
+        return Batch(f, (n,), (axis,), k,
+                     [tuple(rng.choice(RATIONAL_POOL) for _ in range(n))
+                      for _ in range(k)])
+
+    for x, y in ((basis_batch(f, n, 0), basis_batch(f, n, 1)),
+                 (sample(0, 6), sample(0, 6)),
+                 (sample(0, 2), sample(1, 2))):
+        lhs, rhs = test.evaluate(x, y)
+        _matches(lhs, lambda u, v: reference(u, v)[0], x, y)
+        _matches(rhs, lambda u, v: reference(u, v)[1], x, y)
+
+
+@pytest.mark.parametrize("f", PARITY_FIELDS, ids=lambda f: f.name)
+def test_identity_flag_reads_every_entry(f):
+    # one entry off the identity, anywhere, and the map takes the general
+    # path
+    for n in range(1, 4):
+        x = hs.Vector(f, tuple(f.coerce(i + 1) for i in range(n)))
+        for i, j in itertools.product(range(n), repeat=2):
+            rows = [[f.one if a == b else f.zero for b in range(n)]
+                    for a in range(n)]
+            rows[i][j] = f.add(rows[i][j], f.one)
+            g = hs.LinearMap(f, rows)
+            assert not g.is_identity()
+            assert g.apply(x) is not x
+            assert g.apply(x) == _general(g).apply(x)
+    assert not hs.LinearMap(f, ((f.one, f.zero),)).is_identity()
