@@ -21,8 +21,11 @@ their nonzero entries (``left_planes``, ``right_planes``,
 through them. Each is computed from the value on first use and kept on
 the value, so it lives as long as the value does. A ``LinearMap`` keeps
 whether it is the identity the same way: an identity map checks its
-operand's shape and field, then returns the operand itself from
-``apply``, ``map_left``, ``map_right`` and ``map_on_leg3``.
+operand's shape and field in ``apply``, ``map_left``, ``map_right`` and
+``map_on_leg3``, then returns a batch operand itself, whose entries are
+reduced already, and a plain operand with each scalar reduced, since a
+value built by hand may hold a scalar outside the field's canonical
+form (6 over GF(5), an integral ``Fraction``).
 
 Scalar loops use the native ``+`` and ``*`` of the field's scalars
 (ints, and over QQ a ``Fraction`` for a non-integral value), skip zero
@@ -140,7 +143,7 @@ class LinearMap:
             raise ShapeError(f"map expects dimension {self.source_dim}, got {v.dim}")
         f = require_same_field(self.field, v.field)
         if self._identity:
-            return v
+            return Vector(f, _reduce_raw(f.reduce, 1, v.coords))
         dot, x = f.dot, v.coords
         return Vector(f, tuple([dot(row, x) for row in self.rows]))
 
@@ -287,14 +290,14 @@ class Tensor2:
         """Apply g to the left tensor leg."""
         f = _leg_map_field(self.shape[0], self.field, g, "left")
         if g._identity:
-            return self
+            return Tensor2(f, _reduce_raw(f.reduce, 2, self.entries))
         return Tensor2(f, _map_left(f.dot, g.rows, self.entries))
 
     def map_right(self, g: LinearMap) -> "Tensor2":
         """Apply g to the right tensor leg."""
         f = _leg_map_field(self.shape[1], self.field, g, "right")
         if g._identity:
-            return self
+            return Tensor2(f, _reduce_raw(f.reduce, 2, self.entries))
         return Tensor2(f, _map_right(f.dot, g.rows, self.entries))
 
     def contract_left(self, functional: LinearMap) -> Vector:
@@ -347,7 +350,8 @@ class Batch:
     index tuple over ``axes``, in ``itertools.product`` order, stored raw:
     the coordinates of a ``Vector``, or the rows or planes of a
     ``Tensor2`` or ``Tensor3``. Every entry has ``shape``, whose length
-    tells which of the three.
+    tells which of the three. Entries are reduced: ``basis_batch``, the
+    oracle's samples and every primitive give only canonical scalars.
     """
 
     __slots__ = ("field", "shape", "axes", "n", "entries")
@@ -487,7 +491,9 @@ def _bilinear_batch(p, x, y):
         others = xs
         pairs = [(j, i) for i, j in pairs]
     # each operator meets each distinct argument once: products of basis
-    # vectors repeat a few values many times
+    # vectors take few values, so most arguments of run_suite's products
+    # repeat; the memo has a slot per operator and distinct argument, at
+    # most len(xs) * len(ys)
     distinct = {}
     keys = [distinct.setdefault(v, len(distinct)) for v in others]
     args = [_nonzeros(v) for v in distinct]
@@ -607,13 +613,15 @@ def map_on_leg3(t: Tensor3, g: LinearMap, leg: int) -> Tensor3:
         raise ShapeError(f"map expects dimension {g.source_dim}, got leg "
                          f"{leg} of cube {tuple(shape)}")
     f = require_same_field(t.field, g.field)
-    if g._identity:
-        return t
     if type(t) is Batch:
+        if g._identity:
+            return t
         shape[leg] = g.target_dim
         dot, rows = _sparse_rows(f, g.rows)
         return t._with(f, tuple(shape), [_map_on_leg3(dot, rows, e, leg)
                                          for e in t.entries])
+    if g._identity:
+        return Tensor3(f, _reduce_raw(f.reduce, 3, t.entries))
     return Tensor3(f, _map_on_leg3(f.dot, g.rows, t.entries, leg))
 
 
@@ -953,6 +961,13 @@ def _entrywise(x, y, op):
     red, depth = f.reduce, len(x.shape)
     return _pairwise(x, y, f, x.shape,
                      lambda u, v: _zipwith(op, red, depth, u, v))
+
+
+def _reduce_raw(red, depth, a):
+    """Raw entries of the given depth with every scalar reduced."""
+    if depth == 1:
+        return tuple(map(red, a))
+    return tuple([_reduce_raw(red, depth - 1, r) for r in a])
 
 
 def _zipwith(op, red, depth, a, b):
