@@ -18,8 +18,8 @@ The witnesses are the basis tuples where the sides differ, in
 
 The random-vector cross-check in :mod:`homstruct.oracle` calls the same
 closures on batches of random samples, every argument along one shared
-sample axis. Only its re-evaluation of each witness calls them on plain
-basis vectors, which checks the batched evaluation independently.
+sample axis, and re-evaluates the witnesses of each axiom in one call
+the same way.
 """
 
 from __future__ import annotations

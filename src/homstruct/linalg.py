@@ -20,12 +20,7 @@ their nonzero entries (``left_planes``, ``right_planes``,
 ``sparse_planes``), and the primitives that evaluate a tensor read it
 through them. Each is computed from the value on first use and kept on
 the value, so it lives as long as the value does. A ``LinearMap`` keeps
-whether it is the identity the same way: an identity map checks its
-operand's shape and field in ``apply``, ``map_left``, ``map_right`` and
-``map_on_leg3``, then returns a batch operand itself, whose entries are
-reduced already, and a plain operand with each scalar reduced, since a
-value built by hand may hold a scalar outside the field's canonical
-form (6 over GF(5), an integral ``Fraction``).
+whether it is the identity the same way.
 
 Scalar loops use the native ``+`` and ``*`` of the field's scalars
 (ints, and over QQ a ``Fraction`` for a non-integral value), skip zero
@@ -41,31 +36,40 @@ axes, so that an identity written once over these primitives can be
 evaluated at many arguments in one call. ``axioms.run_suite`` gives each
 argument position its own axis, over the basis vectors, so one call
 covers every basis tuple; ``oracle.oracle_crosscheck`` puts every
-argument on one shared sample axis, so one call covers a block of
-random samples:
+argument on one shared axis, so one call covers a block of random
+samples, or every witness of one axiom:
 
 * ``apply_bilinear``, ``apply_coproduct``, ``bullet``, ``outer``,
   ``multiply_leg``, ``map_on_leg3``, ``coproduct_on_left``,
   ``coproduct_on_right`` and ``LinearMap.apply`` take batches as well as
   plain values; a batch also has the methods ``add``, ``sub``,
   ``map_left``, ``map_right``, ``contract_left`` and ``contract_right``.
+  Each has one body, written over batches: a plain ``Vector``,
+  ``Tensor2`` or ``Tensor3`` operand is lifted on the way in to a batch
+  over no axes whose one entry is its raw value, and a result over no
+  axes is lowered on the way out to the plain value of that entry, so
+  plain operands give a plain value, never a batch. The plain values'
+  methods are the batch methods on the lifted value.
 * A result is a batch over the union of its operands' axes. An axis two
   operands share is joined, not multiplied out: ``apply_bilinear(p, x,
   x)`` has one entry per entry of ``x``. Entries are keyed by axis,
   whatever order the operands come in. A plain operand holds at every
   tuple.
-* ``apply_bilinear`` on two batches builds the operator of multiplication
-  by each entry of the smaller batch once, and applies it once to each
-  distinct entry of the other; when the join pairs their entries one to
-  one, as on a shared axis, it expands each pair as the plain path does.
-  ``multiply_leg`` builds the operator once per entry of its vector, and
-  ``bullet`` builds one per nonzero column of each entry of its left
-  operand.
-* The plain path costs one type check per primitive: each primitive
-  tests its operands' type once and otherwise runs its plain loops, with
-  no layer in between. Batch entries are stored raw (coordinate tuples,
-  rows, planes) and are reduced once per entry like plain values, so a
-  batch entry equals the plain value at its tuple exactly.
+* ``apply_bilinear`` on operands with many entries builds the operator of
+  multiplication by each entry of the smaller batch once, and applies it
+  once to each distinct entry of the other; when the join pairs their
+  entries one to one, as on a shared axis or for two plain operands, it
+  expands each pair directly. ``multiply_leg`` builds the operator once
+  per entry of its vector, and ``bullet`` builds one per nonzero column
+  of each entry of its left operand.
+* Entries are stored raw (coordinate tuples, rows, planes) and every
+  primitive reduces each output entry once, so a batch entry equals the
+  plain value at its tuple exactly. An identity map checks its operand's
+  shape and field in ``apply``, ``map_left``, ``map_right`` and
+  ``map_on_leg3``, then returns a batch operand itself, whose entries are
+  reduced already, and a plain operand with each scalar reduced, since a
+  value built by hand may hold a scalar outside the field's canonical
+  form (6 over GF(5), an integral ``Fraction``).
 """
 
 from __future__ import annotations
@@ -92,10 +96,10 @@ class Vector:
         return len(self.coords)
 
     def add(self, other: "Vector") -> "Vector":
-        return _combine(self, other, add)
+        return _entrywise(self, other, add)
 
     def sub(self, other: "Vector") -> "Vector":
-        return _combine(self, other, sub)
+        return _entrywise(self, other, sub)
 
     def scale(self, c) -> "Vector":
         f = self.field
@@ -137,15 +141,26 @@ class LinearMap:
         return self.rows[i][j]
 
     def apply(self, v: Vector) -> Vector:
-        if type(v) is Batch:
-            return _map_batch(self, v)
-        if v.dim != self.source_dim:
-            raise ShapeError(f"map expects dimension {self.source_dim}, got {v.dim}")
+        """The map at v, summing its sparse columns over v's nonzero
+        coordinates."""
+        v = _lift(v)
+        if v.shape != (self.source_dim,):
+            raise ShapeError(f"map expects dimension {self.source_dim}, got {v.shape}")
         f = require_same_field(self.field, v.field)
         if self._identity:
-            return Vector(f, _reduce_raw(f.reduce, 1, v.coords))
-        dot, x = f.dot, v.coords
-        return Vector(f, tuple([dot(row, x) for row in self.rows]))
+            return _identity_image(v, f)
+        m = self.target_dim
+        cols = [_nonzeros(col) for col in zip(*self.rows)]
+        zero, red = f.zero, f.reduce
+        out = []
+        for x in v.entries:
+            acc = [zero] * m
+            for xj, col in zip(x, cols):
+                if xj:
+                    for i, a in col:
+                        acc[i] += xj * a
+            out.append(tuple([red(r) if r else zero for r in acc]))
+        return v._with(f, (m,), out)
 
     def column(self, j: int) -> Vector:
         return Vector(self.field, tuple(row[j] for row in self.rows))
@@ -156,8 +171,7 @@ class LinearMap:
     @cached_property
     def _identity(self) -> bool:
         """Whether this is the identity map, computed once per map:
-        ``apply`` and the leg maps read it to return their operand
-        unchanged."""
+        ``apply`` and the leg maps read it to skip their sums."""
         n, m = self.source_dim, self.target_dim
         if n != m:
             return False
@@ -281,34 +295,25 @@ class Tensor2:
         return (len(self.entries), len(self.entries[0]) if self.entries else 0)
 
     def add(self, other: "Tensor2") -> "Tensor2":
-        return _combine(self, other, add)
+        return _entrywise(self, other, add)
 
     def sub(self, other: "Tensor2") -> "Tensor2":
-        return _combine(self, other, sub)
+        return _entrywise(self, other, sub)
 
     def map_left(self, g: LinearMap) -> "Tensor2":
         """Apply g to the left tensor leg."""
-        f = _leg_map_field(self.shape[0], self.field, g, "left")
-        if g._identity:
-            return Tensor2(f, _reduce_raw(f.reduce, 2, self.entries))
-        return Tensor2(f, _map_left(f.dot, g.rows, self.entries))
+        return _lift(self).map_left(g)
 
     def map_right(self, g: LinearMap) -> "Tensor2":
         """Apply g to the right tensor leg."""
-        f = _leg_map_field(self.shape[1], self.field, g, "right")
-        if g._identity:
-            return Tensor2(f, _reduce_raw(f.reduce, 2, self.entries))
-        return Tensor2(f, _map_right(f.dot, g.rows, self.entries))
+        return _lift(self).map_right(g)
 
     def contract_left(self, functional: LinearMap) -> Vector:
         """Contract the left leg with a 1-by-n functional, leaving a vector."""
-        f = _functional_field(self.shape[0], self.field, functional, "left")
-        return Vector(f, _contract_left(f.dot, functional.rows[0], self.entries))
+        return _lift(self).contract_left(functional)
 
     def contract_right(self, functional: LinearMap) -> Vector:
-        f = _functional_field(self.shape[1], self.field, functional, "right")
-        return Vector(f, _contract_right(f.dot, functional.rows[0],
-                                         self.entries))
+        return _lift(self).contract_right(functional)
 
 
 @dataclass(frozen=True)
@@ -321,6 +326,9 @@ class Tensor3:
     def __post_init__(self):
         e = tuple(tuple(tuple(k) for k in j) for j in self.entries)
         object.__setattr__(self, "entries", e)
+        _, m, k = self.shape
+        if any(len(j) != m or any(len(r) != k for r in j) for j in e):
+            raise ShapeError("ragged cube")
 
     @property
     def shape(self):
@@ -329,10 +337,10 @@ class Tensor3:
                 len(e[0][0]) if e and e[0] else 0)
 
     def add(self, other: "Tensor3") -> "Tensor3":
-        return _combine(self, other, add)
+        return _entrywise(self, other, add)
 
     def sub(self, other: "Tensor3") -> "Tensor3":
-        return _combine(self, other, sub)
+        return _entrywise(self, other, sub)
 
 
 # the plain class of a batch's entries, by the length of their shape
@@ -351,7 +359,9 @@ class Batch:
     the coordinates of a ``Vector``, or the rows or planes of a
     ``Tensor2`` or ``Tensor3``. Every entry has ``shape``, whose length
     tells which of the three. Entries are reduced: ``basis_batch``, the
-    oracle's samples and every primitive give only canonical scalars.
+    oracle's samples and every primitive give only canonical scalars. A
+    batch over no axes is a lifted plain value, whose one entry is that
+    value's raw form as it was built, reduced or not.
     """
 
     __slots__ = ("field", "shape", "axes", "n", "entries")
@@ -368,7 +378,7 @@ class Batch:
         return _KINDS[len(self.shape)]
 
     def _with(self, field, shape, entries):
-        return Batch(field, shape, self.axes, self.n, entries)
+        return _lower(field, shape, self.axes, self.n, entries)
 
     def add(self, other) -> "Batch":
         return _entrywise(self, other, add)
@@ -381,33 +391,35 @@ class Batch:
         n, m = _square_shape(self)
         f = _leg_map_field(n, self.field, g, "left")
         if g._identity:
-            return self
+            return _identity_image(self, f)
         dot, rows = _sparse_rows(f, g.rows)
-        return self._with(f, (g.target_dim, m),
-                          [_map_left(dot, rows, e) for e in self.entries])
+        return self._with(f, (g.target_dim, m), [
+            tuple(tuple([dot(grow, col) for col in cols]) for grow in rows)
+            for cols in (list(zip(*e)) for e in self.entries)])
 
     def map_right(self, g: LinearMap) -> "Batch":
         """Apply g to the right leg of every entry."""
         n, m = _square_shape(self)
         f = _leg_map_field(m, self.field, g, "right")
         if g._identity:
-            return self
+            return _identity_image(self, f)
         dot, rows = _sparse_rows(f, g.rows)
-        return self._with(f, (n, g.target_dim),
-                          [_map_right(dot, rows, e) for e in self.entries])
+        return self._with(f, (n, g.target_dim), [
+            tuple(tuple([dot(grow, row) for grow in rows]) for row in e)
+            for e in self.entries])
 
     def contract_left(self, functional: LinearMap) -> "Batch":
         n, m = _square_shape(self)
         f = _functional_field(n, self.field, functional, "left")
         dot, (row,) = _sparse_rows(f, functional.rows)
-        return self._with(f, (m,), [_contract_left(dot, row, e)
+        return self._with(f, (m,), [tuple([dot(row, col) for col in zip(*e)])
                                     for e in self.entries])
 
     def contract_right(self, functional: LinearMap) -> "Batch":
         n, m = _square_shape(self)
         f = _functional_field(m, self.field, functional, "right")
         dot, (row,) = _sparse_rows(f, functional.rows)
-        return self._with(f, (n,), [_contract_right(dot, row, e)
+        return self._with(f, (n,), [tuple([dot(row, erow) for erow in e])
                                     for e in self.entries])
 
 
@@ -425,10 +437,11 @@ def mismatches(lhs, rhs, arity: int, n: int):
     differ, in ``itertools.product`` order, with both sides as plain
     values. Either side may be a batch over some of the axes or a plain
     value, which holds at every tuple."""
-    shape, f = _shape_of(lhs), require_same_field(lhs.field, rhs.field)
-    if _shape_of(rhs) != shape:
+    lhs, rhs = _lift(lhs), _lift(rhs)
+    shape, f = lhs.shape, require_same_field(lhs.field, rhs.field)
+    if rhs.shape != shape:
         raise ShapeError(f"cannot compare values of shapes {shape} and "
-                         f"{_shape_of(rhs)}")
+                         f"{rhs.shape}")
     axes = tuple(range(arity))
     left, right = _spread(lhs, axes, n), _spread(rhs, axes, n)
     if left == right:
@@ -441,33 +454,21 @@ def mismatches(lhs, rhs, arity: int, n: int):
 
 
 def outer(x: Vector, y: Vector) -> Tensor2:
-    if type(x) is Batch or type(y) is Batch:
-        x, y = _batches(x, y, (1, 1))
-        f = require_same_field(x.field, y.field)
-        return _pairwise(x, y, f, x.shape + y.shape,
-                         lambda u, v: _outer_rows(f, u, v))
+    x, y = _batches(x, y, (1, 1))
     f = require_same_field(x.field, y.field)
-    return Tensor2(f, _outer_rows(f, x.coords, y.coords))
+    return _pairwise(x, y, f, x.shape + y.shape,
+                     lambda u, v: _outer_rows(f, u, v))
 
 
 def apply_bilinear(p: ProductTensor, x: Vector, y: Vector) -> Vector:
-    """Evaluate the bilinear product at (x, y)."""
-    if type(x) is Batch or type(y) is Batch:
-        return _bilinear_batch(p, x, y)
-    if p.dim != x.dim or p.dim != y.dim:
-        raise ShapeError(f"product dimension {p.dim} does not match vectors "
-                         f"{x.dim}, {y.dim}")
-    f = require_same_field(p.field, x.field, y.field)
-    return Vector(f, _bilinear(f, p.left_planes, x.coords, y.coords))
+    """Evaluate the bilinear product at (x, y), at every pair of entries.
 
-
-def _bilinear_batch(p, x, y):
-    """The product at every pair of entries. When some entry is used by
-    several pairs, it builds the operator of multiplication by each entry
-    of the smaller batch once and applies it to every entry of the other,
-    instead of expanding each pair. When the join pairs the entries one
-    to one, as on a shared axis, no operator would be reused, and each
-    pair is expanded directly."""
+    When some entry is used by several pairs, it builds the operator of
+    multiplication by each entry of the smaller batch once and applies it
+    to every entry of the other, instead of expanding each pair. When the
+    join pairs the entries one to one, as on a shared axis or for two
+    plain operands, no operator would be reused, and each pair is
+    expanded directly from the tensor's ``left_planes``."""
     x, y = _batches(x, y, (1, 1))
     n = p.dim
     if x.shape != (n,) or y.shape != (n,):
@@ -476,11 +477,22 @@ def _bilinear_batch(p, x, y):
     f = require_same_field(p.field, x.field, y.field)
     axes, pairs = _join(x.axes, y.axes, x.n)
     xs, ys = x.entries, y.entries
+    zero, red = f.zero, f.reduce
+    out = []
     if len(pairs) == len(xs) == len(ys):
         # the same axes, so the pairs are (0, 0), (1, 1), ...
         left = p.left_planes
-        return Batch(f, (n,), axes, x.n,
-                     [_bilinear(f, left, u, v) for u, v in zip(xs, ys)])
+        for u, v in zip(xs, ys):
+            acc = [zero] * n
+            for a, plane in zip(u, left):
+                if a:
+                    for b, row in zip(v, plane):
+                        if b:
+                            ab = a * b
+                            for k, c in row:
+                                acc[k] += ab * c
+            out.append(tuple(map(red, acc)))
+        return _lower(f, (n,), axes, x.n, out)
     if len(xs) <= len(ys):
         # mu(u, e_j) = sum_i u_i c[i][j]
         ops = [_operator(f, n, u, p.left_planes) for u in xs]
@@ -498,8 +510,6 @@ def _bilinear_batch(p, x, y):
     keys = [distinct.setdefault(v, len(distinct)) for v in others]
     args = [_nonzeros(v) for v in distinct]
     memo = [[None] * len(args) for _ in ops]
-    zero, red = f.zero, f.reduce
-    out = []
     for i, j in pairs:
         j = keys[j]
         value = memo[i][j]
@@ -511,45 +521,27 @@ def _bilinear_batch(p, x, y):
                     acc[k] += w * c
             value = memo[i][j] = tuple([red(v) if v else zero for v in acc])
         out.append(value)
-    return Batch(f, (n,), axes, x.n, out)
-
-
-def _map_batch(g: LinearMap, v: Batch) -> Batch:
-    """g at every entry, summing g's sparse columns over each entry's
-    nonzero coordinates."""
-    if v.shape != (g.source_dim,):
-        raise ShapeError(f"map expects dimension {g.source_dim}, got {v.shape}")
-    f = require_same_field(g.field, v.field)
-    if g._identity:
-        return v
-    m = g.target_dim
-    cols = [_nonzeros(col) for col in zip(*g.rows)]
-    zero, red = f.zero, f.reduce
-    out = []
-    for x in v.entries:
-        acc = [zero] * m
-        for xj, col in zip(x, cols):
-            if xj:
-                for i, a in col:
-                    acc[i] += xj * a
-        out.append(tuple([red(r) if r else zero for r in acc]))
-    return v._with(f, (m,), out)
+    return _lower(f, (n,), axes, x.n, out)
 
 
 def apply_coproduct(q: CoproductTensor, x: Vector) -> Tensor2:
-    """Evaluate the comultiplication at x, as an element of V (x) V."""
+    """Evaluate the comultiplication at x, as an element of V (x) V, from
+    the tensor's ``sparse_planes``."""
+    x = _lift(x)
     n = q.dim
-    if type(x) is Batch:
-        if x.shape != (n,):
-            raise ShapeError(f"coproduct dimension {n} does not match "
-                             f"vector {x.shape}")
-        f = require_same_field(q.field, x.field)
-        return x._with(f, (n, n), [_coproduct(f, q.sparse_planes, e)
-                                    for e in x.entries])
-    if n != x.dim:
-        raise ShapeError(f"coproduct dimension {n} does not match vector {x.dim}")
+    if x.shape != (n,):
+        raise ShapeError(f"coproduct dimension {n} does not match vector "
+                         f"{x.shape}")
     f = require_same_field(q.field, x.field)
-    return Tensor2(f, _coproduct(f, q.sparse_planes, x.coords))
+    planes, out = q.sparse_planes, []
+    for xs in x.entries:
+        acc = _zeros2(f, n)
+        for c, plane in zip(xs, planes):
+            if c:
+                for i, j, v in plane:
+                    acc[i][j] += c * v
+        out.append(_reduced(f, acc))
+    return x._with(f, (n, n), out)
 
 
 def bullet(p: ProductTensor, a: Tensor2, b: Tensor2) -> Tensor2:
@@ -560,22 +552,16 @@ def bullet(p: ProductTensor, a: Tensor2, b: Tensor2) -> Tensor2:
     a_j is column j of a, with the operator of multiplication by each
     nonzero column of an entry of a built once."""
     n = p.dim
-    if type(a) is Batch or type(b) is Batch:
-        a, b = _batches(a, b, (2, 2))
-        if a.shape != (n, n) or b.shape != (n, n):
-            raise ShapeError("bullet operands must match the product dimension")
-        f = require_same_field(p.field, a.field, b.field)
-        left = p.left_planes
-        return _pairwise(a, b, f, (n, n),
-                         lambda ops, cols: _bullet(f, left, ops, cols),
-                         [_column_operators(f, left, e) for e in a.entries],
-                         [_nonzero_columns(e) for e in b.entries])
+    a, b = _batches(a, b, (2, 2))
     if a.shape != (n, n) or b.shape != (n, n):
         raise ShapeError("bullet operands must match the product dimension")
     f = require_same_field(p.field, a.field, b.field)
     left = p.left_planes
-    return Tensor2(f, _bullet(f, left, _column_operators(f, left, a.entries),
-                              _nonzero_columns(b.entries)))
+    return _pairwise(a, b, f, (n, n),
+                     lambda ops, cols: _bullet(f, left, ops, cols),
+                     [[_operator(f, n, col, left) if any(col) else None
+                       for col in zip(*e)] for e in a.entries],
+                     [[_nonzeros(col) for col in zip(*e)] for e in b.entries])
 
 
 def multiply_leg(p: ProductTensor, x: Vector, t: Tensor2, leg: int) -> Tensor2:
@@ -587,64 +573,70 @@ def multiply_leg(p: ProductTensor, x: Vector, t: Tensor2, leg: int) -> Tensor2:
         raise ShapeError(f"leg must be 0 or 1, got {leg}")
     n = p.dim
     planes = p.left_planes if leg == 0 else p.right_planes
-    if type(x) is Batch or type(t) is Batch:
-        x, t = _batches(x, t, (1, 2))
-        if x.shape != (n,) or t.shape != (n, n):
-            raise ShapeError(f"product dimension {n} does not match operands "
-                             f"{x.shape}, {t.shape}")
-        f = require_same_field(p.field, x.field, t.field)
-        return _pairwise(x, t, f, (n, n),
-                         lambda op, e: _on_leg(f, op, e, leg),
-                         [_operator(f, n, u, planes) for u in x.entries])
-    if _shape_of(x) != (n,) or _shape_of(t) != (n, n):
+    x, t = _batches(x, t, (1, 2))
+    if x.shape != (n,) or t.shape != (n, n):
         raise ShapeError(f"product dimension {n} does not match operands "
-                         f"{_shape_of(x)}, {_shape_of(t)}")
+                         f"{x.shape}, {t.shape}")
     f = require_same_field(p.field, x.field, t.field)
-    return Tensor2(f, _on_leg(f, _operator(f, n, x.coords, planes),
-                              t.entries, leg))
+    return _pairwise(x, t, f, (n, n),
+                     lambda op, e: _on_leg(f, op, e, leg),
+                     [_operator(f, n, u, planes) for u in x.entries])
 
 
 def map_on_leg3(t: Tensor3, g: LinearMap, leg: int) -> Tensor3:
     """Apply a linear map to one leg of a cube."""
     if leg not in (0, 1, 2):
         raise ShapeError(f"leg must be 0, 1 or 2, got {leg}")
-    shape = list(_shape_of(t))
+    t = _lift(t)
+    shape = list(t.shape)
     if len(shape) != 3 or shape[leg] != g.source_dim:
         raise ShapeError(f"map expects dimension {g.source_dim}, got leg "
                          f"{leg} of cube {tuple(shape)}")
     f = require_same_field(t.field, g.field)
-    if type(t) is Batch:
-        if g._identity:
-            return t
-        shape[leg] = g.target_dim
-        dot, rows = _sparse_rows(f, g.rows)
-        return t._with(f, tuple(shape), [_map_on_leg3(dot, rows, e, leg)
-                                         for e in t.entries])
     if g._identity:
-        return Tensor3(f, _reduce_raw(f.reduce, 3, t.entries))
-    return Tensor3(f, _map_on_leg3(f.dot, g.rows, t.entries, leg))
+        return _identity_image(t, f)
+    shape[leg] = g.target_dim
+    dot, rows = _sparse_rows(f, g.rows)
+    return t._with(f, tuple(shape), [_map_on_leg3(dot, rows, e, leg)
+                                     for e in t.entries])
 
 
 def coproduct_on_left(t: Tensor2, q: CoproductTensor) -> Tensor3:
     """(delta (x) id) applied to an element of V (x) V."""
+    t = _lift(t)
     f = require_same_field(t.field, q.field)
     n, planes = q.dim, q.sparse_planes
     _require_square(t, n)
-    if type(t) is Batch:
-        return t._with(f, (n, n, n), [_coproduct_on_left(f, n, planes, e)
-                                      for e in t.entries])
-    return Tensor3(f, _coproduct_on_left(f, n, planes, t.entries))
+    out = []
+    for rows in t.entries:
+        cube = [_zeros2(f, n) for _ in range(n)]
+        for trow, plane in zip(rows, planes):
+            nz = _nonzeros(trow)
+            if nz:
+                for a, b, w in plane:
+                    orow = cube[a][b]
+                    for k, v in nz:
+                        orow[k] += v * w
+        out.append(tuple(_reduced(f, plane) for plane in cube))
+    return t._with(f, (n, n, n), out)
 
 
 def coproduct_on_right(t: Tensor2, q: CoproductTensor) -> Tensor3:
     """(id (x) delta) applied to an element of V (x) V."""
+    t = _lift(t)
     f = require_same_field(t.field, q.field)
     n, planes = q.dim, q.sparse_planes
     _require_square(t, n)
-    if type(t) is Batch:
-        return t._with(f, (n, n, n), [_coproduct_on_right(f, n, planes, e)
-                                      for e in t.entries])
-    return Tensor3(f, _coproduct_on_right(f, n, planes, t.entries))
+    out = []
+    for rows in t.entries:
+        cube = [_zeros2(f, n) for _ in range(n)]
+        for trow, oplane in zip(rows, cube):
+            for v, plane in zip(trow, planes):
+                if v:
+                    for a, b, w in plane:
+                        oplane[a][b] += v * w
+        out.append(tuple(_reduced(f, plane) for plane in cube))
+    return t._with(f, (n, n, n), out)
 
 
 def tensors_equal(a, b) -> bool:
@@ -696,47 +688,10 @@ def _outer_rows(f, xs, ys):
                  for a in xs)
 
 
-def _bilinear(f, left, xs, ys):
-    """mu(x, y) from the tensor's ``left_planes``."""
-    out = [f.zero] * len(left)
-    for a, plane in zip(xs, left):
-        if not a:
-            continue
-        for b, row in zip(ys, plane):
-            if not b:
-                continue
-            ab = a * b
-            for k, cv in row:
-                out[k] += ab * cv
-    return tuple(map(f.reduce, out))
-
-
-def _coproduct(f, planes, xs):
-    """delta(x) from the tensor's ``sparse_planes``."""
-    acc = _zeros2(f, len(planes))
-    for c, plane in zip(xs, planes):
-        if c:
-            for i, j, v in plane:
-                acc[i][j] += c * v
-    return _reduced(f, acc)
-
-
-def _column_operators(f, left, rows):
-    """For each column a_j of a tensor square given as rows, the operator
-    of multiplication by a_j on the left, or None when a_j is zero."""
-    n = len(left)
-    return [_operator(f, n, col, left) if any(col) else None
-            for col in zip(*rows)]
-
-
-def _nonzero_columns(rows):
-    return [_nonzeros(col) for col in zip(*rows)]
-
-
 def _bullet(f, left, ops, cols):
     """sum_{j, j2} mu(a_j, b_j2) (x) mu(e_j, e_j2), from the operators of
-    multiplication by the columns a_j of a (``_column_operators``) and the
-    nonzeros of the columns b_j2 of b (``_nonzero_columns``)."""
+    multiplication by the columns a_j of a (None for a zero column) and
+    the nonzeros of the columns b_j2 of b."""
     zero = f.zero
     n = len(left)
     out = _zeros2(f, n)
@@ -798,45 +753,6 @@ def _map_on_leg3(dot, rows, e, leg):
                  for plane in e)
 
 
-def _coproduct_on_left(f, n, planes, rows):
-    out = [_zeros2(f, n) for _ in range(n)]
-    for trow, plane in zip(rows, planes):
-        nz = _nonzeros(trow)
-        if nz:
-            for a, b, w in plane:
-                orow = out[a][b]
-                for k, v in nz:
-                    orow[k] += v * w
-    return tuple(_reduced(f, plane) for plane in out)
-
-
-def _coproduct_on_right(f, n, planes, rows):
-    out = [_zeros2(f, n) for _ in range(n)]
-    for trow, oplane in zip(rows, out):
-        for v, plane in zip(trow, planes):
-            if v:
-                for a, b, w in plane:
-                    oplane[a][b] += v * w
-    return tuple(_reduced(f, plane) for plane in out)
-
-
-def _map_left(dot, rows, e):
-    cols = list(zip(*e))
-    return tuple(tuple([dot(grow, col) for col in cols]) for grow in rows)
-
-
-def _map_right(dot, rows, e):
-    return tuple(tuple([dot(grow, row) for grow in rows]) for row in e)
-
-
-def _contract_left(dot, row, e):
-    return tuple([dot(row, col) for col in zip(*e)])
-
-
-def _contract_right(dot, row, e):
-    return tuple([dot(row, erow) for erow in e])
-
-
 def _leg_map_field(dim, field, g, side):
     if g.source_dim != dim:
         raise ShapeError(f"{side} leg dimension mismatch")
@@ -869,7 +785,7 @@ def _operator(f, n, u, planes):
 def _sparse_rows(f, rows):
     """The rows of a map as their nonzero (index, value) pairs, and the
     inner product of such a row with a dense one, reduced once: the form
-    the batch paths map every entry with."""
+    the leg maps and contractions map every entry with."""
     red, zero = f.reduce, f.zero
 
     def dot(row, xs):
@@ -887,25 +803,50 @@ def _nonzeros(xs):
     return [(i, x) for i, x in enumerate(xs) if x]
 
 
-def _raw(v):
-    return v.coords if type(v) is Vector else v.entries
-
-
 def _shape_of(v):
     if type(v) is Vector:
         return (v.dim,)
-    if type(v) in (Batch, Tensor2, Tensor3):
+    if type(v) in (Tensor2, Tensor3):
         return v.shape
     raise ShapeError(f"unsupported type {type(v).__name__}")
 
 
+def _lift(v, n=1):
+    """``v`` as a batch: a plain value is a batch over no axes whose one
+    entry is its raw value, with ``n`` entries per axis to match the
+    batches it is joined with; a batch is itself."""
+    if type(v) is Batch:
+        return v
+    shape = _shape_of(v)
+    return Batch(v.field, shape, (), n,
+                 [v.coords if type(v) is Vector else v.entries])
+
+
+def _lower(f, shape, axes, n, entries):
+    """A result over ``axes`` as a batch, or over no axes, where every
+    operand was plain, as the plain value of its one entry."""
+    if axes:
+        return Batch(f, shape, axes, n, entries)
+    return _KINDS[len(shape)](f, entries[0])
+
+
+def _identity_image(v, f):
+    """``v`` under an identity map over ``f``: a batch is its own image,
+    its entries being reduced already; a lifted plain value comes back
+    with each scalar reduced, as the general path gives it."""
+    if v.axes:
+        return v
+    return v._with(f, v.shape,
+                   [_reduce_raw(f.reduce, len(v.shape), v.entries[0])])
+
+
 def _batches(x, y, ranks=None):
-    """Two operands, at least one a batch, as batches: a plain value is a
-    batch over no positions. ``ranks`` are the shape lengths they need."""
+    """Two operands as batches with one number of entries per axis, each
+    plain value lifted. ``ranks`` are the shape lengths they need."""
     if type(x) is not Batch:
-        x = Batch(x.field, _shape_of(x), (), y.n, [_raw(x)])
-    elif type(y) is not Batch:
-        y = Batch(y.field, _shape_of(y), (), x.n, [_raw(y)])
+        x = _lift(x, y.n if type(y) is Batch else 1)
+    if type(y) is not Batch:
+        y = _lift(y, x.n)
     elif x.n != y.n:
         raise ShapeError(f"batches with {x.n} and {y.n} entries per axis")
     if ranks is not None and (len(x.shape), len(y.shape)) != ranks:
@@ -938,19 +879,7 @@ def _pairwise(x, y, f, shape, fn, xs=None, ys=None):
     axes, pairs = _join(x.axes, y.axes, x.n)
     xs = x.entries if xs is None else xs
     ys = y.entries if ys is None else ys
-    return Batch(f, shape, axes, x.n, [fn(xs[i], ys[j]) for i, j in pairs])
-
-
-def _combine(x, y, op):
-    """``x op y`` entry by entry for a plain ``x``: a plain value when
-    ``y`` is one too, else a batch, as ``_entrywise`` gives."""
-    if type(y) is Batch:
-        return _entrywise(x, y, op)
-    shape = _shape_of(x)
-    if _shape_of(y) != shape:
-        raise ShapeError(f"shape mismatch: {shape} vs {_shape_of(y)}")
-    f = require_same_field(x.field, y.field)
-    return type(x)(f, _zipwith(op, f.reduce, len(shape), _raw(x), _raw(y)))
+    return _lower(f, shape, axes, x.n, [fn(xs[i], ys[j]) for i, j in pairs])
 
 
 def _entrywise(x, y, op):
@@ -978,9 +907,7 @@ def _zipwith(op, red, depth, a, b):
 
 
 def _spread(v, axes, n):
-    """A side's raw entries at every basis tuple over ``axes``."""
-    if type(v) is not Batch:
-        return [_raw(v)] * n ** len(axes)
+    """A batch's raw entries at every basis tuple over ``axes``."""
     if v.axes == axes:
         return v.entries
     e = v.entries
@@ -988,9 +915,9 @@ def _spread(v, axes, n):
 
 
 def _require_square(t, n):
-    if _shape_of(t) != (n, n):
+    if t.shape != (n, n):
         raise ShapeError(f"coproduct dimension {n} does not match tensor "
-                         f"square {_shape_of(t)}")
+                         f"square {t.shape}")
 
 
 def _square_shape(b):

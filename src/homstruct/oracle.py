@@ -23,8 +23,9 @@ where a sample-at-a-time loop would leave it, since the next identity
 draws on from there: the rng state is saved before each block and, on a
 mismatch at sample j of the block, restored and advanced by the draws of
 samples 0 to j only. The fixed block bounds memory whatever the sample
-count. Witnesses are re-evaluated on plain basis vectors, so the plain
-path of every identity keeps running as a check on the batched one.
+count. The witnesses are re-evaluated the same way, every witness of
+one axiom in one call, its a-th argument the batch of the witnesses'
+a-th basis vectors along one shared axis.
 
 Over the rationals a sample is a pool draw scaled to integers: each
 coordinate comes from ``RATIONAL_POOL`` by the same ``rng.choice`` call,
@@ -46,7 +47,7 @@ from fractions import Fraction
 
 from .axioms import run_check, suite_for
 from .fields import PrimeField
-from .linalg import Batch, Vector, basis_vector, mismatches, tensors_equal
+from .linalg import Batch, Vector, basis_batch, mismatches
 
 # canonical scalars of QQ; the order fixes the sample stream
 RATIONAL_POOL = (-2, -1, 0, 1, 2, 3, Fraction(1, 2), Fraction(-1, 3))
@@ -133,15 +134,28 @@ def oracle_crosscheck(structure, check_id: str, samples: int = 100,
                               f"sample {start + j} fails")
                 break
 
+    # every witness of one axiom in one call, on a shared witness axis
     by_key = {_key(test): test for test in tests}
-    basis = [basis_vector(field, n, i) for i in range(n)]
-    for w in verdict.witnesses:
-        test = by_key.get(_key(w))
+    basis = basis_batch(field, n, 0).entries
+    witnesses = verdict.witnesses
+    positions = {}
+    for i, w in enumerate(witnesses):
+        positions.setdefault(_key(w), []).append(i)
+    still_failing = set()
+    for key, idx in positions.items():
+        test = by_key.get(key)
         if test is None:
-            failed.append(f"witness for unknown axiom {w.axiom!r}")
             continue
-        lhs, rhs = test.evaluate(*(basis[i] for i in w.at))
-        if tensors_equal(lhs, rhs):
+        lhs, rhs = test.evaluate(*(
+            Batch(field, (n,), (0,), len(idx),
+                  [basis[witnesses[i].at[a]] for i in idx])
+            for a in range(test.arity)))
+        still_failing.update(idx[j] for (j,), _, _ in
+                             mismatches(lhs, rhs, 1, len(idx)))
+    for i, w in enumerate(witnesses):
+        if _key(w) not in by_key:
+            failed.append(f"witness for unknown axiom {w.axiom!r}")
+        elif i not in still_failing:
             failed.append(
                 f"{_key(w)}: witness at {w.at} no longer fails on "
                 "re-evaluation")

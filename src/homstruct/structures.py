@@ -19,7 +19,7 @@ from typing import Optional
 from .errors import MissingMapError
 from .fields import require_same_field
 from .linalg import (CoproductTensor, LinearMap, ProductTensor, Vector,
-                     apply_bilinear, basis_vector, tensors_equal)
+                     apply_bilinear, basis_batch, tensors_equal)
 
 # What each generic document section holds. The product, coproduct and
 # counit sections are what ``products()``, ``coproducts()`` and ``counits()``
@@ -392,19 +392,19 @@ def _validate_variant(s: TwoHomStructure):
 
 
 def _validate_unit(s, unit: Vector):
-    """Check the declared unit on the basis (enough, by bilinearity)."""
+    """Check the declared unit on the basis (enough, by bilinearity), each
+    side of each product in one call over the batch of basis vectors."""
     out = []
-    n = s.dim
     f = s.field
+    basis = basis_batch(f, s.dim, 0)
     for name, p in s.products().items():
-        for i in range(n):
-            e = basis_vector(f, n, i)
-            left = apply_bilinear(p, unit, e)
-            right = apply_bilinear(p, e, unit)
-            for args, value in ((f"unit, e{i + 1}", left),
-                                (f"e{i + 1}, unit", right)):
-                if not tensors_equal(value, e):
-                    coords = ", ".join(map(f.format, value.coords))
+        left = apply_bilinear(p, unit, basis).entries
+        right = apply_bilinear(p, basis, unit).entries
+        for i, e in enumerate(basis.entries):
+            for args, value in ((f"unit, e{i + 1}", left[i]),
+                                (f"e{i + 1}, unit", right[i])):
+                if value != e:
+                    coords = ", ".join(map(f.format, value))
                     out.append(Finding("unit", "defect",
                                        f"{name}({args}) = ({coords}), "
                                        f"expected e{i + 1}"))

@@ -1,5 +1,6 @@
 import io
 import json
+import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from homstruct import cli, documents, fields
 from homstruct.cli import main
+from homstruct.constructions import CONSTRUCT_VERBS
 from homstruct.corpus import DATA_DIR
 from homstruct.search import SEARCH_KINDS
 
@@ -359,7 +361,63 @@ def test_deeply_nested_corpus_table_exits_two(tmp_path, bad_paths, capsys):
     assert "nested too deeply" in err
 
 
-_EX1_ENTRY = {"name": "ex1", "fixture": "ex1.json",
+# Generated documents: a corpus fixture with the value at one JSON path
+# replaced by a value of another JSON type, run through `check` and every
+# one-input construct verb (twist with a fixed morphism). Each run must
+# keep the exit-code contract: 0, 1 or 2, no traceback, and one line on
+# stderr for an exit 2.
+FIXTURES = sorted(str(p) for p in DATA_DIR.glob("*.json")
+                  if p.name != "expected.json")
+ONE_INPUT_VERBS = sorted(verb for verb, inputs in CONSTRUCT_VERBS.items()
+                         if inputs == 1)
+_JSON_VALUES = st.one_of(
+    st.sampled_from([None, True, False, 0, -1, 10 ** 40, 1.5, "", "x",
+                     "1/0", [], {}]),
+    st.text(max_size=4),
+    st.recursive(st.sampled_from([None, 0, "1", []]),
+                 lambda inner: st.lists(inner, max_size=3), max_leaves=6))
+
+
+def _replaced(data, node, value):
+    """``node`` with ``value`` at one drawn path below it: each level
+    stops one time in four, and where nothing is below."""
+    if isinstance(node, dict):
+        keys = sorted(node)
+    else:
+        keys = list(range(len(node))) if isinstance(node, list) else []
+    if not keys or data.draw(st.integers(0, 3)) == 0:
+        return value
+    key = data.draw(st.sampled_from(keys))
+    out = dict(node) if isinstance(node, dict) else list(node)
+    out[key] = _replaced(data, node[key], value)
+    return out
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(fixture=st.sampled_from(FIXTURES), value=_JSON_VALUES,
+       data=st.data())
+def test_mutated_fixture_keeps_the_exit_contract(fixture, value, data):
+    doc = json.loads(Path(fixture).read_text())
+    key = data.draw(st.sampled_from(sorted(doc)))
+    doc[key] = _replaced(data, doc[key], value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "doc.json")
+        Path(path).write_text(json.dumps(doc))
+        runs = [["check", path, "--oracle-samples", "3"]] + [
+            ["construct", verb, path]
+            + (["--alpha", Z2_SIGN] if verb == "twist" else [])
+            for verb in ONE_INPUT_VERBS]
+        for argv in runs:
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in err.getvalue(), argv
+            if code == 2:
+                assert len(err.getvalue().splitlines()) == 1, argv
+
+
+_EX1_ENTRY ={"name": "ex1", "fixture": "ex1.json",
               "checks": [{"check": "hom-bialgebra", "status": "fail"}]}
 _MORPHISM = {"name": "m", "file": "m.json", "source": "ex1",
              "target": "ex1", "status": "pass"}

@@ -270,6 +270,16 @@ class TestCubeShapes:
                 with pytest.raises(ShapeError):
                     fn(square, q)
 
+    def test_ragged_cube(self, kind):
+        # refused when built, as a ragged square is: a ragged cube would
+        # report the shape of its first row and plane, and its sums and
+        # leg maps would zip truncated rows
+        for entries in ((((1, 2), (0,)), ((1, 1), (1, 1))),
+                        (((1, 2), (0, 1)), ((1, 1),)),
+                        (((1, 2), (0, 1)), ())):
+            with pytest.raises(ShapeError, match="ragged cube"):
+                hs.Tensor3(PrimeField(3), entries)
+
     def test_product_on_legs(self, kind):
         # the leg product that replaced the cube contraction
         p = hs.ProductTensor(F, _cube(3).entries)

@@ -15,7 +15,7 @@ import random
 import pytest
 
 from homstruct import corpus, oracle
-from homstruct.axioms import AxiomTest, Verdict, run_check, suite_for
+from homstruct.axioms import AxiomTest, Verdict, Witness, run_check, suite_for
 from homstruct.fields import PrimeField, RationalField
 from homstruct.linalg import (Batch, LinearMap, ProductTensor, Vector,
                               apply_bilinear, basis_vector, tensors_equal)
@@ -244,3 +244,35 @@ def test_blocks_bound_the_batches(resolved, monkeypatch):
     assert res.agreed
     assert sizes and max(sizes) <= BLOCK
     assert sum(sizes) >= samples
+
+
+def test_witness_replay_reports_in_witness_order():
+    """A fabricated verdict whose witnesses interleave two axioms: some
+    still fail, some are stale and pass on re-evaluation, and one names
+    an unknown axiom. The replay must report what the per-witness
+    reference reports, in witness order."""
+    field = PrimeField(3)
+    s = HomAlgebra(ProductTensor(field, (((1, 0), (2, 0)), ((0, 1), (0, 1)))),
+                   LinearMap(field, ((1, 0), (1, 1))))
+    found = run_check("hom-algebra", s, witness_cap=100).witnesses
+    # multiplicativity holds only at (1, 1), hom-associativity at (1, 1, 1)
+    assert [w.at for w in found if w.axiom == "multiplicativity"] == [
+        (0, 0), (0, 1), (1, 0)]
+    assert len([w for w in found if w.axiom == "hom-associativity"]) == 7
+    rows = [("hom-associativity", (0, 1, 1)), ("multiplicativity", (1, 1)),
+            ("no-such-axiom", (0, 0)), ("multiplicativity", (0, 1)),
+            ("hom-associativity", (1, 1, 1)), ("multiplicativity", (1, 0)),
+            ("multiplicativity", (1, 1))]
+    verdict = Verdict(tuple(Witness(axiom, at, None, None)
+                            for axiom, at in rows),
+                      ("multiplicativity", "hom-associativity"))
+    got = oracle_crosscheck(s, "hom-algebra", samples=5, verdict=verdict)
+    want = reference_oracle_crosscheck(s, "hom-algebra", samples=5,
+                                       verdict=verdict)
+    assert dataclasses.astuple(got) == dataclasses.astuple(want)
+    stale = "no longer fails on re-evaluation"
+    assert got.mismatches == (
+        f"multiplicativity: witness at (1, 1) {stale}",
+        "witness for unknown axiom 'no-such-axiom'",
+        f"hom-associativity: witness at (1, 1, 1) {stale}",
+        f"multiplicativity: witness at (1, 1) {stale}")
