@@ -1,6 +1,6 @@
 """Search kernel selection: compiled extension when built, pure Python
-fallback otherwise. Both run pykern's walk over pykern's identity table,
-so they expose the same API and give identical streams."""
+fallback otherwise. Both run pykern's walk over pykern's polynomial
+table, so they expose the same API and give identical streams."""
 
 from array import array
 
@@ -13,7 +13,7 @@ except ImportError:  # extension not built; fall back
 
 
 def _scan(kind_a, kind_b, n, p, fixed, cap):
-    """pykern._scan, run by the C kernel on pykern's identity table."""
+    """pykern._scan, run by the C kernel on pykern's polynomial table."""
     return _ckern.scan(pykern._table(kind_a, kind_b, n), p,
                        array("q", fixed), cap)
 

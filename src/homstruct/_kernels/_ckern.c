@@ -1,21 +1,20 @@
-/* Compiled search kernel: pykern._scan in C, over pykern's identity table.
+/* Compiled search kernel: pykern._scan in C, over pykern's polynomial table.
 
    pykern._identities is the one place the axiom systems are written, and
-   pykern._table encodes them as 64-bit ints: n, the twist offset al and
-   the offset of kind b's first identity, then per identity its term count
-   and, per term, its sign, a helper code (0 _ot, 1 _to, 2 _mult) and the
-   helper's six slot arguments. scan() runs pykern._walk's depth-first
-   walk, but files each identity by a probe: the deepest free slot the
-   helpers read with every free slot set to 1, reading each twist entry
-   first and skipping the reads behind a pinned zero. pykern files by the
-   reduced polynomial instead; both filings are exact, so counts and sample
-   streams match pykern's bit for bit. See pykern's module docstring for
-   the flat candidate layout and the helpers. This file holds no kind
-   names, no layout formula and no axiom.
+   pykern._expansion multiplies each identity out into monomials
+   c * v[x] * v[y] * v[z], where slot total, one past the candidate, holds
+   a constant 1. pykern._table encodes the expansion as 64-bit ints: the
+   offset of kind b's first identity, then per identity its monomial count
+   and its monomials (c, x, y, z). plan() specialises the table to the
+   template as pykern._specialise does, and scan() runs pykern._walk's
+   depth-first walk over the result, so counts and sample streams match
+   pykern's bit for bit. See pykern's module docstring for the flat
+   candidate layout. This file holds no kind names, no layout formula and
+   no axiom.
 
    Entries are residues mod p < 2^32 held in 64-bit unsigned words, and
-   every product of two residues is reduced at once, so no sum or product
-   overflows at any dimension. */
+   every product of two residues is reduced at once (times()), so no sum
+   or product overflows at any dimension. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -24,79 +23,39 @@
 typedef uint64_t u64;
 typedef int64_t i64;
 
-enum { OT, TO, MULT };  /* positions in pykern._HELPERS */
-
 typedef struct {
-    u64 *v;            /* the candidate */
+    u64 *v;            /* the candidate, then the constant-1 slot */
     Py_ssize_t *free;  /* its free slots, most significant first */
-    int *depth;        /* per slot: its position in free, or -1 */
-    const i64 *x;      /* the table; the identities of kind b start at x[b0] */
-    Py_ssize_t *order, *end;  /* the identities of depth d (from -1), as
-                                 offsets in x: order[end[d] .. end[d + 1]) */
+    int *depth;        /* per slot, and the constant-1 slot: its position in
+                          free, or -1 */
+    u64 *poly;         /* the specialised identities: per identity its
+                          monomial count, then its monomials (c, x, y, z) */
+    Py_ssize_t *order, *end;  /* the identities of depth d (from -1):
+                                 order[end[d] .. end[d + 1]), each the offset
+                                 in poly of one of kind a or the complement
+                                 (~) of that of one of kind b */
     u64 *passed, *failed;  /* per tail length: the survivors, and those
                               of them that fail kind b */
     PyObject *hits;    /* the first cap hits */
-    Py_ssize_t total, nfree, len, b0, last, cap;
-    int n, al, probing, deepest;
+    Py_ssize_t total, nfree, last, cap;
     u64 p;
     unsigned visited;
 } Space;
 
-static inline u64 mulmod(u64 a, u64 b, u64 p) { return a * b % p; }
-
 static inline u64 addmod(u64 a, u64 b, u64 p) { return a + b >= p ? a + b - p : a + b; }
 
-/* v[slot]; while probing, also note the deepest free slot read */
-static inline u64 rd(Space *s, i64 slot) {
-    if (s->probing && s->depth[slot] > s->deepest)
-        s->deepest = s->depth[slot];
-    return s->v[slot];
-}
+/* c * x mod p for residues c and x, with no division when either is 0 or 1 */
+static inline u64 times(u64 c, u64 x, u64 p) { return c > 1 && x > 1 ? c * x % p : c * x; }
 
-/* the sum over a, b of x_a * y_b * v[outer + (a * ox + b * oy) * n + l] for
-   x_a = v[x0 + a * xs] and y_b = v[y0 + b * ys]: pykern's contractions, with
-   their read order and their skips of zero factors */
-static u64 contract(Space *s, i64 outer, i64 x0, i64 xs, i64 y0, i64 ys, i64 ox, i64 oy,
-                    i64 l) {
-    u64 p = s->p, acc = 0;
-    for (int a = 0; a < s->n; a++) {
-        u64 xa = rd(s, x0 + a * xs);
-        for (int b = 0; xa && b < s->n; b++) {
-            u64 yb = rd(s, y0 + b * ys);
-            if (yb)
-                acc = addmod(acc, mulmod(mulmod(xa, yb, p),
-                                         rd(s, outer + (a * ox + b * oy) * s->n + l), p), p);
-        }
-    }
-    return acc;
-}
-
-/* helper t[0] of pykern._HELPERS on the arguments t[1 ..], mod p */
-static u64 helper(Space *s, const i64 *t) {
-    const i64 *a = t + 1, n = s->n, al = s->al;
-    u64 p = s->p, acc = 0;
-    switch (t[0]) {
-    case OT:  /* a: outer, inner, i, j, k, l */
-        return contract(s, a[0], al + a[4], n, a[1] + (a[2] * n + a[3]) * n, 1, 1, n, a[5]);
-    case TO:
-        return contract(s, a[0], al + a[2], n, a[1] + (a[3] * n + a[4]) * n, 1, n, 1, a[5]);
-    default:  /* MULT; a: mu, i, j, k */
-        for (int m = 0; m < n; m++) {
-            u64 km = rd(s, al + a[3] * n + m);
-            if (km)
-                acc = addmod(acc, mulmod(km, rd(s, a[0] + (a[1] * n + a[2]) * n + m), p), p);
-        }
-        return addmod(acc, p - contract(s, a[0], al + a[1], n, al + a[2], n, n, 1, a[3]), p);
-    }
-}
-
-/* does the identity at x[id] (its term count, then its terms) hold mod p? */
-static int holds(Space *s, Py_ssize_t id) {
-    const i64 *t = s->x + id + 1;
+/* does the specialised identity at poly[id] hold mod p? */
+static int holds(const Space *s, Py_ssize_t id) {
+    const u64 *m = s->poly + id + 1, *v = s->v, p = s->p;
     u64 acc = 0;
-    for (i64 k = 0; k < s->x[id]; k++, t += 8) {
-        u64 h = helper(s, t + 1);
-        acc = addmod(acc, t[0] > 0 ? h : s->p - h, s->p);
+    for (u64 k = 0; k < s->poly[id]; k++, m += 4) {
+        u64 c = m[0];
+        for (int j = 1; c && j < 4; j++)
+            c = times(c, v[m[j]], p);
+        acc = addmod(acc, c, p);
     }
     return acc == 0;
 }
@@ -105,11 +64,10 @@ static int holds(Space *s, Py_ssize_t id) {
    one of kind b does. */
 static int check(Space *s, Py_ssize_t d, int *bad) {
     for (Py_ssize_t k = s->end[d]; k < s->end[d + 1]; k++) {
-        if (s->order[k] < s->b0) {
-            if (!holds(s, s->order[k]))
-                return 0;
-        } else if (!*bad && !holds(s, s->order[k]))
-            *bad = 1;
+        Py_ssize_t id = s->order[k];
+        if (id >= 0 && !holds(s, id))
+            return 0;
+        *bad = *bad || (id < 0 && !holds(s, ~id));
     }
     return 1;
 }
@@ -152,7 +110,7 @@ static int collect(Space *s, const Py_ssize_t *slots, Py_ssize_t nslots) {
 static int descend(Space *s, Py_ssize_t d, int bad) {
     if (d > s->last) {
         s->passed[s->nfree - d]++;
-        if (!bad && s->b0 < s->len)
+        if (!bad)
             return 0;
         s->failed[s->nfree - d]++;
         return PyList_GET_SIZE(s->hits) < s->cap ? collect(s, s->free + d, s->nfree - d) : 0;
@@ -170,42 +128,88 @@ static int descend(Space *s, Py_ssize_t d, int bad) {
     return 0;
 }
 
-/* File each identity at the depth of the deepest free slot it reads on a
-   probe that reads every free slot as 1 (-1 when it reads none). */
-static int plan(Space *s) {
-    Py_ssize_t nids = 0, pos = 0, d, i, k;
-    for (k = 3; k < s->len; k += 1 + 8 * s->x[k])
-        nids++;
-    /* one block: order, end, then each identity's depth */
-    if ((s->order = PyMem_Malloc(sizeof(Py_ssize_t) * (size_t)(2 * nids + s->nfree + 2)))
-            == NULL) {
+/* pykern._specialise on the table x[0 .. len): each identity with the
+   pinned slots multiplied in and its free slots padded with the constant-1
+   slot, equal monomials combined mod p; unless it vanishes, filed at the
+   depth of the deepest free slot it reads (-1 for none). */
+static int plan(Space *s, const i64 *x, Py_ssize_t len) {
+    Py_ssize_t nids = 0, top = 0, d, i, k;
+    u64 p = s->p, *v = s->v, one = (u64)s->total, *q, *r, *staged;
+    /* the table must be a run of identities with kind b's starting in it */
+    if (len < 1 || x[0] < 1 || x[0] > len)
+        goto malformed;
+    for (k = 1; k < len; k += 1 + 4 * x[k], nids++)
+        if (x[k] < 0 || x[k] > (len - k - 1) / 4)
+            goto malformed;
+    /* poly is no longer than the table; one block: order, end, then each
+       identity's depth (-2 when it vanishes) and offset */
+    s->poly = PyMem_Malloc(sizeof(u64) * (size_t)len);
+    s->order = PyMem_Malloc(sizeof(Py_ssize_t) * (size_t)(3 * nids + s->nfree + 2));
+    if (s->poly == NULL || s->order == NULL) {
         PyErr_NoMemory();
         return -1;
     }
     s->end = s->order + nids + 1;
-    Py_ssize_t *depth = s->end + s->nfree + 1;
+    Py_ssize_t *depth = s->end + s->nfree + 1, *at = depth + nids;
     for (d = 0; d < s->nfree; d++)
-        s->v[s->free[d]] = 1;
-    s->probing = 1;
-    for (i = 0, k = 3; i < nids; i++, k += 1 + 8 * s->x[k]) {
-        s->deepest = -1;
-        if (s->nfree > 0)
-            holds(s, k);
-        depth[i] = s->deepest;
+        v[s->free[d]] = 1;  /* a free slot is read as the factor 1 here */
+    for (i = 0, k = 1; i < nids; i++, k += 1 + 4 * x[k]) {
+        u64 *head = s->poly + top, *m = head + 1;
+        /* stage the monomials with no pinned 0, with no branch on a value */
+        for (const i64 *t = x + k + 1; t < x + k + 1 + 4 * x[k]; t += 4) {
+            if ((u64)t[1] > one || (u64)t[2] > one || (u64)t[3] > one)
+                goto malformed;  /* a slot outside the candidate */
+            memcpy(m, t, sizeof(u64) * 4);
+            m += 4 * ((v[t[1]] != 0) & (v[t[2]] != 0) & (v[t[3]] != 0));
+        }
+        /* multiply in the pinned slots and pad the free slots with the
+           constant-1 slot, so that equal monomials have equal keys (the
+           table's slots are sorted), and combine them */
+        for (staged = m, m = r = head + 1; r < staged; r += 4) {
+            i64 c0 = (i64)r[0] % (i64)p;
+            u64 c = (u64)(c0 < 0 ? c0 + (i64)p : c0), key[3] = {one, one, one};
+            for (int j = 1, nk = 0; j < 4; j++) {
+                c = times(c, v[r[j]], p);
+                if (s->depth[r[j]] >= 0)
+                    key[nk++] = r[j];
+            }
+            if (c == 0)
+                continue;  /* a coefficient that p divides */
+            for (q = head + 1; q < m && (q[1] != key[0] || q[2] != key[1] || q[3] != key[2]);
+                 q += 4)
+                ;
+            if (q == m) {
+                m += 4;
+                memcpy(q + 1, key, sizeof key);
+                q[0] = 0;
+            }
+            if ((q[0] = addmod(q[0], c, p)) == 0)  /* it cancels: drop it */
+                memmove(q, m -= 4, sizeof(u64) * 4);
+        }
+        for (depth[i] = -1, q = head + 1; q < m; q += 4)
+            for (int j = 1; j < 4; j++)
+                depth[i] = s->depth[q[j]] > depth[i] ? s->depth[q[j]] : depth[i];
+        *head = (u64)(m - head - 1) / 4;
+        at[i] = k < x[0] ? top : ~top;
+        top = *head ? m - s->poly : top;
+        depth[i] = *head ? depth[i] : -2;  /* an identity that vanishes is dropped */
     }
-    s->probing = 0;
     for (d = 0; d < s->nfree; d++)
-        s->v[s->free[d]] = 0;
+        v[s->free[d]] = 0;
     s->end[-1] = 0;
-    for (d = -1; d < s->nfree; d++) {
-        for (i = 0, k = 3; i < nids; i++, k += 1 + 8 * s->x[k])
+    for (d = -1, k = 0; d < s->nfree; d++) {
+        for (i = 0; i < nids; i++)
             if (depth[i] == d) {
-                s->order[pos++] = k;
+                s->order[k++] = at[i];
                 s->last = d;
             }
-        s->end[d + 1] = pos;
+        s->end[d + 1] = k;
     }
     return 0;
+malformed:
+    PyErr_SetString(PyExc_ValueError, "the table is not a run of identities over the "
+                                      "candidate's slots");
+    return -1;
 }
 
 /* the candidates below a walk's survivors, from their number per tail
@@ -229,8 +233,8 @@ static PyObject *candidates(const u64 *survivors, Py_ssize_t len, u64 p) {
    template fixed, 64-bit ints where a negative entry marks a free slot and
    every other one is a residue mod p. count is how many candidates pass
    kind a, failing how many of those fail kind b, and hits the first cap
-   of those (of all that pass kind a when the table has no kind b), in
-   lexicographic order. */
+   of those, in lexicographic order. A sweep's kind b is the one identity
+   1 = 0, which every candidate fails. */
 static PyObject *scan(PyObject *self, PyObject *args) {
     Py_buffer table, f_buf;
     PyObject *result = NULL;
@@ -239,27 +243,21 @@ static PyObject *scan(PyObject *self, PyObject *args) {
     if (!PyArg_ParseTuple(args, "y*Ly*n", &table, &p, &f_buf, &s.cap))
         return NULL;
     const i64 *fixed = f_buf.buf;
-    s.x = table.buf;
-    s.len = table.len / 8;
     s.p = (u64)p;
     s.total = f_buf.len / 8;
-    s.n = s.len < 3 ? 0 : (int)s.x[0];
-    s.al = s.len < 3 ? 0 : (int)s.x[1];
-    s.b0 = s.len < 3 ? 0 : s.x[2];
     s.last = -1;
-    /* the table comes from pykern._table; its layout must be the candidate's */
-    if (p < 2 || p >= (1LL << 32) || s.total > INT_MAX || s.n < 1 || s.al < 0
-            || s.total != s.al + (i64)s.n * s.n || s.b0 < 3 || s.b0 > s.len) {
-        PyErr_SetString(PyExc_ValueError, "p is not in [2, 2**32), or the table's layout "
-                                          "is not the candidate's");
+    if (p < 2 || p >= (1LL << 32) || s.total > INT_MAX) {
+        PyErr_SetString(PyExc_ValueError, "p is not in [2, 2**32), or the candidate is too "
+                                          "long");
         goto done;
     }
-    /* one block: the candidate, its free slots, the tallies, the depths */
-    if ((s.v = PyMem_Calloc(5 * (size_t)s.total + 2, sizeof(u64))) == NULL) {
+    /* one block: the candidate and the constant-1 slot, its free slots, the
+       tallies, the depths */
+    if ((s.v = PyMem_Calloc(5 * (size_t)s.total + 4, sizeof(u64))) == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    s.free = (Py_ssize_t *)(s.v + s.total);
+    s.free = (Py_ssize_t *)(s.v + s.total + 1);
     s.passed = (u64 *)(s.free + s.total);
     s.depth = (int *)(s.passed + 2 * s.total + 2);
     for (Py_ssize_t t = 0; t < s.total; t++) {
@@ -268,9 +266,11 @@ static PyObject *scan(PyObject *self, PyObject *args) {
             s.free[s.nfree++] = t;
         s.v[t] = fixed[t] < 0 ? 0 : (u64)fixed[t];
     }
+    s.v[s.total] = 1;
+    s.depth[s.total] = -1;
     s.failed = s.passed + s.nfree + 1;
     int bad = 0;
-    if ((s.hits = PyList_New(0)) == NULL || plan(&s) < 0
+    if ((s.hits = PyList_New(0)) == NULL || plan(&s, table.buf, table.len / 8) < 0
             || (check(&s, -1, &bad) && descend(&s, 0, bad) < 0))
         goto done;
     result = Py_BuildValue("(NNO)", candidates(s.passed, s.nfree + 1, s.p),
@@ -278,6 +278,7 @@ static PyObject *scan(PyObject *self, PyObject *args) {
 done:
     Py_XDECREF(s.hits);
     PyMem_Free(s.order);
+    PyMem_Free(s.poly);
     PyMem_Free(s.v);
     PyBuffer_Release(&table);
     PyBuffer_Release(&f_buf);
@@ -291,7 +292,7 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_ckern",
-    "pykern._scan in C, over pykern's identity tables; homstruct._kernels "
+    "pykern._scan in C, over pykern's polynomial tables; homstruct._kernels "
     "runs pykern's drivers over it.", -1, methods,
 };
 

@@ -3,7 +3,8 @@
 Evaluates the mod-p axiom systems directly on flat structure-constant
 arrays (independent of the exact-arithmetic checkers) and enumerates
 candidate assignments in lexicographic order. ``_identities`` is the one
-place the axiom systems are written. ``_table`` encodes it as flat ints
+place the axiom systems are written, and ``_expansion`` the one
+polynomial table both kernels read: ``_table`` encodes it as flat ints
 for the compiled kernel in ``_ckern``, which runs ``_scan``'s walk in C;
 ``Kernel`` pins a free twist and merges the sample streams for either
 kernel, so both produce identical streams.
@@ -30,8 +31,7 @@ vanish, and checks each of the rest as soon as the deepest free slot its
 reduced polynomial reads is set. A slot that no surviving monomial reads
 cannot change the residual mod p, so the pruning is exact (Golomb &
 Baumert, "Backtrack programming", J. ACM 12, 1965). The compiled kernel
-files the identities by a probe instead; both filings are exact, so the
-two kernels give the same counts and streams.
+specialises and files the same polynomials the same way, in C.
 """
 
 import itertools
@@ -313,25 +313,21 @@ def _scan(kind_a, kind_b, n, p, fixed, cap):
     return count, hits, samples
 
 
-_HELPERS = (_ot, _to, _mult)  # the compiled kernel's helper codes
-
-
 @lru_cache(maxsize=None)
 def _table(kind_a, kind_b, n):
-    """The identities of ``kind_a``, then those of ``kind_b`` (none when
-    None), as 64-bit ints for the compiled kernel: n, the twist offset and
-    the offset of ``kind_b``'s first identity, then per identity its term
-    count and, per term, its sign, its helper's index in ``_HELPERS`` and
-    the helper's arguments after (n, al), padded with zeros to six. A term
-    with coefficient c is written |c| times."""
-    flat = [n, layout(kind_a, n)[2], 0]
-    for kind in (kind_a, kind_b):
-        flat[2] = len(flat)  # left, after the loop, where kind_b starts
-        for terms in () if kind is None else _identities(kind, n):
-            flat.append(sum(abs(coeff) for coeff, _, _ in terms))
-            for coeff, helper, args in terms:
-                flat += (1 if coeff > 0 else -1, _HELPERS.index(helper),
-                         *args[2:], *(0,) * (8 - len(args))) * abs(coeff)
+    """``_expansion`` of ``kind_a``, then that of ``kind_b``, as 64-bit
+    ints for the compiled kernel: the offset of ``kind_b``'s first
+    identity, then per identity its monomial count and its monomials
+    (c, x, y, z). A ``kind_b`` of None stands for the one identity 1 = 0,
+    which every candidate fails, so that a sweep's hits are all that pass
+    ``kind_a``."""
+    one = layout(kind_a, n)[0]
+    flat = [0]
+    for polys in (_expansion(kind_a, n), (((1, one, one, one),),)
+                  if kind_b is None else _expansion(kind_b, n)):
+        flat[0] = len(flat)  # left, after the loop, where kind_b starts
+        for poly in polys:
+            flat += (len(poly), *itertools.chain(*poly))
     return array("q", flat)
 
 

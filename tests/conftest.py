@@ -154,23 +154,38 @@ def half():
 def ckern(tmp_path_factory):
     """``_kernels/_ckern.c`` compiled into a temporary directory (never
     into ``src/``, whose kernel the benchmark runs) and loaded as
-    ``homstruct._kernels._ckern``; skips when it cannot be built."""
+    ``homstruct._kernels._ckern``. A Unix compiler builds it with
+    ``-Wall -Werror``, and a build that only those flags break fails the
+    test; one that fails without them (no compiler, no headers) skips."""
     from setuptools import Distribution, Extension
     from setuptools.command.build_ext import build_ext
     from setuptools.errors import BaseError, CCompilerError
 
-    source = Path(_kernels.__file__).with_name("_ckern.c")
-    ext = Extension("homstruct._kernels._ckern", [str(source)])
-    build = build_ext(Distribution({"ext_modules": [ext]}))
-    build.build_lib = str(tmp_path_factory.mktemp("ckern"))
-    build.build_temp = str(Path(build.build_lib) / "temp")
+    class StrictBuild(build_ext):
+        def build_extension(self, ext):
+            if self.compiler.compiler_type == "unix":
+                ext.extra_compile_args = ["-Wall", "-Werror"]
+            super().build_extension(ext)
+
+    def build(command):
+        ext = Extension("homstruct._kernels._ckern",
+                        [str(Path(_kernels.__file__).with_name("_ckern.c"))])
+        run = command(Distribution({"ext_modules": [ext]}))
+        run.build_lib = str(tmp_path_factory.mktemp("ckern"))
+        run.build_temp = str(Path(run.build_lib) / "temp")
+        run.ensure_finalized()
+        run.run()
+        return ext.name, run.get_ext_fullpath(ext.name)
+
     try:
-        build.ensure_finalized()
-        build.run()
+        name, path = build(StrictBuild)
     except (BaseError, CCompilerError) as exc:
-        pytest.skip(f"compiled kernel not built: {exc}")
-    spec = importlib.util.spec_from_file_location(
-        ext.name, build.get_ext_fullpath(ext.name))
+        try:
+            build(build_ext)
+        except (BaseError, CCompilerError):
+            pytest.skip(f"compiled kernel not built: {exc}")
+        pytest.fail(f"_ckern.c builds only with warnings: {exc}")
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

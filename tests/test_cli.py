@@ -534,6 +534,55 @@ _SEARCH_PINS = st.one_of(
                         max_size=3)), max_leaves=8).map(json.dumps))
 
 
+# Option values of every verb: negative, zero, small, huge and
+# non-numeric values for each integer option, and --fixed JSON of each
+# type. Each verb runs on inputs that keep it quick: check on a 2-dim
+# fixture, search on hom-algebra, corpus on a one-entry table. A
+# construct verb takes none of these options, so argparse refuses them.
+_INT_OPTIONS = {"check": ("--oracle-samples", "--witness-cap", "--seed"),
+                "corpus": ("--oracle-samples", "--seed"),
+                "search": ("--dim", "--prime", "--cap")}
+_INT_VALUES = st.sampled_from(["-7", "-1", "0", "1", "2", "3", str(10 ** 30),
+                               str(-10 ** 30), "", "x", "1.5", "1e3"])
+
+
+@pytest.fixture(scope="module")
+def one_entry_corpus(tmp_path_factory):
+    data = tmp_path_factory.mktemp("corpus")
+    (data / "ex1.json").write_text(Path(EX1).read_text())
+    (data / "expected.json").write_text(
+        json.dumps({"format-version": 1, "entries": [_EX1_ENTRY]}))
+    return str(data)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(verb=st.sampled_from(["check", "construct", "corpus", "search"]),
+       data=st.data())
+def test_any_option_values_keep_the_exit_contract(one_entry_corpus, verb,
+                                                  data):
+    argv = {"check": ["check", DUAL2],
+            "construct": ["construct", "op", DUAL2],
+            "corpus": ["corpus", "--data", one_entry_corpus],
+            "search": ["search", "--kind", "hom-algebra"]}[verb]
+    names = _INT_OPTIONS.get(verb) or [data.draw(st.sampled_from(
+        sorted({name for names in _INT_OPTIONS.values() for name in names})))]
+    for name in names:
+        if name in ("--dim", "--prime") or data.draw(st.booleans()):
+            argv += [name, data.draw(_INT_VALUES)]
+    if verb == "search" and data.draw(st.booleans()):
+        argv += ["--fixed", data.draw(_SEARCH_PINS.filter(bool))]
+    err = io.StringIO()
+    parsed = True
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the argv
+            code, parsed = exc.code, False
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if parsed and code == 2:
+        assert len(err.getvalue().splitlines()) == 1, argv
+
 class TestSearch:
     def test_count_four(self, capsys):
         assert main(["search", "--kind", "hom-algebra", "--dim", "1",

@@ -1,17 +1,19 @@
 """Parity and correctness of the two search kernels.
 
-Both kernels evaluate pykern's one identity table (contraction loops over
-flat arrays rather than the vector-calculus evaluators) and walk it the
-same way, pykern's in Python over each identity specialised to the
-template and the compiled one in C. The table is checked against the
-exact checkers, each specialised identity against the residual it stands
-for, each walk against an unpruned reference that decides every
-candidate with pykern's ``passes``, and the C term evaluator against
-pykern's helpers.
+Both kernels read pykern's one polynomial table, ``_expansion`` (each
+identity multiplied out over flat arrays, rather than the vector-calculus
+evaluators): each specialises it to a template and walks the result the
+same way, pykern's in Python and the compiled one in C. The table is
+checked against the exact checkers, each specialised identity against the
+residual it stands for, each walk against an unpruned reference that
+decides every candidate with pykern's ``passes``, and the compiled walk
+against pykern's on the same templates. The compiled kernel refuses a
+malformed table.
 """
 
 import itertools
 import random
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -222,6 +224,15 @@ class TestPrunedWalk:
                 ((1, [tuple(v)]) if passing else (0, []))
         assert kernel.sweep(kind, 2, 3, zero_products, 5)[0] == 1
 
+    def test_audit_against_a_system_with_no_identities(self, kernel):
+        # at dimension 1 the hom-pre-Lie identity vanishes: every candidate
+        # passes it, so nothing violates it
+        assert pykern._expansion("hom-prelie", 1) == ()
+        for kind in ("hom-algebra", "hom-leibniz"):
+            want = brute_audit(kind, "hom-prelie", 1, 3, [-1, -1])
+            assert want[0] > 0 and want[1] == 0
+            assert kernel.audit(kind, "hom-prelie", 1, 3, [-1, -1]) == want
+
     def test_pinned_slots_that_already_fail(self, kernel):
         # identity twist, bracket(e0, e0) = e0 pinned: the Leibniz identity
         # at (0, 0, 0, 0) reads only pinned slots and fails
@@ -424,6 +435,44 @@ def test_kernels_agree_on_the_search_shapes(compiled, kind, p):
         fixed = [-1] * al + twist
         assert pykern.sweep(kind, 2, p, fixed, 16) == \
             compiled.sweep(kind, 2, p, fixed, 16), twist
+
+
+@pytest.mark.parametrize("n, primes", [(1, (2, 3, 7)), (2, (2, 3)), (3, (2,))])
+@pytest.mark.parametrize("kind", sorted(pykern.KINDS))
+def test_kernels_agree_on_specialised_templates(compiled, kind, n, primes):
+    """The two sweeps on ``specialise_template``'s templates: a zero,
+    singular or invertible twist, with and without the unit prefill. A
+    template past the search API's compiled budget is left out: the
+    Python walk may take seconds there."""
+    for p in primes:
+        rng = random.Random(f"{kind}:{n}:{p}")
+        for rank, unit in itertools.product(
+                ("zero", "singular", "invertible"), (False, True)):
+            fixed = specialise_template(rng, kind, n, p, rank, unit)
+            if p ** sum(x < 0 for x in fixed) <= search.RAW_CANDIDATE_BUDGET:
+                assert compiled.sweep(kind, n, p, fixed, 16) == \
+                    pykern.sweep(kind, n, p, fixed, 16), fixed
+
+
+@pytest.mark.parametrize("entry, value", [
+    ("slot", 3), ("slot", 2 ** 40), ("slot", -1), ("slot", -2 ** 40),
+    ("count", -1), ("count", 2 ** 40),
+    ("kind b", 0), ("kind b", -1), ("kind b", "past the end")])
+def test_compiled_scan_refuses_a_malformed_table(ckern, entry, value):
+    """``_ckern.scan`` reads slots and offsets from the table, so it checks
+    them before reading: a slot outside 0 .. total (the constant-1 slot),
+    a monomial count that overruns the table and a kind-b offset outside
+    it are refused. The twist is pinned to 0, so that every monomial
+    would be skipped at a pinned 0 unread."""
+    table = list(pykern._table("hom-algebra", "hom-prelie", 1))
+    fixed, p = array("q", [-1, 0]), 3
+    assert ckern.scan(array("q", table), p, fixed, 5)[0] == 3
+    # table[0]: where kind b starts; table[1]: the first identity's
+    # monomial count; table[2:6]: its first monomial (c, x, y, z)
+    at = {"kind b": 0, "count": 1, "slot": 4}[entry]
+    table[at] = len(table) + 1 if value == "past the end" else value
+    with pytest.raises(ValueError, match="table"):
+        ckern.scan(array("q", table), p, fixed, 5)
 
 
 class TestCountsWithinReach:
