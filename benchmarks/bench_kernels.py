@@ -7,13 +7,15 @@ times, raw candidates per second and the speedup. The full GF(2) dim-2
 dialgebra and hlsda spaces (2^20 candidates each), two GF(3) rows with
 the twist pinned, and the unital dim-3 GF(2) hom-algebras (512 twist
 templates, each specialised before its walk; 4,268 structures) run
-through both kernels. Both kernels run the same pruned walk over
-pykern's polynomial table, so a rate counts the raw candidates the walk
-accounts for, not the nodes it visits. The full dialgebra-vs-hlsda
-audit runs on each kernel. A last layer row groups the full dim-2 GF(2)
-hom-algebra, hom-leibniz and hom-prelie streams into isomorphism
-classes and checks the class counts. Every time is the best of 3 calls
-after a warm-up call.
+through both kernels, all but two collecting every sample. Those two,
+the 2^20 spaces again with cap 0, time the walk alone: collecting
+65,854 or 67,168 sample tuples is most of a full 2^20 row. Both kernels
+run the same pruned walk over pykern's polynomial table, so a rate
+counts the raw candidates the walk accounts for, not the nodes it
+visits. The full dialgebra-vs-hlsda audit runs on each kernel. A last
+layer row groups the full dim-2 GF(2) hom-algebra, hom-leibniz and
+hom-prelie streams into isomorphism classes and checks the class
+counts. Every time is the best of 3 calls after a warm-up call.
 
 Usage: python benchmarks/bench_kernels.py
 """
@@ -42,9 +44,9 @@ def best_of_3(call):
     return result, min(times)
 
 
-def time_sweep(kind, n, p, fixed, kernel):
+def time_sweep(kind, n, p, fixed, cap, kernel):
     kern = get_kernel(kernel)
-    return best_of_3(lambda: kern.sweep(kind, n, p, fixed, ALL_SAMPLES))
+    return best_of_3(lambda: kern.sweep(kind, n, p, fixed, cap))
 
 
 def free_template(kind, n):
@@ -65,17 +67,23 @@ def rate(candidates, seconds):
 
 def run():
     workloads = [
-        ("hom-algebra", 2, 2, free_template("hom-algebra", 2)),
-        ("hom-leibniz", 2, 2, free_template("hom-leibniz", 2)),
-        ("hom-prelie", 2, 2, free_template("hom-prelie", 2)),
+        ("hom-algebra", 2, 2, free_template("hom-algebra", 2), ALL_SAMPLES),
+        ("hom-leibniz", 2, 2, free_template("hom-leibniz", 2), ALL_SAMPLES),
+        ("hom-prelie", 2, 2, free_template("hom-prelie", 2), ALL_SAMPLES),
         ("hom-algebra", 2, 3,
-         twist_pinned_template("hom-algebra", 2, [[1, 1], [0, 1]])),
-        ("hom-dialgebra", 2, 2, free_template("hom-dialgebra", 2)),
-        ("hlsda", 2, 2, free_template("hlsda", 2)),
+         twist_pinned_template("hom-algebra", 2, [[1, 1], [0, 1]]),
+         ALL_SAMPLES),
+        ("hom-dialgebra", 2, 2, free_template("hom-dialgebra", 2),
+         ALL_SAMPLES),
+        ("hlsda", 2, 2, free_template("hlsda", 2), ALL_SAMPLES),
+        ("hom-dialgebra", 2, 2, free_template("hom-dialgebra", 2), 0),
+        ("hlsda", 2, 2, free_template("hlsda", 2), 0),
         ("hom-dialgebra", 2, 3,
-         twist_pinned_template("hom-dialgebra", 2, [[1, 1], [0, 1]])),
+         twist_pinned_template("hom-dialgebra", 2, [[1, 1], [0, 1]]),
+         ALL_SAMPLES),
         ("hom-algebra", 3, 2, _flat_template(
-            SearchSpec("hom-algebra", 3, 2, require_unit=True), "python")[0]),
+            SearchSpec("hom-algebra", 3, 2, require_unit=True), "python")[0],
+         ALL_SAMPLES),
     ]
 
     have_compiled = "compiled" in available()
@@ -84,13 +92,13 @@ def run():
     if have_compiled:
         header += f" {'compiled':>10} {'cand/s':>10} {'speedup':>8}"
     print(header)
-    for kind, n, p, fixed in workloads:
+    for kind, n, p, fixed, cap in workloads:
         free = sum(1 for x in fixed if x < 0)
-        label = f"{kind} n={n} p={p} ({p}^{free})"
-        py, t_py = time_sweep(kind, n, p, fixed, "python")
+        label = f"{kind} n={n} p={p} " + (f"({p}^{free})" if cap else "cap 0")
+        py, t_py = time_sweep(kind, n, p, fixed, cap, "python")
         line = f"{label:<28} {py[0]:>8} {t_py:>9.3f}s {rate(p ** free, t_py)}"
         if have_compiled:
-            c, t_c = time_sweep(kind, n, p, fixed, "compiled")
+            c, t_c = time_sweep(kind, n, p, fixed, cap, "compiled")
             assert py == c, (kind, n, p, "sample streams differ")
             speedup = t_py / t_c if t_c > 0 else float("inf")
             line += (f" {t_c:>9.4f}s {rate(p ** free, t_c)} "

@@ -1,6 +1,9 @@
 """Search kernel selection: compiled extension when built, pure Python
 fallback otherwise. Both run pykern's walk over pykern's polynomial
-table, so they expose the same API and give identical streams."""
+table, so they expose the same API and give identical streams: the
+Python walk evaluates its shallow levels as packed big-integer vectors
+before it resumes the scalar walk below each survivor, and the compiled
+walk stays scalar throughout."""
 
 from array import array
 

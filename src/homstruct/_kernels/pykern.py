@@ -32,6 +32,14 @@ reduced polynomial reads is set. A slot that no surviving monomial reads
 cannot change the residual mod p, so the pruning is exact (Golomb &
 Baumert, "Backtrack programming", J. ACM 12, 1965). The compiled kernel
 specialises and files the same polynomials the same way, in C.
+
+The Python walk evaluates its shallowest levels, where few identities
+are filed and the scalar walk would visit every node, as packed vectors:
+one unsigned field of a Python int per assignment of those levels, each
+identity a sum of cached grid vectors (SIMD within a register), a run of
+levels at a time while packing a run pays (PACK_FIELDS and PACK_NODES).
+It then resumes the scalar walk below each survivor in lexicographic
+order. The compiled walk stays scalar. Both give the same stream.
 """
 
 import itertools
@@ -224,6 +232,158 @@ def _specialise(polys, w, p, depth_of):
     return filed
 
 
+# native formats of unsigned fields, narrowest first, and their widths in
+# bytes; memoryview.cast and array read and write them alike
+FORMATS = {f: array(f).itemsize for f in "BHIQ"}
+
+
+def field_format(size, p):
+    """The narrowest field format that holds a sum of ``size`` products of
+    three residues mod p without carrying: the one rule for the packed
+    fields of ``search._canonical_forms`` and of the walk's packed
+    levels. A packed level has at most PACK_FIELDS = 8,192 fields, so
+    p <= 8,192 there, and an identity at level l sums at most
+    (l + 2)(l + 3) / 2 monomials: 3 below 2^39 at level 0, and below 2^20
+    each from level 1 on (p <= 90), so 8 bytes always do."""
+    top = size * (p - 1) ** 3
+    for f, width in FORMATS.items():
+        if top < 1 << 8 * width:
+            return f
+
+
+# The walk packs a run of levels at a time: the levels through the next
+# one that files an identity (packing a level that files none prunes
+# nothing). It stops before a run whose grid would pass PACK_FIELDS
+# fields, or where the scalar walk would check fewer than PACK_NODES
+# assignments at the run's last level: there the packed evaluation and
+# the grids it builds cost about what the scalar walk saves, and in a
+# fresh interpreter more. Measured on a 2-core Xeon under Python 3.11.7,
+# min of 10 alternated runs, on the search workload's sweeps (dim 2, each
+# invertible twist pinned, weighted as one round runs them): 144 ms for
+# the scalar walk alone and 64 ms as set; caps of 4,096 and 16,384 fields
+# took 95 and 56 ms (16,384 doubles the largest grid), and floors of 0
+# and 128 nodes 59 and 61 ms. Without the floor, the templates whose
+# first identities sit at depth 1 (most dim-2 hom-algebra and dialgebra
+# ones) packed and ran no faster than the scalar walk, and their first
+# sweep in a fresh interpreter took 0.1-0.2 ms more for its grids; with
+# it, the GF(3) hom-leibniz templates whose first run checks 27
+# assignments stay scalar, 0.15-0.35 ms slower each. A stop at fewer
+# than 1/16 or 1/64 of the assignments surviving changed neither the
+# round nor the unital dim-3 GF(2) sweep (211-215 ms).
+PACK_FIELDS = 8192
+PACK_NODES = 64
+
+# a byte per assignment of the packed levels: 1 where it survives
+_ALIVE = b"\1" + bytes(255)
+
+
+class _Grids(dict):
+    """The grid vectors of one packed level in one field format, each
+    built on first use: a packed int whose field i, for the i-th
+    assignment of the free slots at depths 0..level in lexicographic
+    order, holds the product of two slots' values there. The key is
+    their depths (a, b): a <= b for two free slots, and -1 for the
+    constant-1 slot, which ``_specialise`` puts last, so (a, -1) for a
+    free slot and it, and (-1, -1) for it alone."""
+
+    def __init__(self, p, level, fmt):
+        super().__init__()
+        self.p, self.level, self.fmt = p, level, fmt
+
+    def __missing__(self, key):
+        a, b = key
+        p, level, order = self.p, self.level, sys.byteorder
+        width = FORMATS[self.fmt]
+
+        def column(depth, square=False):
+            # one period of the column at ``depth``: each value, or its
+            # square, once per assignment of the deeper slots
+            return b"".join((x * x if square else x).to_bytes(width, order)
+                            * p ** (level - depth) for x in range(p))
+
+        if a < 0:  # the constant 1
+            grid = (1).to_bytes(width, order) * p ** (level + 1)
+        elif b < 0 or a == b:  # repeated for each assignment above depth a
+            grid = column(a, a == b) * p ** a
+        else:  # one block per value x at depth a: the column at b times x
+            block = column(b) * p ** (b - a - 1)
+            packed = int.from_bytes(block, order)
+            grid = b"".join((packed * x).to_bytes(len(block), order)
+                            for x in range(p)) * p ** a
+        grid = self[key] = int.from_bytes(grid, order)
+        return grid
+
+
+# A level keeps at most (level + 2)(level + 3) / 2 grids of at most
+# PACK_FIELDS fields; the search workload's sweeps fill 8 levels with
+# 177 grids, 0.68 MB in all.
+@lru_cache(maxsize=16)
+def _grids(p, level, fmt):
+    return _Grids(p, level, fmt)
+
+
+def _spread(mask, p):
+    """``mask`` with each byte repeated p times: the assignments of one
+    more level."""
+    out = bytearray(len(mask) * p)
+    for x in range(p):
+        out[x::p] = mask
+    return out
+
+
+def _flag(mask, polys, depth_of, p, level):
+    """``mask`` (a byte per assignment of the free slots at depths
+    0..``level``, nonzero where one fails) with each assignment under
+    which one of ``polys`` fails flagged. Each identity is the sum of
+    its monomials' coefficients times their grid vectors, evaluated over
+    every assignment at once in fields that do not carry."""
+    if not polys:
+        return mask
+    fmt = field_format(max(map(len, polys)), p)
+    grids, order = _grids(p, level, fmt), sys.byteorder
+    fails = int.from_bytes(mask, order)
+    # the translate table that flags a one-byte field not 0 mod p
+    nonzero = fmt == "B" and ((bytes(1) + b"\1" * (p - 1)) * 256)[:256]
+    for poly in polys:
+        acc = 0
+        for c, x, y in poly:
+            grid = grids[depth_of[x], depth_of[y]]
+            acc += grid if c == 1 else c * grid  # a big multiply saved
+        raw = acc.to_bytes(len(mask) * FORMATS[fmt], order)
+        if nonzero:
+            raw = raw.translate(nonzero)
+        else:
+            raw = bytes(map(bool, map(p.__rmod__, memoryview(raw).cast(fmt))))
+        fails |= int.from_bytes(raw, order)
+    return fails.to_bytes(len(mask), order)
+
+
+def _packed_levels(checks_a, checks_b, depth_of, p):
+    """The filed identities of levels 0, 1, ... evaluated over all the
+    assignments of those levels at once, a run at a time: the levels
+    through the next one that files an identity. Packing stops before a
+    run whose grid would pass PACK_FIELDS fields or where the scalar walk
+    would check fewer than PACK_NODES assignments at its last level. Returns
+    the number of levels packed and, a byte per assignment in
+    lexicographic order, where one of ``checks_a`` fails and where one
+    of ``checks_b`` does."""
+    fails = bads = b"\0"
+    top = 0
+    for end in sorted({*checks_a, *checks_b}):
+        spread = p ** (end + 1 - top)
+        if (len(fails) * spread > PACK_FIELDS
+                or fails.count(0) * spread < PACK_NODES):
+            break
+        for level in range(top, end + 1):
+            fails = _flag(_spread(fails, p), checks_a.get(level, ()),
+                          depth_of, p, level)
+            if checks_b:  # a sweep's kind b has no identities
+                bads = _flag(_spread(bads, p), checks_b.get(level, ()),
+                             depth_of, p, level)
+        top = end + 1
+    return top, fails, bads if checks_b else bytes(len(fails))
+
+
 def _walk(polys_a, polys_b, p, fixed):
     """Depth-first over the free slots of ``fixed`` (its twist pinned) in
     lexicographic order, checking each identity as soon as the last free
@@ -231,7 +391,13 @@ def _walk(polys_a, polys_b, p, fixed):
     the free slots before ``tail`` under which all of ``polys_a`` hold,
     ``v`` with the constant-1 slot appended: no identity reads a slot in
     ``tail``, so every completion of those slots passes ``polys_a`` too,
-    and fails ``polys_b`` exactly when ``bad``."""
+    and fails ``polys_b`` exactly when ``bad``.
+
+    The shallowest levels, where the scalar walk would visit many nodes,
+    are evaluated as packed vectors (``_packed_levels``: SIMD within a
+    register, Lamport, CACM 18(8), 1975); the scalar odometer then
+    resumes below each surviving assignment of them, in lexicographic
+    order, so the stream is the one the scalar walk alone gives."""
     free = [slot for slot, x in enumerate(fixed) if x < 0]
     depth_of = [-1] * (len(fixed) + 1)
     for d, slot in enumerate(free):
@@ -242,36 +408,43 @@ def _walk(polys_a, polys_b, p, fixed):
     v = [x if x >= 0 else 0 for x in w]
     if not _holds(checks_a.pop(-1, ()), v, p):
         return
-    # bad[d + 1]: an identity of polys_b filed at depth d or shallower fails
-    bad = [not _holds(checks_b.pop(-1, ()), v, p)]
+    bad_pinned = not _holds(checks_b.pop(-1, ()), v, p)
     last = max((*checks_a, *checks_b), default=-1)
-    bad += [False] * (last + 1)
     tail = free[last + 1:]
-    d = 0
-    while 0 <= d <= last:
-        slot = free[d]
-        if v[slot] == p:  # slot d exhausted: back up
-            v[slot] = 0
-            d -= 1
-            if d >= 0:
-                v[free[d]] += 1
+    top, fails, bads = _packed_levels(checks_a, checks_b, depth_of, p)
+    # bad[d + 1]: an identity of polys_b filed at depth d or shallower fails
+    bad = [False] * (last + 2)
+    packed = free[:top][::-1]  # least significant digit of an index first
+    for i in itertools.compress(range(len(fails)), fails.translate(_ALIVE)):
+        bad[top] = bad_pinned or bads[i]
+        for slot in packed:
+            i, v[slot] = divmod(i, p)
+        if top > last:
+            yield v, tail, bad[top]
             continue
-        for poly in checks_a.get(d, ()):
-            acc = 0
-            for c, x, y in poly:
-                acc += c * v[x] * v[y]
-            if acc % p:
-                break  # skips the p^(len(free)-d-1) candidates below
-        else:
-            bad[d + 1] = bad[d] or (d in checks_b and
-                                    not _holds(checks_b[d], v, p))
-            if d < last:
-                d += 1
+        d = top
+        while d >= top:
+            slot = free[d]
+            if v[slot] == p:  # slot d exhausted: back up
+                v[slot] = 0
+                d -= 1
+                if d >= top:
+                    v[free[d]] += 1
                 continue
-            yield v, tail, bad[d + 1]
-        v[slot] += 1
-    if last < 0:
-        yield v, tail, bad[0]
+            for poly in checks_a.get(d, ()):
+                acc = 0
+                for c, x, y in poly:
+                    acc += c * v[x] * v[y]
+                if acc % p:
+                    break  # skips the p^(len(free)-d-1) candidates below
+            else:
+                bad[d + 1] = bad[d] or (d in checks_b and
+                                        not _holds(checks_b[d], v, p))
+                if d < last:
+                    d += 1
+                    continue
+                yield v, tail, bad[d + 1]
+            v[slot] += 1
 
 
 def _assignments(v, slots, p):

@@ -33,9 +33,13 @@ RAW_CANDIDATE_BUDGET = 2 ** 32
 # raw candidates one sweep may span, by the kernel that runs it. A budget
 # counts raw candidates, an upper bound on what a walk visits: both
 # kernels run the same pruned walk and visit far fewer, the compiled one
-# at C speed (twist-pinned dim-3 GF(2) spaces of 2^24 candidates, one
-# product and three of its slots pinned, took the Python kernel 0.002-13 s
-# over six twists on a 2-core machine under Python 3.11.7)
+# at C speed. Twist-pinned dim-3 GF(2) spaces of 2^24 candidates (one
+# product, three of its slots pinned to 0) took the Python kernel
+# 0.001-1.04 s with its packed shallow levels and 0.001-1.07 s with the
+# scalar walk alone, for hom-algebra, hom-leibniz and hom-prelie over six
+# twists (zero, identity, a 3-cycle, a Jordan block, rank 2, rank 1; the
+# slowest is hom-prelie with the 3-cycle), min of 3 alternated runs on a
+# 2-core machine under Python 3.11.7
 SWEEP_BUDGETS = {"compiled": RAW_CANDIDATE_BUDGET, "python": 2 ** 24}
 
 # group_by_isomorphism walks GL_n(F_p) once per call: it packs each
@@ -340,10 +344,6 @@ def _inverse(rows, p):
 # the 1 x 1 identity
 _G, _H, _GG, _HH = range(4)
 
-# native formats of unsigned fields, narrowest first; memoryview.cast and
-# array read and write them alike
-_FORMATS = ("B", "H", "I", "Q")
-
 
 def _sections(s):
     """The sections ``check_morphism`` compares, as their layout and their
@@ -376,14 +376,6 @@ def _sections(s):
     return layout, flat
 
 
-def _field_format(size, p):
-    """The narrowest field format that holds a sum of ``size`` products of
-    three residues mod p without carrying. Under GROUP_ORDER_BUDGET a
-    section has one entry when p > 13, so 8 bytes always do."""
-    return next(f for f in _FORMATS
-                if size * (p - 1) ** 3 < 1 << 8 * array(f).itemsize)
-
-
 def _canonical_forms(members, n, p):
     """The canonical form of each structure of dimension n (all of one
     signature): the least flat ``_sections`` array of g . s over
@@ -395,13 +387,16 @@ def _canonical_forms(members, n, p):
     sum_c v[c] B^c and T as sum T[r][c] B^(2Nr + N - 1 - c) for
     N = len(v) and a field base B = 2^(8 * width), field 2Nr + N - 1 of
     their product holds that sum: every field sums at most N products
-    below p^3, so none carries into the next. A form is kept as a tuple
-    of per-section parts, which compares like their concatenation."""
+    below p^3, so none carries into the next: ``pykern.field_format``
+    picks the width, and under GROUP_ORDER_BUDGET a section has one entry
+    when p > 13, so 8 bytes always do. A form is kept as a tuple of
+    per-section parts, which compares like their concatenation."""
     sections = [_sections(s) for s in members]
     layout = sections[0][0]
     flats = [[x % p for x in flat] for _, flat in sections]
-    fmt = _field_format(max(rows * cols for _, rows, cols, _ in layout), p)
-    width, order = array(fmt).itemsize, sys.byteorder
+    fmt = pykern.field_format(max(rows * cols for _, rows, cols, _ in layout),
+                              p)
+    width, order = pykern.FORMATS[fmt], sys.byteorder
     if fmt == "B":
         # bytes compare like the tuples of their values, and one
         # translate reduces every field
@@ -453,7 +448,7 @@ def _packed_maps(layout, g, h, p, fmt):
         if any(code in (left, right) for left, _, _, right in layout):
             factors[code] = [[x * y % p for x in ra for y in rb]
                              for ra in m for rb in m]
-    bits, order = 8 * array(fmt).itemsize, sys.byteorder
+    bits, order = 8 * pykern.FORMATS[fmt], sys.byteorder
     out = []
     for left, rows, cols, right in layout:
         size = rows * cols

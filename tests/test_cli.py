@@ -487,6 +487,57 @@ def test_mistyped_corpus_table_exits_two(tmp_path, bad_paths, capsys, table,
     assert where in err
 
 
+# Generated corpus tables: a slice of the bundled expected.json (a fixture
+# entry, a derived one, an annotated failing one, a two-input assembly
+# and a morphism row with its twisted pair) with the value at one JSON
+# path replaced by a value of another JSON type, run by `corpus --data`.
+_TABLE_ENTRIES = ("dim1", "k1-dim1", "ex1", "z2group", "z2group_twist_sign",
+                  "bool2dim", "dual2dim", "b1-bool-dual")
+_TABLE_MORPHISMS = ("z2_sign",)
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    """A corpus directory holding the files ``_TABLE_ENTRIES`` and
+    ``_TABLE_MORPHISMS`` read, and their rows of the bundled table."""
+    table = json.loads((DATA_DIR / "expected.json").read_text())
+    entries = [e for e in table["entries"] if e["name"] in _TABLE_ENTRIES]
+    morphisms = [m for m in table["morphisms"]
+                 if m["name"] in _TABLE_MORPHISMS]
+    data = tmp_path_factory.mktemp("corpus")
+    (data / "morphisms").mkdir()
+    for name in [e["fixture"] for e in entries if "fixture" in e] + [
+            m["file"] for m in morphisms]:
+        (data / name).write_text((DATA_DIR / name).read_text())
+    return data, {"format-version": table["format-version"],
+                  "entries": entries, "morphisms": morphisms}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(value=_JSON_VALUES, data=st.data())
+def test_mutated_corpus_table_keeps_the_exit_contract(small_corpus, value,
+                                                      data):
+    directory, table = small_corpus
+    key = data.draw(st.sampled_from(sorted(table)))
+    mutated = {**table, key: _replaced(data, table[key], value)}
+    (directory / "expected.json").write_text(json.dumps(mutated))
+    argv = ["corpus", "--data", str(directory), "--oracle-samples", "3"]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), mutated
+    assert "Traceback" not in err.getvalue(), mutated
+    if code == 2:
+        assert len(err.getvalue().splitlines()) == 1, mutated
+
+
+def test_unmutated_corpus_table_passes(small_corpus, capsys):
+    directory, table = small_corpus
+    (directory / "expected.json").write_text(json.dumps(table))
+    assert main(["corpus", "--data", str(directory)]) == 0
+    assert "all fixtures match" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("existing", [None, "old contents\n"],
                          ids=["new-out", "existing-out"])
 def test_unwritable_out2_leaves_out_untouched(existing, bad_paths, capsys):

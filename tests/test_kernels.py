@@ -7,12 +7,15 @@ same way, pykern's in Python and the compiled one in C. The table is
 checked against the exact checkers, each specialised identity against the
 residual it stands for, each walk against an unpruned reference that
 decides every candidate with pykern's ``passes``, and the compiled walk
-against pykern's on the same templates. The compiled kernel refuses a
-malformed table.
+against pykern's on the same templates. The Python walk's packed shallow
+levels meet the same reference with their stop constants at the
+default, at no packed level and at every level. The compiled kernel
+refuses a malformed table.
 """
 
 import itertools
 import random
+import sys
 from array import array
 
 import pytest
@@ -302,6 +305,203 @@ class TestCompiledWalk(TestPrunedWalk):
     @pytest.fixture
     def kernel(self, compiled):
         return compiled
+
+
+def brute_scan(kind_a, kind_b, n, p, fixed, cap):
+    """``pykern._scan`` without pruning or packing: how many candidates
+    pass ``kind_a``, how many of those fail ``kind_b`` (all, when None),
+    and the first ``cap`` of those."""
+    passing = [v for v in brute_candidates(fixed, p)
+               if pykern.passes(kind_a, v, n, p)]
+    hits = [v for v in passing
+            if kind_b is None or not pykern.passes(kind_b, v, n, p)]
+    return len(passing), len(hits), hits[:cap]
+
+
+# candidates per brute-force template, and each kind's audit partner
+PACKED_SPACE = {2: 512, 3: 729, 5: 625, 7: 343}
+AUDIT_PARTNER = {"hom-algebra": "hom-prelie", "hom-leibniz": "hom-algebra",
+                 "hom-prelie": "hom-algebra", "hom-dialgebra": "hlsda",
+                 "hlsda": "hom-dialgebra"}
+
+
+def packed_template(rng, kind, n, p, noise):
+    """An invertible twist pinned (or, with ``noise``, a singular one
+    half the time), product slots free up to about ``PACKED_SPACE[p]``
+    candidates (256 at n = 3), and the other product slots pinned to
+    zero or, each with probability ``noise``, to a random residue. With
+    no noise the all-zero candidate passes."""
+    _, _, al = pykern.layout(kind, n)
+    fixed = [rng.randrange(p) if rng.random() < noise else 0
+             for _ in range(al)]
+    fixed += random_twist(rng, n, p, rng.choice(
+        ["singular", "invertible"] if noise else ["invertible"]))
+    free = 0
+    while free < al and p ** (free + 1) <= (PACKED_SPACE[p] if n < 3
+                                            else 256):
+        free += 1
+    for slot in rng.sample(range(al), free):
+        fixed[slot] = -1
+    return fixed
+
+
+def packed_cases(kind, n, p, count=3):
+    """``packed_template``s with kind b None and the kind's audit partner,
+    as ``_scan`` arguments with a cap of 3."""
+    rng = random.Random(f"packed:{kind}:{n}:{p}")
+    return [(kind, kind_b, n, p, fixed, 3)
+            for fixed in (packed_template(rng, kind, n, p, noise)
+                          for noise in [0, 0.1, 0.1][:count])
+            for kind_b in (None, AUDIT_PARTNER[kind])]
+
+
+@pytest.fixture
+def packed(monkeypatch):
+    """What the Python walk packed: per template ``(last, top, fails,
+    bads)`` from ``_packed_levels``, and the field formats its levels
+    used."""
+    seen = {"levels": [], "formats": set()}
+    levels, field_format = pykern._packed_levels, pykern.field_format
+
+    def spy_levels(checks_a, checks_b, depth_of, p):
+        out = levels(checks_a, checks_b, depth_of, p)
+        seen["levels"].append((max((*checks_a, *checks_b), default=-1), *out))
+        return out
+
+    def spy_format(size, p):
+        fmt = field_format(size, p)
+        seen["formats"].add(fmt)
+        return fmt
+
+    monkeypatch.setattr(pykern, "_packed_levels", spy_levels)
+    monkeypatch.setattr(pykern, "field_format", spy_format)
+    return seen
+
+
+@pytest.fixture
+def no_floor(monkeypatch):
+    """Templates small enough for the brute-force reference pack only
+    without the node floor: every run with a survivor is packed."""
+    monkeypatch.setattr(pykern, "PACK_NODES", 1)
+
+
+class TestPackedLevels:
+    """The Python walk evaluates its shallow levels over every assignment
+    at once, as packed vectors, and resumes the scalar walk below each
+    survivor: its counts, hits and samples are the unpruned reference's,
+    whatever the stop constants say."""
+
+    @pytest.mark.parametrize("kind, n, p", [
+        (kind, n, p) for kind in sorted(pykern.KINDS) for n in (1, 2)
+        for p in (2, 3, 5, 7)] + [
+        (kind, 3, 2) for kind in sorted(pykern.KINDS)])
+    @pytest.mark.parametrize("floor", ["default", "none"])
+    def test_sweep_and_audit_match_brute_force(self, request, packed, floor,
+                                               kind, n, p):
+        if floor == "none":
+            request.getfixturevalue("no_floor")
+        found = 0
+        for case in packed_cases(kind, n, p):
+            count, hits, first = want = brute_scan(*case)
+            assert pykern._scan(*case) == want, case
+            kind_a, kind_b, n, p, fixed, cap = case
+            if kind_b is None:
+                assert pykern.sweep(kind_a, n, p, fixed, cap) == \
+                    (count, first)
+            else:
+                assert pykern.audit(kind_a, kind_b, n, p, fixed) == \
+                    (count, hits, first[0] if first else None)
+            found += count
+        assert found
+        if n > 1 and floor == "none":
+            assert max(top for _, top, _, _ in packed["levels"]) >= 2
+
+    @pytest.mark.parametrize("setting", ["no level", "every level"])
+    def test_stop_constants_change_no_stream(self, monkeypatch, packed,
+                                             setting):
+        al = pykern.layout("hom-prelie", 2)[2]
+        cases = [case for kind in sorted(pykern.KINDS)
+                 for case in packed_cases(kind, 2, 3, 1)]
+        cases += [("hom-prelie", kind_b, 2, 3, [-1] * al + [1, 1, 0, 1], 9)
+                  for kind_b in (None, "hom-algebra")]
+        want = [pykern._scan(*case) for case in cases]
+        packed["levels"].clear()
+        if setting == "no level":
+            monkeypatch.setattr(pykern, "PACK_FIELDS", 0)
+        else:
+            monkeypatch.setattr(pykern, "PACK_FIELDS", 3 ** 9)
+            monkeypatch.setattr(pykern, "PACK_NODES", 0)
+        assert [pykern._scan(*case) for case in cases] == want
+        for last, top, fails, _ in packed["levels"]:
+            if setting == "no level":
+                assert top == 0
+            else:
+                assert top == last + 1
+
+    def test_a_packed_level_that_kills_every_assignment(self, packed,
+                                                        no_floor):
+        case = ("hom-algebra", None, 2, 5,
+                [4, 0, -1, -1, -1, 0, -1, 0, 2, 0, 4, 0], 5)
+        assert pykern._scan(*case) == brute_scan(*case) == (0, 0, [])
+        (last, top, fails, _), = packed["levels"]
+        assert 2 <= top <= last and fails.count(0) == 0
+
+    def test_a_grid_wider_than_a_byte(self, packed, no_floor):
+        # over GF(5) a one-byte field holds a sum of 3 monomials at most
+        for kind_b in (None, "hom-algebra"):
+            case = ("hom-prelie", kind_b, 2, 5,
+                    [0, -1, -1, -1, -1, 0, 0, 3, 0, 0, 4, 1], 5)
+            assert pykern._scan(*case) == brute_scan(*case)
+            assert brute_scan(*case)[0] > 0
+        assert "H" in packed["formats"]
+        assert all(top >= 2 for _, top, _, _ in packed["levels"])
+
+    def test_an_audit_whose_kind_b_fails_in_the_packed_levels(self, packed,
+                                                              no_floor):
+        case = ("hom-prelie", "hom-algebra", 2, 5,
+                [0, 0, -1, 0, -1, 0, -1, -1, 3, 0, 0, 1], 5)
+        count, hits, first = brute_scan(*case)
+        assert 0 < hits < count
+        assert pykern._scan(*case) == (count, hits, first)
+        (_, top, fails, bads), = packed["levels"]
+        alive = [i for i, fail in enumerate(fails) if not fail]
+        assert top >= 2
+        assert {bads[i] for i in alive} == {0, 1}
+
+    def test_runs_too_small_to_pay_stay_scalar(self, packed):
+        # the Jordan twist over GF(3): hom-algebra files identities from
+        # depth 1, where the scalar walk checks 9 assignments, and
+        # hom-prelie files none before depth 6, where it checks 2,187
+        al = pykern.layout("hom-algebra", 2)[2]
+        for kind in ("hom-algebra", "hom-prelie"):
+            pykern._scan(kind, None, 2, 3, [-1] * al + [1, 1, 0, 1], 1)
+        (_, top, _, _), (last, deep, _, _) = packed["levels"]
+        assert top == 0 and deep == last + 1
+
+    def test_packing_stops_at_the_field_cap(self, packed):
+        # the GF(2) hlsda space with the Jordan twist files identities
+        # down to depth 15, past the 8,192 fields of depth 12
+        al = pykern.layout("hlsda", 2)[2]
+        case = ("hlsda", None, 2, 2, [-1] * al + [1, 1, 0, 1], 1)
+        assert pykern._scan(*case) == (46, 46, [(0,) * al + (1, 1, 0, 1)])
+        (last, top, fails, _), = packed["levels"]
+        assert len(fails) == 2 ** top == pykern.PACK_FIELDS and top <= last
+
+    def test_grid_vectors_hold_the_slot_products(self):
+        # field i of grid (a, b) at a level: the product of the values at
+        # depths a and b of the i-th assignment, most significant first
+        for p, level, fmt in [(2, 4, "B"), (3, 3, "B"), (5, 2, "H"),
+                              (7, 1, "I"), (89, 1, "Q")]:
+            grids = pykern._Grids(p, level, fmt)
+            width = pykern.FORMATS[fmt]
+            rows = list(itertools.product(range(p), repeat=level + 1))
+            depths = range(level + 1)
+            for a, b in [(-1, -1), *((a, -1) for a in depths),
+                         *itertools.combinations_with_replacement(depths, 2)]:
+                raw = grids[a, b].to_bytes(len(rows) * width, sys.byteorder)
+                assert list(memoryview(raw).cast(fmt)) == [
+                    (1 if a < 0 else row[a]) * (1 if b < 0 else row[b])
+                    for row in rows]
 
 
 # 4294967311 is the least prime above 2^32, where only pykern is exact

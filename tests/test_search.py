@@ -624,8 +624,8 @@ def orbit_sample(shape, n, p, seed, bases, top=False):
 
 def field_format(sample):
     layout = search._sections(sample[0])[0]
-    return search._field_format(max(r * c for _, r, c, _ in layout),
-                                sample[0].field.p)
+    return pykern.field_format(max(r * c for _, r, c, _ in layout),
+                               sample[0].field.p)
 
 
 class TestPackedCanonicalForms:
@@ -672,7 +672,7 @@ class TestPackedCanonicalForms:
         self.check(sample)
 
     def test_field_format_is_the_narrowest_without_carry(self):
-        assert [search._field_format(size, p) for size, p in [
+        assert [pykern.field_format(size, p) for size, p in [
             (255, 2), (256, 2), (31, 3), (32, 3), (1, 41), (1, 42),
             (1, 1626), (1, 1627)]] == ["B", "H", "B", "H", "H", "I",
                                        "I", "Q"]
