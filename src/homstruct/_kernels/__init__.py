@@ -2,8 +2,9 @@
 fallback otherwise. Both run pykern's walk over pykern's polynomial
 table, so they expose the same API and give identical streams: the
 Python walk evaluates its shallow levels as packed big-integer vectors
-before it resumes the scalar walk below each survivor, and the compiled
-walk stays scalar throughout."""
+(bit planes over GF(2) and GF(3), a field per assignment over larger
+fields) before it resumes the scalar walk below each survivor, and the
+compiled walk stays scalar throughout."""
 
 from array import array
 

@@ -34,18 +34,25 @@ Baumert, "Backtrack programming", J. ACM 12, 1965). The compiled kernel
 specialises and files the same polynomials the same way, in C.
 
 The Python walk evaluates its shallowest levels, where few identities
-are filed and the scalar walk would visit every node, as packed vectors:
-one unsigned field of a Python int per assignment of those levels, each
-identity a sum of cached grid vectors (SIMD within a register), a run of
-levels at a time while packing a run pays (PACK_FIELDS and PACK_NODES).
-It then resumes the scalar walk below each survivor in lexicographic
-order. The compiled walk stays scalar. Both give the same stream.
+are filed and the scalar walk would visit every node, over every
+assignment of those levels at once, a run of levels at a time while
+packing a run pays (PACK_BYTES and PACK_NODES). Over GF(2) and GF(3) a
+Python int is a bit plane, a bit per assignment for each nonzero
+residue: a product is an and of planes, a sum an xor over GF(2) and a
+fixed or/xor formula over GF(3), and nothing carries. Over larger fields
+each assignment has an unsigned field of a Python int, and each identity
+is a sum of cached grid vectors (SIMD within a register). When those
+levels hold every filed identity, the survivors are counted by popcount
+and only the first ``cap`` are decoded; otherwise the scalar walk
+resumes below each survivor in lexicographic order. The compiled walk
+stays scalar. Both give the same stream.
 """
 
 import itertools
 import sys
 from array import array
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 NAME = "python"
 
@@ -240,9 +247,9 @@ FORMATS = {f: array(f).itemsize for f in "BHIQ"}
 def field_format(size, p):
     """The narrowest field format that holds a sum of ``size`` products of
     three residues mod p without carrying: the one rule for the packed
-    fields of ``search._canonical_forms`` and of the walk's packed
-    levels. A packed level has at most PACK_FIELDS = 8,192 fields, so
-    p <= 8,192 there, and an identity at level l sums at most
+    fields of ``search._canonical_forms`` and of the walk's packed byte
+    levels (p >= 5). A byte level has at most PACK_BYTES = 8,192 fields,
+    so p <= 8,192 there, and an identity at level l sums at most
     (l + 2)(l + 3) / 2 monomials: 3 below 2^39 at level 0, and below 2^20
     each from level 1 on (p <= 90), so 8 bytes always do."""
     top = size * (p - 1) ** 3
@@ -253,28 +260,183 @@ def field_format(size, p):
 
 # The walk packs a run of levels at a time: the levels through the next
 # one that files an identity (packing a level that files none prunes
-# nothing). It stops before a run whose grid would pass PACK_FIELDS
-# fields, or where the scalar walk would check fewer than PACK_NODES
-# assignments at the run's last level: there the packed evaluation and
-# the grids it builds cost about what the scalar walk saves, and in a
-# fresh interpreter more. Measured on a 2-core Xeon under Python 3.11.7,
-# min of 10 alternated runs, on the search workload's sweeps (dim 2, each
-# invertible twist pinned, weighted as one round runs them): 144 ms for
-# the scalar walk alone and 64 ms as set; caps of 4,096 and 16,384 fields
-# took 95 and 56 ms (16,384 doubles the largest grid), and floors of 0
-# and 128 nodes 59 and 61 ms. Without the floor, the templates whose
-# first identities sit at depth 1 (most dim-2 hom-algebra and dialgebra
-# ones) packed and ran no faster than the scalar walk, and their first
-# sweep in a fresh interpreter took 0.1-0.2 ms more for its grids; with
-# it, the GF(3) hom-leibniz templates whose first run checks 27
-# assignments stay scalar, 0.15-0.35 ms slower each. A stop at fewer
-# than 1/16 or 1/64 of the assignments surviving changed neither the
-# round nor the unital dim-3 GF(2) sweep (211-215 ms).
-PACK_FIELDS = 8192
-PACK_NODES = 64
+# nothing). It stops before a run whose vectors would pass PACK_BYTES
+# bytes, or where the scalar walk would check fewer than PACK_NODES
+# assignments at the run's last level: there the packed evaluation costs
+# about what the scalar walk saves. A vector holds a bit per assignment
+# over GF(2), two over GF(3) (a plane per nonzero residue) and a byte
+# field over larger fields, so 8,192 bytes are 65,536 assignments over
+# GF(2), all 16 free levels of a twist-pinned dim-2 two-product
+# template, 32,768 per GF(3) plane (9 levels) and 8,192 fields over
+# larger fields. Measured on a 2-core Xeon under Python 3.11.7, min of
+# 10 alternated runs, on the search workload's sweeps (dim 2, each
+# invertible twist pinned, weighted as one round runs them): 238 ms for
+# the scalar walk alone and 31.5 ms as set; caps of 2,048, 4,096 and
+# 16,384 bytes took 53.4, 39.9 and 32.4 ms (the GF(2) hlsda sweeps need
+# all 16 levels), and floors of 0, 8, 27, 64 and 128 nodes 33.9, 34.9,
+# 35.3, 46.6 and 51.5 ms. From 32 on, the GF(3) hom-leibniz templates
+# whose first run checks 27 assignments stay scalar, 3-4x slower, and
+# the GF(2) dialgebra ones whose first run checks 32, 1.1-3.3x slower.
+# At 16 the GF(3) hom-algebra templates whose first identity sits at
+# depth 0 or 1 stay scalar, and the others run 1.7-6x faster packed.
+PACK_BYTES = 8192
+PACK_NODES = 16
 
-# a byte per assignment of the packed levels: 1 where it survives
-_ALIVE = b"\1" + bytes(255)
+# bits per assignment of the bit-sliced fields
+_PLANE_BITS = {2: 1, 3: 2}
+
+
+def _run_pays(size, survivors, spread, p):
+    """Whether to pack a run that widens ``size`` assignments, of which
+    ``survivors`` survive, ``spread`` times."""
+    return (size * spread * _PLANE_BITS.get(p, 8) <= 8 * PACK_BYTES
+            and survivors * spread >= PACK_NODES)
+
+
+def _widen(mask, size, p):
+    """``mask`` over ``size`` positions repeated p times: the same flags
+    for each value of one more digit, the most significant."""
+    out = mask
+    for x in range(1, p):
+        out |= mask << x * size
+    return out
+
+
+@lru_cache(maxsize=32)
+def _columns(p, level):
+    """The bit planes of the free slots at depths 0..``level`` over GF(2)
+    or GF(3), for the p^(level + 1) assignments of those slots: position
+    i holds the assignment whose value at depth d is digit d of i in base
+    p, depth 0 least significant. Per depth, the masks of the positions
+    where the slot is 1 and, over GF(3), where it is 2; then those of the
+    constant-1 slot, last so that depth -1 reads them."""
+    columns = []
+    for d in range(level + 1):
+        planes = []
+        for x in range(1, p):
+            mask, size = ((1 << p ** d) - 1) << x * p ** d, p ** (d + 1)
+            for _ in range(level - d):
+                mask, size = _widen(mask, size, p), size * p
+            planes.append(mask)
+        columns.append(tuple(planes))
+    full = (1 << p ** (level + 1)) - 1
+    return (*columns, (full, 0)[:p - 1])
+
+
+def _add3(a, b):
+    """The sum of two GF(3) plane pairs (ones, twos), at every position at
+    once; planes never carry."""
+    a1, a2 = a
+    b1, b2 = b
+    t = (a1 | b2) ^ (a2 | b1)
+    return (a2 | b2) ^ t, (a1 | b1) ^ t
+
+
+def _mul3(a, b):
+    """The product of two GF(3) plane pairs (ones, twos): 1 * 1 and
+    2 * 2 are 1, 1 * 2 and 2 * 1 are 2."""
+    a1, a2 = a
+    b1, b2 = b
+    return (a1 & b1) | (a2 & b2), (a1 & b2) | (a2 & b1)
+
+
+class _Planes(dict):
+    """The product planes of one packed level over GF(3), each built on
+    first use from ``_columns``: the key (c, a, b) holds the plane pair of
+    c times the product of the slots at depths a and b (-1 for the
+    constant-1 slot); a coefficient of 2 swaps the pair."""
+
+    def __init__(self, level):
+        super().__init__()
+        self.level = level
+
+    def __missing__(self, key):
+        c, a, b = key
+        columns = _columns(3, self.level)
+        planes = _mul3(columns[a], columns[b])
+        self[key] = planes = planes[::-1] if c == 2 else planes
+        return planes
+
+
+@lru_cache(maxsize=32)
+def _planes(level):
+    return _Planes(level)
+
+
+def _plane_flags(polys, depth_of, p, level):
+    """The positions (as ``_columns`` orders the assignments of depths
+    0..``level``) where one of ``polys`` fails, as a bit mask: each
+    identity summed over every assignment at once (bitslicing: Boothby &
+    Bradshaw, arXiv:0901.1413, 2009), over GF(2) as the xor of the ands
+    of two columns, over GF(3) with ``_add3`` over ``_Planes``. A GF(2)
+    product costs one and, so it is not kept: at 16 levels the grids
+    would hold 1.2 MB."""
+    flags = 0
+    if p == 2:
+        columns = _columns(2, level)
+        for poly in polys:
+            acc = 0
+            for _, x, y in poly:
+                acc ^= columns[depth_of[x]][0] & columns[depth_of[y]][0]
+            flags |= acc
+        return flags
+    planes = _planes(level)
+    for poly in polys:
+        acc = 0, 0
+        for c, x, y in poly:
+            acc = _add3(acc, planes[c, depth_of[x], depth_of[y]])
+        flags |= acc[0] | acc[1]
+    return flags
+
+
+@lru_cache(maxsize=32)
+def _reversal(p, top):
+    """The delta swaps (mask, shift) that reverse the digits of every
+    position of ``_columns(p, top - 1)``: digits j and top - 1 - j trade
+    values a > b, so the position with a at j and b at k moves up by
+    (a - b)(p^k - p^j), and every mask marks the lower position of its
+    pairs."""
+    if top < 2:
+        return ()
+    columns = _columns(p, top - 1)
+    full = columns[-1][0]
+
+    def where(d, x):  # positions whose digit d is x
+        return columns[d][x - 1] if x else full ^ reduce(or_, columns[d])
+
+    return tuple((where(j, a) & where(top - 1 - j, b),
+                  (a - b) * (p ** (top - 1 - j) - p ** j))
+                 for j in range(top // 2)
+                 for b, a in itertools.combinations(range(p), 2))
+
+
+def _lex(mask, p, top):
+    """``mask`` over ``_columns(p, top - 1)``'s positions, in
+    lexicographic order: bit r for the r-th assignment of depths
+    0..top - 1, depth 0 most significant (a digit reversal by delta
+    swaps: Knuth, TAOCP 4A, 7.1.3)."""
+    for m, shift in _reversal(p, top):
+        t = ((mask >> shift) ^ mask) & m
+        mask ^= t | t << shift
+    return mask
+
+
+def _plane_levels(checks_a, checks_b, depth_of, p):
+    """``_packed_levels`` over GF(2) or GF(3), bit-sliced: the masks in
+    ``_columns``' order, so that a run widens them by shifts."""
+    fails = bads = 0
+    top = 0
+    for end in sorted({*checks_a, *checks_b}):
+        size, spread = p ** top, p ** (end + 1 - top)
+        if not _run_pays(size, size - fails.bit_count(), spread, p):
+            break
+        for _ in range(top, end + 1):
+            fails, bads, size = (_widen(fails, size, p),
+                                 _widen(bads, size, p), size * p)
+        fails |= _plane_flags(checks_a.get(end, ()), depth_of, p, end)
+        bads |= _plane_flags(checks_b.get(end, ()), depth_of, p, end)
+        top = end + 1
+    return top, fails, bads
 
 
 class _Grids(dict):
@@ -314,9 +476,8 @@ class _Grids(dict):
         return grid
 
 
-# A level keeps at most (level + 2)(level + 3) / 2 grids of at most
-# PACK_FIELDS fields; the search workload's sweeps fill 8 levels with
-# 177 grids, 0.68 MB in all.
+# A byte level keeps at most (level + 2)(level + 3) / 2 grids of at most
+# PACK_BYTES fields.
 @lru_cache(maxsize=16)
 def _grids(p, level, fmt):
     return _Grids(p, level, fmt)
@@ -358,30 +519,85 @@ def _flag(mask, polys, depth_of, p, level):
     return fails.to_bytes(len(mask), order)
 
 
-def _packed_levels(checks_a, checks_b, depth_of, p):
-    """The filed identities of levels 0, 1, ... evaluated over all the
-    assignments of those levels at once, a run at a time: the levels
-    through the next one that files an identity. Packing stops before a
-    run whose grid would pass PACK_FIELDS fields or where the scalar walk
-    would check fewer than PACK_NODES assignments at its last level. Returns
-    the number of levels packed and, a byte per assignment in
-    lexicographic order, where one of ``checks_a`` fails and where one
-    of ``checks_b`` does."""
+def _byte_levels(checks_a, checks_b, depth_of, p):
+    """``_packed_levels`` over GF(p), p >= 5, in byte fields: a byte per
+    assignment, in lexicographic order."""
     fails = bads = b"\0"
     top = 0
     for end in sorted({*checks_a, *checks_b}):
-        spread = p ** (end + 1 - top)
-        if (len(fails) * spread > PACK_FIELDS
-                or fails.count(0) * spread < PACK_NODES):
+        if not _run_pays(len(fails), fails.count(0), p ** (end + 1 - top),
+                         p):
             break
         for level in range(top, end + 1):
             fails = _flag(_spread(fails, p), checks_a.get(level, ()),
                           depth_of, p, level)
-            if checks_b:  # a sweep's kind b has no identities
-                bads = _flag(_spread(bads, p), checks_b.get(level, ()),
-                             depth_of, p, level)
+            bads = _flag(_spread(bads, p), checks_b.get(level, ()),
+                         depth_of, p, level)
         top = end + 1
-    return top, fails, bads if checks_b else bytes(len(fails))
+    return top, fails, bads
+
+
+# the translate table that writes a byte mask as binary digits
+_DIGITS = b"0" + b"1" * 255
+
+
+def _packed_levels(checks_a, checks_b, depth_of, p):
+    """The filed identities of levels 0, 1, ... evaluated over all the
+    assignments of those levels at once, a run at a time: the levels
+    through the next one that files an identity, while ``_run_pays``.
+    Returns the number of levels packed and two bit masks over their
+    assignments, bit r for the r-th in lexicographic order: where one of
+    ``checks_a`` fails, and where one of ``checks_b`` does."""
+    if p in _PLANE_BITS:
+        top, fails, bads = _plane_levels(checks_a, checks_b, depth_of, p)
+        return top, _lex(fails, p, top), _lex(bads, p, top)
+    top, fails, bads = _byte_levels(checks_a, checks_b, depth_of, p)
+    return top, *(int(mask.translate(_DIGITS)[::-1], 2)
+                  for mask in (fails, bads))
+
+
+def _ones(mask):
+    """The positions of the set bits of ``mask``, ascending."""
+    words = array("Q", mask.to_bytes(-(-mask.bit_length() // 64) * 8,
+                                     "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    for w in itertools.compress(range(len(words)), words):
+        word, base = words[w], w << 6
+        while word:
+            low = word & -word
+            yield base + low.bit_length() - 1
+            word ^= low
+
+
+def _frontier(polys_a, polys_b, p, fixed):
+    """The walk's start on ``fixed`` (its twist pinned): None when an
+    identity of ``polys_a`` that reads only pinned slots fails, and
+    otherwise ``(v, free, checks_a, checks_b, last, top, alive, bads)``:
+    ``v`` the template with its free slots 0 and the constant-1 slot
+    appended, ``free`` the free slots by depth, the other identities
+    filed by depth (``_specialise``), ``last`` the deepest depth filed
+    (-1 for none), and the ``top`` shallowest levels packed: ``alive``
+    and ``bads`` bit masks, bit r for the r-th assignment of those
+    levels in lexicographic order, where every identity of ``polys_a``
+    filed there holds, and where one of ``polys_b`` (those on the pinned
+    slots included) fails."""
+    free = [slot for slot, x in enumerate(fixed) if x < 0]
+    depth_of = [-1] * (len(fixed) + 1)
+    for d, slot in enumerate(free):
+        depth_of[slot] = d
+    w = [*fixed, 1]
+    checks_a, checks_b = (_specialise(polys, w, p, depth_of)
+                          for polys in (polys_a, polys_b))
+    v = [x if x >= 0 else 0 for x in w]
+    if not _holds(checks_a.pop(-1, ()), v, p):
+        return None
+    bad_pinned = not _holds(checks_b.pop(-1, ()), v, p)
+    last = max((*checks_a, *checks_b), default=-1)
+    top, fails, bads = _packed_levels(checks_a, checks_b, depth_of, p)
+    full = (1 << p ** top) - 1
+    return (v, free, checks_a, checks_b, last, top, full ^ fails,
+            full if bad_pinned else bads)
 
 
 def _walk(polys_a, polys_b, p, fixed):
@@ -398,27 +614,32 @@ def _walk(polys_a, polys_b, p, fixed):
     register, Lamport, CACM 18(8), 1975); the scalar odometer then
     resumes below each surviving assignment of them, in lexicographic
     order, so the stream is the one the scalar walk alone gives."""
-    free = [slot for slot, x in enumerate(fixed) if x < 0]
-    depth_of = [-1] * (len(fixed) + 1)
-    for d, slot in enumerate(free):
-        depth_of[slot] = d
-    w = [*fixed, 1]
-    checks_a, checks_b = (_specialise(polys, w, p, depth_of)
-                          for polys in (polys_a, polys_b))
-    v = [x if x >= 0 else 0 for x in w]
-    if not _holds(checks_a.pop(-1, ()), v, p):
-        return
-    bad_pinned = not _holds(checks_b.pop(-1, ()), v, p)
-    last = max((*checks_a, *checks_b), default=-1)
+    front = _frontier(polys_a, polys_b, p, fixed)
+    return iter(()) if front is None else _below(*front, p)
+
+
+def _decode(v, free, top, i, p, prev=-1):
+    """``v`` with the free slots at depths 0..top - 1 set to the i-th of
+    their assignments in lexicographic order, where ``v`` holds the
+    ``prev``-th: only the digits where i and ``prev`` differ are set."""
+    d = top - 1
+    while d >= 0 and i != prev:
+        i, v[free[d]] = divmod(i, p)
+        prev //= p
+        d -= 1
+
+
+def _below(v, free, checks_a, checks_b, last, top, alive, bads, p):
+    """``_walk`` from the survivors of its packed levels."""
     tail = free[last + 1:]
-    top, fails, bads = _packed_levels(checks_a, checks_b, depth_of, p)
     # bad[d + 1]: an identity of polys_b filed at depth d or shallower fails
     bad = [False] * (last + 2)
-    packed = free[:top][::-1]  # least significant digit of an index first
-    for i in itertools.compress(range(len(fails)), fails.translate(_ALIVE)):
-        bad[top] = bad_pinned or bads[i]
-        for slot in packed:
-            i, v[slot] = divmod(i, p)
+    flags = bads.to_bytes((p ** top + 7) // 8, "little")
+    prev = -1
+    for i in _ones(alive):
+        bad[top] = flags[i >> 3] >> (i & 7) & 1
+        _decode(v, free, top, i, p, prev)
+        prev = i
         if top > last:
             yield v, tail, bad[top]
             continue
@@ -474,9 +695,25 @@ def _scan(kind_a, kind_b, n, p, fixed, cap):
     if min(fixed[layout(kind_a, n)[2]:], default=0) < 0:
         raise ValueError("a scan needs the twist pinned")
     polys_b = () if kind_b is None else _expansion(kind_b, n)
+    front = _frontier(_expansion(kind_a, n), polys_b, p, fixed)
+    if front is None:
+        return 0, 0, []
+    v, free, _, _, last, top, alive, bads = front
+    if top > last:  # every filed level packed: no walk below the survivors
+        tail = free[last + 1:]
+        hit = alive if kind_b is None else alive & bads
+        samples = []
+        for i in itertools.islice(_ones(hit), cap):
+            _decode(v, free, top, i, p)
+            samples += itertools.islice(_assignments(v[:-1], tail, p),
+                                        cap - len(samples))
+            if len(samples) == cap:
+                break
+        every = p ** len(tail)
+        return alive.bit_count() * every, hit.bit_count() * every, samples
     count = hits = 0
     samples = []
-    for v, tail, bad in _walk(_expansion(kind_a, n), polys_b, p, fixed):
+    for v, tail, bad in _below(*front, p):
         count += p ** len(tail)
         if bad or kind_b is None:
             hits += p ** len(tail)

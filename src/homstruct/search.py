@@ -34,12 +34,13 @@ RAW_CANDIDATE_BUDGET = 2 ** 32
 # counts raw candidates, an upper bound on what a walk visits: both
 # kernels run the same pruned walk and visit far fewer, the compiled one
 # at C speed. Twist-pinned dim-3 GF(2) spaces of 2^24 candidates (one
-# product, three of its slots pinned to 0) took the Python kernel
-# 0.001-1.04 s with its packed shallow levels and 0.001-1.07 s with the
+# product, its first three slots pinned to 0) took the Python kernel
+# 0.0002-1.44 s with its packed shallow levels and 0.0002-1.61 s with the
 # scalar walk alone, for hom-algebra, hom-leibniz and hom-prelie over six
 # twists (zero, identity, a 3-cycle, a Jordan block, rank 2, rank 1; the
-# slowest is hom-prelie with the 3-cycle), min of 3 alternated runs on a
-# 2-core machine under Python 3.11.7
+# slowest is hom-prelie with the 3-cycle, whose first identity is filed
+# at depth 18, past the 16 levels the packed walk holds), min of 5
+# alternated runs on a 2-core machine under Python 3.11.7
 SWEEP_BUDGETS = {"compiled": RAW_CANDIDATE_BUDGET, "python": 2 ** 24}
 
 # group_by_isomorphism walks GL_n(F_p) once per call: it packs each
@@ -166,19 +167,19 @@ def _budget_or_raise(free, p, kernel_name):
 def structure_from_flat(kind, flat, n, p, with_unit=False):
     """Materialize a kernel candidate as a checkable structure."""
     gf = PrimeField(p)
-    _, offs, alpha_off = pykern.layout(kind, n)
+    total, offs, alpha_off = pykern.layout(kind, n)
+    flat = tuple(flat)
+    # the flat array in rows of n: row off / n + i n + j is mu(e_i, e_j)
+    # of the product at offset off, row alpha_off / n + i the twist's row i
+    rows = [flat[r:r + n] for r in range(0, total, n)]
 
     def tensor(off):
-        return ProductTensor(gf, tuple(
-            tuple(tuple(flat[off + (i * n + j) * n + k] for k in range(n))
-                  for j in range(n))
-            for i in range(n)))
+        return ProductTensor(gf, tuple(rows[off + i * n:off + (i + 1) * n]
+                                       for i in range(n)))
 
     record, names, _ = KINDS[kind]
-    values = dict(zip(names, [tensor(off) for off in offs]))
-    values["alpha"] = LinearMap(gf, tuple(
-        tuple(flat[alpha_off + i * n + j] for j in range(n))
-        for i in range(n)))
+    values = dict(zip(names, [tensor(off // n) for off in offs]))
+    values["alpha"] = LinearMap(gf, tuple(rows[alpha_off // n:]))
     if with_unit:
         values["unit"] = basis_vector(gf, n, 0)
     return record.from_sections(kind, values)
@@ -188,9 +189,12 @@ def enumerate_structures(spec: SearchSpec, kernel: str = "auto") -> SearchResult
     """All structures over GF(prime) passing the kind's axiom system.
 
     Returns the exact count and the first ``spec.cap`` structures in
-    lexicographic order of their flattened constants.
+    lexicographic order of their flattened constants. ``ValueError`` on
+    a negative ``spec.cap``.
     """
     _require_search_space(spec.dim, spec.prime, spec.kind)
+    if spec.cap < 0:
+        raise ValueError(f"cap must be non-negative, got {spec.cap}")
     kern = _kernels.kernel_for(kernel, spec.prime)
     fixed, _, _ = _flat_template(spec, kern.NAME)
     count, samples = kern.sweep(spec.kind, spec.dim, spec.prime, fixed, spec.cap)

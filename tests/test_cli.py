@@ -664,6 +664,13 @@ class TestSearch:
         doc = json.loads(lines[0])
         assert doc["maps"]["alpha"] == [["1", "0"], ["0", "1"]]
 
+    @pytest.mark.parametrize("cap", ["-1", "-7"])
+    def test_negative_cap_exits_two(self, cap, capsys):
+        assert main(["search", "--kind", "hom-algebra", "--dim", "1",
+                     "--prime", "2", "--cap", cap]) == 2
+        assert capsys.readouterr() == (
+            "", f"invalid search spec: cap must be non-negative, got {cap}\n")
+
     def test_bad_fixed_json_exits_two(self, capsys):
         assert main(["search", "--kind", "hom-algebra", "--dim", "2",
                      "--prime", "2", "--fixed", "{broken"]) == 2

@@ -358,8 +358,9 @@ def packed_cases(kind, n, p, count=3):
 @pytest.fixture
 def packed(monkeypatch):
     """What the Python walk packed: per template ``(last, top, fails,
-    bads)`` from ``_packed_levels``, and the field formats its levels
-    used."""
+    bads)`` from ``_packed_levels`` (the masks bit r for the r-th
+    assignment of the packed levels), and the field formats its byte
+    levels used."""
     seen = {"levels": [], "formats": set()}
     levels, field_format = pykern._packed_levels, pykern.field_format
 
@@ -427,9 +428,9 @@ class TestPackedLevels:
         want = [pykern._scan(*case) for case in cases]
         packed["levels"].clear()
         if setting == "no level":
-            monkeypatch.setattr(pykern, "PACK_FIELDS", 0)
+            monkeypatch.setattr(pykern, "PACK_BYTES", 0)
         else:
-            monkeypatch.setattr(pykern, "PACK_FIELDS", 3 ** 9)
+            monkeypatch.setattr(pykern, "PACK_BYTES", 3 ** 9)
             monkeypatch.setattr(pykern, "PACK_NODES", 0)
         assert [pykern._scan(*case) for case in cases] == want
         for last, top, fails, _ in packed["levels"]:
@@ -444,7 +445,7 @@ class TestPackedLevels:
                 [4, 0, -1, -1, -1, 0, -1, 0, 2, 0, 4, 0], 5)
         assert pykern._scan(*case) == brute_scan(*case) == (0, 0, [])
         (last, top, fails, _), = packed["levels"]
-        assert 2 <= top <= last and fails.count(0) == 0
+        assert 2 <= top <= last and fails == (1 << 5 ** top) - 1
 
     def test_a_grid_wider_than_a_byte(self, packed, no_floor):
         # over GF(5) a one-byte field holds a sum of 3 monomials at most
@@ -464,9 +465,9 @@ class TestPackedLevels:
         assert 0 < hits < count
         assert pykern._scan(*case) == (count, hits, first)
         (_, top, fails, bads), = packed["levels"]
-        alive = [i for i, fail in enumerate(fails) if not fail]
+        alive = (1 << 5 ** top) - 1 ^ fails
         assert top >= 2
-        assert {bads[i] for i in alive} == {0, 1}
+        assert alive & bads and alive & ~bads
 
     def test_runs_too_small_to_pay_stay_scalar(self, packed):
         # the Jordan twist over GF(3): hom-algebra files identities from
@@ -478,20 +479,48 @@ class TestPackedLevels:
         (_, top, _, _), (last, deep, _, _) = packed["levels"]
         assert top == 0 and deep == last + 1
 
-    def test_packing_stops_at_the_field_cap(self, packed):
+    def test_the_byte_cap_holds_every_gf2_two_product_level(self, packed):
         # the GF(2) hlsda space with the Jordan twist files identities
-        # down to depth 15, past the 8,192 fields of depth 12
+        # down to depth 15: its 2^16 assignments fill one 8 KB plane, so
+        # every filed level packs and no scalar walk runs below them
         al = pykern.layout("hlsda", 2)[2]
         case = ("hlsda", None, 2, 2, [-1] * al + [1, 1, 0, 1], 1)
         assert pykern._scan(*case) == (46, 46, [(0,) * al + (1, 1, 0, 1)])
-        (last, top, fails, _), = packed["levels"]
-        assert len(fails) == 2 ** top == pykern.PACK_FIELDS and top <= last
+        (last, top, _, _), = packed["levels"]
+        assert top == last + 1 == al
+        assert 2 ** top // 8 == pykern.PACK_BYTES
+
+    def test_the_byte_cap_counts_both_gf3_planes(self, packed):
+        # the GF(3) hlsda space with the Jordan twist files its first
+        # identity at depth 9: its 3^10 assignments take 14.8 KB in two
+        # planes, past the cap (one plane would fit), so nothing packs
+        al = pykern.layout("hlsda", 2)[2]
+        pykern._scan("hlsda", None, 2, 3, [-1] * al + [1, 1, 0, 1], 1)
+        (last, top, _, _), = packed["levels"]
+        assert top == 0 and last == 15
+        assert 3 ** 10 // 8 <= pykern.PACK_BYTES < 2 * 3 ** 10 // 8
+
+    def test_the_walk_resumes_below_the_byte_cap(self, packed):
+        # 17 free product slots of a dim-3 GF(2) hom-leibniz template with
+        # a 3-cycle twist: identities are filed down to depth 16, one past
+        # the 16 levels 8 KB hold, so the scalar walk resumes below the
+        # survivors of 16 packed levels
+        al = pykern.layout("hom-leibniz", 3)[2]
+        fixed = [-1] * 17 + [0] * (al - 17) + [0, 1, 0, 0, 0, 1, 1, 0, 0]
+        case = ("hom-leibniz", "hom-prelie", 3, 2, fixed, 3)
+        count, hits, first = want = brute_scan(*case)
+        assert 0 < hits < count and len(first) == 3
+        assert pykern._scan(*case) == want
+        assert pykern._scan("hom-leibniz", None, 3, 2, fixed, 0) == \
+            (count, count, [])
+        (last, top, fails, _), _ = packed["levels"]
+        assert top == 16 == last
+        assert fails != (1 << 2 ** top) - 1  # some assignment survives
 
     def test_grid_vectors_hold_the_slot_products(self):
         # field i of grid (a, b) at a level: the product of the values at
         # depths a and b of the i-th assignment, most significant first
-        for p, level, fmt in [(2, 4, "B"), (3, 3, "B"), (5, 2, "H"),
-                              (7, 1, "I"), (89, 1, "Q")]:
+        for p, level, fmt in [(5, 2, "H"), (7, 1, "I"), (89, 1, "Q")]:
             grids = pykern._Grids(p, level, fmt)
             width = pykern.FORMATS[fmt]
             rows = list(itertools.product(range(p), repeat=level + 1))
@@ -502,6 +531,69 @@ class TestPackedLevels:
                 assert list(memoryview(raw).cast(fmt)) == [
                     (1 if a < 0 else row[a]) * (1 if b < 0 else row[b])
                     for row in rows]
+
+    @pytest.mark.parametrize("p, level", [(2, 4), (3, 3)])
+    def test_plane_vectors_hold_the_slot_values(self, p, level):
+        # position i of the planes at a level: the assignment whose value
+        # at depth d is digit d of i, depth 0 least significant, one bit
+        # per value 1, .., p - 1; over GF(3), product planes (c, a, b)
+        # hold c times the product of the values at depths a and b
+        rows = [row[::-1] for row in
+                itertools.product(range(p), repeat=level + 1)]
+
+        def values(planes):
+            return [sum(x * (mask >> i & 1) for x, mask in enumerate(planes, 1))
+                    for i in range(len(rows))]
+
+        columns = pykern._columns(p, level)
+        assert len(columns) == level + 2
+        for d in range(level + 1):
+            assert values(columns[d]) == [row[d] for row in rows]
+        assert values(columns[-1]) == [1] * len(rows)
+        if p == 3:
+            planes = pykern._Planes(level)
+            depths = range(level + 1)
+            for (a, b), c in itertools.product(
+                    [(-1, -1), *((a, -1) for a in depths),
+                     *itertools.combinations_with_replacement(depths, 2)],
+                    (1, 2)):
+                assert values(planes[c, a, b]) == [
+                    c * (1 if a < 0 else row[a]) * (1 if b < 0 else row[b])
+                    % 3 for row in rows]
+
+    @pytest.mark.parametrize("p, top", [(2, 1), (2, 4), (2, 5), (3, 3),
+                                        (3, 4)])
+    def test_masks_come_back_in_lexicographic_order(self, p, top):
+        # bit i of a plane mask is the assignment with digit d of i at
+        # depth d; ``_lex`` moves it to its rank in lexicographic order
+        rng = random.Random(f"{p}:{top}")
+        mask = rng.getrandbits(p ** top)
+        rank = {row: r for r, row in enumerate(
+            itertools.product(range(p), repeat=top))}
+        want = sum(1 << rank[tuple(i // p ** d % p for d in range(top))]
+                   for i in range(p ** top) if mask >> i & 1)
+        assert pykern._lex(mask, p, top) == want
+
+
+def test_gf3_plane_arithmetic_is_exact():
+    """Every pair of residues mod 3 at once: positions 0..8 of the planes
+    at level 1 hold x = i mod 3 at depth 0 and y = i // 3 at depth 1; the
+    sum, the product and each coefficient's product planes hold x + y,
+    x y and c x y mod 3 at each of them."""
+    x, y = pykern._columns(3, 1)[:2]
+
+    def residues(planes):
+        return [(planes[0] >> i & 1) + 2 * (planes[1] >> i & 1)
+                for i in range(9)]
+
+    pairs = [(i % 3, i // 3) for i in range(9)]
+    assert residues(x) == [a for a, _ in pairs]
+    assert residues(y) == [b for _, b in pairs]
+    assert residues(pykern._add3(x, y)) == [(a + b) % 3 for a, b in pairs]
+    assert residues(pykern._mul3(x, y)) == [a * b % 3 for a, b in pairs]
+    planes = pykern._Planes(1)
+    for c in (1, 2):
+        assert residues(planes[c, 0, 1]) == [c * a * b % 3 for a, b in pairs]
 
 
 # 4294967311 is the least prime above 2^32, where only pykern is exact

@@ -51,6 +51,15 @@ class TestCounts:
         assert passing == {(c, t) for c in range(3) for t in range(3)
                            if (c, t) not in ((1, 2), (2, 2))}
 
+    def test_negative_cap_refused(self, kernel):
+        # a cap of 0 counts without materializing; below 0 is an error,
+        # not a cap of 0
+        spec = SearchSpec("hom-algebra", 1, 2, cap=0)
+        assert enumerate_structures(spec, kernel=kernel).count == 4
+        with pytest.raises(ValueError, match="cap must be non-negative"):
+            enumerate_structures(SearchSpec("hom-algebra", 1, 2, cap=-1),
+                                 kernel=kernel)
+
 
 class TestStreams:
     def test_deterministic_across_runs(self):
