@@ -47,8 +47,9 @@ def _emit(args, text):
 
 
 # the most random-vector samples one oracle cross-check may draw: on a
-# 2-core machine under Python 3.11.7 that many took about 22 s on the
-# slowest corpus fixture and 8 min on a dim-10 hom-bialgebra
+# 2-core machine under Python 3.11.7 that many took about 10 s on the
+# slowest corpus fixture (trivdialg3dim), and about 8 min on a dim-10
+# hom-bialgebra when measured on an earlier version
 MAX_ORACLE_SAMPLES = 10 ** 5
 
 

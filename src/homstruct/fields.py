@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import mul
+from operator import countOf, mul
 
 from .errors import FieldError, FieldMismatchError, ScalarParseError
 
@@ -69,8 +69,8 @@ class RationalField:
     denominator > 1 otherwise. Integral values dominate the paper's
     constructions, and native int arithmetic is much cheaper than
     ``Fraction`` arithmetic. ``reduce`` maps any sum or product of
-    scalars (an ``int`` or a ``Fraction``) to this form, and every
-    operation below returns reduced values.
+    scalars (an ``int`` or a ``Fraction``) to this form, ``reduce_row``
+    a row of them, and every operation below returns reduced values.
     """
 
     name = "rational"
@@ -121,11 +121,19 @@ class RationalField:
         return -a
 
     def reduce(self, a):
-        """The canonical scalar of a sum or product of scalars: the
+        """The canonical scalar of one sum or product of scalars: the
         numerator of an integral ``Fraction``, anything else as it is."""
         if type(a) is int:
             return a
         return a.numerator if a.denominator == 1 else a
+
+    def reduce_row(self, row):
+        """``reduce`` over a list or tuple, as a tuple. A row of ints is
+        returned as it is, after one C-level count of their types."""
+        if countOf(map(type, row), int) == len(row):
+            return tuple(row)
+        red = self.reduce
+        return tuple([v if type(v) is int else red(v) for v in row])
 
     def dot(self, xs, ys):
         """sum_i xs[i] * ys[i], skipping zero factors, reduced once."""
@@ -200,8 +208,13 @@ class PrimeField:
         return (-a) % self.p
 
     def reduce(self, a):
-        """The residue of an unreduced sum or product of residues."""
+        """The residue of one unreduced sum or product of residues."""
         return a % self.p
+
+    def reduce_row(self, row):
+        """``reduce`` over a list or tuple, as a tuple."""
+        p = self.p
+        return tuple([v % p for v in row])
 
     def dot(self, xs, ys):
         """sum_i xs[i] * ys[i] mod p, reduced once."""

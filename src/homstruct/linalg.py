@@ -24,12 +24,12 @@ whether it is the identity the same way.
 
 Scalar loops use the native ``+`` and ``*`` of the field's scalars
 (ints, and over QQ a ``Fraction`` for a non-integral value), skip zero
-factors, and call the field's ``reduce`` once per output entry. Over
-GF(p), sums and products of residues are reduced mod p only at the end,
-which gives the same residue because Python ints do not overflow. Over
-QQ, ``reduce`` turns an integral ``Fraction`` back into an ``int``, so
-every output entry is in the field's canonical form and integral data
-stays in native int arithmetic.
+factors, and reduce each accumulated row, or flat square or cube, by one
+call of the field's ``reduce_row``. Over GF(p), this reduces mod p only
+at the end, which gives the same residue because Python ints do not
+overflow. Over QQ, it turns an integral ``Fraction`` back into an
+``int``, so every output entry is in the field's canonical form and
+integral data stays in native int arithmetic.
 
 Batches. A :class:`Batch` holds one value at every index tuple over some
 axes, so that an identity written once over these primitives can be
@@ -63,7 +63,7 @@ samples, or every witness of one axiom:
   per entry of its vector, and ``bullet`` builds one per nonzero column
   of each entry of its left operand.
 * Entries are stored raw (coordinate tuples, rows, planes) and every
-  primitive reduces each output entry once, so a batch entry equals the
+  primitive reduces each output row once, so a batch entry equals the
   plain value at its tuple exactly. An identity map checks its operand's
   shape and field in ``apply``, ``map_left``, ``map_right`` and
   ``map_on_leg3``, then returns a batch operand itself, whose entries are
@@ -83,8 +83,20 @@ from .errors import ShapeError
 from .fields import require_same_field
 
 
+class _Entrywise:
+    """``add`` and ``sub`` of two values, or batches, of one shape."""
+
+    __slots__ = ()
+
+    def add(self, other):
+        return _entrywise(self, other, add)
+
+    def sub(self, other):
+        return _entrywise(self, other, sub)
+
+
 @dataclass(frozen=True)
-class Vector:
+class Vector(_Entrywise):
     field: object
     coords: tuple
 
@@ -95,15 +107,9 @@ class Vector:
     def dim(self):
         return len(self.coords)
 
-    def add(self, other: "Vector") -> "Vector":
-        return _entrywise(self, other, add)
-
-    def sub(self, other: "Vector") -> "Vector":
-        return _entrywise(self, other, sub)
-
     def scale(self, c) -> "Vector":
         f = self.field
-        return Vector(f, tuple([f.reduce(c * a) for a in self.coords]))
+        return Vector(f, f.reduce_row([c * a for a in self.coords]))
 
 
 def zero_vector(field, n: int) -> Vector:
@@ -151,7 +157,7 @@ class LinearMap:
             return _identity_image(v, f)
         m = self.target_dim
         cols = [_nonzeros(col) for col in zip(*self.rows)]
-        zero, red = f.zero, f.reduce
+        zero, red = f.zero, f.reduce_row
         out = []
         for x in v.entries:
             acc = [zero] * m
@@ -159,7 +165,7 @@ class LinearMap:
                 if xj:
                     for i, a in col:
                         acc[i] += xj * a
-            out.append(tuple([red(r) if r else zero for r in acc]))
+            out.append(red(acc))
         return v._with(f, (m,), out)
 
     def column(self, j: int) -> Vector:
@@ -271,14 +277,17 @@ class CoproductTensor:
 
     @cached_property
     def sparse_planes(self):
-        """``sparse_planes[k]``: the nonzero ``(i, j, value)`` entries of
-        delta(e_k). Computed once per tensor."""
-        return tuple([(i, j, v) for i, row in enumerate(plane)
+        """``sparse_planes[k]``: the nonzero entries of delta(e_k) as
+        ``(i * n + j, value)`` pairs, indexed by the position of
+        e_i (x) e_j in the tensor square's basis. Computed once per
+        tensor."""
+        n = len(self.d)
+        return tuple([(i * n + j, v) for i, row in enumerate(plane)
                       for j, v in enumerate(row) if v] for plane in self.d)
 
 
 @dataclass(frozen=True)
-class Tensor2:
+class Tensor2(_Entrywise):
     """An element of V (x) W as a dim(V) x dim(W) coefficient matrix."""
 
     field: object
@@ -293,12 +302,6 @@ class Tensor2:
     @property
     def shape(self):
         return (len(self.entries), len(self.entries[0]) if self.entries else 0)
-
-    def add(self, other: "Tensor2") -> "Tensor2":
-        return _entrywise(self, other, add)
-
-    def sub(self, other: "Tensor2") -> "Tensor2":
-        return _entrywise(self, other, sub)
 
     def map_left(self, g: LinearMap) -> "Tensor2":
         """Apply g to the left tensor leg."""
@@ -317,7 +320,7 @@ class Tensor2:
 
 
 @dataclass(frozen=True)
-class Tensor3:
+class Tensor3(_Entrywise):
     """An element of V (x) V (x) V as a cubical coefficient array."""
 
     field: object
@@ -336,18 +339,12 @@ class Tensor3:
         return (len(e), len(e[0]) if e else 0,
                 len(e[0][0]) if e and e[0] else 0)
 
-    def add(self, other: "Tensor3") -> "Tensor3":
-        return _entrywise(self, other, add)
-
-    def sub(self, other: "Tensor3") -> "Tensor3":
-        return _entrywise(self, other, sub)
-
 
 # the plain class of a batch's entries, by the length of their shape
 _KINDS = (None, Vector, Tensor2, Tensor3)
 
 
-class Batch:
+class Batch(_Entrywise):
     """One value at every index tuple over some axes.
 
     An axis is an index position: ``axes`` lists the ones the value
@@ -358,19 +355,24 @@ class Batch:
     index tuple over ``axes``, in ``itertools.product`` order, stored raw:
     the coordinates of a ``Vector``, or the rows or planes of a
     ``Tensor2`` or ``Tensor3``. Every entry has ``shape``, whose length
-    tells which of the three. Entries are reduced: ``basis_batch``, the
-    oracle's samples and every primitive give only canonical scalars. A
-    batch over no axes is a lifted plain value, whose one entry is that
-    value's raw form as it was built, reduced or not.
+    tells which of the three; the constructor raises ``ShapeError``
+    unless each entry nests as ``shape`` and there are ``n ** len(axes)``.
+    ``basis_batch``, the oracle's samples and every primitive build
+    without these checks, and give only canonical scalars. A batch
+    over no axes is a lifted plain value, whose one entry is that value's
+    raw form as it was built, reduced or not.
     """
 
     __slots__ = ("field", "shape", "axes", "n", "entries")
 
     def __init__(self, field, shape, axes, n, entries):
-        self.field = field
-        self.shape = shape
-        self.axes = axes
-        self.n = n
+        shape, axes = tuple(shape), tuple(axes)
+        if (not 1 <= len(shape) <= 3 or list(axes) != sorted(set(axes))
+                or len(entries) != n ** len(axes)
+                or not _nests_as(entries, shape)):
+            raise ShapeError(f"{len(entries)} entries do not make a batch of "
+                             f"shape {shape} over axes {axes} of {n}")
+        self.field, self.shape, self.axes, self.n = field, shape, axes, n
         self.entries = entries
 
     @property
@@ -380,21 +382,15 @@ class Batch:
     def _with(self, field, shape, entries):
         return _lower(field, shape, self.axes, self.n, entries)
 
-    def add(self, other) -> "Batch":
-        return _entrywise(self, other, add)
-
-    def sub(self, other) -> "Batch":
-        return _entrywise(self, other, sub)
-
     def map_left(self, g: LinearMap) -> "Batch":
         """Apply g to the left leg of every entry."""
         n, m = _square_shape(self)
         f = _leg_map_field(n, self.field, g, "left")
         if g._identity:
             return _identity_image(self, f)
-        dot, rows = _sparse_rows(f, g.rows)
+        dot, red, rows = _sparse_rows(f, g.rows)
         return self._with(f, (g.target_dim, m), [
-            tuple(tuple([dot(grow, col) for col in cols]) for grow in rows)
+            tuple(red([dot(grow, col) for col in cols]) for grow in rows)
             for cols in (list(zip(*e)) for e in self.entries)])
 
     def map_right(self, g: LinearMap) -> "Batch":
@@ -403,32 +399,32 @@ class Batch:
         f = _leg_map_field(m, self.field, g, "right")
         if g._identity:
             return _identity_image(self, f)
-        dot, rows = _sparse_rows(f, g.rows)
+        dot, red, rows = _sparse_rows(f, g.rows)
         return self._with(f, (n, g.target_dim), [
-            tuple(tuple([dot(grow, row) for grow in rows]) for row in e)
+            tuple(red([dot(grow, row) for grow in rows]) for row in e)
             for e in self.entries])
 
     def contract_left(self, functional: LinearMap) -> "Batch":
         n, m = _square_shape(self)
         f = _functional_field(n, self.field, functional, "left")
-        dot, (row,) = _sparse_rows(f, functional.rows)
-        return self._with(f, (m,), [tuple([dot(row, col) for col in zip(*e)])
+        dot, red, (row,) = _sparse_rows(f, functional.rows)
+        return self._with(f, (m,), [red([dot(row, col) for col in zip(*e)])
                                     for e in self.entries])
 
     def contract_right(self, functional: LinearMap) -> "Batch":
         n, m = _square_shape(self)
         f = _functional_field(m, self.field, functional, "right")
-        dot, (row,) = _sparse_rows(f, functional.rows)
-        return self._with(f, (n,), [tuple([dot(row, erow) for erow in e])
+        dot, red, (row,) = _sparse_rows(f, functional.rows)
+        return self._with(f, (n,), [red([dot(row, erow) for erow in e])
                                     for e in self.entries])
 
 
 def basis_batch(field, n: int, axis: int) -> Batch:
     """The n basis vectors along argument position ``axis``."""
     one, zero = field.one, field.zero
-    return Batch(field, (n,), (axis,), n,
-                 [tuple(one if j == i else zero for j in range(n))
-                  for i in range(n)])
+    return _batch(field, (n,), (axis,), n,
+                  [tuple(one if j == i else zero for j in range(n))
+                   for i in range(n)])
 
 
 def mismatches(lhs, rhs, arity: int, n: int):
@@ -477,7 +473,7 @@ def apply_bilinear(p: ProductTensor, x: Vector, y: Vector) -> Vector:
     f = require_same_field(p.field, x.field, y.field)
     axes, pairs = _join(x.axes, y.axes, x.n)
     xs, ys = x.entries, y.entries
-    zero, red = f.zero, f.reduce
+    zero, red = f.zero, f.reduce_row
     out = []
     if len(pairs) == len(xs) == len(ys):
         # the same axes, so the pairs are (0, 0), (1, 1), ...
@@ -491,7 +487,7 @@ def apply_bilinear(p: ProductTensor, x: Vector, y: Vector) -> Vector:
                             ab = a * b
                             for k, c in row:
                                 acc[k] += ab * c
-            out.append(tuple(map(red, acc)))
+            out.append(red(acc))
         return _lower(f, (n,), axes, x.n, out)
     if len(xs) <= len(ys):
         # mu(u, e_j) = sum_i u_i c[i][j]
@@ -519,7 +515,7 @@ def apply_bilinear(p: ProductTensor, x: Vector, y: Vector) -> Vector:
             for a, w in args[j]:
                 for k, c in op[a]:
                     acc[k] += w * c
-            value = memo[i][j] = tuple([red(v) if v else zero for v in acc])
+            value = memo[i][j] = red(acc)
         out.append(value)
     return _lower(f, (n,), axes, x.n, out)
 
@@ -535,12 +531,12 @@ def apply_coproduct(q: CoproductTensor, x: Vector) -> Tensor2:
     f = require_same_field(q.field, x.field)
     planes, out = q.sparse_planes, []
     for xs in x.entries:
-        acc = _zeros2(f, n)
+        acc = [f.zero] * (n * n)
         for c, plane in zip(xs, planes):
             if c:
-                for i, j, v in plane:
-                    acc[i][j] += c * v
-        out.append(_reduced(f, acc))
+                for ij, v in plane:
+                    acc[ij] += c * v
+        out.append(_rows(f, acc, n))
     return x._with(f, (n, n), out)
 
 
@@ -596,46 +592,48 @@ def map_on_leg3(t: Tensor3, g: LinearMap, leg: int) -> Tensor3:
     if g._identity:
         return _identity_image(t, f)
     shape[leg] = g.target_dim
-    dot, rows = _sparse_rows(f, g.rows)
-    return t._with(f, tuple(shape), [_map_on_leg3(dot, rows, e, leg)
+    dot, red, rows = _sparse_rows(f, g.rows)
+    return t._with(f, tuple(shape), [_map_on_leg3(dot, red, rows, e, leg)
                                      for e in t.entries])
 
 
 def coproduct_on_left(t: Tensor2, q: CoproductTensor) -> Tensor3:
     """(delta (x) id) applied to an element of V (x) V."""
-    t = _lift(t)
-    f = require_same_field(t.field, q.field)
-    n, planes = q.dim, q.sparse_planes
-    _require_square(t, n)
-    out = []
-    for rows in t.entries:
-        cube = [_zeros2(f, n) for _ in range(n)]
-        for trow, plane in zip(rows, planes):
-            nz = _nonzeros(trow)
-            if nz:
-                for a, b, w in plane:
-                    orow = cube[a][b]
-                    for k, v in nz:
-                        orow[k] += v * w
-        out.append(tuple(_reduced(f, plane) for plane in cube))
-    return t._with(f, (n, n, n), out)
+    return _coproduct_on_leg(t, q, 0)
 
 
 def coproduct_on_right(t: Tensor2, q: CoproductTensor) -> Tensor3:
     """(id (x) delta) applied to an element of V (x) V."""
+    return _coproduct_on_leg(t, q, 1)
+
+
+def _coproduct_on_leg(t, q, leg):
     t = _lift(t)
     f = require_same_field(t.field, q.field)
     n, planes = q.dim, q.sparse_planes
-    _require_square(t, n)
+    if t.shape != (n, n):
+        raise ShapeError(f"coproduct dimension {n} does not match tensor "
+                         f"square {t.shape}")
     out = []
     for rows in t.entries:
-        cube = [_zeros2(f, n) for _ in range(n)]
-        for trow, oplane in zip(rows, cube):
-            for v, plane in zip(trow, planes):
-                if v:
-                    for a, b, w in plane:
-                        oplane[a][b] += v * w
-        out.append(tuple(_reduced(f, plane) for plane in cube))
+        cube = [f.zero] * (n * n * n)
+        if leg == 0:
+            for trow, plane in zip(rows, planes):
+                nz = _nonzeros(trow)
+                if nz:
+                    for ab, w in plane:
+                        ab *= n
+                        for k, v in nz:
+                            cube[ab + k] += v * w
+        else:
+            for r, trow in enumerate(rows):
+                r *= n * n
+                for v, plane in zip(trow, planes):
+                    if v:
+                        for ab, w in plane:
+                            cube[r + ab] += v * w
+        cube = _rows(f, cube, n)
+        out.append(tuple([cube[i:i + n] for i in range(0, n * n, n)]))
     return t._with(f, (n, n, n), out)
 
 
@@ -682,10 +680,9 @@ def product_from_basis_values(field, n: int, value_at) -> ProductTensor:
 
 
 def _outer_rows(f, xs, ys):
-    red = f.reduce
+    red = f.reduce_row
     zero_row = (f.zero,) * len(ys)
-    return tuple(tuple([red(a * b) for b in ys]) if a else zero_row
-                 for a in xs)
+    return tuple(red([a * b for b in ys]) if a else zero_row for a in xs)
 
 
 def _bullet(f, left, ops, cols):
@@ -694,7 +691,7 @@ def _bullet(f, left, ops, cols):
     the nonzeros of the columns b_j2 of b."""
     zero = f.zero
     n = len(left)
-    out = _zeros2(f, n)
+    out = [zero] * (n * n)
     for op, plane in zip(ops, left):
         if op is None:
             continue
@@ -708,47 +705,49 @@ def _bullet(f, left, ops, cols):
                     acc[k] += w * v
             for k, u in enumerate(acc):
                 if u:
-                    orow = out[k]
+                    k *= n
                     for m, cr in right:
-                        orow[m] += u * cr
-    return _reduced(f, out)
+                        out[k + m] += u * cr
+    return _rows(f, out, n)
 
 
 def _on_leg(f, op, rows, leg):
     """The operator ``op`` (rows of (index, value) pairs) applied to the
     left leg (``leg=0``) or the right leg (``leg=1``) of a tensor square
     given as rows."""
-    out = _zeros2(f, len(op))
+    n = len(op)
+    out = [f.zero] * (n * n)
     if leg == 0:
         for row, oprow in zip(rows, op):
             if not oprow:
                 continue
             nz = _nonzeros(row)
             for k, v in oprow:
-                orow = out[k]
+                k *= n
                 for m, w in nz:
-                    orow[m] += v * w
+                    out[k + m] += v * w
     else:
-        for row, orow in zip(rows, out):
+        for k, row in enumerate(rows):
+            k *= n
             for w, oprow in zip(row, op):
                 if w:
                     for m, v in oprow:
-                        orow[m] += w * v
-    return _reduced(f, out)
+                        out[k + m] += w * v
+    return _rows(f, out, n)
 
 
-def _map_on_leg3(dot, rows, e, leg):
+def _map_on_leg3(dot, red, rows, e, leg):
     if leg == 0:
         # fibers[j][k] = (e[0][j][k], e[1][j][k], ...)
         fibers = [list(zip(*planes)) for planes in zip(*e)]
-        return tuple(tuple(tuple([dot(grow, fib) for fib in row])
+        return tuple(tuple(red([dot(grow, fib) for fib in row])
                            for row in fibers)
                      for grow in rows)
     if leg == 1:
-        return tuple(tuple(tuple([dot(grow, col) for col in cols])
+        return tuple(tuple(red([dot(grow, col) for col in cols])
                            for grow in rows)
                      for cols in (list(zip(*plane)) for plane in e))
-    return tuple(tuple(tuple([dot(grow, row) for grow in rows])
+    return tuple(tuple(red([dot(grow, row) for grow in rows])
                        for row in plane)
                  for plane in e)
 
@@ -773,20 +772,20 @@ def _operator(f, n, u, planes):
     terms = [(a, plane) for a, plane in zip(u, planes) if a]
     if len(terms) == 1 and terms[0][0] == 1:
         return terms[0][1]
-    acc = _zeros2(f, n)
+    acc = [f.zero] * (n * n)
     for a, plane in terms:
-        for arow, prow in zip(acc, plane):
+        for i, prow in enumerate(plane):
+            i *= n
             for k, v in prow:
-                arow[k] += a * v
-    red = f.reduce
-    return [[(k, red(v)) for k, v in enumerate(row) if v] for row in acc]
+                acc[i + k] += a * v
+    return list(map(_nonzeros, _rows(f, acc, n)))
 
 
 def _sparse_rows(f, rows):
-    """The rows of a map as their nonzero (index, value) pairs, and the
-    inner product of such a row with a dense one, reduced once: the form
-    the leg maps and contractions map every entry with."""
-    red, zero = f.reduce, f.zero
+    """The rows of a map as their nonzero (index, value) pairs, the
+    unreduced inner product of such a row with a dense one, and the
+    ``reduce_row`` for rows of them: how leg maps map every entry."""
+    zero = f.zero
 
     def dot(row, xs):
         acc = zero
@@ -794,9 +793,9 @@ def _sparse_rows(f, rows):
             x = xs[i]
             if x:
                 acc += a * x
-        return red(acc)
+        return acc
 
-    return dot, [_nonzeros(r) for r in rows]
+    return dot, f.reduce_row, [_nonzeros(r) for r in rows]
 
 
 def _nonzeros(xs):
@@ -818,16 +817,34 @@ def _lift(v, n=1):
     if type(v) is Batch:
         return v
     shape = _shape_of(v)
-    return Batch(v.field, shape, (), n,
-                 [v.coords if type(v) is Vector else v.entries])
+    return _batch(v.field, shape, (), n,
+                  [v.coords if type(v) is Vector else v.entries])
 
 
 def _lower(f, shape, axes, n, entries):
     """A result over ``axes`` as a batch, or over no axes, where every
     operand was plain, as the plain value of its one entry."""
     if axes:
-        return Batch(f, shape, axes, n, entries)
+        return _batch(f, shape, axes, n, entries)
     return _KINDS[len(shape)](f, entries[0])
+
+
+def _batch(field, shape, axes, n, entries):
+    """A batch built without the constructor's checks, for entries this
+    package made: a primitive's results and the oracle's samples."""
+    b = Batch.__new__(Batch)
+    b.field, b.shape, b.axes, b.n, b.entries = field, shape, axes, n, entries
+    return b
+
+
+def _nests_as(entries, shape):
+    """Whether each of ``entries`` is a tuple or list of ``shape[0]``
+    items that nest as ``shape[1:]``, down to scalars."""
+    size, rest = shape[0], shape[1:]
+    return all(isinstance(e, (tuple, list)) and len(e) == size
+               and (_nests_as(e, rest) if rest else
+                    not any(isinstance(x, (tuple, list)) for x in e))
+               for e in entries)
 
 
 def _identity_image(v, f):
@@ -837,7 +854,7 @@ def _identity_image(v, f):
     if v.axes:
         return v
     return v._with(f, v.shape,
-                   [_reduce_raw(f.reduce, len(v.shape), v.entries[0])])
+                   [_rowwise(f.reduce_row, len(v.shape), v.entries[0])])
 
 
 def _batches(x, y, ranks=None):
@@ -887,23 +904,20 @@ def _entrywise(x, y, op):
     if x.shape != y.shape:
         raise ShapeError(f"shape mismatch: {x.shape} vs {y.shape}")
     f = require_same_field(x.field, y.field)
-    red, depth = f.reduce, len(x.shape)
+    red, depth = f.reduce_row, len(x.shape)
+
+    def row(a, b):
+        return red(list(map(op, a, b)))
+
     return _pairwise(x, y, f, x.shape,
-                     lambda u, v: _zipwith(op, red, depth, u, v))
+                     lambda u, v: _rowwise(row, depth, u, v))
 
 
-def _reduce_raw(red, depth, a):
-    """Raw entries of the given depth with every scalar reduced."""
+def _rowwise(fn, depth, *values):
+    """``fn`` at each row of raw values of the given depth, taken in step."""
     if depth == 1:
-        return tuple(map(red, a))
-    return tuple([_reduce_raw(red, depth - 1, r) for r in a])
-
-
-def _zipwith(op, red, depth, a, b):
-    if depth == 1:
-        return tuple(map(red, map(op, a, b)))
-    return tuple([_zipwith(op, red, depth - 1, ra, rb)
-                  for ra, rb in zip(a, b)])
+        return fn(*values)
+    return tuple([_rowwise(fn, depth - 1, *rows) for rows in zip(*values)])
 
 
 def _spread(v, axes, n):
@@ -914,12 +928,6 @@ def _spread(v, axes, n):
     return [e[i] for i, _ in _join(v.axes, axes, n)[1]]
 
 
-def _require_square(t, n):
-    if t.shape != (n, n):
-        raise ShapeError(f"coproduct dimension {n} does not match tensor "
-                         f"square {t.shape}")
-
-
 def _square_shape(b):
     if len(b.shape) != 2:
         raise ShapeError(f"expected a batch of tensor squares, got shape "
@@ -927,11 +935,8 @@ def _square_shape(b):
     return b.shape
 
 
-def _zeros2(f, n):
-    return [[f.zero] * n for _ in range(n)]
+def _rows(f, acc, n):
+    """A flat accumulator, reduced by one field call, as rows of n."""
+    t = f.reduce_row(acc)
+    return tuple([t[i:i + n] for i in range(0, len(t), n)])
 
-
-def _reduced(f, acc):
-    red = f.reduce
-    zero = f.zero
-    return tuple(tuple([red(v) if v else zero for v in row]) for row in acc)

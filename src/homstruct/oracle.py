@@ -47,7 +47,7 @@ from fractions import Fraction
 
 from .axioms import run_check, suite_for
 from .fields import PrimeField
-from .linalg import Batch, Vector, basis_batch, mismatches
+from .linalg import Vector, _batch, basis_batch, mismatches
 
 # canonical scalars of QQ; the order fixes the sample stream
 RATIONAL_POOL = (-2, -1, 0, 1, 2, 3, Fraction(1, 2), Fraction(-1, 3))
@@ -122,7 +122,7 @@ def oracle_crosscheck(structure, check_id: str, samples: int = 100,
             draws = [[tuple([rng.choice(pool) for _ in range(n)])
                       for _ in range(arity)] for _ in range(size)]
             lhs, rhs = test.evaluate(*(
-                Batch(field, (n,), (0,), size, [d[a] for d in draws])
+                _batch(field, (n,), (0,), size, [d[a] for d in draws])
                 for a in range(arity)))
             first = next(mismatches(lhs, rhs, 1, size), None)
             if first is not None:
@@ -147,8 +147,8 @@ def oracle_crosscheck(structure, check_id: str, samples: int = 100,
         if test is None:
             continue
         lhs, rhs = test.evaluate(*(
-            Batch(field, (n,), (0,), len(idx),
-                  [basis[witnesses[i].at[a]] for i in idx])
+            _batch(field, (n,), (0,), len(idx),
+                   [basis[witnesses[i].at[a]] for i in idx])
             for a in range(test.arity)))
         still_failing.update(idx[j] for (j,), _, _ in
                              mismatches(lhs, rhs, 1, len(idx)))

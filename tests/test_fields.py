@@ -110,3 +110,33 @@ def test_field_equality_and_mixing():
     assert require_same_field(QQ, QQ) == QQ
     with pytest.raises(FieldMismatchError):
         require_same_field(QQ, PrimeField(2))
+
+
+# a row's canonical scalars are the scalars' own: reduce_row is reduce over
+# the row, in value and in type, for ints, integral and proper fractions and
+# residues outside [0, p), alone and mixed
+BIG = 2 ** 64 + 3
+ROWS = (
+    (), (0,), (0, 0, 0), (-5, 0, 7), (BIG, -BIG, 2 ** 100),
+    (Fraction(4, 1),), (Fraction(0),), (Fraction(-6, 3), Fraction(0), 1),
+    (Fraction(1, 2), Fraction(-7, 3)), (3, Fraction(1, 2), -BIG, 0),
+    (Fraction(BIG, 1), 5, Fraction(2, 4), Fraction(-8, 2)),
+    (-1, -7, 11, 22, BIG, -BIG, 4, 5, 6, 7),
+)
+
+
+@pytest.mark.parametrize("f", [QQ, PrimeField(2), PrimeField(5),
+                               PrimeField(7)], ids=lambda f: f.name)
+@pytest.mark.parametrize("row", ROWS, ids=repr)
+def test_reduce_row_is_reduce_over_the_row(f, row):
+    if f is not QQ:
+        # GF(p) reduces unreduced sums and products of residues: ints
+        row = tuple(v if isinstance(v, int) else v.numerator for v in row)
+    want = tuple(map(f.reduce, row))
+    for given_row in (row, list(row)):
+        got = f.reduce_row(given_row)
+        assert type(got) is tuple
+        assert got == want
+        assert list(map(type, got)) == list(map(type, want))
+    if f is not QQ:
+        assert all(0 <= v < f.p for v in want)

@@ -593,6 +593,45 @@ class TestCanonicalRationals:
         # (x (x) x) . (x (x) x) = x^2/4 (x) 4x^2: the entry 1/4 * 4 is an int
         assert outputs[1].mu.c[4][4][8] == 1
 
+    def test_primitives_give_ints_where_fractions_cancel(self):
+        # mat2_twist_conj's product and twist hold 1/2; at even arguments
+        # every sum and product of it is integral, so each primitive must
+        # give ints, not integral Fractions
+        s = documents.document_to_structure(
+            documents.load_path(DATA_DIR / "mat2_twist_conj.json"))
+        mu, alpha, n = s.mu, s.alpha, s.dim
+        assert _fraction_count(mu.c) and _fraction_count(alpha.rows)
+        q = hs.CoproductTensor(F, tuple(tuple(tuple(mu.c[i][j][k]
+                                                    for j in range(n))
+                                              for i in range(n))
+                                        for k in range(n)))
+        x, y = vec([2, 4, 2, 6]), vec([4, 2, 0, 2])
+        half = vec(["1/2", "-3/2", "1/2", "5/2"])
+        t = hs.Tensor2(F, ((2, 4, 0, 2),) * n)
+        cube = hs.Tensor3(F, (t.entries,) * n)
+        bx = Batch(F, (n,), (0,), 2, [x.coords, y.coords])
+        by = Batch(F, (n,), (1,), 2, [y.coords, (0, 2, 2, 2)])
+        functional = lmap([["1/2", "-1/2", "1/2", "3/2"]])
+        values = [
+            alpha.apply(x), alpha.apply(bx), apply_bilinear(mu, x, y),
+            apply_bilinear(mu, bx, bx), apply_bilinear(mu, bx, by),
+            apply_bilinear(mu, by, bx), apply_coproduct(q, x),
+            coproduct_on_left(t, q), coproduct_on_right(t, q),
+            bullet(mu, t, t), multiply_leg(mu, x, t, 0),
+            multiply_leg(mu, x, t, 1), outer(half, x), outer(x, half),
+            half.scale(2), half.add(half), half.sub(vec(["-1/2"] * n)),
+            t.map_left(alpha), t.map_right(alpha), t.contract_left(functional),
+            t.contract_right(functional),
+            kron(alpha, lmap([[2 if i == j else 0 for j in range(n)]
+                              for i in range(n)])),
+            hs.identity_map(F, n).apply(hs.Vector(F, (Fraction(4, 2),) * n)),
+        ] + [map_on_leg3(cube, alpha, leg) for leg in range(3)]
+        for v in values:
+            raw = (v.rows if type(v) is hs.LinearMap else v.coords
+                   if type(v) is hs.Vector else tuple(v.entries)
+                   if type(v) is Batch else v.entries)
+            assert not _fraction_count(raw), v
+
 
 # ---------------------------------------------------------------------------
 # batches: every batch-aware primitive against its plain evaluation at each
@@ -744,6 +783,36 @@ class TestBatches:
         assert swapped.entries[0 * 3 + 2] == (0, 0, 2)
         assert swapped.entries[2 * 3 + 0] == (0, 0, 2)
         assert swapped.entries[1 * 3 + 2] == (0, 0, 0)
+
+    def test_ragged_entries_refused(self):
+        # a hand-built batch whose entries do not nest as its shape, or
+        # whose entry count does not match its axes, is refused where it
+        # is built instead of giving truncated results
+        gf3 = PrimeField(3)
+        g = hs.LinearMap(gf3, ((1, 1), (0, 1)))
+        with pytest.raises(ShapeError):
+            map_on_leg3(Batch(gf3, (2, 2, 2), (0,), 1,
+                              [(((1, 2), (0, 1)), ((1, 1),))]), g, 0)
+        with pytest.raises(ShapeError):
+            Batch(gf3, (2, 2), (0,), 1, [((1, 2), (0,))]).add(
+                hs.Tensor2(gf3, ((1, 1), (1, 1))))
+        for shape, axes, k, entries in (
+                ((2,), (0,), 2, [(1, 2)]),
+                ((2,), (0, 1), 2, [(1, 2)] * 2),
+                ((2,), (1, 0), 1, [(1, 2)]),
+                ((2,), (0,), 1, [(1, 2, 0)]),
+                ((2,), (0,), 1, [((1, 2), (0, 1))]),
+                ((2,), (0,), 1, [5]),
+                ((2, 2), (0,), 1, [(1, 2)]),
+                ((), (0,), 1, [()]),
+                ((1, 1, 1, 1), (0,), 1, [((((1,),),),)])):
+            with pytest.raises(ShapeError):
+                Batch(gf3, shape, axes, k, entries)
+        # lists nest as well as tuples, and a batch over no axes has one entry
+        b = Batch(gf3, [2, 2], [0, 2], 1, [[[1, 2], (0, 1)]])
+        assert (b.shape, b.axes) == ((2, 2), (0, 2))
+        assert Batch(gf3, (2,), (), 3, [(1, 2)]).add(
+            hs.Vector(gf3, (2, 2))) == hs.Vector(gf3, (0, 1))
 
     def test_basis_batch(self):
         b = basis_batch(F, 3, 1)
