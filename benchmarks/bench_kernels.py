@@ -9,10 +9,13 @@ the twist pinned, and the unital dim-3 GF(2) hom-algebras (512 twist
 templates, each specialised before its walk; 4,268 structures) run
 through both kernels, all but two collecting every sample. Those two,
 the 2^20 spaces again with cap 0, time the walk alone: collecting
-65,854 or 67,168 sample tuples is most of a full 2^20 row. Both kernels
-run the same pruned walk over pykern's polynomial table, so a rate
-counts the raw candidates the walk accounts for, not the nodes it
-visits. The full dialgebra-vs-hlsda audit runs on each kernel. A last
+65,854 or 67,168 sample tuples is most of a full 2^20 row. Two more
+rows time the scalar Python walk over GF(p >= 5), where nothing packs:
+the GF(5) dim-2 hom-algebra space with the identity twist pinned (the
+associative algebras), and the full dim-1 GF(1009) hom-algebra space
+(1,009 twist templates). Both kernels run the same pruned walk over
+pykern's polynomial table, so a rate counts the raw candidates the walk
+accounts for, not the nodes it visits. The full dialgebra-vs-hlsda audit runs on each kernel. A last
 layer row groups the full dim-2 GF(2) hom-algebra, hom-leibniz and
 hom-prelie streams into isomorphism classes and checks the class
 counts. Every time is the best of 3 calls after a warm-up call.
@@ -84,11 +87,16 @@ def run():
         ("hom-algebra", 3, 2, _flat_template(
             SearchSpec("hom-algebra", 3, 2, require_unit=True), "python")[0],
          ALL_SAMPLES),
+        ("hom-algebra", 2, 5,
+         twist_pinned_template("hom-algebra", 2, [[1, 0], [0, 1]]),
+         ALL_SAMPLES),
+        ("hom-algebra", 1, 1009, free_template("hom-algebra", 1),
+         ALL_SAMPLES),
     ]
 
     have_compiled = "compiled" in available()
     print(f"kernels available: {', '.join(available())}")
-    header = f"{'workload':<28} {'count':>8} {'python':>10} {'cand/s':>10}"
+    header = f"{'workload':<32} {'count':>8} {'python':>10} {'cand/s':>10}"
     if have_compiled:
         header += f" {'compiled':>10} {'cand/s':>10} {'speedup':>8}"
     print(header)
@@ -96,7 +104,7 @@ def run():
         free = sum(1 for x in fixed if x < 0)
         label = f"{kind} n={n} p={p} " + (f"({p}^{free})" if cap else "cap 0")
         py, t_py = time_sweep(kind, n, p, fixed, cap, "python")
-        line = f"{label:<28} {py[0]:>8} {t_py:>9.3f}s {rate(p ** free, t_py)}"
+        line = f"{label:<32} {py[0]:>8} {t_py:>9.3f}s {rate(p ** free, t_py)}"
         if have_compiled:
             c, t_c = time_sweep(kind, n, p, fixed, cap, "compiled")
             assert py == c, (kind, n, p, "sample streams differ")
@@ -115,14 +123,14 @@ def run():
               f"{result[0]} dialgebras, {result[1]} violations, {t:.2f}s")
     assert all(a == audits[0] for a in audits), "audits differ"
 
-    print(f"\n{'group_by_isomorphism':<28} {'structs':>8} {'classes':>8} "
+    print(f"\n{'group_by_isomorphism':<32} {'structs':>8} {'classes':>8} "
           f"{'time':>10}")
     for kind, classes in ORBIT_COUNTS.items():
         spec = SearchSpec(kind, 2, 2, cap=2 ** pykern.layout(kind, 2)[0])
         structures = enumerate_structures(spec).structures
         orbits, t = best_of_3(lambda: group_by_isomorphism(structures))
         assert len(orbits) == classes, (kind, len(orbits), classes)
-        print(f"{kind + ' n=2 p=2':<28} {len(structures):>8} "
+        print(f"{kind + ' n=2 p=2':<32} {len(structures):>8} "
               f"{len(orbits):>8} {t:>9.3f}s")
 
 

@@ -6,7 +6,7 @@
    a constant 1. pykern._table encodes the expansion as 64-bit ints: the
    offset of kind b's first identity, then per identity its monomial count
    and its monomials (c, x, y, z). plan() specialises the table to the
-   template as pykern._specialise does, and scan() runs pykern._walk's
+   template as pykern._specialise does, and scan() runs pykern._below's
    depth-first walk over the result, so counts and sample streams match
    pykern's bit for bit. See pykern's module docstring for the flat
    candidate layout. This file holds no kind names, no layout formula and
@@ -103,7 +103,7 @@ static int collect(Space *s, const Py_ssize_t *slots, Py_ssize_t nslots) {
     return rc;
 }
 
-/* pykern._walk from free slot d on, bad when an identity of kind b
+/* pykern._below from free slot d on, bad when an identity of kind b
    already fails: a failing identity of kind a drops the p^(nfree - d - 1)
    candidates below; past the deepest identity, every completion of the
    tail passes kind a, and fails kind b exactly when bad. */

@@ -33,19 +33,23 @@ cannot change the residual mod p, so the pruning is exact (Golomb &
 Baumert, "Backtrack programming", J. ACM 12, 1965). The compiled kernel
 specialises and files the same polynomials the same way, in C.
 
-The Python walk evaluates its shallowest levels, where few identities
-are filed and the scalar walk would visit every node, over every
-assignment of those levels at once, a run of levels at a time while
-packing a run pays (PACK_BYTES and PACK_NODES). Over GF(2) and GF(3) a
-Python int is a bit plane, a bit per assignment for each nonzero
-residue: a product is an and of planes, a sum an xor over GF(2) and a
-fixed or/xor formula over GF(3), and nothing carries. Over larger fields
-each assignment has an unsigned field of a Python int, and each identity
-is a sum of cached grid vectors (SIMD within a register). When those
-levels hold every filed identity, the survivors are counted by popcount
-and only the first ``cap`` are decoded; otherwise the scalar walk
-resumes below each survivor in lexicographic order. The compiled walk
-stays scalar. Both give the same stream.
+Over GF(2) and GF(3) the Python walk evaluates its shallowest levels,
+where few identities are filed and the scalar walk would visit every
+node, over every assignment of those levels at once, a run of levels at
+a time while packing a run pays (PACK_BYTES and PACK_NODES). A Python
+int is a bit plane, a bit per assignment for each nonzero residue: a
+product is an and of planes, a sum an xor over GF(2) and a fixed or/xor
+formula over GF(3), and nothing carries. When those levels hold every
+filed identity, the survivors are counted by popcount and only the
+first ``cap`` are decoded; otherwise the scalar walk resumes below each
+survivor in lexicographic order. Over larger fields the walk is scalar
+from the root: packing a byte field per assignment there measured no
+faster (2-core Xeon, Python 3.11.7, ten alternated runs each: the 625
+twists of the full GF(5) dim-2 sweep took 4.34-5.03 s packed and
+4.40-4.98 s scalar for hom-algebra, 19.5-23.1 s and 19.6-23.2 s for
+hom-leibniz) and twice as slow on the full dim-1 GF(1009) hom-algebra
+sweep (0.48-0.58 s against 0.22-0.25 s). The compiled walk stays
+scalar. Both give the same stream.
 """
 
 import itertools
@@ -239,37 +243,18 @@ def _specialise(polys, w, p, depth_of):
     return filed
 
 
-# native formats of unsigned fields, narrowest first, and their widths in
-# bytes; memoryview.cast and array read and write them alike
-FORMATS = {f: array(f).itemsize for f in "BHIQ"}
-
-
-def field_format(size, p):
-    """The narrowest field format that holds a sum of ``size`` products of
-    three residues mod p without carrying: the one rule for the packed
-    fields of ``search._canonical_forms`` and of the walk's packed byte
-    levels (p >= 5). A byte level has at most PACK_BYTES = 8,192 fields,
-    so p <= 8,192 there, and an identity at level l sums at most
-    (l + 2)(l + 3) / 2 monomials: 3 below 2^39 at level 0, and below 2^20
-    each from level 1 on (p <= 90), so 8 bytes always do."""
-    top = size * (p - 1) ** 3
-    for f, width in FORMATS.items():
-        if top < 1 << 8 * width:
-            return f
-
-
 # The walk packs a run of levels at a time: the levels through the next
 # one that files an identity (packing a level that files none prunes
 # nothing). It stops before a run whose vectors would pass PACK_BYTES
 # bytes, or where the scalar walk would check fewer than PACK_NODES
 # assignments at the run's last level: there the packed evaluation costs
 # about what the scalar walk saves. A vector holds a bit per assignment
-# over GF(2), two over GF(3) (a plane per nonzero residue) and a byte
-# field over larger fields, so 8,192 bytes are 65,536 assignments over
-# GF(2), all 16 free levels of a twist-pinned dim-2 two-product
-# template, 32,768 per GF(3) plane (9 levels) and 8,192 fields over
-# larger fields. Measured on a 2-core Xeon under Python 3.11.7, min of
-# 10 alternated runs, on the search workload's sweeps (dim 2, each
+# over GF(2) and two over GF(3) (a plane per nonzero residue), so 8,192
+# bytes are 65,536 assignments over GF(2), all 16 free levels of a
+# twist-pinned dim-2 two-product template, and 32,768 per GF(3) plane
+# (9 levels); over larger fields nothing packs (see the module
+# docstring). Measured on a 2-core Xeon under Python 3.11.7, min of 10
+# alternated runs, on the search workload's sweeps (dim 2, each
 # invertible twist pinned, weighted as one round runs them): 238 ms for
 # the scalar walk alone and 31.5 ms as set; caps of 2,048, 4,096 and
 # 16,384 bytes took 53.4, 39.9 and 32.4 ms (the GF(2) hlsda sweeps need
@@ -289,7 +274,7 @@ _PLANE_BITS = {2: 1, 3: 2}
 def _run_pays(size, survivors, spread, p):
     """Whether to pack a run that widens ``size`` assignments, of which
     ``survivors`` survive, ``spread`` times."""
-    return (size * spread * _PLANE_BITS.get(p, 8) <= 8 * PACK_BYTES
+    return (size * spread * _PLANE_BITS[p] <= 8 * PACK_BYTES
             and survivors * spread >= PACK_NODES)
 
 
@@ -439,121 +424,18 @@ def _plane_levels(checks_a, checks_b, depth_of, p):
     return top, fails, bads
 
 
-class _Grids(dict):
-    """The grid vectors of one packed level in one field format, each
-    built on first use: a packed int whose field i, for the i-th
-    assignment of the free slots at depths 0..level in lexicographic
-    order, holds the product of two slots' values there. The key is
-    their depths (a, b): a <= b for two free slots, and -1 for the
-    constant-1 slot, which ``_specialise`` puts last, so (a, -1) for a
-    free slot and it, and (-1, -1) for it alone."""
-
-    def __init__(self, p, level, fmt):
-        super().__init__()
-        self.p, self.level, self.fmt = p, level, fmt
-
-    def __missing__(self, key):
-        a, b = key
-        p, level, order = self.p, self.level, sys.byteorder
-        width = FORMATS[self.fmt]
-
-        def column(depth, square=False):
-            # one period of the column at ``depth``: each value, or its
-            # square, once per assignment of the deeper slots
-            return b"".join((x * x if square else x).to_bytes(width, order)
-                            * p ** (level - depth) for x in range(p))
-
-        if a < 0:  # the constant 1
-            grid = (1).to_bytes(width, order) * p ** (level + 1)
-        elif b < 0 or a == b:  # repeated for each assignment above depth a
-            grid = column(a, a == b) * p ** a
-        else:  # one block per value x at depth a: the column at b times x
-            block = column(b) * p ** (b - a - 1)
-            packed = int.from_bytes(block, order)
-            grid = b"".join((packed * x).to_bytes(len(block), order)
-                            for x in range(p)) * p ** a
-        grid = self[key] = int.from_bytes(grid, order)
-        return grid
-
-
-# A byte level keeps at most (level + 2)(level + 3) / 2 grids of at most
-# PACK_BYTES fields.
-@lru_cache(maxsize=16)
-def _grids(p, level, fmt):
-    return _Grids(p, level, fmt)
-
-
-def _spread(mask, p):
-    """``mask`` with each byte repeated p times: the assignments of one
-    more level."""
-    out = bytearray(len(mask) * p)
-    for x in range(p):
-        out[x::p] = mask
-    return out
-
-
-def _flag(mask, polys, depth_of, p, level):
-    """``mask`` (a byte per assignment of the free slots at depths
-    0..``level``, nonzero where one fails) with each assignment under
-    which one of ``polys`` fails flagged. Each identity is the sum of
-    its monomials' coefficients times their grid vectors, evaluated over
-    every assignment at once in fields that do not carry."""
-    if not polys:
-        return mask
-    fmt = field_format(max(map(len, polys)), p)
-    grids, order = _grids(p, level, fmt), sys.byteorder
-    fails = int.from_bytes(mask, order)
-    # the translate table that flags a one-byte field not 0 mod p
-    nonzero = fmt == "B" and ((bytes(1) + b"\1" * (p - 1)) * 256)[:256]
-    for poly in polys:
-        acc = 0
-        for c, x, y in poly:
-            grid = grids[depth_of[x], depth_of[y]]
-            acc += grid if c == 1 else c * grid  # a big multiply saved
-        raw = acc.to_bytes(len(mask) * FORMATS[fmt], order)
-        if nonzero:
-            raw = raw.translate(nonzero)
-        else:
-            raw = bytes(map(bool, map(p.__rmod__, memoryview(raw).cast(fmt))))
-        fails |= int.from_bytes(raw, order)
-    return fails.to_bytes(len(mask), order)
-
-
-def _byte_levels(checks_a, checks_b, depth_of, p):
-    """``_packed_levels`` over GF(p), p >= 5, in byte fields: a byte per
-    assignment, in lexicographic order."""
-    fails = bads = b"\0"
-    top = 0
-    for end in sorted({*checks_a, *checks_b}):
-        if not _run_pays(len(fails), fails.count(0), p ** (end + 1 - top),
-                         p):
-            break
-        for level in range(top, end + 1):
-            fails = _flag(_spread(fails, p), checks_a.get(level, ()),
-                          depth_of, p, level)
-            bads = _flag(_spread(bads, p), checks_b.get(level, ()),
-                         depth_of, p, level)
-        top = end + 1
-    return top, fails, bads
-
-
-# the translate table that writes a byte mask as binary digits
-_DIGITS = b"0" + b"1" * 255
-
-
 def _packed_levels(checks_a, checks_b, depth_of, p):
     """The filed identities of levels 0, 1, ... evaluated over all the
     assignments of those levels at once, a run at a time: the levels
-    through the next one that files an identity, while ``_run_pays``.
+    through the next one that files an identity, while ``_run_pays``,
+    over GF(2) and GF(3) only (none over larger fields).
     Returns the number of levels packed and two bit masks over their
     assignments, bit r for the r-th in lexicographic order: where one of
     ``checks_a`` fails, and where one of ``checks_b`` does."""
-    if p in _PLANE_BITS:
-        top, fails, bads = _plane_levels(checks_a, checks_b, depth_of, p)
-        return top, _lex(fails, p, top), _lex(bads, p, top)
-    top, fails, bads = _byte_levels(checks_a, checks_b, depth_of, p)
-    return top, *(int(mask.translate(_DIGITS)[::-1], 2)
-                  for mask in (fails, bads))
+    if p not in _PLANE_BITS:
+        return 0, 0, 0
+    top, fails, bads = _plane_levels(checks_a, checks_b, depth_of, p)
+    return top, _lex(fails, p, top), _lex(bads, p, top)
 
 
 def _ones(mask):
@@ -600,24 +482,6 @@ def _frontier(polys_a, polys_b, p, fixed):
             full if bad_pinned else bads)
 
 
-def _walk(polys_a, polys_b, p, fixed):
-    """Depth-first over the free slots of ``fixed`` (its twist pinned) in
-    lexicographic order, checking each identity as soon as the last free
-    slot it reads is set. Yields ``(v, tail, bad)`` for every assignment of
-    the free slots before ``tail`` under which all of ``polys_a`` hold,
-    ``v`` with the constant-1 slot appended: no identity reads a slot in
-    ``tail``, so every completion of those slots passes ``polys_a`` too,
-    and fails ``polys_b`` exactly when ``bad``.
-
-    The shallowest levels, where the scalar walk would visit many nodes,
-    are evaluated as packed vectors (``_packed_levels``: SIMD within a
-    register, Lamport, CACM 18(8), 1975); the scalar odometer then
-    resumes below each surviving assignment of them, in lexicographic
-    order, so the stream is the one the scalar walk alone gives."""
-    front = _frontier(polys_a, polys_b, p, fixed)
-    return iter(()) if front is None else _below(*front, p)
-
-
 def _decode(v, free, top, i, p, prev=-1):
     """``v`` with the free slots at depths 0..top - 1 set to the i-th of
     their assignments in lexicographic order, where ``v`` holds the
@@ -630,7 +494,20 @@ def _decode(v, free, top, i, p, prev=-1):
 
 
 def _below(v, free, checks_a, checks_b, last, top, alive, bads, p):
-    """``_walk`` from the survivors of its packed levels."""
+    """Depth-first over the free slots of a template (its twist pinned),
+    from what ``_frontier`` returns for it, in lexicographic order,
+    checking each identity as soon as the last free slot it reads is set.
+    Yields ``(v, tail, bad)`` for every assignment of the free slots
+    before ``tail`` under which all of ``polys_a`` hold, ``v`` with the
+    constant-1 slot appended: no identity reads a slot in ``tail``, so
+    every completion of those slots passes ``polys_a`` too, and fails
+    ``polys_b`` exactly when ``bad``.
+
+    The ``top`` shallowest levels, where the scalar walk would visit many
+    nodes, come evaluated as packed vectors (``_packed_levels``: SIMD
+    within a register, Lamport, CACM 18(8), 1975); the scalar odometer
+    resumes below each surviving assignment of them, in lexicographic
+    order, so the stream is the one the scalar walk alone gives."""
     tail = free[last + 1:]
     # bad[d + 1]: an identity of polys_b filed at depth d or shallower fails
     bad = [False] * (last + 2)

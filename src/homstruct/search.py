@@ -380,6 +380,21 @@ def _sections(s):
     return layout, flat
 
 
+# native formats of unsigned fields, narrowest first, and their widths in
+# bytes; memoryview.cast and array read and write them alike
+FORMATS = {f: array(f).itemsize for f in "BHIQ"}
+
+
+def field_format(size, p):
+    """The narrowest field format that holds a sum of ``size`` products of
+    three residues mod p without carrying: the width of the packed fields
+    of ``_canonical_forms``."""
+    top = size * (p - 1) ** 3
+    for f, width in FORMATS.items():
+        if top < 1 << 8 * width:
+            return f
+
+
 def _canonical_forms(members, n, p):
     """The canonical form of each structure of dimension n (all of one
     signature): the least flat ``_sections`` array of g . s over
@@ -391,16 +406,15 @@ def _canonical_forms(members, n, p):
     sum_c v[c] B^c and T as sum T[r][c] B^(2Nr + N - 1 - c) for
     N = len(v) and a field base B = 2^(8 * width), field 2Nr + N - 1 of
     their product holds that sum: every field sums at most N products
-    below p^3, so none carries into the next: ``pykern.field_format``
+    below p^3, so none carries into the next: ``field_format``
     picks the width, and under GROUP_ORDER_BUDGET a section has one entry
     when p > 13, so 8 bytes always do. A form is kept as a tuple of
     per-section parts, which compares like their concatenation."""
     sections = [_sections(s) for s in members]
     layout = sections[0][0]
     flats = [[x % p for x in flat] for _, flat in sections]
-    fmt = pykern.field_format(max(rows * cols for _, rows, cols, _ in layout),
-                              p)
-    width, order = pykern.FORMATS[fmt], sys.byteorder
+    fmt = field_format(max(rows * cols for _, rows, cols, _ in layout), p)
+    width, order = FORMATS[fmt], sys.byteorder
     if fmt == "B":
         # bytes compare like the tuples of their values, and one
         # translate reduces every field
@@ -452,7 +466,7 @@ def _packed_maps(layout, g, h, p, fmt):
         if any(code in (left, right) for left, _, _, right in layout):
             factors[code] = [[x * y % p for x in ra for y in rb]
                              for ra in m for rb in m]
-    bits, order = 8 * pykern.FORMATS[fmt], sys.byteorder
+    bits, order = 8 * FORMATS[fmt], sys.byteorder
     out = []
     for left, rows, cols, right in layout:
         size = rows * cols

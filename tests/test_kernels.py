@@ -15,7 +15,6 @@ refuses a malformed table.
 
 import itertools
 import random
-import sys
 from array import array
 
 import pytest
@@ -319,7 +318,7 @@ def brute_scan(kind_a, kind_b, n, p, fixed, cap):
 
 
 # candidates per brute-force template, and each kind's audit partner
-PACKED_SPACE = {2: 512, 3: 729, 5: 625, 7: 343}
+PACKED_SPACE = {2: 512, 3: 729, 5: 625, 7: 343, 17: 289}
 AUDIT_PARTNER = {"hom-algebra": "hom-prelie", "hom-leibniz": "hom-algebra",
                  "hom-prelie": "hom-algebra", "hom-dialgebra": "hlsda",
                  "hlsda": "hom-dialgebra"}
@@ -359,23 +358,16 @@ def packed_cases(kind, n, p, count=3):
 def packed(monkeypatch):
     """What the Python walk packed: per template ``(last, top, fails,
     bads)`` from ``_packed_levels`` (the masks bit r for the r-th
-    assignment of the packed levels), and the field formats its byte
-    levels used."""
-    seen = {"levels": [], "formats": set()}
-    levels, field_format = pykern._packed_levels, pykern.field_format
+    assignment of the packed levels)."""
+    seen = {"levels": []}
+    levels = pykern._packed_levels
 
     def spy_levels(checks_a, checks_b, depth_of, p):
         out = levels(checks_a, checks_b, depth_of, p)
         seen["levels"].append((max((*checks_a, *checks_b), default=-1), *out))
         return out
 
-    def spy_format(size, p):
-        fmt = field_format(size, p)
-        seen["formats"].add(fmt)
-        return fmt
-
     monkeypatch.setattr(pykern, "_packed_levels", spy_levels)
-    monkeypatch.setattr(pykern, "field_format", spy_format)
     return seen
 
 
@@ -395,7 +387,8 @@ class TestPackedLevels:
     @pytest.mark.parametrize("kind, n, p", [
         (kind, n, p) for kind in sorted(pykern.KINDS) for n in (1, 2)
         for p in (2, 3, 5, 7)] + [
-        (kind, 3, 2) for kind in sorted(pykern.KINDS)])
+        (kind, 3, 2) for kind in sorted(pykern.KINDS)] + [
+        (kind, 1, 17) for kind in sorted(pykern.KINDS)])
     @pytest.mark.parametrize("floor", ["default", "none"])
     def test_sweep_and_audit_match_brute_force(self, request, packed, floor,
                                                kind, n, p):
@@ -414,8 +407,11 @@ class TestPackedLevels:
                     (count, hits, first[0] if first else None)
             found += count
         assert found
-        if n > 1 and floor == "none":
-            assert max(top for _, top, _, _ in packed["levels"]) >= 2
+        tops = [top for _, top, _, _ in packed["levels"]]
+        if p not in pykern._PLANE_BITS:  # GF(p >= 5) walks scalar
+            assert tops and max(tops) == 0
+        elif n > 1 and floor == "none":
+            assert max(tops) >= 2
 
     @pytest.mark.parametrize("setting", ["no level", "every level"])
     def test_stop_constants_change_no_stream(self, monkeypatch, packed,
@@ -441,31 +437,21 @@ class TestPackedLevels:
 
     def test_a_packed_level_that_kills_every_assignment(self, packed,
                                                         no_floor):
-        case = ("hom-algebra", None, 2, 5,
-                [4, 0, -1, -1, -1, 0, -1, 0, 2, 0, 4, 0], 5)
+        case = ("hom-algebra", None, 2, 3,
+                [2, -1, -1, 0, -1, 1, -1, -1, 1, 2, 2, 1], 5)
         assert pykern._scan(*case) == brute_scan(*case) == (0, 0, [])
         (last, top, fails, _), = packed["levels"]
-        assert 2 <= top <= last and fails == (1 << 5 ** top) - 1
-
-    def test_a_grid_wider_than_a_byte(self, packed, no_floor):
-        # over GF(5) a one-byte field holds a sum of 3 monomials at most
-        for kind_b in (None, "hom-algebra"):
-            case = ("hom-prelie", kind_b, 2, 5,
-                    [0, -1, -1, -1, -1, 0, 0, 3, 0, 0, 4, 1], 5)
-            assert pykern._scan(*case) == brute_scan(*case)
-            assert brute_scan(*case)[0] > 0
-        assert "H" in packed["formats"]
-        assert all(top >= 2 for _, top, _, _ in packed["levels"])
+        assert 2 <= top <= last and fails == (1 << 3 ** top) - 1
 
     def test_an_audit_whose_kind_b_fails_in_the_packed_levels(self, packed,
                                                               no_floor):
-        case = ("hom-prelie", "hom-algebra", 2, 5,
-                [0, 0, -1, 0, -1, 0, -1, -1, 3, 0, 0, 1], 5)
+        case = ("hom-leibniz", "hom-prelie", 2, 2,
+                [0, -1, -1, -1, 0, -1, -1, 0, 0, 1, 1, 1], 5)
         count, hits, first = brute_scan(*case)
         assert 0 < hits < count
         assert pykern._scan(*case) == (count, hits, first)
         (_, top, fails, bads), = packed["levels"]
-        alive = (1 << 5 ** top) - 1 ^ fails
+        alive = (1 << 2 ** top) - 1 ^ fails
         assert top >= 2
         assert alive & bads and alive & ~bads
 
@@ -516,21 +502,6 @@ class TestPackedLevels:
         (last, top, fails, _), _ = packed["levels"]
         assert top == 16 == last
         assert fails != (1 << 2 ** top) - 1  # some assignment survives
-
-    def test_grid_vectors_hold_the_slot_products(self):
-        # field i of grid (a, b) at a level: the product of the values at
-        # depths a and b of the i-th assignment, most significant first
-        for p, level, fmt in [(5, 2, "H"), (7, 1, "I"), (89, 1, "Q")]:
-            grids = pykern._Grids(p, level, fmt)
-            width = pykern.FORMATS[fmt]
-            rows = list(itertools.product(range(p), repeat=level + 1))
-            depths = range(level + 1)
-            for a, b in [(-1, -1), *((a, -1) for a in depths),
-                         *itertools.combinations_with_replacement(depths, 2)]:
-                raw = grids[a, b].to_bytes(len(rows) * width, sys.byteorder)
-                assert list(memoryview(raw).cast(fmt)) == [
-                    (1 if a < 0 else row[a]) * (1 if b < 0 else row[b])
-                    for row in rows]
 
     @pytest.mark.parametrize("p, level", [(2, 4), (3, 3)])
     def test_plane_vectors_hold_the_slot_values(self, p, level):
@@ -700,7 +671,8 @@ def test_slots_that_cancel_mod_p_join_the_tail(compiled, kind, p, fixed):
 
     assert last(p) < last(4294967291)
     free = [slot for slot, x in enumerate(fixed) if x < 0]
-    tails = {tuple(tail) for _, tail, _ in pykern._walk(polys, (), p, fixed)}
+    tails = {tuple(tail) for _, tail, _ in
+             pykern._below(*pykern._frontier(polys, (), p, fixed), p)}
     assert tails == {tuple(free[last(p) + 1:])} != {()}
     want = brute_sweep(kind, 2, p, fixed, 1 << 20)
     assert want[0] > 0

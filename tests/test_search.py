@@ -633,7 +633,7 @@ def orbit_sample(shape, n, p, seed, bases, top=False):
 
 def field_format(sample):
     layout = search._sections(sample[0])[0]
-    return pykern.field_format(max(r * c for _, r, c, _ in layout),
+    return search.field_format(max(r * c for _, r, c, _ in layout),
                                sample[0].field.p)
 
 
@@ -681,7 +681,7 @@ class TestPackedCanonicalForms:
         self.check(sample)
 
     def test_field_format_is_the_narrowest_without_carry(self):
-        assert [pykern.field_format(size, p) for size, p in [
+        assert [search.field_format(size, p) for size, p in [
             (255, 2), (256, 2), (31, 3), (32, 3), (1, 41), (1, 42),
             (1, 1626), (1, 1627)]] == ["B", "H", "B", "H", "H", "I",
                                        "I", "Q"]
