@@ -13,16 +13,20 @@ the 2^20 spaces again with cap 0, time the walk alone: collecting
 rows time the scalar Python walk over GF(p >= 5), where nothing packs:
 the GF(5) dim-2 hom-algebra space with the identity twist pinned (the
 associative algebras), and the full dim-1 GF(1009) hom-algebra space
-(1,009 twist templates). Both kernels run the same pruned walk over
-pykern's polynomial table, so a rate counts the raw candidates the walk
-accounts for, not the nodes it visits. The full dialgebra-vs-hlsda audit runs on each kernel. A last
-layer row groups the full dim-2 GF(2) hom-algebra, hom-leibniz and
-hom-prelie streams into isomorphism classes and checks the class
-counts. Every time is the best of 3 calls after a warm-up call.
+(1,009 twist templates). The "search shapes" row sweeps the templates
+of the search workload, cap 16: dimension 2, each invertible twist
+pinned, the one-product kinds over GF(3) and the two-product kinds over
+GF(2). Both kernels run the same pruned walk over pykern's polynomial
+table, so a rate counts the raw candidates the walk accounts for, not
+the nodes it visits. The full dialgebra-vs-hlsda audit runs on each
+kernel. A last layer row groups the full dim-2 GF(2) hom-algebra,
+hom-leibniz and hom-prelie streams into isomorphism classes and checks
+the class counts. Every time is the best of 3 calls after a warm-up call.
 
 Usage: python benchmarks/bench_kernels.py
 """
 
+import itertools
 import time
 
 from homstruct._kernels import available, get_kernel, pykern
@@ -47,11 +51,6 @@ def best_of_3(call):
     return result, min(times)
 
 
-def time_sweep(kind, n, p, fixed, cap, kernel):
-    kern = get_kernel(kernel)
-    return best_of_3(lambda: kern.sweep(kind, n, p, fixed, cap))
-
-
 def free_template(kind, n):
     total, _, _ = pykern.layout(kind, n)
     return [-1] * total
@@ -64,12 +63,36 @@ def twist_pinned_template(kind, n, twist):
     return fixed
 
 
+def sweep_row(kind, n, p, fixed, cap):
+    """(label, raw candidates, the sweep on a kernel as a list)."""
+    free = sum(1 for x in fixed if x < 0)
+    label = f"{kind} n={n} p={p} " + (f"({p}^{free})" if cap else "cap 0")
+    return label, p ** free, lambda kern: [kern.sweep(kind, n, p, fixed, cap)]
+
+
+def search_shapes_row():
+    """The search workload's sweeps as one row: dimension 2, each
+    invertible twist pinned, over GF(3) for one product, GF(2) for two,
+    cap 16."""
+    templates = []
+    for kind, products in pykern.KINDS.items():
+        p = 3 if products == 1 else 2
+        for a, b, c, d in itertools.product(range(p), repeat=4):
+            if (a * d - b * c) % p:
+                templates.append((kind, p, twist_pinned_template(
+                    kind, 2, [[a, b], [c, d]])))
+    raw = sum(p ** fixed.count(-1) for _, p, fixed in templates)
+    return (f"search shapes ({len(templates)} templates)", raw,
+            lambda kern: [kern.sweep(kind, 2, p, fixed, 16)
+                          for kind, p, fixed in templates])
+
+
 def rate(candidates, seconds):
     return f"{candidates / seconds:>10.3g}" if seconds > 0 else f"{'inf':>10}"
 
 
 def run():
-    workloads = [
+    sweeps = [
         ("hom-algebra", 2, 2, free_template("hom-algebra", 2), ALL_SAMPLES),
         ("hom-leibniz", 2, 2, free_template("hom-leibniz", 2), ALL_SAMPLES),
         ("hom-prelie", 2, 2, free_template("hom-prelie", 2), ALL_SAMPLES),
@@ -93,6 +116,7 @@ def run():
         ("hom-algebra", 1, 1009, free_template("hom-algebra", 1),
          ALL_SAMPLES),
     ]
+    rows = [sweep_row(*sweep) for sweep in sweeps] + [search_shapes_row()]
 
     have_compiled = "compiled" in available()
     print(f"kernels available: {', '.join(available())}")
@@ -100,17 +124,17 @@ def run():
     if have_compiled:
         header += f" {'compiled':>10} {'cand/s':>10} {'speedup':>8}"
     print(header)
-    for kind, n, p, fixed, cap in workloads:
-        free = sum(1 for x in fixed if x < 0)
-        label = f"{kind} n={n} p={p} " + (f"({p}^{free})" if cap else "cap 0")
-        py, t_py = time_sweep(kind, n, p, fixed, cap, "python")
-        line = f"{label:<32} {py[0]:>8} {t_py:>9.3f}s {rate(p ** free, t_py)}"
+    for label, raw, sweep in rows:
+        kern = get_kernel("python")
+        py, t_py = best_of_3(lambda: sweep(kern))
+        count = sum(found for found, _ in py)
+        line = f"{label:<32} {count:>8} {t_py:>9.3f}s {rate(raw, t_py)}"
         if have_compiled:
-            c, t_c = time_sweep(kind, n, p, fixed, cap, "compiled")
-            assert py == c, (kind, n, p, "sample streams differ")
+            kern = get_kernel("compiled")
+            c, t_c = best_of_3(lambda: sweep(kern))
+            assert py == c, (label, "sample streams differ")
             speedup = t_py / t_c if t_c > 0 else float("inf")
-            line += (f" {t_c:>9.4f}s {rate(p ** free, t_c)} "
-                     f"{speedup:>7.1f}x")
+            line += f" {t_c:>9.4f}s {rate(raw, t_c)} {speedup:>7.1f}x"
         print(line)
 
     print()

@@ -8,8 +8,11 @@
    and its monomials (c, x, y, z). plan() specialises the table to the
    template as pykern._specialise does, and scan() runs pykern._below's
    depth-first walk over the result, so counts and sample streams match
-   pykern's bit for bit. See pykern's module docstring for the flat
-   candidate layout. This file holds no kind names, no layout formula and
+   pykern's bit for bit. The walk stops at depth last + 1, past the
+   deepest identity, so every survivor has the same free tail and stands
+   for p^(nfree - last - 1) candidates: it counts survivors, and scan()
+   multiplies once. See pykern's module docstring for the flat candidate
+   layout. This file holds no kind names, no layout formula and
    no axiom.
 
    Entries are residues mod p < 2^32 held in 64-bit unsigned words, and
@@ -34,8 +37,8 @@ typedef struct {
                                  order[end[d] .. end[d + 1]), each the offset
                                  in poly of one of kind a or the complement
                                  (~) of that of one of kind b */
-    u64 *passed, *failed;  /* per tail length: the survivors, and those
-                              of them that fail kind b */
+    u64 passed, failed;  /* the survivors, and those of them that fail
+                            kind b */
     PyObject *hits;    /* the first cap hits */
     Py_ssize_t total, nfree, last, cap;
     u64 p;
@@ -109,10 +112,10 @@ static int collect(Space *s, const Py_ssize_t *slots, Py_ssize_t nslots) {
    tail passes kind a, and fails kind b exactly when bad. */
 static int descend(Space *s, Py_ssize_t d, int bad) {
     if (d > s->last) {
-        s->passed[s->nfree - d]++;
+        s->passed++;
         if (!bad)
             return 0;
-        s->failed[s->nfree - d]++;
+        s->failed++;
         return PyList_GET_SIZE(s->hits) < s->cap ? collect(s, s->free + d, s->nfree - d) : 0;
     }
     for (u64 x = 0; x < s->p; x++) {
@@ -212,21 +215,18 @@ malformed:
     return -1;
 }
 
-/* the candidates below a walk's survivors, from their number per tail
-   length: the sum over t of survivors[t] * p^t, as a Python int */
-static PyObject *candidates(const u64 *survivors, Py_ssize_t len, u64 p) {
-    PyObject *sum = PyLong_FromLong(0), *base = PyLong_FromUnsignedLongLong(p);
-    for (Py_ssize_t t = len - 1; t >= 0 && sum != NULL && base != NULL; t--) {
-        PyObject *c = PyLong_FromUnsignedLongLong(survivors[t]);
-        PyObject *scaled = c == NULL ? NULL : PyNumber_Multiply(sum, base);
-        Py_SETREF(sum, scaled == NULL ? NULL : PyNumber_Add(scaled, c));
-        Py_XDECREF(scaled);
-        Py_XDECREF(c);
-    }
-    if (base == NULL)
-        Py_CLEAR(sum);
-    Py_XDECREF(base);
-    return sum;
+/* survivors * p^(nfree - last - 1): the candidates below a walk's
+   survivors, as a Python int */
+static PyObject *candidates(const Space *s, u64 survivors) {
+    PyObject *n = PyLong_FromUnsignedLongLong(survivors), *p = PyLong_FromUnsignedLongLong(s->p),
+             *t = PyLong_FromSsize_t(s->nfree - s->last - 1);
+    PyObject *every = n && p && t ? PyNumber_Power(p, t, Py_None) : NULL;
+    PyObject *count = every ? PyNumber_Multiply(n, every) : NULL;
+    Py_XDECREF(n);
+    Py_XDECREF(p);
+    Py_XDECREF(t);
+    Py_XDECREF(every);
+    return count;
 }
 
 /* scan(table, p, fixed, cap) -> (count, failing, hits): pykern._scan on the
@@ -252,14 +252,13 @@ static PyObject *scan(PyObject *self, PyObject *args) {
         goto done;
     }
     /* one block: the candidate and the constant-1 slot, its free slots, the
-       tallies, the depths */
-    if ((s.v = PyMem_Calloc(5 * (size_t)s.total + 4, sizeof(u64))) == NULL) {
+       depths */
+    if ((s.v = PyMem_Calloc(3 * (size_t)s.total + 2, sizeof(u64))) == NULL) {
         PyErr_NoMemory();
         goto done;
     }
     s.free = (Py_ssize_t *)(s.v + s.total + 1);
-    s.passed = (u64 *)(s.free + s.total);
-    s.depth = (int *)(s.passed + 2 * s.total + 2);
+    s.depth = (int *)(s.free + s.total);
     for (Py_ssize_t t = 0; t < s.total; t++) {
         s.depth[t] = fixed[t] < 0 ? (int)s.nfree : -1;
         if (fixed[t] < 0)
@@ -268,13 +267,12 @@ static PyObject *scan(PyObject *self, PyObject *args) {
     }
     s.v[s.total] = 1;
     s.depth[s.total] = -1;
-    s.failed = s.passed + s.nfree + 1;
     int bad = 0;
     if ((s.hits = PyList_New(0)) == NULL || plan(&s, table.buf, table.len / 8) < 0
             || (check(&s, -1, &bad) && descend(&s, 0, bad) < 0))
         goto done;
-    result = Py_BuildValue("(NNO)", candidates(s.passed, s.nfree + 1, s.p),
-                           candidates(s.failed, s.nfree + 1, s.p), s.hits);
+    result = Py_BuildValue("(NNO)", candidates(&s, s.passed), candidates(&s, s.failed),
+                           s.hits);
 done:
     Py_XDECREF(s.hits);
     PyMem_Free(s.order);

@@ -406,11 +406,18 @@ def _lex(mask, p, top):
     return mask
 
 
-def _plane_levels(checks_a, checks_b, depth_of, p):
-    """``_packed_levels`` over GF(2) or GF(3), bit-sliced: the masks in
-    ``_columns``' order, so that a run widens them by shifts."""
-    fails = bads = 0
-    top = 0
+def _packed_levels(checks_a, checks_b, depth_of, p):
+    """The filed identities of levels 0, 1, ... evaluated over all the
+    assignments of those levels at once, a run at a time: the levels
+    through the next one that files an identity, while ``_run_pays``,
+    over GF(2) and GF(3) only (none over larger fields). The masks are
+    bit-sliced in ``_columns``' order, so that a run widens them by
+    shifts. Returns the number of levels packed and two bit masks over
+    their assignments, bit r for the r-th in lexicographic order: where
+    one of ``checks_a`` fails, and where one of ``checks_b`` does."""
+    if p not in _PLANE_BITS:
+        return 0, 0, 0
+    fails = bads = top = 0
     for end in sorted({*checks_a, *checks_b}):
         size, spread = p ** top, p ** (end + 1 - top)
         if not _run_pays(size, size - fails.bit_count(), spread, p):
@@ -421,20 +428,6 @@ def _plane_levels(checks_a, checks_b, depth_of, p):
         fails |= _plane_flags(checks_a.get(end, ()), depth_of, p, end)
         bads |= _plane_flags(checks_b.get(end, ()), depth_of, p, end)
         top = end + 1
-    return top, fails, bads
-
-
-def _packed_levels(checks_a, checks_b, depth_of, p):
-    """The filed identities of levels 0, 1, ... evaluated over all the
-    assignments of those levels at once, a run at a time: the levels
-    through the next one that files an identity, while ``_run_pays``,
-    over GF(2) and GF(3) only (none over larger fields).
-    Returns the number of levels packed and two bit masks over their
-    assignments, bit r for the r-th in lexicographic order: where one of
-    ``checks_a`` fails, and where one of ``checks_b`` does."""
-    if p not in _PLANE_BITS:
-        return 0, 0, 0
-    top, fails, bads = _plane_levels(checks_a, checks_b, depth_of, p)
     return top, _lex(fails, p, top), _lex(bads, p, top)
 
 
@@ -497,18 +490,19 @@ def _below(v, free, checks_a, checks_b, last, top, alive, bads, p):
     """Depth-first over the free slots of a template (its twist pinned),
     from what ``_frontier`` returns for it, in lexicographic order,
     checking each identity as soon as the last free slot it reads is set.
-    Yields ``(v, tail, bad)`` for every assignment of the free slots
-    before ``tail`` under which all of ``polys_a`` hold, ``v`` with the
-    constant-1 slot appended: no identity reads a slot in ``tail``, so
-    every completion of those slots passes ``polys_a`` too, and fails
-    ``polys_b`` exactly when ``bad``.
+    Yields ``(v, bad)`` for every assignment of the free slots at depths
+    0..``last`` under which all of ``polys_a`` hold, ``v`` with the
+    constant-1 slot appended: no identity reads a slot of the tail
+    ``free[last + 1:]``, so every completion of those slots passes
+    ``polys_a`` too, and fails ``polys_b`` exactly when ``bad``. It needs
+    ``top <= last``: ``_scan`` counts the survivors of a template whose
+    filed levels are all packed without a walk.
 
     The ``top`` shallowest levels, where the scalar walk would visit many
     nodes, come evaluated as packed vectors (``_packed_levels``: SIMD
     within a register, Lamport, CACM 18(8), 1975); the scalar odometer
     resumes below each surviving assignment of them, in lexicographic
     order, so the stream is the one the scalar walk alone gives."""
-    tail = free[last + 1:]
     # bad[d + 1]: an identity of polys_b filed at depth d or shallower fails
     bad = [False] * (last + 2)
     flags = bads.to_bytes((p ** top + 7) // 8, "little")
@@ -517,9 +511,6 @@ def _below(v, free, checks_a, checks_b, last, top, alive, bads, p):
         bad[top] = flags[i >> 3] >> (i & 7) & 1
         _decode(v, free, top, i, p, prev)
         prev = i
-        if top > last:
-            yield v, tail, bad[top]
-            continue
         d = top
         while d >= top:
             slot = free[d]
@@ -541,7 +532,7 @@ def _below(v, free, checks_a, checks_b, last, top, alive, bads, p):
                 if d < last:
                     d += 1
                     continue
-                yield v, tail, bad[d + 1]
+                yield v, bad[d + 1]
             v[slot] += 1
 
 
@@ -576,8 +567,9 @@ def _scan(kind_a, kind_b, n, p, fixed, cap):
     if front is None:
         return 0, 0, []
     v, free, _, _, last, top, alive, bads = front
+    tail = free[last + 1:]  # every survivor's: no identity reads it
+    every = p ** len(tail)
     if top > last:  # every filed level packed: no walk below the survivors
-        tail = free[last + 1:]
         hit = alive if kind_b is None else alive & bads
         samples = []
         for i in itertools.islice(_ones(hit), cap):
@@ -586,18 +578,17 @@ def _scan(kind_a, kind_b, n, p, fixed, cap):
                                         cap - len(samples))
             if len(samples) == cap:
                 break
-        every = p ** len(tail)
         return alive.bit_count() * every, hit.bit_count() * every, samples
     count = hits = 0
     samples = []
-    for v, tail, bad in _below(*front, p):
-        count += p ** len(tail)
+    for v, bad in _below(*front, p):
+        count += 1
         if bad or kind_b is None:
-            hits += p ** len(tail)
+            hits += 1
             if len(samples) < cap:
                 samples += itertools.islice(_assignments(v[:-1], tail, p),
                                             cap - len(samples))
-    return count, hits, samples
+    return count * every, hits * every, samples
 
 
 @lru_cache(maxsize=None)

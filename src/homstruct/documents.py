@@ -7,7 +7,11 @@ inexact value can enter. ``serialize(parse(doc)) == doc`` bit-exactly
 for canonical documents.
 
 Section names are generic (see :class:`homstruct.structures.Record`); the
-kind tag fixes the interpretation through ``structures.KINDS``.
+kind tag fixes the interpretation through ``structures.KINDS``. Each
+section is a nested list of exactly the shape ``structures.SECTION_FORMS``
+gives its type at the document's dimension, read by
+``structures.read_nested`` and written by ``structures.write_nested``; a
+section of any other shape raises DocumentError naming it.
 """
 
 from __future__ import annotations
@@ -15,67 +19,23 @@ from __future__ import annotations
 import json
 import os
 
-from .errors import DocumentError, FieldError, ScalarParseError
+from .errors import DocumentError, FieldError, ScalarParseError, ShapeError
 from .fields import parse_field
-from .linalg import CoproductTensor, LinearMap, ProductTensor, Vector
-from .structures import KINDS, SECTION_TYPES
+from .linalg import LinearMap
+from .structures import (KINDS, SECTION_FORMS, SECTION_TYPES, read_nested,
+                         write_nested)
 
 FORMAT_VERSION = 1
 
 
-def _coerce(field, value):
-    if isinstance(value, float):
-        raise DocumentError("floating point literals are not allowed")
+def _read(field, shape, arr, what):
+    """``arr`` as nested tuples of exact scalars of ``shape`` (the field
+    refuses floats); DocumentError on a bad scalar, or naming ``what`` on
+    any other shape."""
     try:
-        return field.coerce(value)
-    except ScalarParseError as exc:
+        return read_nested(arr, shape, field.coerce, what)
+    except (ScalarParseError, ShapeError) as exc:
         raise DocumentError(str(exc)) from exc
-
-
-def _parse_product(field, n, arr) -> ProductTensor:
-    try:
-        c = tuple(tuple(tuple(_coerce(field, arr[i][j][k]) for k in range(n))
-                        for j in range(n)) for i in range(n))
-    except (IndexError, TypeError, KeyError) as exc:
-        raise DocumentError("product section must be an n x n x n array") from exc
-    _no_extra(arr, n, 3)
-    return ProductTensor(field, c)
-
-
-def _parse_coproduct(field, n, arr) -> CoproductTensor:
-    try:
-        d = tuple(tuple(tuple(_coerce(field, arr[k][i][j]) for j in range(n))
-                        for i in range(n)) for k in range(n))
-    except (IndexError, TypeError, KeyError) as exc:
-        raise DocumentError("coproduct section must be an n x n x n array") from exc
-    _no_extra(arr, n, 3)
-    return CoproductTensor(field, d)
-
-
-def _parse_matrix(field, rows_n, cols_n, arr) -> LinearMap:
-    try:
-        rows = tuple(tuple(_coerce(field, arr[i][j]) for j in range(cols_n))
-                     for i in range(rows_n))
-    except (IndexError, TypeError, KeyError) as exc:
-        raise DocumentError("matrix section has the wrong shape") from exc
-    if len(arr) != rows_n or any(not isinstance(r, list) or len(r) != cols_n
-                                 for r in arr):
-        raise DocumentError("matrix section has the wrong shape")
-    return LinearMap(field, rows)
-
-
-def _parse_vector(field, n, arr) -> Vector:
-    if not isinstance(arr, list) or len(arr) != n:
-        raise DocumentError("vector section must have n entries")
-    return Vector(field, tuple(_coerce(field, x) for x in arr))
-
-
-def _no_extra(arr, n, depth):
-    if not isinstance(arr, list) or len(arr) != n:
-        raise DocumentError("tensor section has the wrong shape")
-    if depth > 1:
-        for sub in arr:
-            _no_extra(sub, n, depth - 1)
 
 
 def _is_int(value) -> bool:
@@ -130,46 +90,12 @@ def document_to_structure(doc: dict):
         if name not in required and name not in optional:
             raise DocumentError(f"section {name!r} not allowed for kind {kind}")
 
-    parsed = {name: _PARSERS[SECTION_TYPES[name]](field, n, arr)
-              for name, arr in maps.items()}
+    parsed = {}
+    for name, arr in maps.items():
+        cls, _, shape_at = SECTION_FORMS[SECTION_TYPES[name]]
+        parsed[name] = cls(field, _read(field, shape_at(n), arr,
+                                        f"section {name!r}"))
     return record.from_sections(kind, parsed)
-
-
-def _format_product(field, p: ProductTensor):
-    n = p.dim
-    return [[[field.format(p.c[i][j][k]) for k in range(n)]
-             for j in range(n)] for i in range(n)]
-
-
-def _format_coproduct(field, q: CoproductTensor):
-    n = q.dim
-    return [[[field.format(q.d[k][i][j]) for j in range(n)]
-             for i in range(n)] for k in range(n)]
-
-
-def _format_matrix(field, m: LinearMap):
-    return [[field.format(x) for x in row] for row in m.rows]
-
-
-def _format_vector(field, v: Vector):
-    return [field.format(x) for x in v.coords]
-
-
-# section type -> reader (field, n, array) and writer (field, value)
-_PARSERS = {
-    "product": _parse_product,
-    "coproduct": _parse_coproduct,
-    "counit": lambda field, n, arr: _parse_matrix(field, 1, n, arr),
-    "matrix": lambda field, n, arr: _parse_matrix(field, n, n, arr),
-    "vector": _parse_vector,
-}
-_FORMATTERS = {
-    "product": _format_product,
-    "coproduct": _format_coproduct,
-    "counit": _format_matrix,
-    "matrix": _format_matrix,
-    "vector": _format_vector,
-}
 
 
 def structure_to_document(s, name=None, metadata=None) -> dict:
@@ -190,7 +116,8 @@ def structure_to_document(s, name=None, metadata=None) -> dict:
             if section in required:
                 raise DocumentError(f"structure is missing section {section!r}")
             continue
-        maps[section] = _FORMATTERS[SECTION_TYPES[section]](field, value)
+        attr = SECTION_FORMS[SECTION_TYPES[section]][1]
+        maps[section] = write_nested(getattr(value, attr), field.format)
     doc = {
         "format-version": FORMAT_VERSION,
         "kind": kind,
@@ -215,7 +142,7 @@ def morphism_to_document(f: LinearMap, source: str, target: str,
         "field": f.field.name,
         "source": source,
         "target": target,
-        "matrix": _format_matrix(f.field, f),
+        "matrix": write_nested(f.rows, f.field.format),
     }
     if metadata:
         doc["metadata"] = dict(metadata)
@@ -234,8 +161,9 @@ def document_to_morphism(doc: dict):
     if not isinstance(matrix, list) or not matrix or \
             not isinstance(matrix[0], list) or not matrix[0]:
         raise DocumentError("morphism document has no matrix")
-    return (_parse_matrix(field, len(matrix), len(matrix[0]), matrix),
-            doc.get("source"), doc.get("target"))
+    rows = _read(field, (len(matrix), len(matrix[0])), matrix,
+                 "morphism matrix")
+    return LinearMap(field, rows), doc.get("source"), doc.get("target")
 
 
 def dumps(doc: dict) -> str:

@@ -10,19 +10,22 @@ from typing import Optional
 from .axioms import Verdict
 from .linalg import Tensor2, Tensor3, Vector
 from .oracle import OracleResult
+from .structures import write_nested
 
 REPORT_VERSION = 1
 
 
+# witness value class -> its key in a report and the attribute holding
+# its entries as nested tuples
+_WITNESS_FORMS = ((Vector, "vector", "coords"),
+                  (Tensor2, "tensor2", "entries"),
+                  (Tensor3, "tensor3", "entries"))
+
+
 def _format_value(fieldobj, value):
-    if isinstance(value, Vector):
-        return {"vector": [fieldobj.format(x) for x in value.coords]}
-    if isinstance(value, Tensor2):
-        return {"tensor2": [[fieldobj.format(x) for x in row]
-                            for row in value.entries]}
-    if isinstance(value, Tensor3):
-        return {"tensor3": [[[fieldobj.format(x) for x in row]
-                             for row in plane] for plane in value.entries]}
+    for cls, key, attr in _WITNESS_FORMS:
+        if isinstance(value, cls):
+            return {key: write_nested(getattr(value, attr), fieldobj.format)}
     return {"raw": repr(value)}
 
 

@@ -26,7 +26,8 @@ from .axioms import check_morphism
 from .errors import BudgetExceededError, FieldMismatchError, ShapeError
 from .fields import PrimeField, require_same_field
 from .linalg import LinearMap, ProductTensor, basis_vector
-from .structures import KINDS, Morphism
+from .structures import (KINDS, SECTION_FORMS, SECTION_TYPES, Morphism,
+                         read_nested)
 
 RAW_CANDIDATE_BUDGET = 2 ** 32
 
@@ -95,19 +96,17 @@ def _flat_template(spec: SearchSpec, kernel_name: str):
     if not isinstance(user, dict):
         raise ShapeError("pinned entries must map section names to arrays")
     names = KINDS[spec.kind][1]  # the product sections, then alpha
+    starts = (*offs, alpha_off)  # where each of them starts
     user_pins = []
     for section, array in user.items():
         if section not in names:
             raise ShapeError(f"unknown section {section!r} for kind {spec.kind}")
-        if section == "alpha":
-            off, depth = alpha_off, 2
-        else:
-            off, depth = offs[names.index(section)], 3
-        error = (f"pinned section {section!r} must be a "
-                 f"{'x'.join([str(n)] * depth)} nested list")
-        user_pins += [(off + pos, gf.coerce(val)) for pos, val in
-                      enumerate(_row_major(array, n, depth, error))
-                      if val is not None]
+        shape = SECTION_FORMS[SECTION_TYPES[section]][2](n)
+        leaves = []  # the pinned entries in row-major order
+        read_nested(array, shape, leaves.append, f"pinned section {section!r}")
+        off = starts[names.index(section)]
+        user_pins += [(off + pos, gf.coerce(val))
+                      for pos, val in enumerate(leaves) if val is not None]
     unit_pins = 2 * len(offs) * n * n if spec.require_unit else 0
     # each pin fixes at most one slot: refuse a space over the budget
     # before building a template of ``total`` slots
@@ -129,18 +128,6 @@ def _flat_template(spec: SearchSpec, kernel_name: str):
         pin(pos, value)
     _budget_or_raise(fixed.count(-1), p, kernel_name)
     return fixed, offs, alpha_off
-
-
-def _row_major(array, n, depth, error):
-    """The entries of a nested list of shape n x ... x n (``depth`` levels)
-    in row-major order; raises ``ShapeError(error)`` on any other shape."""
-    if depth == 0:
-        if isinstance(array, (list, tuple)):
-            raise ShapeError(error)
-        return [array]
-    if not isinstance(array, (list, tuple)) or len(array) != n:
-        raise ShapeError(error)
-    return [x for sub in array for x in _row_major(sub, n, depth - 1, error)]
 
 
 def _require_search_space(dim, prime, *kinds):

@@ -1,5 +1,10 @@
 """Tagged records for every algebraic species handled by the toolkit,
-plus structural validation.
+the nesting of each section type, and structural validation.
+
+``SECTION_FORMS`` is the one place a section type's nesting is written.
+Documents and search pins read sections against it with ``read_nested``,
+``validate`` checks shapes against it, and documents and reports write
+nested entries with ``write_nested``.
 
 Validation is purely structural: shapes, uniform field mode, and the
 declared unit really acting as a two-sided unit. Axiom checking lives in
@@ -16,7 +21,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Optional
 
-from .errors import MissingMapError
+from .errors import MissingMapError, ShapeError
 from .fields import require_same_field
 from .linalg import (CoproductTensor, LinearMap, ProductTensor, Vector,
                      apply_bilinear, basis_batch, tensors_equal)
@@ -32,6 +37,39 @@ SECTION_TYPES = {
     "alpha": "matrix", "d": "matrix",
     "unit": "vector",
 }
+
+# section type -> (value class, the attribute holding its entries as
+# nested tuples, the shape of those entries at dimension n); the class
+# is built as ``cls(field, entries)``
+SECTION_FORMS = {
+    "product": (ProductTensor, "c", lambda n: (n, n, n)),
+    "coproduct": (CoproductTensor, "d", lambda n: (n, n, n)),
+    "counit": (LinearMap, "rows", lambda n: (1, n)),
+    "matrix": (LinearMap, "rows", lambda n: (n, n)),
+    "vector": (Vector, "coords", lambda n: (n,)),
+}
+
+
+def read_nested(array, shape, leaf, what, depth=0):
+    """``array`` as nested tuples with ``leaf`` applied to each entry,
+    in row-major order. ShapeError, naming ``what``, unless ``array`` is a
+    nested list of exactly ``shape`` (from level ``depth`` on): a list
+    where an entry belongs, or an entry where a list belongs, is refused."""
+    nested = isinstance(array, (list, tuple))
+    if depth == len(shape) and not nested:
+        return leaf(array)
+    if depth < len(shape) and nested and len(array) == shape[depth]:
+        return tuple([read_nested(x, shape, leaf, what, depth + 1)
+                      for x in array])
+    raise ShapeError(f"{what} must be a {'x'.join(map(str, shape))} "
+                     f"nested list")
+
+
+def write_nested(entries, leaf):
+    """Nested tuples as nested lists, with ``leaf`` applied to each entry."""
+    if isinstance(entries, tuple):
+        return [write_nested(x, leaf) for x in entries]
+    return leaf(entries)
 
 
 class Record:
@@ -331,17 +369,6 @@ class Finding:
         return f"[{self.severity}] {self.code}: {self.message}"
 
 
-# section type -> (the shape of a value, the shape it must have at
-# dimension n)
-_SHAPES = {
-    "product": (lambda t: (t.dim,) * 3, lambda n: (n,) * 3),
-    "coproduct": (lambda t: (t.dim,) * 3, lambda n: (n,) * 3),
-    "matrix": (lambda m: (m.target_dim, m.source_dim), lambda n: (n, n)),
-    "counit": (lambda m: (m.target_dim, m.source_dim), lambda n: (1, n)),
-    "vector": (lambda v: (v.dim,), lambda n: (n,)),
-}
-
-
 def validate(s) -> list:
     """Structural audit. Returns all findings; defects mean the structure
     is unusable, warnings record advisory conditions. Pure and idempotent."""
@@ -357,9 +384,12 @@ def validate(s) -> list:
             continue
         name = s.SECTIONS[section]
         fields.append(value.field)
-        shape_of, expected_at = _SHAPES[SECTION_TYPES[section]]
-        shape, expected = shape_of(value), expected_at(n)
-        if shape != expected:
+        _, attr, shape_at = SECTION_FORMS[SECTION_TYPES[section]]
+        entries, shape, expected = getattr(value, attr), [], shape_at(n)
+        for _ in expected:  # the value classes refuse ragged entries
+            shape.append(len(entries))
+            entries = entries[0] if entries else ()
+        if tuple(shape) != expected:
             findings.append(Finding(
                 "shape", "defect", f"{name} is {'x'.join(map(str, shape))}, "
                 f"expected {'x'.join(map(str, expected))}"))

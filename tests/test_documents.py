@@ -111,19 +111,41 @@ def test_missing_required_section_rejected():
         document_to_structure(broken)
 
 
-def test_wrong_shape_rejected():
-    base = structure_to_document(hs.HomAlgebra(
-        hs.ProductTensor(F, (((F.one,),),)), hs.identity_map(F, 1)))
-    broken = json.loads(json.dumps(base))
-    broken["maps"]["mu"] = [[["1", "0"]]]
-    with pytest.raises(DocumentError):
-        document_to_structure(broken)
-    # a string is a sequence, but not a row of entries
-    for section, arr in (("mu", [["1"]]), ("alpha", ["1"])):
-        broken = json.loads(json.dumps(base))
-        broken["maps"][section] = arr
-        with pytest.raises(DocumentError):
-            document_to_structure(broken)
+def _replaced(nested, path, value):
+    """A copy of the nested list ``nested`` with the item at ``path`` (a
+    list of indices) replaced by ``value``."""
+    if not path:
+        return value
+    copy = list(nested)
+    copy[path[0]] = _replaced(nested[path[0]], path[1:], value)
+    return copy
+
+
+def _misshapen(good):
+    """Each way to break the nesting of the nested list ``good``: at each
+    level, one item too many, one too few, and an entry where a list
+    belongs; and a list where an entry belongs."""
+    path, node = [], good
+    while isinstance(node, list):
+        # "10" is as long as a row at dimension 2, but a string, not a list
+        for value in (node + node[:1], node[1:], 1, "1", "10"):
+            yield _replaced(good, path, value)
+        path.append(0)
+        node = node[0]
+    yield _replaced(good, path, [node])
+
+
+def test_wrong_shape_rejected(ex1):
+    # every section type, on a dim-2 hom-bialgebra document
+    base = json.loads(json.dumps(structure_to_document(ex1)))
+    assert base["kind"] == "hom-bialgebra" and base["dimension"] == 2
+    for section in ("mu", "delta", "counit", "alpha", "unit"):
+        for arr in _misshapen(base["maps"][section]):
+            broken = json.loads(json.dumps(base))
+            broken["maps"][section] = arr
+            with pytest.raises(DocumentError,
+                               match=f"^section '{section}' must be a "):
+                document_to_structure(broken)
 
 
 @pytest.mark.parametrize("key, value", [

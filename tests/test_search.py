@@ -155,6 +155,20 @@ class TestSpecHandling:
                                             fixed={"mu": fixed_mu},
                                             require_unit=True))
 
+    @pytest.mark.parametrize("kind, section, array, shape", [
+        ("hom-algebra", "mu", [[[0, 0], [0, 0]]], "2x2x2"),
+        ("hlsda", "mu2", [[[0, 0], [0, 0]], [[0, 0], [0]]], "2x2x2"),
+        ("hom-algebra", "alpha", [[1, 0], [0, 1, 0]], "2x2"),
+        ("hom-algebra", "alpha", [[1, 0], [0, [1]]], "2x2"),
+        ("hom-dialgebra", "alpha", [[1, 0], "01"], "2x2"),
+    ], ids=["mu-outer", "mu2-inner", "alpha-inner", "alpha-list-entry",
+            "alpha-string-row"])
+    def test_misshapen_pins_rejected(self, kind, section, array, shape):
+        with pytest.raises(ShapeError, match=f"^pinned section '{section}' "
+                           f"must be a {shape} nested list$"):
+            enumerate_structures(SearchSpec(kind, 2, 2,
+                                            fixed={section: array}))
+
     def test_fixed_entries_respected(self):
         fixed_alpha = [[1, 0], [0, 1]]
         r = enumerate_structures(SearchSpec("hom-algebra", 2, 2,
