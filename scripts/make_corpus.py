@@ -186,8 +186,8 @@ def main(out_dir=OUT):
     w = [x for x in vi.witnesses if x.axiom == "infinitesimal"][0]
     assert w.at == (0, 0)
     vt = hs.run_check("2-hom-assoc-algebra", fx["twohom2dim"])
-    keys = {f"{x.where}/{x.axiom}" for x in vt.witnesses}
-    assert keys == {"mu2/multiplicativity", "mu2/hom-associativity"}
+    assert {x.key for x in vt.witnesses} == {"mu2/multiplicativity",
+                                             "mu2/hom-associativity"}
     assert hs.run_check("hom-dialgebra", fx["trivdialg3dim"]).passed
     assert hs.run_check("differential", fx["ut2"]).passed
     for name in ("kx3", "mat2", "z2group", "trivial2dim", "dim1",
@@ -225,12 +225,7 @@ def main(out_dir=OUT):
             verdict = hs.run_check(cid, structure, **modes)
             row = {"check": cid, "status": verdict.status}
             if not verdict.passed:
-                keys = []
-                for x in verdict.witnesses:
-                    key = f"{x.where}/{x.axiom}" if x.where else x.axiom
-                    if key not in keys:
-                        keys.append(key)
-                row["failing"] = sorted(keys)
+                row["failing"] = verdict.failing_keys()
             oracle = oracle_crosscheck(structure, cid, samples=40, seed=0,
                                        verdict=verdict)
             assert oracle.agreed, (cid, oracle.mismatches)

@@ -16,6 +16,14 @@ distinct index combination, or as a plain value when it depends on none.
 The witnesses are the basis tuples where the sides differ, in
 ``itertools.product`` order.
 
+A composite check (the paper's two-product structures) is judged
+through its constituent views, each a plain check: :func:`_parts` gives
+each part's tests with the part's label prefixed to their ``where``,
+:func:`suite_for` lists the parts one after another, and
+:func:`run_check` runs :func:`run_suite` once per part, so each part
+has its own witness cap. A test and its witnesses are named by their
+``key``, ``where/axiom``, as ``Verdict.checked`` lists it.
+
 The random-vector cross-check in :mod:`homstruct.oracle` calls the same
 closures on batches of random samples, every argument along one shared
 sample axis, and re-evaluates the witnesses of each axiom in one call
@@ -41,8 +49,17 @@ DEFAULT_WITNESS_CAP = 16
 COUNIT_MODES = ("eq7", "eq8")  # squared-twist form vs plain-twist form
 
 
+class _Keyed:
+    """The ``key`` of an identity, as ``Verdict.checked`` lists it:
+    ``where/axiom``, or the axiom alone."""
+
+    @property
+    def key(self) -> str:
+        return f"{self.where}/{self.axiom}" if self.where else self.axiom
+
+
 @dataclass(frozen=True)
-class Witness:
+class Witness(_Keyed):
     """A basis tuple where an identity fails, with both evaluated sides."""
 
     axiom: str
@@ -88,9 +105,13 @@ class Verdict:
                 seen.append(w.axiom)
         return tuple(seen)
 
+    def failing_keys(self) -> list:
+        """The sorted distinct keys of the witnesses."""
+        return sorted({w.key for w in self.witnesses})
+
 
 @dataclass(frozen=True)
-class AxiomTest:
+class AxiomTest(_Keyed):
     """An identity: ``evaluate(*vectors)`` returns the two sides."""
 
     axiom: str
@@ -364,9 +385,8 @@ def run_suite(structure_dim, field, tests, witness_cap=DEFAULT_WITNESS_CAP):
     basis = [basis_batch(field, structure_dim, a)
              for a in range(max((t.arity for t in tests), default=0))]
     for test in tests:
-        key = f"{test.where}/{test.axiom}" if test.where else test.axiom
-        if key not in checked:
-            checked.append(key)
+        if test.key not in checked:
+            checked.append(test.key)
         local = []
         lhs, rhs = test.evaluate(*basis[:test.arity])
         for at, a, b in mismatches(lhs, rhs, test.arity, structure_dim):
@@ -379,26 +399,7 @@ def run_suite(structure_dim, field, tests, witness_cap=DEFAULT_WITNESS_CAP):
             if truncated:
                 break
         else:
-            info.append(InfoNote(test.axiom, not local, tuple(local)))
-    return Verdict(tuple(witnesses), tuple(checked), tuple(info), truncated)
-
-
-def merge_verdicts(parts) -> Verdict:
-    """Combine labelled sub-verdicts; fails iff any constituent fails."""
-    witnesses, checked, info = [], [], []
-    truncated = False
-    for label, v in parts:
-        for w in v.witnesses:
-            where = f"{label}/{w.where}" if label and w.where else (label or w.where)
-            witnesses.append(Witness(w.axiom, w.at, w.lhs, w.rhs, where))
-        for c in v.checked:
-            key = f"{label}/{c}" if label else c
-            if key not in checked:
-                checked.append(key)
-        for note in v.info:
-            name = f"{label}/{note.name}" if label else note.name
-            info.append(InfoNote(name, note.holds, note.witnesses))
-        truncated = truncated or v.truncated
+            info.append(InfoNote(test.key, not local, tuple(local)))
     return Verdict(tuple(witnesses), tuple(checked), tuple(info), truncated)
 
 
@@ -521,9 +522,11 @@ class Check:
     first, and ``coerce`` reads any other accepted type as the canonical
     one. A plain check builds its tests with ``suite(s, counit_mode,
     strict_assoc)``. A composite check lists its ``parts`` instead, each
-    ``(label, constituent check id, mu index, delta index or None)``; every
-    part runs under its own witness cap and the labelled verdicts are
-    merged. ``type_note`` adds the (i-j) type of the pair as info.
+    ``(label, constituent check id, mu index, delta index or None)``, the
+    constituent always a plain check; each part's tests carry the label
+    before their ``where``, every part runs under its own witness cap, and
+    the verdict is the parts' verdicts one after another. ``type_note``
+    adds the (i-j) type of the pair as info.
     """
 
     types: tuple
@@ -629,45 +632,43 @@ def default_check(s) -> str:
     return check_id
 
 
-def _suite(check: Check, s, counit_mode, strict_assoc):
+def _parts(check: Check, s, counit_mode, strict_assoc):
+    """The tests of each part of a check: a plain check is one part, and
+    each part of a composite is a plain check on a constituent, its tests
+    with the part's label prefixed to their ``where``."""
     if check.suite is not None:
-        return check.suite(s, counit_mode, strict_assoc)
-    return [replace(t, where=f"{label}/{t.where}" if t.where else label)
-            for label, part, i, j in check.parts
-            for t in _suite(CHECKS[part], _constituent(s, i, j),
-                            counit_mode, strict_assoc)]
-
-
-def _verdict(check: Check, s, counit_mode, strict_assoc, witness_cap):
-    if check.suite is not None:
-        tests = check.suite(s, counit_mode, strict_assoc)
-        return run_suite(s.dim, s.field, tests, witness_cap)
-    merged = merge_verdicts(
-        (label, _verdict(CHECKS[part], _constituent(s, i, j), counit_mode,
-                         strict_assoc, witness_cap))
-        for label, part, i, j in check.parts)
-    if not check.type_note:
-        return merged
-    note = InfoNote(f"type {classify_two_hom(s)}", True)
-    return Verdict(merged.witnesses, merged.checked, merged.info + (note,),
-                   merged.truncated)
+        return [check.suite(s, counit_mode, strict_assoc)]
+    return [[replace(t, where=f"{label}/{t.where}" if t.where else label)
+             for t in CHECKS[part].suite(_constituent(s, i, j), counit_mode,
+                                         strict_assoc)]
+            for label, part, i, j in check.parts]
 
 
 def suite_for(check_id: str, s, counit_mode="eq7", strict_assoc=False):
     """The flat list of axiom tests a check would run on ``s``.
 
     Used by the random-vector oracle so that cross-checks exercise the
-    same identities the basis checker evaluated. Composite suites are the
-    constituents' suites with their labels prefixed.
+    same identities the basis checker evaluated. A composite suite is its
+    parts' suites one after another.
     """
     s = coerce_for_check(check_id, s)
-    return _suite(CHECKS[check_id], s, counit_mode, strict_assoc)
+    return [t for tests in _parts(CHECKS[check_id], s, counit_mode,
+                                  strict_assoc)
+            for t in tests]
 
 
 def run_check(check_id: str, s, counit_mode="eq7", strict_assoc=False,
               witness_cap=DEFAULT_WITNESS_CAP) -> Verdict:
     """Run a check selected by id on ``s``, read through
-    :func:`coerce_for_check`."""
+    :func:`coerce_for_check`: each part under its own witness cap, the
+    parts' verdicts one after another."""
     s = coerce_for_check(check_id, s)
-    return _verdict(CHECKS[check_id], s, counit_mode, strict_assoc,
-                    witness_cap)
+    check = CHECKS[check_id]
+    parts = [run_suite(s.dim, s.field, tests, witness_cap)
+             for tests in _parts(check, s, counit_mode, strict_assoc)]
+    info = tuple(note for v in parts for note in v.info)
+    if check.type_note:
+        info += (InfoNote(f"type {classify_two_hom(s)}", True),)
+    return Verdict(tuple(w for v in parts for w in v.witnesses),
+                   tuple(key for v in parts for key in v.checked), info,
+                   any(v.truncated for v in parts))

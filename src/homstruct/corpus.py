@@ -32,15 +32,6 @@ class CorpusOutcome:
     messages: list = field(default_factory=list)
 
 
-def _witness_keys(verdict):
-    keys = []
-    for w in verdict.witnesses:
-        key = f"{w.where}/{w.axiom}" if w.where else w.axiom
-        if key not in keys:
-            keys.append(key)
-    return sorted(keys)
-
-
 # corpus op -> the check id whose structure type it reads its input as
 _COERCIONS = {"as-hlsda": "hlsda", "as-prelie": "hom-prelie",
               "algebra-of": "hom-algebra"}
@@ -197,7 +188,7 @@ def corpus_run(samples: int = 100, seed: int = 0, data_dir=None) -> CorpusOutcom
                    "actual": verdict.status, "oracle": oracle.status}
             match = verdict.status == check_spec["status"] and oracle.agreed
             if "failing" in check_spec:
-                got["failing"] = _witness_keys(verdict)
+                got["failing"] = verdict.failing_keys()
                 if got["failing"] != sorted(check_spec["failing"]):
                     match = False
             got["match"] = match

@@ -30,8 +30,8 @@ FORMAT_VERSION = 1
 
 def _read(field, shape, arr, what):
     """``arr`` as nested tuples of exact scalars of ``shape`` (the field
-    refuses floats); DocumentError on a bad scalar, or naming ``what`` on
-    any other shape."""
+    refuses floats); DocumentError naming ``what`` on a bad scalar or any
+    other shape."""
     try:
         return read_nested(arr, shape, field.coerce, what)
     except (ScalarParseError, ShapeError) as exc:

@@ -143,9 +143,6 @@ class LinearMap:
     def source_dim(self):
         return len(self.rows[0]) if self.rows else 0
 
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
-
     def apply(self, v: Vector) -> Vector:
         """The map at v, summing its sparse columns over v's nonzero
         coordinates."""
@@ -233,9 +230,6 @@ class ProductTensor:
     def dim(self):
         return len(self.c)
 
-    def entry(self, i: int, j: int, k: int):
-        return self.c[i][j][k]
-
     @cached_property
     def left_planes(self):
         """``left_planes[i][j]``: the nonzero ``(k, value)`` pairs of
@@ -271,9 +265,6 @@ class CoproductTensor:
     @property
     def dim(self):
         return len(self.d)
-
-    def entry(self, k: int, i: int, j: int):
-        return self.d[k][i][j]
 
     @cached_property
     def sparse_planes(self):

@@ -82,10 +82,16 @@ def random_vector(field, n, rng) -> Vector:
     return Vector(field, tuple(rng.choice(pool) for _ in range(n)))
 
 
-def _key(item):
-    """The ``where/axiom`` key of an axiom test or a witness, as
-    ``Verdict.checked`` lists it."""
-    return f"{item.where}/{item.axiom}" if item.where else item.axiom
+def _failing(test, field, n, tuples):
+    """The positions k, in increasing order, where ``test`` fails on
+    ``tuples[k]``, one coordinate tuple per argument: every tuple in one
+    call, the a-th argument the batch of the a-th vectors along one
+    shared axis."""
+    size = len(tuples)
+    lhs, rhs = test.evaluate(*(
+        _batch(field, (n,), (0,), size, [vectors[a] for vectors in tuples])
+        for a in range(test.arity)))
+    return (k for (k,), _, _ in mismatches(lhs, rhs, 1, size))
 
 
 def oracle_crosscheck(structure, check_id: str, samples: int = 100,
@@ -111,9 +117,9 @@ def oracle_crosscheck(structure, check_id: str, samples: int = 100,
 
     # sampled agreement is only guaranteed for axioms found to hold; a
     # truncated verdict leaves the axioms after its cap unchecked
-    holding = set(verdict.checked) - {_key(w) for w in verdict.witnesses}
+    holding = set(verdict.checked) - {w.key for w in verdict.witnesses}
     for test in tests:
-        if not test.fatal or _key(test) not in holding:
+        if not test.fatal or test.key not in holding:
             continue
         arity = test.arity
         for start in range(0, samples, BLOCK):
@@ -121,43 +127,34 @@ def oracle_crosscheck(structure, check_id: str, samples: int = 100,
             state = rng.getstate()
             draws = [[tuple([rng.choice(pool) for _ in range(n)])
                       for _ in range(arity)] for _ in range(size)]
-            lhs, rhs = test.evaluate(*(
-                _batch(field, (n,), (0,), size, [d[a] for d in draws])
-                for a in range(arity)))
-            first = next(mismatches(lhs, rhs, 1, size), None)
-            if first is not None:
-                (j,), _, _ = first
+            j = next(_failing(test, field, n, draws), None)
+            if j is not None:
                 rng.setstate(state)
                 for _ in range((j + 1) * arity * n):
                     rng.choice(pool)
-                failed.append(f"{_key(test)}: basis verdict holds but "
+                failed.append(f"{test.key}: basis verdict holds but "
                               f"sample {start + j} fails")
                 break
 
     # every witness of one axiom in one call, on a shared witness axis
-    by_key = {_key(test): test for test in tests}
+    by_key = {test.key: test for test in tests}
     basis = basis_batch(field, n, 0).entries
     witnesses = verdict.witnesses
     positions = {}
     for i, w in enumerate(witnesses):
-        positions.setdefault(_key(w), []).append(i)
+        positions.setdefault(w.key, []).append(i)
     still_failing = set()
     for key, idx in positions.items():
-        test = by_key.get(key)
-        if test is None:
-            continue
-        lhs, rhs = test.evaluate(*(
-            _batch(field, (n,), (0,), len(idx),
-                   [basis[witnesses[i].at[a]] for i in idx])
-            for a in range(test.arity)))
-        still_failing.update(idx[j] for (j,), _, _ in
-                             mismatches(lhs, rhs, 1, len(idx)))
+        if key in by_key:
+            still_failing.update(idx[k] for k in _failing(
+                by_key[key], field, n,
+                [[basis[j] for j in witnesses[i].at] for i in idx]))
     for i, w in enumerate(witnesses):
-        if _key(w) not in by_key:
+        if w.key not in by_key:
             failed.append(f"witness for unknown axiom {w.axiom!r}")
         elif i not in still_failing:
             failed.append(
-                f"{_key(w)}: witness at {w.at} no longer fails on "
+                f"{w.key}: witness at {w.at} no longer fails on "
                 "re-evaluation")
 
     return OracleResult(check_id, not failed, samples, seed, tuple(failed))

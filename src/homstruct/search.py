@@ -102,10 +102,12 @@ def _flat_template(spec: SearchSpec, kernel_name: str):
         if section not in names:
             raise ShapeError(f"unknown section {section!r} for kind {spec.kind}")
         shape = SECTION_FORMS[SECTION_TYPES[section]][2](n)
-        leaves = []  # the pinned entries in row-major order
-        read_nested(array, shape, leaves.append, f"pinned section {section!r}")
+        leaves = []  # the pinned entries in row-major order, None if free
+        read_nested(array, shape,
+                    lambda v: leaves.append(v if v is None else gf.coerce(v)),
+                    f"pinned section {section!r}")
         off = starts[names.index(section)]
-        user_pins += [(off + pos, gf.coerce(val))
+        user_pins += [(off + pos, val)
                       for pos, val in enumerate(leaves) if val is not None]
     unit_pins = 2 * len(offs) * n * n if spec.require_unit else 0
     # each pin fixes at most one slot: refuse a space over the budget

@@ -21,7 +21,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Optional
 
-from .errors import MissingMapError, ShapeError
+from .errors import MissingMapError, ScalarParseError, ShapeError
 from .fields import require_same_field
 from .linalg import (CoproductTensor, LinearMap, ProductTensor, Vector,
                      apply_bilinear, basis_batch, tensors_equal)
@@ -54,10 +54,14 @@ def read_nested(array, shape, leaf, what, depth=0):
     """``array`` as nested tuples with ``leaf`` applied to each entry,
     in row-major order. ShapeError, naming ``what``, unless ``array`` is a
     nested list of exactly ``shape`` (from level ``depth`` on): a list
-    where an entry belongs, or an entry where a list belongs, is refused."""
+    where an entry belongs, or an entry where a list belongs, is refused.
+    A ScalarParseError from ``leaf`` is raised again naming ``what``."""
     nested = isinstance(array, (list, tuple))
     if depth == len(shape) and not nested:
-        return leaf(array)
+        try:
+            return leaf(array)
+        except ScalarParseError as exc:
+            raise ScalarParseError(f"{what}: {exc}") from exc
     if depth < len(shape) and nested and len(array) == shape[depth]:
         return tuple([read_nested(x, shape, leaf, what, depth + 1)
                       for x in array])

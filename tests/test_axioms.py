@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
 import homstruct as hs
 from homstruct import corpus
 from homstruct.axioms import (CHECK_IDS, coerce_for_check, default_check,
-                              merge_verdicts, run_suite, suite_for)
+                              run_suite, suite_for)
 from homstruct.constructions import (bracket_from_dialgebra,
                                      dialgebra_from_differential,
                                      leibniz_from_differential,
@@ -268,8 +270,8 @@ class TestMorphism:
 class TestComposite:
     def test_two_product_claim_fails_only_on_second_product(self, twohom2dim):
         v = hs.run_check("2-hom-assoc-algebra", twohom2dim)
-        keys = {f"{w.where}/{w.axiom}" for w in v.witnesses}
-        assert keys == {"mu2/multiplicativity", "mu2/hom-associativity"}
+        assert {w.key for w in v.witnesses} == {"mu2/multiplicativity",
+                                                "mu2/hom-associativity"}
 
     def test_witnesses_union_of_constituents(self, twohom2dim):
         v = hs.run_check("2-hom-assoc-algebra", twohom2dim)
@@ -303,10 +305,6 @@ def corpus_rows():
     return rows
 
 
-def _key(where, axiom):
-    return f"{where}/{axiom}" if where else axiom
-
-
 class TestCheckTable:
     def test_checked_keys_are_the_suite_keys(self, corpus_rows):
         ran = 0
@@ -318,27 +316,48 @@ class TestCheckTable:
                     continue
                 keys = []
                 for t in suite_for(check_id, s):
-                    if _key(t.where, t.axiom) not in keys:
-                        keys.append(_key(t.where, t.axiom))
+                    if t.key not in keys:
+                        keys.append(t.key)
                 v = hs.run_check(check_id, s, witness_cap=10 ** 6)
                 assert list(v.checked) == keys, (name, check_id)
                 ran += 1
         assert ran > len(corpus_rows)
 
     def test_composites_cap_each_constituent(self, corpus_rows):
+        def assert_slices(v, parts):
+            # each part's slice of the composite is the constituent's own
+            # verdict, its witnesses and keys under the part's label
+            for label, part in parts:
+                prefix = label + "/"
+                witnesses = tuple(w for w in v.witnesses
+                                  if w.where.startswith(prefix)
+                                  or w.where == label)
+                checked = tuple(c for c in v.checked
+                                if c.startswith(prefix))
+                assert witnesses == tuple(
+                    replace(w, where=f"{label}/{w.where}" if w.where
+                            else label) for w in part.witnesses)
+                assert checked == tuple(prefix + c for c in part.checked)
+                assert tuple(n for n in v.info if n.name.startswith(prefix)) \
+                    == tuple(replace(n, name=prefix + n.name)
+                             for n in part.info)
+            # and the slices are the whole verdict
+            assert len(v.witnesses) == sum(len(p.witnesses) for _, p in parts)
+            assert len(v.checked) == sum(len(p.checked) for _, p in parts)
+            assert v.truncated == any(part.truncated for _, part in parts)
+
         ex2 = corpus_rows["ex2"]
         v = hs.run_check("2-hom-assoc-bialgebra", ex2)
-        assert v == merge_verdicts([
+        assert_slices(v, [
             ("mu1+delta", hs.run_check("hom-bialgebra", ex2.view(1, 1))),
             ("mu2+delta", hs.run_check("infinitesimal", ex2.view(2, 1)))])
         assert len(v.witnesses) == 18
 
         pair = corpus_rows["ex2-as-2-hom-bialgebra"]
         v = hs.run_check("2-hom-bialgebra", pair)
-        parts = merge_verdicts(
+        assert_slices(v, [
             (f"mu{i}+delta{j}", hs.run_check("hom-bialgebra", pair.view(i, j)))
-            for i in (1, 2) for j in (1, 2))
-        assert (v.witnesses, v.checked) == (parts.witnesses, parts.checked)
+            for i in (1, 2) for j in (1, 2)])
         assert len(v.witnesses) == 32
         # one shared cap over the concatenated suite would cut it short
         shared = run_suite(pair.dim, pair.field,

@@ -346,6 +346,16 @@ def test_mistyped_document_fields_exit_two(key, value, bad_paths, tmp_path,
     _exits_two_with_one_line(["check", str(path)], bad_paths, capsys)
 
 
+def test_bad_scalar_names_its_section(bad_paths, tmp_path, capsys):
+    doc = json.loads(Path(BOOL2).read_text())
+    doc["maps"]["alpha"][1][0] = "x"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    err = _exits_two_with_one_line(["check", str(path)], bad_paths, capsys)
+    assert err.startswith("invalid input: section 'alpha': bad rational "
+                          "literal 'x'")
+
+
 def test_deeply_nested_document_exits_two(bad_paths, tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000)
@@ -692,6 +702,14 @@ class TestSearch:
         assert main(["search", "--kind", "hom-algebra", "--prime", "2",
                      *spec]) == 2
         assert "invalid search spec" in capsys.readouterr().err
+
+    def test_bad_pinned_scalar_names_its_section(self, capsys):
+        assert main(["search", "--kind", "hom-algebra", "--dim", "2",
+                     "--prime", "3", "--fixed",
+                     '{"alpha": [[1, "x"], [0, 1]]}']) == 2
+        assert capsys.readouterr() == (
+            "", "invalid search spec: pinned section 'alpha': bad residue "
+                "literal 'x'\n")
 
     def test_bad_prime_exits_two(self, capsys):
         assert main(["search", "--kind", "hom-algebra", "--dim", "1",

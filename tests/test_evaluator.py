@@ -31,9 +31,8 @@ def reference_run_suite(structure_dim, field, tests,
     truncated = False
     basis = [basis_vector(field, structure_dim, i) for i in range(structure_dim)]
     for test in tests:
-        key = f"{test.where}/{test.axiom}" if test.where else test.axiom
-        if key not in checked:
-            checked.append(key)
+        if test.key not in checked:
+            checked.append(test.key)
         local = []
         for at in itertools.product(range(structure_dim), repeat=test.arity):
             lhs, rhs = test.evaluate(*(basis[i] for i in at))
@@ -47,7 +46,7 @@ def reference_run_suite(structure_dim, field, tests,
             if truncated:
                 break
         else:
-            info.append(InfoNote(test.axiom, not local, tuple(local)))
+            info.append(InfoNote(test.key, not local, tuple(local)))
     return Verdict(tuple(witnesses), tuple(checked), tuple(info), truncated)
 
 

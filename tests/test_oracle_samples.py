@@ -19,7 +19,7 @@ from homstruct.axioms import AxiomTest, Verdict, Witness, run_check, suite_for
 from homstruct.fields import PrimeField, RationalField
 from homstruct.linalg import (Batch, LinearMap, ProductTensor, Vector,
                               apply_bilinear, basis_vector, tensors_equal)
-from homstruct.oracle import (BLOCK, SCALED_POOL, OracleResult, _key,
+from homstruct.oracle import (BLOCK, SCALED_POOL, OracleResult,
                               oracle_crosscheck)
 from homstruct.structures import HomAlgebra
 
@@ -39,9 +39,9 @@ def reference_oracle_crosscheck(structure, check_id, samples=100, seed=0,
     pool = range(field.p) if isinstance(field, PrimeField) else SCALED_POOL
     rng = random.Random(seed)
     mismatches = []
-    holding = set(verdict.checked) - {_key(w) for w in verdict.witnesses}
+    holding = set(verdict.checked) - {w.key for w in verdict.witnesses}
     for test in tests:
-        if not test.fatal or _key(test) not in holding:
+        if not test.fatal or test.key not in holding:
             continue
         for k in range(samples):
             vectors = [Vector(field, tuple(rng.choice(pool)
@@ -50,19 +50,19 @@ def reference_oracle_crosscheck(structure, check_id, samples=100, seed=0,
             lhs, rhs = test.evaluate(*vectors)
             if not tensors_equal(lhs, rhs):
                 mismatches.append(
-                    f"{_key(test)}: basis verdict holds but sample {k} fails")
+                    f"{test.key}: basis verdict holds but sample {k} fails")
                 break
-    by_key = {_key(test): test for test in tests}
+    by_key = {test.key: test for test in tests}
     basis = [basis_vector(field, n, i) for i in range(n)]
     for w in verdict.witnesses:
-        test = by_key.get(_key(w))
+        test = by_key.get(w.key)
         if test is None:
             mismatches.append(f"witness for unknown axiom {w.axiom!r}")
             continue
         lhs, rhs = test.evaluate(*(basis[i] for i in w.at))
         if tensors_equal(lhs, rhs):
             mismatches.append(
-                f"{_key(w)}: witness at {w.at} no longer fails on "
+                f"{w.key}: witness at {w.at} no longer fails on "
                 "re-evaluation")
     return OracleResult(check_id, not mismatches, samples, seed,
                         tuple(mismatches))
@@ -209,7 +209,7 @@ def test_false_passing_verdicts(field, samples):
                 tuple(field.reduce(rng.randint(-1, 1)) for _ in range(dim))
                 for _ in range(dim)))
             s = HomAlgebra(mu, alpha)
-            keys = tuple(_key(t) for t in suite_for("hom-algebra", s))
+            keys = tuple(t.key for t in suite_for("hom-algebra", s))
             verdict = Verdict((), keys)
             for seed in (0, 1):
                 got = oracle_crosscheck(s, "hom-algebra", samples=samples,
