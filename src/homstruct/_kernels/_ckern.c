@@ -6,7 +6,8 @@
    a constant 1. pykern._table encodes the expansion as 64-bit ints: the
    offset of kind b's first identity, then per identity its monomial count
    and its monomials (c, x, y, z). plan() specialises the table to the
-   template as pykern._specialise does, and scan() runs pykern._below's
+   template, filing each identity as pykern._filed does, and scan() runs
+   pykern._below's
    depth-first walk over the result, so counts and sample streams match
    pykern's bit for bit. The walk stops at depth last + 1, past the
    deepest identity, so every survivor has the same free tail and stands
@@ -131,10 +132,12 @@ static int descend(Space *s, Py_ssize_t d, int bad) {
     return 0;
 }
 
-/* pykern._specialise on the table x[0 .. len): each identity with the
-   pinned slots multiplied in and its free slots padded with the constant-1
-   slot, equal monomials combined mod p; unless it vanishes, filed at the
-   depth of the deepest free slot it reads (-1 for none). */
+/* The table x[0 .. len) specialised to the template in one pass, as
+   pykern stages it (pykern._program, then pykern._filed): each
+   identity with the pinned slots multiplied in and its free slots padded
+   with the constant-1 slot, equal monomials combined mod p; unless it
+   vanishes, filed at the depth of the deepest free slot it reads (-1 for
+   none). */
 static int plan(Space *s, const i64 *x, Py_ssize_t len) {
     Py_ssize_t nids = 0, top = 0, d, i, k;
     u64 p = s->p, *v = s->v, one = (u64)s->total, *q, *r, *staged;

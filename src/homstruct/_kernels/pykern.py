@@ -24,14 +24,36 @@ sum is its coordinate:
 
 ``_expansion`` multiplies each identity out into a polynomial in the
 slots, once per (kind, n). The walk specialises it to each template with
-the twist pinned (partial evaluation: Jones, Gomard & Sestoft, "Partial
-Evaluation and Automatic Program Generation", 1993): it multiplies in the
-pinned slots, combines equal monomials mod p, drops the identities that
-vanish, and checks each of the rest as soon as the deepest free slot its
-reduced polynomial reads is set. A slot that no surviving monomial reads
-cannot change the residual mod p, so the pruning is exact (Golomb &
-Baumert, "Backtrack programming", J. ACM 12, 1965). The compiled kernel
-specialises and files the same polynomials the same way, in C.
+the twist pinned: it multiplies in the pinned slots, combines equal
+monomials mod p, drops the identities that vanish, and checks each of
+the rest as soon as the deepest free slot its reduced polynomial reads
+is set. A slot that no surviving monomial reads cannot change the
+residual mod p, so the pruning is exact (Golomb & Baumert, "Backtrack
+programming", J. ACM 12, 1965). The Python kernel stages the
+specialisation by binding time (partial evaluation: Jones, Gomard &
+Sestoft, "Partial Evaluation and Automatic Program Generation", 1993,
+ch. 4). Each monomial is a coefficient times one or two product slots
+times a twist monomial of degree one or two, so each identity is a sum
+over twist monomials t of t(alpha) P_t(mu):
+
+* stage 0, once per (kind, n, p): ``_by_twist`` splits every monomial
+  into its product part and its twist monomial, and ``_program`` orders
+  each identity's product keys by depth, one position each, and packs,
+  per twist monomial, its coefficients mod p at every position into one
+  integer, a fixed-width field per position (Kronecker substitution:
+  Harvey, J. Symbolic Comput. 44, 2009);
+* stage 1, once per sweep: ``_program`` with the pinned product slots
+  multiplied in, which every twist of a sweep shares; with no product
+  pinned it is stage 0. It is cached by (kind, n, p) and the product
+  pins only, never by the twist;
+* stage 2, once per template (``_reduced``): each twist monomial is
+  evaluated once and scales its packed integer, Sum_t t(alpha) W_t, a
+  few big-integer multiply-adds; one ``to_bytes`` and, for byte fields,
+  one translation mod p give every coefficient, and each identity that
+  does not vanish is filed at the depth of its last nonzero position.
+
+The compiled kernel specialises and files the same polynomials, in one
+pass per template, in C.
 
 Over GF(2) and GF(3) the Python walk evaluates its shallowest levels,
 where few identities are filed and the scalar walk would visit every
@@ -55,6 +77,8 @@ scalar. Both give the same stream.
 import itertools
 import sys
 from array import array
+from bisect import bisect_left
+from collections import namedtuple
 from functools import lru_cache, reduce
 from operator import or_
 
@@ -214,33 +238,139 @@ def _holds(polys, v, p):
                    for poly in polys)
 
 
-def _specialise(polys, w, p, depth_of):
-    """``polys`` on the template ``w`` (free slots negative, the constant-1
-    slot last): the pinned slots multiplied in, equal monomials combined
-    and reduced mod p. Each identity that does not vanish is filed, as a
-    tuple of (c, x, y) over the free slots padded with the constant-1
-    slot, at the depth of the deepest free slot it reads (-1 for none).
-    The last slot of every monomial is a twist slot or the constant-1
-    slot, pinned either way, so no monomial keeps more than two free
-    slots."""
-    one = len(w) - 1
-    val = [1 if x < 0 else x for x in w]
-    fr = [s if x < 0 else one for s, x in enumerate(w)]
-    filed = {}
-    for poly in polys:
-        reduced = {}
-        for c, x, y, z in poly:
-            c *= val[x] * val[y] * val[z]
-            if c:
-                x, y = fr[x], fr[y]
-                key = (x, y) if x <= y else (y, x)
-                reduced[key] = reduced.get(key, 0) + c
-        terms = tuple((c % p, x, y) for (x, y), c in reduced.items()
-                      if c % p)
-        if terms:
-            depth = max(max(depth_of[x], depth_of[y]) for _, x, y in terms)
-            filed.setdefault(depth, []).append(terms)
-    return filed
+@lru_cache(maxsize=None)
+def _by_twist(kind, n):
+    """``_expansion(kind, n)`` split by binding time: the twist monomials
+    as slot pairs (a, b), b a twist slot or the constant-1 slot; the
+    number of identities; and every monomial as (i S^2 T + t, x, y, c):
+    c times the product slots x <= y (the constant-1 slot pads a lone
+    one) times twist monomial t of T, in identity i, where S counts the
+    slots and the constant-1 slot."""
+    one, _, al = layout(kind, n)
+    pairs = {}
+    split = []
+    polys = _expansion(kind, n)
+    for i, poly in enumerate(polys):
+        for c, *slots in poly:
+            k = sum(s < al for s in slots)  # slots ascend, products first
+            t = pairs.setdefault((*slots[k:], one)[:2], len(pairs))
+            split.append((i, t, *(*slots[:k], one)[:2], c))
+    block = (one + 1) ** 2 * len(pairs)
+    return tuple(pairs), len(polys), tuple((i * block + t, x, y, c)
+                                           for i, t, x, y, c in split)
+
+
+# the byte translation to 1 where a byte is nonzero
+_NONZERO = bytes([0]) + bytes([1]) * 255
+
+# ``_program``'s result: per twist monomial that keeps a coefficient,
+# ``terms`` holds (a, b, packed); ``width`` bytes per field; ``table``,
+# the byte translation mod p where ``width`` is 1; per position, its key
+# (``xs`` its deepest free slot, ``ys`` the other or the constant-1 slot)
+# and the depth of ``xs``; ``bounds``, where each identity's positions
+# start, and where the last one's end; the free slots by depth, and each
+# slot's depth (-1 if pinned or the constant-1 slot).
+_Program = namedtuple("_Program", "terms width table xs ys depths bounds "
+                                  "free depth_of")
+
+
+@lru_cache(maxsize=32)
+def _program(kind, n, p, pins):
+    """Stages 0 and 1 of the specialisation: ``_by_twist`` with the
+    product pins ``pins`` (the template's product slots, free ones
+    negative) multiplied in, keyed by them alone. Each identity keeps a
+    position per product key with a coefficient nonzero mod p, ordered
+    by depth, and per twist monomial the coefficients of every position
+    are packed into one integer, a field of ``width`` bytes per
+    position: enough for a sum of one product of two residues per twist
+    monomial."""
+    one = len(pins) + n * n
+    free = [s for s, x in enumerate(pins) if x < 0]
+    depth_of = [-1] * (one + 1)
+    for d, s in enumerate(free):
+        depth_of[s] = d
+    pad = [1] * (one + 1 - len(pins))  # the twist and constant-1 slots
+    val = [1 if x < 0 else x for x in pins] + pad
+    # a key's slots ranked so that the constant-1 and pinned slots come
+    # first: a free slot s ranks s + 1, the others 0
+    rank = [s + 1 if x < 0 else 0 for s, x in enumerate(pins)]
+    rank += [0] * len(pad)
+    pairs, count, split = _by_twist(kind, n)
+    size, many = one + 1, len(pairs)
+    folded = {}  # ((i size + higher rank) size + lower rank) many + t -> c
+    for base, x, y, c in split:
+        c *= val[x] * val[y]
+        if c:
+            a, b = rank[x], rank[y]
+            key = base + (b * size + a if b else a * size) * many
+            folded[key] = folded.get(key, 0) + c
+    codes = sorted({key // many for key, c in folded.items() if c % p})
+    at = dict(zip(codes, range(len(codes))))
+    width = max(1, -(-(many * (p - 1) ** 2).bit_length() // 8))
+    fields = [bytearray(len(codes) * width) for _ in pairs]
+    for key, c in folded.items():
+        c %= p
+        if c:
+            code, t = divmod(key, many)
+            if width == 1:
+                fields[t][at[code]] = c
+            else:
+                pos = at[code] * width
+                fields[t][pos:pos + width] = c.to_bytes(width, "little")
+    slot = [one, *range(size - 1)]  # the slot of each rank
+    xs = tuple([slot[code // size % size] for code in codes])
+    return _Program(
+        tuple((*pair, int.from_bytes(packed, "little"))
+              for pair, packed in zip(pairs, fields) if any(packed)),
+        width, (bytes(range(min(p, 256))) * (256 // p + 1))[:256]
+        if width == 1 else None,
+        xs, tuple([slot[code % size] for code in codes]),
+        tuple(map(depth_of.__getitem__, xs)),
+        tuple(bisect_left(codes, i * size * size) for i in range(count + 1)),
+        tuple(free), tuple(depth_of))
+
+
+def _reduced(program, v, p):
+    """Stage 2, once per template: ``program`` on ``v`` (the template, its
+    twist pinned, with the constant-1 slot appended). Per identity, in
+    ``_expansion``'s order, None where it vanishes mod p and otherwise
+    ``(depth, terms)``: the terms (c, x, y) over the free slots, padded
+    with the constant-1 slot, with 0 < c < p, and the depth of the
+    deepest free slot they read (-1 for none), that of its last term.
+    Each twist monomial is evaluated once and scales its packed
+    coefficients, one big-integer multiply-add each; the fields come out
+    of one ``to_bytes`` and, a byte each, one translation mod p."""
+    terms, width, table, xs, ys, depths, bounds = program[:7]
+    acc = 0
+    for a, b, packed in terms:
+        t = v[a] * v[b] % p
+        if t:
+            acc += t * packed
+    raw = acc.to_bytes(len(xs) * width, "little")
+    if table:
+        res = raw.translate(table)
+        nonzero = res.translate(_NONZERO)
+    else:
+        res = [int.from_bytes(raw[i:i + width], "little") % p
+               for i in range(0, len(raw), width)]
+        nonzero = map(bool, res)
+    kept = list(zip(itertools.compress(res, res),
+                    itertools.compress(xs, res), itertools.compress(ys, res)))
+    deep = list(itertools.compress(depths, res))
+    before = list(itertools.accumulate(nonzero, initial=0))
+    for a, b in itertools.pairwise(map(before.__getitem__, bounds)):
+        yield (deep[b - 1], kept[a:b]) if a < b else None
+
+
+def _filed(program, v, p):
+    """``_reduced``'s identities filed in a list indexed by depth: entry
+    d holds those filed at depth d, and the last entry, which index -1
+    reads, those that read no free slot."""
+    checks = [[] for _ in range(len(program.free) + 1)]
+    for filed in _reduced(program, v, p):
+        if filed:
+            checks[filed[0]].append(filed[1])
+    return checks
 
 
 # The walk packs a run of levels at a time: the levels through the next
@@ -406,27 +536,28 @@ def _lex(mask, p, top):
     return mask
 
 
-def _packed_levels(checks_a, checks_b, depth_of, p):
+def _packed_levels(checks_a, checks_b, filed, depth_of, p):
     """The filed identities of levels 0, 1, ... evaluated over all the
     assignments of those levels at once, a run at a time: the levels
-    through the next one that files an identity, while ``_run_pays``,
-    over GF(2) and GF(3) only (none over larger fields). The masks are
-    bit-sliced in ``_columns``' order, so that a run widens them by
-    shifts. Returns the number of levels packed and two bit masks over
-    their assignments, bit r for the r-th in lexicographic order: where
-    one of ``checks_a`` fails, and where one of ``checks_b`` does."""
+    through the next one of ``filed`` (the depths that file an identity,
+    ascending), while ``_run_pays``, over GF(2) and GF(3) only (none over
+    larger fields). The masks are bit-sliced in ``_columns``' order, so
+    that a run widens them by shifts. Returns the number of levels packed
+    and two bit masks over their assignments, bit r for the r-th in
+    lexicographic order: where one of ``checks_a`` fails, and where one
+    of ``checks_b`` does."""
     if p not in _PLANE_BITS:
         return 0, 0, 0
     fails = bads = top = 0
-    for end in sorted({*checks_a, *checks_b}):
+    for end in filed:
         size, spread = p ** top, p ** (end + 1 - top)
         if not _run_pays(size, size - fails.bit_count(), spread, p):
             break
         for _ in range(top, end + 1):
             fails, bads, size = (_widen(fails, size, p),
                                  _widen(bads, size, p), size * p)
-        fails |= _plane_flags(checks_a.get(end, ()), depth_of, p, end)
-        bads |= _plane_flags(checks_b.get(end, ()), depth_of, p, end)
+        fails |= _plane_flags(checks_a[end], depth_of, p, end)
+        bads |= _plane_flags(checks_b[end], depth_of, p, end)
         top = end + 1
     return top, _lex(fails, p, top), _lex(bads, p, top)
 
@@ -445,34 +576,35 @@ def _ones(mask):
             word ^= low
 
 
-def _frontier(polys_a, polys_b, p, fixed):
+def _frontier(kind_a, kind_b, n, p, fixed):
     """The walk's start on ``fixed`` (its twist pinned): None when an
-    identity of ``polys_a`` that reads only pinned slots fails, and
+    identity of ``kind_a`` that reads only pinned slots fails, and
     otherwise ``(v, free, checks_a, checks_b, last, top, alive, bads)``:
     ``v`` the template with its free slots 0 and the constant-1 slot
-    appended, ``free`` the free slots by depth, the other identities
-    filed by depth (``_specialise``), ``last`` the deepest depth filed
-    (-1 for none), and the ``top`` shallowest levels packed: ``alive``
-    and ``bads`` bit masks, bit r for the r-th assignment of those
-    levels in lexicographic order, where every identity of ``polys_a``
-    filed there holds, and where one of ``polys_b`` (those on the pinned
-    slots included) fails."""
-    free = [slot for slot, x in enumerate(fixed) if x < 0]
-    depth_of = [-1] * (len(fixed) + 1)
-    for d, slot in enumerate(free):
-        depth_of[slot] = d
-    w = [*fixed, 1]
-    checks_a, checks_b = (_specialise(polys, w, p, depth_of)
-                          for polys in (polys_a, polys_b))
-    v = [x if x >= 0 else 0 for x in w]
-    if not _holds(checks_a.pop(-1, ()), v, p):
-        return None
-    bad_pinned = not _holds(checks_b.pop(-1, ()), v, p)
-    last = max((*checks_a, *checks_b), default=-1)
-    top, fails, bads = _packed_levels(checks_a, checks_b, depth_of, p)
+    appended, ``free`` the free slots by depth, the identities of
+    ``kind_a`` and those of ``kind_b`` (None for none) in lists indexed
+    by depth (``_filed``), ``last`` the deepest depth filed (-1 for
+    none), and the ``top`` shallowest levels packed: ``alive`` and
+    ``bads`` bit masks, bit r for the r-th assignment of those levels in
+    lexicographic order, where every identity of ``kind_a`` filed there
+    holds, and where one of ``kind_b`` (those on the pinned slots
+    included) fails."""
+    pins = tuple(fixed[:layout(kind_a, n)[2]])
+    program = _program(kind_a, n, p, pins)
+    free, depth_of = program.free, program.depth_of
+    v = [x if x >= 0 else 0 for x in fixed]
+    v.append(1)
+    checks_a = _filed(program, v, p)
+    checks_b = ([()] * len(checks_a) if kind_b is None
+                else _filed(_program(kind_b, n, p, pins), v, p))
+    if checks_a[-1]:  # an identity that reads no free slot is a nonzero
+        return None   # constant: every candidate fails it
+    filed = [d for d in range(len(free)) if checks_a[d] or checks_b[d]]
+    top, fails, bads = _packed_levels(checks_a, checks_b, filed, depth_of,
+                                      p)
     full = (1 << p ** top) - 1
-    return (v, free, checks_a, checks_b, last, top, full ^ fails,
-            full if bad_pinned else bads)
+    return (v, free, checks_a, checks_b, filed[-1] if filed else -1, top,
+            full ^ fails, full if checks_b[-1] else bads)
 
 
 def _decode(v, free, top, i, p, prev=-1):
@@ -520,15 +652,16 @@ def _below(v, free, checks_a, checks_b, last, top, alive, bads, p):
                 if d >= top:
                     v[free[d]] += 1
                 continue
-            for poly in checks_a.get(d, ()):
+            for poly in checks_a[d]:
                 acc = 0
                 for c, x, y in poly:
                     acc += c * v[x] * v[y]
                 if acc % p:
                     break  # skips the p^(len(free)-d-1) candidates below
             else:
-                bad[d + 1] = bad[d] or (d in checks_b and
-                                        not _holds(checks_b[d], v, p))
+                checks = checks_b[d]
+                bad[d + 1] = bad[d] or bool(checks) and not _holds(checks,
+                                                                   v, p)
                 if d < last:
                     d += 1
                     continue
@@ -562,8 +695,7 @@ def _scan(kind_a, kind_b, n, p, fixed, cap):
     template's twist pinned."""
     if min(fixed[layout(kind_a, n)[2]:], default=0) < 0:
         raise ValueError("a scan needs the twist pinned")
-    polys_b = () if kind_b is None else _expansion(kind_b, n)
-    front = _frontier(_expansion(kind_a, n), polys_b, p, fixed)
+    front = _frontier(kind_a, kind_b, n, p, fixed)
     if front is None:
         return 0, 0, []
     v, free, _, _, last, top, alive, bads = front

@@ -17,15 +17,17 @@ import functools
 import sys
 from array import array
 from itertools import chain, product
+from operator import countOf
 from dataclasses import dataclass
 from typing import Optional
 
 from . import _kernels
 from ._kernels import pykern
 from .axioms import check_morphism
-from .errors import BudgetExceededError, FieldMismatchError, ShapeError
+from .errors import (BudgetExceededError, FieldMismatchError,
+                     ScalarParseError, ShapeError)
 from .fields import PrimeField, require_same_field
-from .linalg import LinearMap, ProductTensor, basis_vector
+from .linalg import LinearMap, basis_vector
 from .structures import (KINDS, SECTION_FORMS, SECTION_TYPES, Morphism,
                          read_nested)
 
@@ -153,22 +155,50 @@ def _budget_or_raise(free, p, kernel_name):
             f"budget of {budget}")
 
 
-def structure_from_flat(kind, flat, n, p, with_unit=False):
-    """Materialize a kernel candidate as a checkable structure."""
+@functools.lru_cache(maxsize=64)
+def _sample_form(kind, n, p):
+    """What every sample of a kind at dimension n over GF(p) shares: the
+    field, the layout's length, the record, the product sections with
+    the rows of the flat array where each starts, the row where the
+    twist starts."""
     gf = PrimeField(p)
     total, offs, alpha_off = pykern.layout(kind, n)
-    flat = tuple(flat)
-    # the flat array in rows of n: row off / n + i n + j is mu(e_i, e_j)
-    # of the product at offset off, row alpha_off / n + i the twist's row i
-    rows = [flat[r:r + n] for r in range(0, total, n)]
-
-    def tensor(off):
-        return ProductTensor(gf, tuple(rows[off + i * n:off + (i + 1) * n]
-                                       for i in range(n)))
-
     record, names, _ = KINDS[kind]
-    values = dict(zip(names, [tensor(off // n) for off in offs]))
-    values["alpha"] = LinearMap(gf, tuple(rows[alpha_off // n:]))
+    return (gf, total, record, tuple(zip(names, [off // n for off in offs])),
+            alpha_off // n)
+
+
+def _trusted(form, field, entries):
+    """The value of section type ``form`` holding ``entries``, nested
+    tuples of its shape already: ``cls(field, entries)`` without the
+    constructor's copy into tuples and its shape check."""
+    cls, attr, _ = SECTION_FORMS[form]
+    value = object.__new__(cls)
+    object.__setattr__(value, "field", field)
+    object.__setattr__(value, attr, entries)
+    return value
+
+
+def structure_from_flat(kind, flat, n, p, with_unit=False):
+    """Materialize a kernel candidate as a checkable structure.
+    ``ShapeError`` unless ``flat`` has the kind's layout length at
+    dimension n, ``ScalarParseError`` unless each entry is an int in
+    range(p)."""
+    gf, total, record, products, alpha_row = _sample_form(kind, n, p)
+    flat = tuple(flat)
+    if len(flat) != total:
+        raise ShapeError(f"a {kind} candidate at dimension {n} has {total} "
+                         f"entries, not {len(flat)}")
+    if countOf(map(type, flat), int) != total or min(flat, default=0) < 0 \
+            or max(flat, default=0) >= p:
+        raise ScalarParseError(f"candidate entries must be residues mod {p}")
+    # the flat array in rows of n: row r + i n + j is mu(e_i, e_j) of the
+    # product whose rows start at r, row alpha_row + i the twist's row i
+    rows = tuple([flat[r:r + n] for r in range(0, total, n)])
+    values = {name: _trusted("product", gf, tuple(
+        [rows[r:r + n] for r in range(start, start + n * n, n)]))
+        for name, start in products}
+    values["alpha"] = _trusted("matrix", gf, rows[alpha_row:])
     if with_unit:
         values["unit"] = basis_vector(gf, n, 0)
     return record.from_sections(kind, values)

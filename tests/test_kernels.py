@@ -362,9 +362,9 @@ def packed(monkeypatch):
     seen = {"levels": []}
     levels = pykern._packed_levels
 
-    def spy_levels(checks_a, checks_b, depth_of, p):
-        out = levels(checks_a, checks_b, depth_of, p)
-        seen["levels"].append((max((*checks_a, *checks_b), default=-1), *out))
+    def spy_levels(checks_a, checks_b, filed, depth_of, p):
+        out = levels(checks_a, checks_b, filed, depth_of, p)
+        seen["levels"].append((filed[-1] if filed else -1, *out))
         return out
 
     monkeypatch.setattr(pykern, "_packed_levels", spy_levels)
@@ -595,10 +595,10 @@ def random_twist(rng, n, p, rank):
             return [x for row in rows for x in row]
 
 
-def specialise_template(rng, kind, n, p, rank, unit):
+def specialise_template(rng, kind, n, p, rank, unit, share=0.4):
     """The twist pinned to a ``rank`` twist, the product slots of the
-    ``require_unit`` prefill pinned when ``unit``, and about 40% of the
-    other product slots pinned, half of those to zero."""
+    ``require_unit`` prefill pinned when ``unit``, and about ``share`` of
+    the other product slots pinned, half of those to zero."""
     total, _, al = pykern.layout(kind, n)
     if unit:  # entries 0 and 1 are residues mod every p
         spec = SearchSpec(kind, n, 2, require_unit=True,
@@ -607,7 +607,7 @@ def specialise_template(rng, kind, n, p, rank, unit):
     else:
         fixed = [-1] * total
     for slot in range(al):
-        if fixed[slot] < 0 and rng.random() < 0.4:
+        if fixed[slot] < 0 and rng.random() < share:
             fixed[slot] = rng.randrange(p) if rng.random() < 0.5 else 0
     fixed[al:] = random_twist(rng, n, p, rank)
     return fixed
@@ -622,39 +622,121 @@ def depths(fixed):
     return depth_of
 
 
+def program(kind, n, p, fixed):
+    """The specialisation program of ``fixed``'s product pins."""
+    return pykern._program(kind, n, p,
+                           tuple(fixed[:pykern.layout(kind, n)[2]]))
+
+
+def staged(kind, n, p, fixed):
+    """``_reduced`` on ``fixed`` (its twist pinned): per identity of the
+    expansion, None or its (depth, terms)."""
+    v = [max(x, 0) for x in fixed] + [1]
+    return list(pykern._reduced(program(kind, n, p, fixed), v, p))
+
+
+def brute_reduced(poly, fixed, p):
+    """One identity of the expansion on ``fixed`` (its twist pinned) by
+    brute force: the pinned slots multiplied into each monomial, each
+    keyed by its free slots padded with the constant-1 slot, and equal
+    keys combined mod p; zero coefficients are left out."""
+    w = [*fixed, 1]
+    terms = {}
+    for c, *slots in poly:
+        free = [s for s in slots if w[s] < 0]
+        for s in slots:
+            c *= w[s] if w[s] >= 0 else 1
+        key = tuple((free + [len(fixed)] * 2)[:2])
+        terms[key] = terms.get(key, 0) + c
+    return {key: c % p for key, c in terms.items() if c % p}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("kind", sorted(pykern.KINDS))
 def test_specialised_identities_are_the_residuals(kind, n):
-    """Each identity of the cached expansion, specialised to a template,
-    has the identity's residual mod p at random completions, reads only
-    free slots (and the constant-1 slot, ``len(fixed)``), and is filed at
-    the deepest of them; one that vanishes has residual 0 there."""
+    """Each identity of the cached expansion, specialised to a template
+    by the staged program, has the identity's residual mod p at random
+    completions, reads only free slots (and the constant-1 slot,
+    ``len(fixed)``), and is filed at the deepest of them; one that
+    vanishes has residual 0 there."""
     polys = pykern._expansion(kind, n)
     for p in SPECIALISE_PRIMES:
         rng = random.Random(f"{kind}:{n}:{p}")
-        sample = rng.sample(polys, min(len(polys), 24))
+        sample = rng.sample(range(len(polys)), min(len(polys), 24))
         for rank, unit in itertools.product(
                 ("zero", "singular", "invertible"), (False, True)):
             fixed = specialise_template(rng, kind, n, p, rank, unit)
             depth_of = depths(fixed)
-            for poly in sample:
-                filed = pykern._specialise((poly,), [*fixed, 1], p, depth_of)
-                reduced = [r for rs in filed.values() for r in rs]
-                assert len(reduced) <= 1
-                reduced = reduced[0] if reduced else ()
+            filed = staged(kind, n, p, fixed)
+            assert len(filed) == len(polys)
+            for i in sample:
+                poly = polys[i]
+                depth, reduced = filed[i] or (None, ())
                 reads = {s for _, x, y in reduced for s in (x, y)}
                 reads.discard(len(fixed))
                 assert all(fixed[s] < 0 for s in reads)
                 assert all(0 < c < p for c, _, _ in reduced)
                 if reduced:
-                    assert list(filed) == [max((depth_of[s] for s in reads),
-                                               default=-1)]
+                    assert depth == max((depth_of[s] for s in reads),
+                                        default=-1)
                 for _ in range(3):
                     v = [rng.randrange(p) if x < 0 else x for x in fixed]
                     v.append(1)
                     assert sum(c * v[x] * v[y] for c, x, y in reduced) % p \
                         == sum(c * v[x] * v[y] * v[z]
                                for c, x, y, z in poly) % p
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(pykern.KINDS)), st.integers(1, 3),
+       st.sampled_from([2, 3, 5, 7, 4294967291]),
+       st.sampled_from(["zero", "singular", "invertible"]), st.booleans(),
+       st.sampled_from([0, 0.4, 1]), st.integers(0, 2 ** 32))
+def test_staged_filing_is_the_brute_force_residuals(kind, n, p, rank, unit,
+                                                    share, seed):
+    """On random templates, with no product pin, some or all, and with or
+    without the unit prefill: each identity the staged program files is
+    the brute-force residual mod p, at the depth of the deepest free slot
+    it reads, and ``_filed`` holds each of them at that depth. Over
+    GF(4294967291) a packed field is 9 bytes wide from dimension 2 on."""
+    rng = random.Random(seed)
+    fixed = specialise_template(rng, kind, n, p, rank, unit, share)
+    depth_of = depths(fixed)
+    want = []
+    for poly in pykern._expansion(kind, n):
+        terms = brute_reduced(poly, fixed, p)
+        want.append(terms and (max(depth_of[s] for key in terms
+                                   for s in key), terms))
+    got = staged(kind, n, p, fixed)
+    assert [(depth, {tuple(sorted(key)): c for c, *key in terms})
+             if terms else {}
+             for depth, terms in [g or (None, ()) for g in got]] == want
+    v = [max(x, 0) for x in fixed] + [1]
+    checks = pykern._filed(program(kind, n, p, fixed), v, p)
+    assert len(checks) == sum(x < 0 for x in fixed) + 1
+    assert sorted((d, sorted((c, *sorted(key)) for c, *key in terms))
+                  for d, polys in enumerate(checks) for terms in polys) == \
+        sorted((d % len(checks), sorted((c, *key) for key, c in terms.items()))
+               for d, terms in filter(None, want))
+    if p == 4294967291 and n > 1:  # a field sums 4 or more products
+        assert program(kind, n, p, fixed).width == 9
+
+
+def test_a_sweep_over_every_twist_keys_no_cache_by_the_twist():
+    """The 81 twists of the dim-2 GF(3) hom-algebra space, each pinned in
+    its own sweep: each twist is specialised afresh, so no cache grows by
+    more than one entry, but those keyed by packed level, by at most one
+    per level."""
+    caches = {name: f for name, f in vars(pykern).items()
+              if hasattr(f, "cache_clear")}
+    for f in caches.values():
+        f.cache_clear()
+    al = pykern.layout("hom-algebra", 2)[2]
+    for twist in twists(2, 3):
+        pykern.sweep("hom-algebra", 2, 3, [-1] * al + twist, 0)
+    for name, f in caches.items():
+        by_level = name in ("_columns", "_planes", "_reversal")
+        assert f.cache_info().currsize <= (al if by_level else 1), name
 
 
 @pytest.mark.parametrize("kind, p, fixed", [
@@ -664,16 +746,15 @@ def test_specialised_identities_are_the_residuals(kind, n):
     ("hom-prelie", 2, [0, 0, -1, -1, -1, 0, 0, -1, 0, 1, 0, 1]),
 ])
 def test_slots_that_cancel_mod_p_join_the_tail(compiled, kind, p, fixed):
-    polys, depth_of = pykern._expansion(kind, 2), depths(fixed)
-
     def last(q):  # the deepest depth an identity is filed at over GF(q)
-        return max(pykern._specialise(polys, [*fixed, 1], q, depth_of))
+        return max(depth for depth, _ in filter(None,
+                                                staged(kind, 2, q, fixed)))
 
     assert last(p) < last(4294967291)
     free = [slot for slot, x in enumerate(fixed) if x < 0]
     # every survivor of the walk shares the tail past the deepest depth
     # that _frontier files an identity at
-    deepest = pykern._frontier(polys, (), p, fixed)[4]
+    deepest = pykern._frontier(kind, None, 2, p, fixed)[4]
     assert free[deepest + 1:] == free[last(p) + 1:] != []
     want = brute_sweep(kind, 2, p, fixed, 1 << 20)
     assert want[0] > 0

@@ -11,8 +11,10 @@ from homstruct import _kernels, search
 from homstruct._kernels import (available, compiled_is_exact, get_kernel,
                                 kernel_for, pykern)
 from homstruct.errors import (BudgetExceededError, FieldError,
-                              FieldMismatchError, ShapeError)
+                              FieldMismatchError, ScalarParseError,
+                              ShapeError)
 from homstruct.fields import PrimeField
+from homstruct.structures import KINDS
 from homstruct.search import (AuditResult, SearchSpec, audit_inclusion,
                               enumerate_structures, find_morphisms,
                               group_by_isomorphism, structure_from_flat)
@@ -306,6 +308,44 @@ class TestStructureFromFlat:
         s = structure_from_flat("hom-algebra", [x % 2 for x in flat], 2, 2)
         assert s.mu.c[0][0][1] == 1  # slot 1 of the flat product block
         assert s.alpha.is_identity()
+
+    @pytest.mark.parametrize("length", [11, 13, 14])
+    def test_a_flat_of_the_wrong_length_is_refused(self, length):
+        # a dim-2 hom-algebra candidate has 8 + 4 entries
+        with pytest.raises(ShapeError, match="12 entries"):
+            structure_from_flat("hom-algebra", [0] * length, 2, 2)
+
+    @pytest.mark.parametrize("entry", [3, 5, -1, 1.0, True, "1"])
+    def test_an_entry_that_is_no_residue_is_refused(self, entry):
+        flat = [0] * 11 + [entry]
+        with pytest.raises(ScalarParseError, match="residues mod 3"):
+            structure_from_flat("hom-algebra", flat, 2, 3)
+
+    @pytest.mark.parametrize("n, p", [(1, 5), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("kind", sorted(pykern.KINDS))
+    def test_equal_to_the_constructors_result(self, kind, n, p):
+        """The sample equals the record built through the value classes'
+        constructors from nested lists: as values, by hash and in the
+        product planes computed from them."""
+        gf = PrimeField(p)
+        total, offs, al = pykern.layout(kind, n)
+        record, names, _ = KINDS[kind]
+        rng = random.Random(f"{kind}:{n}:{p}")
+        for with_unit in (False, True):
+            flat = [rng.randrange(p) for _ in range(total)]
+            rows = [flat[r:r + n] for r in range(0, total, n)]
+            values = {name: hs.ProductTensor(gf, [
+                rows[off // n + i * n:off // n + (i + 1) * n]
+                for i in range(n)]) for name, off in zip(names, offs)}
+            values["alpha"] = hs.LinearMap(gf, rows[al // n:])
+            if with_unit:
+                values["unit"] = hs.Vector(gf, [1] + [0] * (n - 1))
+            want = record.from_sections(kind, values)
+            got = structure_from_flat(kind, flat, n, p, with_unit)
+            assert got == want and hash(got) == hash(want)
+            assert [t.left_planes for t in got.products().values()] == \
+                [t.left_planes for t in want.products().values()]
+            assert got.unit == want.unit
 
 
 class TestMorphismSearch:
