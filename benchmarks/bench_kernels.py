@@ -16,10 +16,15 @@ associative algebras), and the full dim-1 GF(1009) hom-algebra space
 (1,009 twist templates). The "search shapes" row sweeps the templates
 of the search workload, cap 16: dimension 2, each invertible twist
 pinned, the one-product kinds over GF(3) and the two-product kinds over
-GF(2). Both kernels run the same pruned walk over pykern's polynomial
-table, so a rate counts the raw candidates the walk accounts for, not
-the nodes it visits. The full dialgebra-vs-hlsda audit runs on each
-kernel. A last layer row groups the full dim-2 GF(2) hom-algebra,
+GF(2). Both kernels run the same pruned walk over pykern's staged
+program, so a rate counts the raw candidates the walk accounts for, not
+the nodes it visits. Every row but two reads the program from pykern's
+caches after the warm-up call. The two "cold program" rows, one unital
+dim-3 GF(2) hom-algebra template with the identity twist and one
+twist-pinned dim-2 GF(2) hlsda template, clear ``pykern._program``'s
+and ``pykern._flat_program``'s caches before each call: they time what
+a sweep with new product pins pays for stage 1 (and, compiled, for its
+encoding). The full dialgebra-vs-hlsda audit runs on each kernel. A last layer row groups the full dim-2 GF(2) hom-algebra,
 hom-leibniz and hom-prelie streams into isomorphism classes and checks
 the class counts. Every time is the best of 3 calls after a warm-up call.
 
@@ -87,6 +92,19 @@ def search_shapes_row():
                           for kind, p, fixed in templates])
 
 
+def cold_row(kind, n, p, fixed):
+    """``sweep_row`` of ``fixed``, its twist pinned, with the caches of
+    the program and of its encoding cleared before each sweep."""
+    label, raw, sweep = sweep_row(kind, n, p, fixed, ALL_SAMPLES)
+
+    def cold(kern):
+        pykern._program.cache_clear()
+        pykern._flat_program.cache_clear()
+        return sweep(kern)
+
+    return "cold " + label, raw, cold
+
+
 def rate(candidates, seconds):
     return f"{candidates / seconds:>10.3g}" if seconds > 0 else f"{'inf':>10}"
 
@@ -116,7 +134,15 @@ def run():
         ("hom-algebra", 1, 1009, free_template("hom-algebra", 1),
          ALL_SAMPLES),
     ]
-    rows = [sweep_row(*sweep) for sweep in sweeps] + [search_shapes_row()]
+    unital = _flat_template(
+        SearchSpec("hom-algebra", 3, 2, require_unit=True), "python")[0]
+    al = pykern.layout("hom-algebra", 3)[2]
+    rows = [sweep_row(*sweep) for sweep in sweeps] + [
+        search_shapes_row(),
+        cold_row("hom-algebra", 3, 2,
+                 unital[:al] + [1, 0, 0, 0, 1, 0, 0, 0, 1]),
+        cold_row("hlsda", 2, 2,
+                 twist_pinned_template("hlsda", 2, [[1, 1], [0, 1]]))]
 
     have_compiled = "compiled" in available()
     print(f"kernels available: {', '.join(available())}")
@@ -128,7 +154,7 @@ def run():
         kern = get_kernel("python")
         py, t_py = best_of_3(lambda: sweep(kern))
         count = sum(found for found, _ in py)
-        line = f"{label:<32} {count:>8} {t_py:>9.3f}s {rate(raw, t_py)}"
+        line = f"{label:<32} {count:>8} {t_py:>9.4f}s {rate(raw, t_py)}"
         if have_compiled:
             kern = get_kernel("compiled")
             c, t_c = best_of_3(lambda: sweep(kern))

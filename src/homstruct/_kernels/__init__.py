@@ -1,10 +1,11 @@
 """Search kernel selection: compiled extension when built, pure Python
-fallback otherwise. Both run pykern's walk over pykern's polynomial
-table, so they expose the same API and give identical streams: over
-GF(2) and GF(3) the Python walk evaluates its shallow levels as packed
-bit planes before it resumes the scalar walk below each survivor; over
-larger fields, where packed byte fields measured no faster, it walks
-scalar throughout, as the compiled walk does over every field."""
+fallback otherwise. Both run pykern's walk over pykern's staged program
+(the compiled one runs its last stage in C on ``pykern._flat_program``),
+so they expose the same API and give identical streams: over GF(2) and
+GF(3) the Python walk evaluates its shallow levels as packed bit planes
+before it resumes the scalar walk below each survivor; over larger
+fields, where packed byte fields measured no faster, it walks scalar
+throughout, as the compiled walk does over every field."""
 
 from array import array
 
@@ -17,8 +18,13 @@ except ImportError:  # extension not built; fall back
 
 
 def _scan(kind_a, kind_b, n, p, fixed, cap):
-    """pykern._scan, run by the C kernel on pykern's polynomial table."""
-    return _ckern.scan(pykern._table(kind_a, kind_b, n), p,
+    """pykern._scan, run by the C kernel on pykern's staged program. A
+    template with no free slot, as ``passes`` scans, reads the program
+    with no product pinned, cached per kind, dimension and prime: its one
+    evaluation costs less in C than folding its pins in Python."""
+    al = pykern.layout(kind_a, n)[2]
+    pins = tuple(fixed[:al]) if min(fixed) < 0 else (-1,) * al
+    return _ckern.scan(pykern._flat_program(kind_a, kind_b, n, p, pins), p,
                        array("q", fixed), cap)
 
 

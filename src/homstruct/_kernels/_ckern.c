@@ -1,20 +1,20 @@
-/* Compiled search kernel: pykern._scan in C, over pykern's polynomial table.
+/* Compiled search kernel: pykern._scan in C, over pykern's staged program.
 
    pykern._identities is the one place the axiom systems are written, and
-   pykern._expansion multiplies each identity out into monomials
-   c * v[x] * v[y] * v[z], where slot total, one past the candidate, holds
-   a constant 1. pykern._table encodes the expansion as 64-bit ints: the
-   offset of kind b's first identity, then per identity its monomial count
-   and its monomials (c, x, y, z). plan() specialises the table to the
-   template, filing each identity as pykern._filed does, and scan() runs
-   pykern._below's
-   depth-first walk over the result, so counts and sample streams match
-   pykern's bit for bit. The walk stops at depth last + 1, past the
-   deepest identity, so every survivor has the same free tail and stands
-   for p^(nfree - last - 1) candidates: it counts survivors, and scan()
-   multiplies once. See pykern's module docstring for the flat candidate
-   layout. This file holds no kind names, no layout formula and
-   no axiom.
+   pykern._program specialises them to a sweep's pinned product slots
+   (stages 0 and 1 of pykern's module docstring). pykern._flat_program
+   encodes that program as 64-bit ints: per identity, its positions, each a
+   product key (x, y) over the free slots and slot total, one past the
+   candidate, which holds a constant 1; per twist monomial (a pair of twist
+   or constant-1 slots), its coefficient mod p at each position where it
+   has one. reduced() is stage 2 on each template, as pykern._reduced and
+   pykern._filed, and scan() runs pykern._below's depth-first walk over the
+   result, so counts and sample streams match pykern's bit for bit. The
+   walk stops at depth last + 1, past the deepest identity, so every
+   survivor has the same free tail and stands for p^(nfree - last - 1)
+   candidates: it counts survivors, and scan() multiplies once. See
+   pykern's module docstring for the flat candidate layout. This file holds
+   no kind names, no layout formula and no axiom.
 
    Entries are residues mod p < 2^32 held in 64-bit unsigned words, and
    every product of two residues is reduced at once (times()), so no sum
@@ -32,8 +32,8 @@ typedef struct {
     Py_ssize_t *free;  /* its free slots, most significant first */
     int *depth;        /* per slot, and the constant-1 slot: its position in
                           free, or -1 */
-    u64 *poly;         /* the specialised identities: per identity its
-                          monomial count, then its monomials (c, x, y, z) */
+    u64 *poly;         /* the filed identities: per identity its term
+                          count, then its terms (c, x, y) */
     Py_ssize_t *order, *end;  /* the identities of depth d (from -1):
                                  order[end[d] .. end[d + 1]), each the offset
                                  in poly of one of kind a or the complement
@@ -51,16 +51,12 @@ static inline u64 addmod(u64 a, u64 b, u64 p) { return a + b >= p ? a + b - p : 
 /* c * x mod p for residues c and x, with no division when either is 0 or 1 */
 static inline u64 times(u64 c, u64 x, u64 p) { return c > 1 && x > 1 ? c * x % p : c * x; }
 
-/* does the specialised identity at poly[id] hold mod p? */
+/* does the filed identity at poly[id] hold mod p? */
 static int holds(const Space *s, Py_ssize_t id) {
     const u64 *m = s->poly + id + 1, *v = s->v, p = s->p;
     u64 acc = 0;
-    for (u64 k = 0; k < s->poly[id]; k++, m += 4) {
-        u64 c = m[0];
-        for (int j = 1; c && j < 4; j++)
-            c = times(c, v[m[j]], p);
-        acc = addmod(acc, c, p);
-    }
+    for (u64 k = 0; k < s->poly[id]; k++, m += 3)
+        acc = addmod(acc, times(times(m[0], v[m[1]], p), v[m[2]], p), p);
     return acc == 0;
 }
 
@@ -132,76 +128,68 @@ static int descend(Space *s, Py_ssize_t d, int bad) {
     return 0;
 }
 
-/* The table x[0 .. len) specialised to the template in one pass, as
-   pykern stages it (pykern._program, then pykern._filed): each
-   identity with the pinned slots multiplied in and its free slots padded
-   with the constant-1 slot, equal monomials combined mod p; unless it
-   vanishes, filed at the depth of the deepest free slot it reads (-1 for
-   none). */
-static int plan(Space *s, const i64 *x, Py_ssize_t len) {
-    Py_ssize_t nids = 0, top = 0, d, i, k;
-    u64 p = s->p, *v = s->v, one = (u64)s->total, *q, *r, *staged;
-    /* the table must be a run of identities with kind b's starting in it */
-    if (len < 1 || x[0] < 1 || x[0] > len)
+/* Stage 2 on the template, as pykern._reduced and pykern._filed: x[0 ..
+   len) is pykern._flat_program's encoding of stage 1. Each twist monomial
+   is evaluated once and adds its coefficients, times its value, to its
+   positions mod p, and each identity that does not vanish is filed at
+   the depth of the deepest free slot it reads (-1 for none). */
+static int reduced(Space *s, const i64 *x, Py_ssize_t len) {
+    Py_ssize_t top = 0, d, i, j, k;
+    u64 p = s->p, one = (u64)s->total;
+    /* the header, the bounds and the positions' slots x and y fit */
+    if (len < 3 || x[0] < 0 || x[1] < 0 || x[2] < 0 || x[2] > x[1] || x[1] >= len - 3
+            || x[0] > (len - 4 - x[1]) / 2)
         goto malformed;
-    for (k = 1; k < len; k += 1 + 4 * x[k], nids++)
-        if (x[k] < 0 || x[k] > (len - k - 1) / 4)
-            goto malformed;
-    /* poly is no longer than the table; one block: order, end, then each
+    Py_ssize_t npos = x[0], nids = x[1];
+    const i64 *bound = x + 3, *xs = bound + nids + 1, *ys = xs + npos, *t = ys + npos,
+              *stop = x + len;
+    /* poly: per identity its head and at most its positions' terms, then
+       the positions' coefficients; one block: order, end, then each
        identity's depth (-2 when it vanishes) and offset */
-    s->poly = PyMem_Malloc(sizeof(u64) * (size_t)len);
+    s->poly = PyMem_Calloc((size_t)(nids + 4 * npos + 1), sizeof(u64));
     s->order = PyMem_Malloc(sizeof(Py_ssize_t) * (size_t)(3 * nids + s->nfree + 2));
     if (s->poly == NULL || s->order == NULL) {
         PyErr_NoMemory();
         return -1;
     }
+    u64 *res = s->poly + nids + 3 * npos;
     s->end = s->order + nids + 1;
     Py_ssize_t *depth = s->end + s->nfree + 1, *at = depth + nids;
-    for (d = 0; d < s->nfree; d++)
-        v[s->free[d]] = 1;  /* a free slot is read as the factor 1 here */
-    for (i = 0, k = 1; i < nids; i++, k += 1 + 4 * x[k]) {
+    for (k = 0; k < 2 * npos; k++)
+        if ((u64)xs[k] > one)
+            goto malformed;  /* a slot outside the candidate */
+    for (; t < stop; t += 3 + 2 * t[2]) {
+        if (stop - t < 3 || t[2] < 0 || t[2] > (stop - t - 3) / 2 || (u64)t[0] > one
+                || (u64)t[1] > one || s->depth[t[0]] >= 0 || s->depth[t[1]] >= 0)
+            goto malformed;  /* a count past the end, or a twist slot outside or free */
+        u64 value = times(s->v[t[0]], s->v[t[1]], p);
+        for (j = 0; j < t[2]; j++) {
+            i64 pos = t[3 + j], c = t[3 + t[2] + j];
+            if ((u64)pos >= (u64)npos || (u64)c >= p)
+                goto malformed;
+            res[pos] = addmod(res[pos], times((u64)c, value, p), p);
+        }
+    }
+    if (bound[0] != 0 || bound[nids] != npos)
+        goto malformed;
+    for (i = 0; i < nids; i++) {
         u64 *head = s->poly + top, *m = head + 1;
-        /* stage the monomials with no pinned 0, with no branch on a value */
-        for (const i64 *t = x + k + 1; t < x + k + 1 + 4 * x[k]; t += 4) {
-            if ((u64)t[1] > one || (u64)t[2] > one || (u64)t[3] > one)
-                goto malformed;  /* a slot outside the candidate */
-            memcpy(m, t, sizeof(u64) * 4);
-            m += 4 * ((v[t[1]] != 0) & (v[t[2]] != 0) & (v[t[3]] != 0));
+        if (bound[i + 1] < bound[i])
+            goto malformed;
+        for (depth[i] = -1, j = bound[i]; j < bound[i + 1]; j++) {
+            if (res[j] == 0)
+                continue;  /* the coefficient vanishes mod p */
+            m[0] = res[j];
+            m[1] = (u64)xs[j];
+            m[2] = (u64)ys[j];
+            m += 3;
+            depth[i] = s->depth[xs[j]];  /* x is the deeper slot; positions ascend */
         }
-        /* multiply in the pinned slots and pad the free slots with the
-           constant-1 slot, so that equal monomials have equal keys (the
-           table's slots are sorted), and combine them */
-        for (staged = m, m = r = head + 1; r < staged; r += 4) {
-            i64 c0 = (i64)r[0] % (i64)p;
-            u64 c = (u64)(c0 < 0 ? c0 + (i64)p : c0), key[3] = {one, one, one};
-            for (int j = 1, nk = 0; j < 4; j++) {
-                c = times(c, v[r[j]], p);
-                if (s->depth[r[j]] >= 0)
-                    key[nk++] = r[j];
-            }
-            if (c == 0)
-                continue;  /* a coefficient that p divides */
-            for (q = head + 1; q < m && (q[1] != key[0] || q[2] != key[1] || q[3] != key[2]);
-                 q += 4)
-                ;
-            if (q == m) {
-                m += 4;
-                memcpy(q + 1, key, sizeof key);
-                q[0] = 0;
-            }
-            if ((q[0] = addmod(q[0], c, p)) == 0)  /* it cancels: drop it */
-                memmove(q, m -= 4, sizeof(u64) * 4);
-        }
-        for (depth[i] = -1, q = head + 1; q < m; q += 4)
-            for (int j = 1; j < 4; j++)
-                depth[i] = s->depth[q[j]] > depth[i] ? s->depth[q[j]] : depth[i];
-        *head = (u64)(m - head - 1) / 4;
-        at[i] = k < x[0] ? top : ~top;
+        *head = (u64)(m - head - 1) / 3;
+        at[i] = i < x[2] ? top : ~top;
         top = *head ? m - s->poly : top;
         depth[i] = *head ? depth[i] : -2;  /* an identity that vanishes is dropped */
     }
-    for (d = 0; d < s->nfree; d++)
-        v[s->free[d]] = 0;
     s->end[-1] = 0;
     for (d = -1, k = 0; d < s->nfree; d++) {
         for (i = 0; i < nids; i++)
@@ -213,8 +201,8 @@ static int plan(Space *s, const i64 *x, Py_ssize_t len) {
     }
     return 0;
 malformed:
-    PyErr_SetString(PyExc_ValueError, "the table is not a run of identities over the "
-                                      "candidate's slots");
+    PyErr_SetString(PyExc_ValueError, "the program is not a run of identities over the "
+                                      "template's slots, its twist monomials pinned");
     return -1;
 }
 
@@ -232,18 +220,18 @@ static PyObject *candidates(const Space *s, u64 survivors) {
     return count;
 }
 
-/* scan(table, p, fixed, cap) -> (count, failing, hits): pykern._scan on the
-   template fixed, 64-bit ints where a negative entry marks a free slot and
+/* scan(program, p, fixed, cap) -> (count, failing, hits): pykern._scan on
+   the template fixed, 64-bit ints where a negative entry marks a free slot and
    every other one is a residue mod p. count is how many candidates pass
    kind a, failing how many of those fail kind b, and hits the first cap
    of those, in lexicographic order. A sweep's kind b is the one identity
-   1 = 0, which every candidate fails. */
+   1 = 0, which every candidate fails; program is pykern._flat_program's. */
 static PyObject *scan(PyObject *self, PyObject *args) {
-    Py_buffer table, f_buf;
+    Py_buffer program, f_buf;
     PyObject *result = NULL;
     long long p;
     Space s = {0};
-    if (!PyArg_ParseTuple(args, "y*Ly*n", &table, &p, &f_buf, &s.cap))
+    if (!PyArg_ParseTuple(args, "y*Ly*n", &program, &p, &f_buf, &s.cap))
         return NULL;
     const i64 *fixed = f_buf.buf;
     s.p = (u64)p;
@@ -271,7 +259,7 @@ static PyObject *scan(PyObject *self, PyObject *args) {
     s.v[s.total] = 1;
     s.depth[s.total] = -1;
     int bad = 0;
-    if ((s.hits = PyList_New(0)) == NULL || plan(&s, table.buf, table.len / 8) < 0
+    if ((s.hits = PyList_New(0)) == NULL || reduced(&s, program.buf, program.len / 8) < 0
             || (check(&s, -1, &bad) && descend(&s, 0, bad) < 0))
         goto done;
     result = Py_BuildValue("(NNO)", candidates(&s, s.passed), candidates(&s, s.failed),
@@ -281,19 +269,19 @@ done:
     PyMem_Free(s.order);
     PyMem_Free(s.poly);
     PyMem_Free(s.v);
-    PyBuffer_Release(&table);
+    PyBuffer_Release(&program);
     PyBuffer_Release(&f_buf);
     return result;
 }
 
 static PyMethodDef methods[] = {
-    {"scan", scan, METH_VARARGS, "scan(table, p, fixed, cap) -> (count, failing, hits)"},
+    {"scan", scan, METH_VARARGS, "scan(program, p, fixed, cap) -> (count, failing, hits)"},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_ckern",
-    "pykern._scan in C, over pykern's polynomial tables; homstruct._kernels "
+    "pykern._scan in C, over pykern's staged programs; homstruct._kernels "
     "runs pykern's drivers over it.", -1, methods,
 };
 

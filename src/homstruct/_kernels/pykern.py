@@ -3,11 +3,11 @@
 Evaluates the mod-p axiom systems directly on flat structure-constant
 arrays (independent of the exact-arithmetic checkers) and enumerates
 candidate assignments in lexicographic order. ``_identities`` is the one
-place the axiom systems are written, and ``_expansion`` the one
-polynomial table both kernels read: ``_table`` encodes it as flat ints
-for the compiled kernel in ``_ckern``, which runs ``_scan``'s walk in C;
-``Kernel`` pins a free twist and merges the sample streams for either
-kernel, so both produce identical streams.
+place the axiom systems are written, and ``_program`` the one
+specialisation of them both kernels read: ``_flat_program`` encodes it
+as flat ints for the compiled kernel in ``_ckern``, which runs stage 2
+and ``_scan``'s walk in C; ``Kernel`` pins a free twist and merges the
+sample streams for either kernel, so both produce identical streams.
 
 Flat layout of a candidate: the product tensors in kind order (each
 n*n*n, entry (i, j, k) at ((i*n)+j)*n+k), then the twist matrix (n*n,
@@ -29,12 +29,12 @@ monomials mod p, drops the identities that vanish, and checks each of
 the rest as soon as the deepest free slot its reduced polynomial reads
 is set. A slot that no surviving monomial reads cannot change the
 residual mod p, so the pruning is exact (Golomb & Baumert, "Backtrack
-programming", J. ACM 12, 1965). The Python kernel stages the
-specialisation by binding time (partial evaluation: Jones, Gomard &
-Sestoft, "Partial Evaluation and Automatic Program Generation", 1993,
-ch. 4). Each monomial is a coefficient times one or two product slots
-times a twist monomial of degree one or two, so each identity is a sum
-over twist monomials t of t(alpha) P_t(mu):
+programming", J. ACM 12, 1965). Both kernels stage the specialisation by
+binding time (partial evaluation: Jones, Gomard & Sestoft, "Partial
+Evaluation and Automatic Program Generation", 1993, ch. 4). Each
+monomial is a coefficient times one or two product slots times a twist
+monomial of degree one or two, so each identity is a sum over twist
+monomials t of t(alpha) P_t(mu):
 
 * stage 0, once per (kind, n, p): ``_by_twist`` splits every monomial
   into its product part and its twist monomial, and ``_program`` orders
@@ -46,14 +46,12 @@ over twist monomials t of t(alpha) P_t(mu):
   multiplied in, which every twist of a sweep shares; with no product
   pinned it is stage 0. It is cached by (kind, n, p) and the product
   pins only, never by the twist;
-* stage 2, once per template (``_reduced``): each twist monomial is
+* stage 2, once per template (``_reduced``; the compiled kernel runs it
+  in C on ``_flat_program``'s encoding): each twist monomial is
   evaluated once and scales its packed integer, Sum_t t(alpha) W_t, a
   few big-integer multiply-adds; one ``to_bytes`` and, for byte fields,
   one translation mod p give every coefficient, and each identity that
   does not vanish is filed at the depth of its last nonzero position.
-
-The compiled kernel specialises and files the same polynomials, in one
-pass per template, in C.
 
 Over GF(2) and GF(3) the Python walk evaluates its shallowest levels,
 where few identities are filed and the scalar walk would visit every
@@ -66,12 +64,9 @@ filed identity, the survivors are counted by popcount and only the
 first ``cap`` are decoded; otherwise the scalar walk resumes below each
 survivor in lexicographic order. Over larger fields the walk is scalar
 from the root: packing a byte field per assignment there measured no
-faster (2-core Xeon, Python 3.11.7, ten alternated runs each: the 625
-twists of the full GF(5) dim-2 sweep took 4.34-5.03 s packed and
-4.40-4.98 s scalar for hom-algebra, 19.5-23.1 s and 19.6-23.2 s for
-hom-leibniz) and twice as slow on the full dim-1 GF(1009) hom-algebra
-sweep (0.48-0.58 s against 0.22-0.25 s). The compiled walk stays
-scalar. Both give the same stream.
+faster on the full GF(5) dim-2 sweeps and twice as slow on the full
+dim-1 GF(1009) hom-algebra one (the README gives the figures). The
+compiled walk stays scalar. Both give the same stream.
 """
 
 import itertools
@@ -231,11 +226,6 @@ def passes(kind, v, n, p):
     v = _template(kind, n, p, v, False) + [1]
     return not any(sum([c * v[x] * v[y] * v[z] for c, x, y, z in poly]) % p
                    for poly in _expansion(kind, n))
-
-
-def _holds(polys, v, p):
-    return not any(sum([c * v[x] * v[y] for c, x, y in poly]) % p
-                   for poly in polys)
 
 
 @lru_cache(maxsize=None)
@@ -537,15 +527,13 @@ def _lex(mask, p, top):
 
 
 def _packed_levels(checks_a, checks_b, filed, depth_of, p):
-    """The filed identities of levels 0, 1, ... evaluated over all the
-    assignments of those levels at once, a run at a time: the levels
-    through the next one of ``filed`` (the depths that file an identity,
-    ascending), while ``_run_pays``, over GF(2) and GF(3) only (none over
-    larger fields). The masks are bit-sliced in ``_columns``' order, so
-    that a run widens them by shifts. Returns the number of levels packed
-    and two bit masks over their assignments, bit r for the r-th in
-    lexicographic order: where one of ``checks_a`` fails, and where one
-    of ``checks_b`` does."""
+    """The filed identities of levels 0, 1, ... over all the assignments
+    of those levels at once, a run at a time (through the next depth of
+    ``filed``, ascending) while ``_run_pays``, over GF(2) and GF(3) only,
+    bit-sliced in ``_columns``' order so that a run widens by shifts.
+    Returns the number of levels packed and two bit masks over their
+    assignments, bit r for the r-th in lexicographic order: where one of
+    ``checks_a`` fails, and where one of ``checks_b`` does."""
     if p not in _PLANE_BITS:
         return 0, 0, 0
     fails = bads = top = 0
@@ -580,15 +568,13 @@ def _frontier(kind_a, kind_b, n, p, fixed):
     """The walk's start on ``fixed`` (its twist pinned): None when an
     identity of ``kind_a`` that reads only pinned slots fails, and
     otherwise ``(v, free, checks_a, checks_b, last, top, alive, bads)``:
-    ``v`` the template with its free slots 0 and the constant-1 slot
-    appended, ``free`` the free slots by depth, the identities of
-    ``kind_a`` and those of ``kind_b`` (None for none) in lists indexed
-    by depth (``_filed``), ``last`` the deepest depth filed (-1 for
-    none), and the ``top`` shallowest levels packed: ``alive`` and
-    ``bads`` bit masks, bit r for the r-th assignment of those levels in
-    lexicographic order, where every identity of ``kind_a`` filed there
-    holds, and where one of ``kind_b`` (those on the pinned slots
-    included) fails."""
+    the template with its free slots 0 and the constant-1 slot appended,
+    the free slots by depth, both kinds' identities in lists indexed by
+    depth (``_filed``; none for a ``kind_b`` of None), the deepest depth
+    filed (-1 for none), and the ``top`` levels packed with their bit
+    masks, bit r for the r-th assignment in lexicographic order: where
+    every identity of ``kind_a`` filed there holds, and where one of
+    ``kind_b`` (pinned ones included) fails."""
     pins = tuple(fixed[:layout(kind_a, n)[2]])
     program = _program(kind_a, n, p, pins)
     free, depth_of = program.free, program.depth_of
@@ -623,19 +609,18 @@ def _below(v, free, checks_a, checks_b, last, top, alive, bads, p):
     from what ``_frontier`` returns for it, in lexicographic order,
     checking each identity as soon as the last free slot it reads is set.
     Yields ``(v, bad)`` for every assignment of the free slots at depths
-    0..``last`` under which all of ``polys_a`` hold, ``v`` with the
-    constant-1 slot appended: no identity reads a slot of the tail
-    ``free[last + 1:]``, so every completion of those slots passes
-    ``polys_a`` too, and fails ``polys_b`` exactly when ``bad``. It needs
-    ``top <= last``: ``_scan`` counts the survivors of a template whose
-    filed levels are all packed without a walk.
+    0..``last`` under which every identity of ``checks_a`` holds, ``v``
+    with the constant-1 slot appended. No identity reads the tail
+    ``free[last + 1:]``, so each completion of it passes too, and fails
+    ``checks_b`` exactly when ``bad``. It needs ``top <= last``: ``_scan``
+    counts a template whose filed levels are all packed without a walk.
 
-    The ``top`` shallowest levels, where the scalar walk would visit many
-    nodes, come evaluated as packed vectors (``_packed_levels``: SIMD
-    within a register, Lamport, CACM 18(8), 1975); the scalar odometer
-    resumes below each surviving assignment of them, in lexicographic
-    order, so the stream is the one the scalar walk alone gives."""
-    # bad[d + 1]: an identity of polys_b filed at depth d or shallower fails
+    The ``top`` shallowest levels come evaluated as packed vectors
+    (``_packed_levels``: SIMD within a register, Lamport, CACM 18(8),
+    1975); the scalar odometer resumes below each surviving assignment of
+    them, in lexicographic order, so the stream is the one the scalar
+    walk alone gives."""
+    # bad[d + 1]: an identity of checks_b filed at depth d or above fails
     bad = [False] * (last + 2)
     flags = bads.to_bytes((p ** top + 7) // 8, "little")
     prev = -1
@@ -660,8 +645,9 @@ def _below(v, free, checks_a, checks_b, last, top, alive, bads, p):
                     break  # skips the p^(len(free)-d-1) candidates below
             else:
                 checks = checks_b[d]
-                bad[d + 1] = bad[d] or bool(checks) and not _holds(checks,
-                                                                   v, p)
+                bad[d + 1] = bad[d] or bool(checks) and any(
+                    sum([c * v[x] * v[y] for c, x, y in poly]) % p
+                    for poly in checks)
                 if d < last:
                     d += 1
                     continue
@@ -672,9 +658,8 @@ def _below(v, free, checks_a, checks_b, last, top, alive, bads, p):
 def _assignments(v, slots, p):
     """``v`` with each assignment of ``slots``, in lexicographic order."""
     v = list(v)
-    for values in itertools.product(range(p), repeat=len(slots)):
-        for slot, x in zip(slots, values):
-            v[slot] = x
+    for i in range(p ** len(slots)):
+        _decode(v, slots, len(slots), i, p, i - 1)
         yield tuple(v)
 
 
@@ -723,28 +708,43 @@ def _scan(kind_a, kind_b, n, p, fixed, cap):
     return count * every, hits * every, samples
 
 
-@lru_cache(maxsize=None)
-def _table(kind_a, kind_b, n):
-    """``_expansion`` of ``kind_a``, then that of ``kind_b``, as 64-bit
-    ints for the compiled kernel: the offset of ``kind_b``'s first
-    identity, then per identity its monomial count and its monomials
-    (c, x, y, z). A ``kind_b`` of None stands for the one identity 1 = 0,
-    which every candidate fails, so that a sweep's hits are all that pass
-    ``kind_a``."""
-    one = layout(kind_a, n)[0]
-    flat = [0]
-    for polys in (_expansion(kind_a, n), (((1, one, one, one),),)
-                  if kind_b is None else _expansion(kind_b, n)):
-        flat[0] = len(flat)  # left, after the loop, where kind_b starts
-        for poly in polys:
-            flat += (len(poly), *itertools.chain(*poly))
-    return array("q", flat)
+@lru_cache(maxsize=32)
+def _flat_program(kind_a, kind_b, n, p, pins):
+    """``_program`` of ``kind_a``, then of ``kind_b`` (None: the identity
+    1 = 0, which every candidate fails), as 64-bit ints for the compiled
+    kernel: the numbers of positions and identities and the first
+    identity of ``kind_b``; the identities' position bounds; the
+    positions' slots x, then y; then, to the end, per twist monomial its
+    slot pair, a count, and that many positions and coefficients mod p."""
+    one = len(pins) + n * n
+    first = _program(kind_a, n, p, pins)
+    bounds, xs, ys, terms = [0], [], [], []
+    for prog in (first, _program(kind_b, n, p, pins) if kind_b else _Program(
+            ((one, one, 1),), 1, None, (one,), (one,), (), (0, 1), (), ())):
+        w, base = prog.width, len(xs)
+        for a, b, packed in prog.terms:
+            raw = packed.to_bytes(len(prog.xs) * w, "little")
+            fields = raw if w == 1 else [int.from_bytes(raw[i:i + w], "little")
+                                         for i in range(0, len(raw), w)]
+            nonzero = (raw.translate(_NONZERO) if w == 1
+                       else bytes(map(bool, fields)))
+            at, i = [], nonzero.find(1)
+            while i >= 0:  # a find per coefficient: most fields are 0
+                at.append(i)
+                i = nonzero.find(1, i + 1)
+            terms += (a, b, len(at), *[base + i for i in at],
+                      *[fields[i] for i in at])
+        bounds += [base + i for i in prog.bounds[1:]]
+        xs += prog.xs
+        ys += prog.ys
+    return array("q", [len(xs), len(bounds) - 1, len(first.bounds) - 1,
+                       *bounds, *xs, *ys, *terms])
 
 
 class Kernel:
     """A search kernel: ``sweep``, ``audit`` and ``passes`` over a
     template ``scan``, either ``_scan`` or the compiled kernel's, which
-    walks the same table. This module's own ``passes`` evaluates the
+    walks the same program. This module's own ``passes`` evaluates the
     residuals directly, the reference the tests compare the walks with."""
 
     def __init__(self, name, scan):

@@ -2,19 +2,20 @@
 
 Both kernels read pykern's one polynomial table, ``_expansion`` (each
 identity multiplied out over flat arrays, rather than the vector-calculus
-evaluators): each specialises it to a template and walks the result the
-same way, pykern's in Python and the compiled one in C. The table is
-checked against the exact checkers, each specialised identity against the
-residual it stands for, each walk against an unpruned reference that
-decides every candidate with pykern's ``passes``, and the compiled walk
-against pykern's on the same templates. The Python walk's packed shallow
-levels meet the same reference with their stop constants at the
-default, at no packed level and at every level. The compiled kernel
-refuses a malformed table.
+evaluators), through pykern's one staged specialisation of it to a
+template, and walk the result the same way, pykern's in Python and the
+compiled one in C. The table is checked against the exact checkers, each
+specialised identity against the residual it stands for, each walk
+against an unpruned reference that decides every candidate with pykern's
+``passes``, and the compiled walk against pykern's on the same
+templates. The Python walk's packed shallow levels meet the same
+reference with their stop constants at the default, at no packed level
+and at every level. The compiled kernel refuses a malformed program.
 """
 
 import itertools
 import random
+import tracemalloc
 from array import array
 
 import pytest
@@ -783,42 +784,131 @@ def test_kernels_agree_on_the_search_shapes(compiled, kind, p):
             compiled.sweep(kind, 2, p, fixed, 16), twist
 
 
+# the audit pairs each kind's templates run in
+PARTNERS = {"hom-algebra": "hom-prelie", "hom-prelie": "hom-algebra",
+            "hom-dialgebra": "hlsda", "hlsda": "hom-dialgebra"}
+
+
+def walks_past(kind_a, kind_b, n, p, fixed):
+    """Does the walk on ``fixed`` (its twist pinned) set a free slot that
+    an identity reads? Over GF(4294967291) it would try every residue."""
+    front = pykern._frontier(kind_a, kind_b, n, p, fixed)
+    return front is not None and front[4] >= 0
+
+
+def lifted(rng, kind, n, p):
+    """A candidate over GF(p) that passes ``kind`` (and its audit
+    partner), its entries spread over the field: a structure over the
+    integers twisted by a diagonal endomorphism diag(lam) (Yau's twist:
+    each product followed by it), then moved by a random invertible g,
+    mu'(x, y) = g mu(g^-1 x, g^-1 y) and alpha' = g alpha g^-1. For
+    hom-leibniz it is e_0 e_0 = e_1, whose triple products all vanish, so
+    that any lam serves; for the other kinds, the idempotents
+    e_i e_i = e_i in every product, with lam in {0, 1}."""
+    if kind == "hom-leibniz":
+        mu = {(0, 0, 1): 1} if n > 1 else {}
+        lam = [rng.randrange(p) for _ in range(n)]
+    else:
+        mu = {(i, i, i): 1 for i in range(n)}
+        lam = [rng.randrange(2) for _ in range(n)]
+    flat = random_twist(rng, n, p, "invertible")
+    g = [flat[i * n:(i + 1) * n] for i in range(n)]
+    h = search._inverse(g, p)
+    product = [sum(g[k][c] * lam[c] * m * h[a][i] * h[b][j]
+                   for (a, b, c), m in mu.items()) % p
+               for i, j, k in itertools.product(range(n), repeat=3)]
+    return product * pykern.KINDS[kind] + [
+        sum(g[r][c] * lam[c] * h[c][s] for c in range(n)) % p
+        for r in range(n) for s in range(n)]
+
+
 @pytest.mark.parametrize("n, primes", [(1, (2, 3, 7)), (2, (2, 3)), (3, (2,))])
 @pytest.mark.parametrize("kind", sorted(pykern.KINDS))
-def test_kernels_agree_on_specialised_templates(compiled, kind, n, primes):
-    """The two sweeps on ``specialise_template``'s templates: a zero,
-    singular or invertible twist, with and without the unit prefill. A
-    template past the search API's compiled budget is left out: the
-    Python walk may take seconds there."""
-    for p in primes:
+def test_kernels_agree_on_specialised_templates(compiled, ckern, kind, n,
+                                                primes):
+    """The two sweeps, and the two audits of the kind's audit pair, on
+    ``specialise_template``'s templates: a zero, singular or invertible
+    twist, with and without the unit prefill. A template past the search
+    API's compiled budget is left out: the Python walk may take seconds
+    there. Over GF(4294967291), where stage 2 sums products of residues
+    near 2^64 in C, every product slot is pinned, or all but one, and a
+    template whose walk would set that slot is left out. Three
+    ``lifted`` candidates, which pass, join them there, so that those
+    sums must cancel exactly; each is also scanned in C on the program
+    with its own pins folded in, which a template with no free slot
+    skips."""
+    partner, big = PARTNERS.get(kind), 4294967291
+    for p in (*primes, big):
         rng = random.Random(f"{kind}:{n}:{p}")
-        for rank, unit in itertools.product(
-                ("zero", "singular", "invertible"), (False, True)):
-            fixed = specialise_template(rng, kind, n, p, rank, unit)
+        templates = [specialise_template(rng, kind, n, p, rank, unit,
+                                         1 if p == big else 0.4)
+                     for rank, unit in itertools.product(
+                         ("zero", "singular", "invertible"), (False, True))]
+        if p == big:
+            passing = [lifted(rng, kind, n, p) for _ in range(3)]
+            for flat, other in itertools.product(passing, {None, partner}):
+                program = pykern._flat_program(
+                    kind, other, n, p, tuple(flat[:pykern.layout(kind, n)[2]]))
+                want = (1, 1, [tuple(flat)]) if other is None else (1, 0, [])
+                assert ckern.scan(program, p, array("q", flat), 1) == want
+                assert pykern._scan(kind, other, n, p, flat, 1) == want
+            templates += passing
+            for fixed in list(templates):  # each with a product slot freed
+                fixed = list(fixed)
+                fixed[rng.randrange(pykern.layout(kind, n)[2])] = -1
+                templates.append(fixed)
+        for fixed in templates:
+            if p == big and walks_past(kind, partner, n, p, fixed):
+                continue
             if p ** sum(x < 0 for x in fixed) <= search.RAW_CANDIDATE_BUDGET:
                 assert compiled.sweep(kind, n, p, fixed, 16) == \
                     pykern.sweep(kind, n, p, fixed, 16), fixed
+                if partner:
+                    assert compiled.audit(kind, partner, n, p, fixed) == \
+                        pykern.audit(kind, partner, n, p, fixed), fixed
 
 
 @pytest.mark.parametrize("entry, value", [
     ("slot", 3), ("slot", 2 ** 40), ("slot", -1), ("slot", -2 ** 40),
-    ("count", -1), ("count", 2 ** 40),
-    ("kind b", 0), ("kind b", -1), ("kind b", "past the end")])
+    ("count", -1), ("count", 2 ** 40), ("kind b", -1),
+    ("kind b", "past the end"), ("twist", 0), ("bound", -1),
+    ("bound", "past the end")])
 def test_compiled_scan_refuses_a_malformed_table(ckern, entry, value):
-    """``_ckern.scan`` reads slots and offsets from the table, so it checks
-    them before reading: a slot outside 0 .. total (the constant-1 slot),
-    a monomial count that overruns the table and a kind-b offset outside
-    it are refused. The twist is pinned to 0, so that every monomial
-    would be skipped at a pinned 0 unread."""
-    table = list(pykern._table("hom-algebra", "hom-prelie", 1))
+    """``_ckern.scan`` reads slots, counts and bounds from the program
+    (``pykern._flat_program``), so it checks them before reading: a slot
+    outside 0 .. total (the constant-1 slot), a twist monomial on a slot
+    the template leaves free, a coefficient count that overruns the
+    program, a first identity of kind b outside the identities and a
+    bound outside the positions are refused."""
+    program = list(pykern._flat_program("hom-algebra", None, 1, 3, (-1,)))
     fixed, p = array("q", [-1, 0]), 3
-    assert ckern.scan(array("q", table), p, fixed, 5)[0] == 3
-    # table[0]: where kind b starts; table[1]: the first identity's
-    # monomial count; table[2:6]: its first monomial (c, x, y, z)
-    at = {"kind b": 0, "count": 1, "slot": 4}[entry]
-    table[at] = len(table) + 1 if value == "past the end" else value
-    with pytest.raises(ValueError, match="table"):
-        ckern.scan(array("q", table), p, fixed, 5)
+    assert ckern.scan(array("q", program), p, fixed, 5) == \
+        (3, 3, [(0, 0), (1, 0), (2, 0)])
+    # program[:3]: the numbers of positions and identities, and kind b's
+    # first identity; then the identities' bounds, the positions' slots
+    # x, then y, and the first twist monomial's slot pair and count
+    positions, ids = program[:2]
+    pairs = 4 + ids + 2 * positions
+    at = {"kind b": 2, "bound": 4, "slot": 4 + ids, "twist": pairs,
+          "count": pairs + 2}[entry]
+    past = {"kind b": ids + 1, "bound": positions + 1}
+    program[at] = past[entry] if value == "past the end" else value
+    with pytest.raises(ValueError, match="program"):
+        ckern.scan(array("q", program), p, fixed, 5)
+
+
+def test_one_sample_of_a_huge_field_builds_nothing_up_front():
+    """The samples of a free tail come by index: one sample of the
+    twist-pinned dim-1 GF(1000003) hom-prelie space, whose only slot is a
+    free tail slot, needs no list of the field's residues."""
+    tracemalloc.start()
+    try:
+        assert pykern.sweep("hom-prelie", 1, 1000003, [-1, 1], 1) == \
+            (1000003, [(0, 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 class TestCountsWithinReach:
