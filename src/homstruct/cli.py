@@ -47,7 +47,7 @@ def _emit(args, text):
 
 
 # the most random-vector samples one oracle cross-check may draw: on a
-# 2-core machine under Python 3.11.7 that many took about 10 s on the
+# 2-core Xeon under Python 3.11.7 that many took about 12 s on the
 # slowest corpus fixture (trivdialg3dim), and about 8 min on a dim-10
 # hom-bialgebra when measured on an earlier version
 MAX_ORACLE_SAMPLES = 10 ** 5

@@ -16,16 +16,25 @@ identity is called once per block, with its a-th argument the batch of
 the block's a-th vectors along one sample axis shared by every argument
 (a :class:`~homstruct.linalg.Batch` over the axis ``(0,)``), so sample
 k's arguments are evaluated together and never paired with another
-sample's. The draws are the same ``rng.choice`` calls in the same order
-as one sample at a time: sample, then argument, then coordinate. An
-identity stops at its first failing sample, and the rng must then stand
-where a sample-at-a-time loop would leave it, since the next identity
-draws on from there: the rng state is saved before each block and, on a
-mismatch at sample j of the block, restored and advanced by the draws of
-samples 0 to j only. The fixed block bounds memory whatever the sample
-count. The witnesses are re-evaluated the same way, every witness of
-one axiom in one call, its a-th argument the batch of the witnesses'
-a-th basis vectors along one shared axis.
+sample's. The draws are the values of the same ``rng.choice`` calls in
+the same order as one sample at a time: sample, then argument, then
+coordinate. ``choice`` from a pool of size s keeps the top
+s.bit_length() bits of one 32-bit Mersenne Twister word and rejects
+values >= s, so the accepted draws are a filter over the word stream
+however it is chunked: for a pool of fewer than 256 values a block's
+words come from one ``rng.getrandbits`` call and are filtered by their
+top bytes; a larger pool keeps one ``choice`` per draw.
+
+An identity stops at its first failing sample, and the next identity
+draws on from where a sample-at-a-time loop would stand. The generator
+is local to the call, so it may draw ahead: drawn values wait in a
+pending buffer, and on a mismatch at sample j of a block the draws of
+the samples after j go back to the front of that buffer. What is kept
+is the draw stream, not the generator's own state, which is never
+restored and ends wherever the last refill left it. The fixed block
+bounds memory whatever the sample count. The witnesses are re-evaluated
+the same way, every witness of one axiom in one call, its a-th argument
+the batch of the witnesses' a-th basis vectors along one shared axis.
 
 Over the rationals a sample is a pool draw scaled to integers: each
 coordinate comes from ``RATIONAL_POOL`` by the same ``rng.choice`` call,
@@ -44,6 +53,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .axioms import run_check, suite_for
 from .fields import PrimeField
@@ -82,15 +92,56 @@ def random_vector(field, n, rng) -> Vector:
     return Vector(field, tuple(rng.choice(pool) for _ in range(n)))
 
 
-def _failing(test, field, n, tuples):
-    """The positions k, in increasing order, where ``test`` fails on
-    ``tuples[k]``, one coordinate tuple per argument: every tuple in one
-    call, the a-th argument the batch of the a-th vectors along one
-    shared axis."""
-    size = len(tuples)
-    lhs, rhs = test.evaluate(*(
-        _batch(field, (n,), (0,), size, [vectors[a] for vectors in tuples])
-        for a in range(test.arity)))
+@lru_cache(maxsize=None)
+def _top_bytes(size):
+    """The ``bytes.translate`` table and delete bytes that turn the top
+    bytes of 32-bit words into what ``rng.choice`` draws from a pool of
+    ``size`` < 256 values: the index given by the top
+    ``size.bit_length()`` bits, or nothing where that index is >= size."""
+    shift = 8 - size.bit_length()
+    return (bytes(b >> shift for b in range(256)),
+            bytes(b for b in range(256) if b >> shift >= size))
+
+
+class _Draws:
+    """The values of successive ``rng.choice(pool)`` calls, drawn ahead:
+    what is drawn and not yet taken waits in ``pending``, in stream order.
+    A pool of fewer than 256 values is drawn from the words of one
+    ``getrandbits`` call per refill, a larger one by ``choice`` itself."""
+
+    def __init__(self, rng, pool):
+        self.rng, self.pool, self.pending = rng, pool, []
+
+    def take(self, count):
+        """The next ``count`` values of the stream."""
+        while len(self.pending) < count:
+            self.pending += self._refill(count - len(self.pending))
+        taken, self.pending = self.pending[:count], self.pending[count:]
+        return taken
+
+    def give_back(self, values):
+        """Put ``values``, the last ones taken, back at the stream's front."""
+        self.pending[:0] = values
+
+    def _refill(self, count):
+        rng, pool = self.rng, self.pool
+        size = len(pool)
+        if size >= 256:
+            return [rng.choice(pool) for _ in range(count)]
+        table, delete = _top_bytes(size)
+        # the words that give ``count`` draws on average, plus one
+        words = (count << size.bit_length()) // size + 1
+        top = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+        return list(map(pool.__getitem__, top.translate(table, delete)))
+
+
+def _failing(test, field, n, size, args):
+    """The positions k, in increasing order, where ``test`` fails on its
+    k-th arguments, ``args[a]`` listing the ``size`` coordinate tuples of
+    argument a: every position in one call, each argument the batch of
+    its tuples along one shared axis."""
+    lhs, rhs = test.evaluate(*(_batch(field, (n,), (0,), size, entries)
+                               for entries in args))
     return (k for (k,), _, _ in mismatches(lhs, rhs, 1, size))
 
 
@@ -112,7 +163,7 @@ def oracle_crosscheck(structure, check_id: str, samples: int = 100,
                       strict_assoc=strict_assoc)
     n, field = structure.dim, structure.field
     pool = _pool(field) if isinstance(field, PrimeField) else SCALED_POOL
-    rng = random.Random(seed)
+    draws = _Draws(random.Random(seed), pool)
     failed = []
 
     # sampled agreement is only guaranteed for axioms found to hold; a
@@ -122,16 +173,18 @@ def oracle_crosscheck(structure, check_id: str, samples: int = 100,
         if not test.fatal or test.key not in holding:
             continue
         arity = test.arity
+        width = arity * n
         for start in range(0, samples, BLOCK):
             size = min(BLOCK, samples - start)
-            state = rng.getstate()
-            draws = [[tuple([rng.choice(pool) for _ in range(n)])
-                      for _ in range(arity)] for _ in range(size)]
-            j = next(_failing(test, field, n, draws), None)
+            coords = draws.take(size * width)
+            vectors = (list(zip(*[iter(coords)] * n)) if n
+                       else [()] * (size * arity))
+            j = next(_failing(test, field, n, size,
+                              [vectors[a::arity] for a in range(arity)]),
+                     None)
             if j is not None:
-                rng.setstate(state)
-                for _ in range((j + 1) * arity * n):
-                    rng.choice(pool)
+                # the next identity draws on from sample j + 1
+                draws.give_back(coords[(j + 1) * width:])
                 failed.append(f"{test.key}: basis verdict holds but "
                               f"sample {start + j} fails")
                 break
@@ -146,9 +199,11 @@ def oracle_crosscheck(structure, check_id: str, samples: int = 100,
     still_failing = set()
     for key, idx in positions.items():
         if key in by_key:
+            test = by_key[key]
             still_failing.update(idx[k] for k in _failing(
-                by_key[key], field, n,
-                [[basis[j] for j in witnesses[i].at] for i in idx]))
+                test, field, n, len(idx),
+                [[basis[witnesses[i].at[a]] for i in idx]
+                 for a in range(test.arity)]))
     for i, w in enumerate(witnesses):
         if w.key not in by_key:
             failed.append(f"witness for unknown axiom {w.axiom!r}")

@@ -5,8 +5,8 @@ reference: it draws one sample at a time, calls each identity on plain
 vectors and compares the two sides with ``tensors_equal``, stopping an
 identity at its first failing sample. ``oracle_crosscheck`` evaluates a
 block of samples in one call, on a shared sample axis, and must return
-the same ``OracleResult`` field for field, and leave its rng where the
-loop leaves it.
+the same ``OracleResult`` field for field, and draw on, identity after
+identity, from where the loop stands.
 """
 
 import dataclasses
@@ -14,9 +14,9 @@ import random
 
 import pytest
 
-from homstruct import corpus, oracle
+from homstruct import corpus, documents, oracle
 from homstruct.axioms import AxiomTest, Verdict, Witness, run_check, suite_for
-from homstruct.fields import PrimeField, RationalField
+from homstruct.fields import PrimeField, RationalField, _is_prime
 from homstruct.linalg import (Batch, LinearMap, ProductTensor, Vector,
                               apply_bilinear, basis_vector, tensors_equal)
 from homstruct.oracle import (BLOCK, SCALED_POOL, OracleResult,
@@ -69,6 +69,22 @@ def reference_oracle_crosscheck(structure, check_id, samples=100, seed=0,
 
 
 TABLE = corpus.load_expected()
+# corpus structures with integer scalars, read mod p: over GF(2) and GF(5)
+# the pools reject 1/2 and 3/8 of the words, and GF(257) draws by one
+# rng.choice per draw
+OVER_PRIMES = [(name, check_id, p)
+               for name, check_id in [("mat2", "hom-algebra"),
+                                      ("ut2-dialg", "hom-dialgebra"),
+                                      ("ex1", "hom-bialgebra"),
+                                      ("k1-mat2", "hom-bialgebra")]
+               for p in (2, 5, 257)]
+
+
+def _over_prime(s, p):
+    """``s``, whose scalars are integers, with its scalars read mod p."""
+    doc = documents.structure_to_document(s)
+    doc["field"] = f"gf:{p}"
+    return documents.document_to_structure(doc)
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +94,8 @@ def resolved():
         out[entry["name"]] = (corpus.load_fixture(entry["fixture"])
                               if "fixture" in entry
                               else corpus._derive(entry["derive"], out))
+    for name, _, p in OVER_PRIMES:
+        out[f"{name}@gf{p}"] = _over_prime(out[name], p)
     return out
 
 
@@ -85,6 +103,10 @@ CORPUS_CHECKS = [(entry["name"], spec["check"], spec.get("counit-mode", "eq7"))
                  for entry in TABLE["entries"]
                  for spec in entry.get("checks", [])]
 IDS = [f"{name}/{check_id}/{mode}" for name, check_id, mode in CORPUS_CHECKS]
+PRIME_CHECKS = [(f"{name}@gf{p}", check_id, "eq7")
+                for name, check_id, p in OVER_PRIMES]
+PRIME_IDS = [f"{name}/{check_id}/{mode}"
+             for name, check_id, mode in PRIME_CHECKS]
 
 
 def _same(s, check_id, mode, samples, seed):
@@ -100,7 +122,8 @@ def _same(s, check_id, mode, samples, seed):
 
 @pytest.mark.parametrize("samples", [20, BLOCK])
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("name, check_id, mode", CORPUS_CHECKS, ids=IDS)
+@pytest.mark.parametrize("name, check_id, mode", CORPUS_CHECKS + PRIME_CHECKS,
+                         ids=IDS + PRIME_IDS)
 def test_every_corpus_check(resolved, name, check_id, mode, seed, samples):
     assert _same(resolved[name], check_id, mode, samples, seed).agreed
 
@@ -129,13 +152,16 @@ def _swapped_suite(monkeypatch):
     monkeypatch.setattr(oracle, "suite_for", swapped)
 
 
-@pytest.mark.parametrize("name, check_id, mode", CORPUS_CHECKS, ids=IDS)
+@pytest.mark.parametrize("name, check_id, mode", CORPUS_CHECKS + PRIME_CHECKS,
+                         ids=IDS + PRIME_IDS)
 def test_mismatch_indices_and_rng_position(resolved, monkeypatch, name,
                                            check_id, mode):
     # a mismatch stops an identity early; the next identity draws on from
     # where the stream stands, so its mismatch index checks that position
     _swapped_suite(monkeypatch)
-    _same(resolved[name], check_id, mode, BLOCK + BLOCK // 2, 7)
+    got = _same(resolved[name], check_id, mode, BLOCK + BLOCK // 2, 7)
+    if "@gf" in name and not name.startswith("ex1@"):
+        assert not got.agreed  # so the prime pools reach the give-back
 
 
 def test_swapped_suite_mismatches_at_several_identities(resolved,
@@ -157,16 +183,15 @@ def _flags(v, value):
     return Vector(v.field, flag(v.coords))
 
 
-def _rare_suite(arities):
+def _rare_suite(arities, field=RationalField(), value=SCALED_POOL[3]):
     """A dim-2 algebra and identities, one per arity, that fail only where
-    every argument's first coordinate is ``SCALED_POOL[3]``: at one sample
+    every argument's first coordinate is ``value``: over QQ at one sample
     in ``8 ** arity`` on average."""
-    field = RationalField()
     first = ProductTensor(field, (((1, 0), (0, 0)), ((0, 0), (0, 0))))
     zero = Vector(field, (0, 0))
 
     def evaluate(*vectors):
-        flags = [_flags(v, SCALED_POOL[3]) for v in vectors]
+        flags = [_flags(v, value) for v in vectors]
         lhs = flags[0]
         for f in flags[1:]:
             lhs = apply_bilinear(first, lhs, f)
@@ -192,6 +217,22 @@ def test_rare_mismatches_deep_in_later_blocks(monkeypatch, seed):
     assert len(indices) >= 5 and max(indices) >= BLOCK
 
 
+@pytest.mark.parametrize("p, arities", [(2, (1, 3, 2, 3, 1, 2)),
+                                         (5, (1, 3, 2, 3, 1, 2)),
+                                         (257, (1,) * 6)])
+@pytest.mark.parametrize("seed", range(3))
+def test_rare_mismatches_over_prime_fields(monkeypatch, p, arities, seed):
+    s, tests = _rare_suite(arities, PrimeField(p), p - 1)
+    monkeypatch.setattr(oracle, "suite_for", lambda *a, **k: tests)
+    verdict = Verdict((), tuple(t.axiom for t in tests))
+    got = oracle_crosscheck(s, "hom-algebra", samples=10 * BLOCK, seed=seed,
+                            verdict=verdict)
+    want = reference_oracle_crosscheck(s, "hom-algebra", samples=10 * BLOCK,
+                                       seed=seed, verdict=verdict)
+    assert dataclasses.astuple(got) == dataclasses.astuple(want)
+    assert len(got.mismatches) >= 5
+
+
 @pytest.mark.parametrize("field", [RationalField(), PrimeField(2),
                                    PrimeField(7)], ids=str)
 @pytest.mark.parametrize("samples", [BLOCK, 2 * BLOCK + 3])
@@ -199,7 +240,7 @@ def test_false_passing_verdicts(field, samples):
     # random hom-algebras, with a verdict claiming every axiom holds: the
     # samples must catch each false claim at the same sample
     rng = random.Random(5)
-    for dim in (1, 2, 3):
+    for dim in (0, 1, 2, 3):
         for _ in range(3):
             mu = ProductTensor(field, tuple(
                 tuple(tuple(field.reduce(rng.randint(-1, 2))
@@ -276,3 +317,57 @@ def test_witness_replay_reports_in_witness_order():
         "witness for unknown axiom 'no-such-axiom'",
         f"hom-associativity: witness at (1, 1, 1) {stale}",
         f"multiplicativity: witness at (1, 1) {stale}")
+
+
+# every pool the oracle draws from: the scaled rational pool and GF(p),
+# drawn a block at a time below 256 values and one choice per draw above
+DRAW_POOLS = ([SCALED_POOL] + [range(p) for p in range(256) if _is_prime(p)]
+              + [range(p) for p in (257, 1000003, 4294967291, 4294967311)])
+POOL_IDS = [f"pool{len(pool)}" for pool in DRAW_POOLS]
+# the widest sample of the corpus: arity 3 at dimension 5
+WIDTH = 3 * 5
+MOST = BLOCK * WIDTH
+
+
+def _choices(pool, seed, count):
+    rng = random.Random(seed)
+    return [rng.choice(pool) for _ in range(count)]
+
+
+def _draws_equal_choices(pool, seed, counts):
+    want = _choices(pool, seed, MOST + WIDTH)
+    for count in counts:
+        draws = oracle._Draws(random.Random(seed), pool)
+        assert draws.take(count) == want[:count], count
+        assert draws.take(WIDTH) == want[count:count + WIDTH], count
+
+
+@pytest.mark.parametrize("pool", DRAW_POOLS, ids=POOL_IDS)
+def test_block_draws_are_the_choice_stream(pool):
+    """The draws equal ``rng.choice(pool)`` value for value, at counts
+    from 1 to a whole block of the widest sample, and draw on from there.
+    This pins how CPython's ``choice`` reads the Mersenne Twister words:
+    a release that changes ``_randbelow`` fails here."""
+    _draws_equal_choices(pool, 3, [*range(1, 2 * WIDTH + 1),
+                                   *range(2 * WIDTH + 1, MOST, 37), MOST])
+
+
+def test_rational_block_draws_at_every_count():
+    _draws_equal_choices(SCALED_POOL, 4, range(1, MOST + 1))
+
+
+@pytest.mark.parametrize("pool", [SCALED_POOL, range(2), range(5),
+                                  range(257), range(4294967311)],
+                         ids=["pool8", "pool2", "pool5", "pool257",
+                              "pool4294967311"])
+def test_draws_given_back_at_every_sample(pool):
+    """A block whose identity fails at sample j gives back the draws of
+    samples j + 1 on, and the next block starts with them."""
+    want = _choices(pool, 9, 2 * MOST)
+    for j in range(BLOCK):
+        draws = oracle._Draws(random.Random(9), pool)
+        block = draws.take(MOST)
+        assert block == want[:MOST]
+        draws.give_back(block[(j + 1) * WIDTH:])
+        used = (j + 1) * WIDTH
+        assert draws.take(MOST) == want[used:used + MOST], j
